@@ -45,7 +45,7 @@ def _config_from(args) -> RunConfig:
         raw = configs.parse_config_file(args.config)
         for key, val in raw.items():
             if not hasattr(cfg, key):
-                raise SystemExit(f"unknown config key {key!r}")
+                raise ValueError(f"unknown config key {key!r}")
             cur = getattr(cfg, key)
             cfg = replace(cfg, **{key: type(cur)(val) if not isinstance(cur, bool)
                                   else val.lower() in ("1", "true", "yes")})
@@ -189,7 +189,7 @@ def cmd_game_run(args) -> int:
     cfg = _config_from(args)
     adv = games.ADVERSARIES.get(args.adv)
     if adv is None and args.exp != "fact35":
-        raise SystemExit(f"unknown adversary {args.adv!r}; "
+        raise ValueError(f"unknown adversary {args.adv!r}; "
                          f"known: {sorted(games.ADVERSARIES)}")
     report = {"exp": args.exp, "adv": args.adv, "seed": cfg.seed,
               "trials": cfg.trials, "exact": bool(args.exact)}
@@ -312,7 +312,7 @@ def cmd_game_run(args) -> int:
             _finish_game(report, rows, args)
             return 1
     else:
-        raise SystemExit(f"unknown experiment {args.exp!r}")
+        raise ValueError(f"unknown experiment {args.exp!r}")
     _finish_game(report, rows, args)
     return 0
 

@@ -11,6 +11,7 @@ enumerable domain.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -22,7 +23,7 @@ import numpy as np
 from . import qsim
 from .hashfam import HashFamily, structured_ajtai_keygen
 from .dualregev import gaussian_box_weights
-from .zqcore import ZqMatrix, ZqVector, centered_array
+from .zqcore import ZqVector, centered_array
 
 
 # ---------------------------------------------------------------------------
@@ -89,80 +90,75 @@ class GameTranscript:
 # ---------------------------------------------------------------------------
 
 class _Dom:
-    """Indexed view of a family's domain with M-values and fiber tables."""
+    """One key's domain table with D-weights. Images are addressed by their
+    position j in ``ys``, certificates pi by their index into ``values``."""
 
     def __init__(self, family: HashFamily, key, dist: Callable | None):
         self.family = family
-        self.key = key
-        self.values = list(family.domain.values())
-        self.index = {x: i for i, x in enumerate(self.values)}
+        self.table = family.table(key)
+        self.values = self.table.values
         d = np.array([1.0 if dist is None else dist(x) for x in self.values])
         self.weights = d / d.sum()
-        self.images = [family.eval(key, x) for x in self.values]
         if family.measure is None:
-            self.mvals = list(self.values)  # identity measurement
             self.mbits = getattr(family.domain, "bits", None)
             if self.mbits is None:
                 raise ValueError("identity-M exact mode needs a bit domain")
         else:
-            self.mvals = [family.measure(key, x) for x in self.values]
             self.mbits = 1
 
-    def y_distribution(self) -> list[tuple[object, float]]:
-        acc: dict[object, float] = {}
-        for i, y in enumerate(self.images):
-            acc[y] = acc.get(y, 0.0) + self.weights[i]
-        return sorted(acc.items(), key=lambda kv: repr(kv[0]))
+    @functools.cached_property
+    def sign(self) -> np.ndarray:
+        """(2^mbits x D) matrix of (-1)^{<M(x), z>}, z packed as an int."""
+        dots = np.arange(1 << self.mbits)[:, None] & self.table.mvals[None, :]
+        parity = np.zeros_like(dots)
+        for k in range(self.mbits):
+            parity ^= (dots >> k) & 1
+        return 1.0 - 2.0 * parity
 
-    def psi_y(self, y) -> np.ndarray:
-        amps = np.array([
-            math.sqrt(self.weights[i]) if self.images[i] == y else 0.0
-            for i in range(len(self.values))
-        ])
+    def y_distribution(self) -> list[tuple[int, float]]:
+        """(position j of y in the table's ys, Pr[y]) in repr order of y."""
+        py = np.bincount(self.table.image_ids, weights=self.weights,
+                         minlength=len(self.table.ys))
+        return [(j, py[j]) for j in self.table.repr_order()]
+
+    def fiber(self, j: int) -> np.ndarray:
+        return np.flatnonzero(self.table.image_ids == j)
+
+    def psi_y(self, j: int) -> np.ndarray:
+        amps = np.where(self.table.image_ids == j, np.sqrt(self.weights), 0.0)
         return amps / np.linalg.norm(amps)
 
-    def mdot(self, x, z: int) -> int:
-        """<M(x), z> mod 2 with z packed as an int over mbits."""
-        if self.family.measure is None:
-            return bin(self.index_bits(x) & z).count("1") & 1
-        return (self.family.measure(self.key, x) * z) & 1
+    def value(self, pi: int | None):
+        return None if pi is None else self.values[pi]
 
-    def index_bits(self, x) -> int:
-        return x if isinstance(x, (int, np.integer)) else int(self.index[x])
+    def valid(self, pi: int | None, j: int) -> bool:
+        return pi is not None and bool(self.table.image_ids[pi] == j)
 
-    def mphase(self, z: int) -> np.ndarray:
-        """(-1)^{<M(x), z>} per domain value."""
-        return np.array([1.0 - 2.0 * self.mdot(x, z) for x in self.values])
+    def lexfirst(self, j: int) -> int:
+        return int(min(self.fiber(j), key=self.values.__getitem__))
 
-    def fiber(self, y) -> list:
-        return [x for x, im in zip(self.values, self.images) if im == y]
+    def garbage(self, j: int) -> int | None:
+        outside = np.flatnonzero(self.table.image_ids != j)
+        return int(outside[0]) if outside.size else None
 
-    def lexfirst(self, y):
-        return min(self.fiber(y))
-
-    def garbage(self, y):
-        for x in self.values:
-            if self.family.eval(self.key, x) != y:
-                return x
-        return None
-
-    def m_branches(self, y) -> list[tuple[object, float, np.ndarray]]:
-        """Outcomes of measuring M on psi_y: (v, prob, post vector)."""
-        psi = self.psi_y(y)
+    def m_branches(self, j: int) -> list[tuple[int, float, np.ndarray]]:
+        """Outcomes of measuring M on psi_y, in repr order of the outcome:
+        (index of a value with that outcome, prob, post vector)."""
+        psi = self.psi_y(j)
+        identity = self.family.measure is None
         groups: dict[object, list[int]] = {}
-        for i, x in enumerate(self.values):
-            if self.images[i] == y:
-                v = self.mvals[i]
-                groups.setdefault(v, []).append(i)
+        for i in self.fiber(j):
+            v = self.values[i] if identity else int(self.table.mvals[i])
+            groups.setdefault(v, []).append(int(i))
         out = []
         for v in sorted(groups.keys(), key=repr):
             idxs = groups[v]
-            p = float(sum(psi[i] ** 2 for i in idxs))
+            p = float(np.cumsum(psi[idxs] ** 2)[-1])
             if p <= 0:
                 continue
             post = np.zeros_like(psi)
             post[idxs] = psi[idxs]
-            out.append((v, p, post / math.sqrt(p)))
+            out.append((idxs[0], p, post / math.sqrt(p)))
         return out
 
 
@@ -174,37 +170,69 @@ def _keys_for_exact(family: HashFamily) -> list:
     return family.keys()
 
 
-def _guess_p1(adv: Adversary, dom: _Dom, y, xvec: np.ndarray | None) -> float:
-    """Exact Pr[b'=1] for the unbounded second stage on a pure residual."""
-    if adv.guess == "random" or xvec is None:
+def _guess_p1(adv: Adversary, target: np.ndarray, xvec: np.ndarray):
+    """Exact Pr[b'=1] for the unbounded second stage on pure residuals
+    (the rows of ``xvec``); ``target`` is the fiber superposition psi_y."""
+    if adv.guess == "random":
         return 0.5
     if adv.guess == "project0":
-        target = dom.psi_y(y)
-        return 1.0 - float(abs(np.dot(target, xvec)) ** 2)
+        return 1.0 - np.abs(xvec @ target) ** 2
     raise ValueError(f"unknown guess mode {adv.guess}")
 
 
-def _cert_branches(adv: Adversary, dom: _Dom, y, xvec: np.ndarray
-                   ) -> list[tuple[float, object, np.ndarray | None]]:
-    """(prob, pi, residual X vector or None) branches for the first stage."""
+def _cert_branches(adv: Adversary, dom: _Dom, j: int, mass: np.ndarray
+                   ) -> list[tuple[float, int | None, int | None]]:
+    """(prob, pi, measured X index or None) branches of the first stage on a
+    state whose X marginal is ``mass``; None leaves the state untouched."""
     if adv.cert == "measure":
-        out = []
-        for i, p in enumerate(np.abs(xvec) ** 2):
-            if p > 1e-15:
-                e = np.zeros_like(xvec)
-                e[i] = 1.0
-                out.append((float(p), dom.values[i], e))
-        return out
+        return [(float(p), i, i) for i, p in enumerate(mass) if p > 1e-15]
     if adv.cert == "lexfirst":
-        return [(1.0, dom.lexfirst(y), xvec)]
+        return [(1.0, dom.lexfirst(j), None)]
     if adv.cert == "uniform-domain":
         n = len(dom.values)
-        return [(1.0 / n, x, xvec) for x in dom.values]
+        return [(1.0 / n, i, None) for i in range(n)]
     if adv.cert == "garbage":
-        return [(1.0, dom.garbage(y), xvec)]
+        return [(1.0, dom.garbage(j), None)]
     if adv.cert == "zero":
-        return [(1.0, dom.values[0], xvec)]
+        return [(1.0, 0, None)]
     raise ValueError(f"unknown cert mode {adv.cert}")
+
+
+def _residual(rows: np.ndarray, col: int | None, pc: float) -> np.ndarray:
+    """The state after a certificate branch. Measuring X of a pure X state
+    leaves the basis state |x>; a C-by-X state (..., 2, D) keeps its C
+    amplitudes on the measured column, renormalised."""
+    if col is None:
+        return rows
+    res = np.zeros_like(rows)
+    res[..., col] = 1.0 if rows.ndim == 1 else rows[..., col] / math.sqrt(pc)
+    return res
+
+
+def _pick(branches: list[tuple], rng: np.random.Generator, at: int) -> tuple:
+    """One branch, drawn with the probabilities held at position ``at``."""
+    probs = np.array([br[at] for br in branches])
+    return branches[int(rng.choice(len(branches), p=probs / probs.sum()))]
+
+
+def _sample_challenge(family: HashFamily, dist: Callable | None, b: int,
+                      rng: np.random.Generator) -> tuple[_Dom, int, np.ndarray]:
+    """Sample h and y, and for odd b measure M: (domain, y position, X state)."""
+    key, _ = family.sample(rng)
+    dom = _Dom(family, key, dist)
+    js, ps = zip(*dom.y_distribution())
+    j = js[int(rng.choice(len(js), p=np.array(ps)))]
+    xvec = dom.psi_y(j)
+    if b % 2:
+        xvec = _pick(dom.m_branches(j), rng, 1)[2]
+    return dom, j, xvec
+
+
+def _sample_certificate(adv: Adversary, dom: _Dom, j: int, xvec: np.ndarray,
+                        rng: np.random.Generator) -> tuple[int | None, np.ndarray]:
+    """The first stage on a pure X state: (pi, residual X state)."""
+    pc, pi, col = _pick(_cert_branches(adv, dom, j, np.abs(xvec) ** 2), rng, 0)
+    return pi, _residual(xvec, col, pc)
 
 
 # ---------------------------------------------------------------------------
@@ -215,17 +243,8 @@ def target_collapse_exp(family: HashFamily, dist: Callable | None,
                         adversary: Adversary, b: int,
                         rng: np.random.Generator) -> int:
     """One sampled run; returns the adversary's guess bit."""
-    key, _ = family.sample(rng)
-    dom = _Dom(family, key, dist)
-    ys, ps = zip(*dom.y_distribution())
-    y = ys[int(rng.choice(len(ys), p=np.array(ps)))]
-    xvec = dom.psi_y(y)
-    if b % 2:
-        branches = dom.m_branches(y)
-        probs = np.array([p for _, p, _ in branches])
-        pick = int(rng.choice(len(branches), p=probs / probs.sum()))
-        xvec = branches[pick][2]
-    p1 = _guess_p1(adversary, dom, y, xvec)
+    dom, j, xvec = _sample_challenge(family, dist, b, rng)
+    p1 = _guess_p1(adversary, dom.psi_y(j), xvec)
     return int(rng.random() < p1)
 
 
@@ -236,11 +255,11 @@ def target_collapse_advantage_exact(family: HashFamily, dist: Callable | None,
     keys = _keys_for_exact(family)
     for key, _ in keys:
         dom = _Dom(family, key, dist)
-        for y, py in dom.y_distribution():
-            psi = dom.psi_y(y)
-            totals[0] += py * _guess_p1(adversary, dom, y, psi)
-            for _, pv, post in dom.m_branches(y):
-                totals[1] += py * pv * _guess_p1(adversary, dom, y, post)
+        for j, py in dom.y_distribution():
+            psi = dom.psi_y(j)
+            totals[0] += py * _guess_p1(adversary, psi, psi)
+            for _, pv, post in dom.m_branches(j):
+                totals[1] += py * pv * _guess_p1(adversary, psi, post)
     n = len(keys)
     return abs(totals[0] - totals[1]) / n
 
@@ -255,28 +274,17 @@ def ev_target_collapse_exp(family: HashFamily, dist: Callable | None,
                            ) -> GameTranscript:
     """One sampled run of the certified-everlasting experiment; the verdict
     records the fallback: an invalid certificate draws b' uniformly."""
-    key, _ = family.sample(rng)
-    dom = _Dom(family, key, dist)
-    ys, ps = zip(*dom.y_distribution())
-    y = ys[int(rng.choice(len(ys), p=np.array(ps)))]
-    xvec = dom.psi_y(y)
-    if b % 2:
-        branches = dom.m_branches(y)
-        probs = np.array([p for _, p, _ in branches])
-        xvec = branches[int(rng.choice(len(branches), p=probs / probs.sum()))][2]
-
-    branches = _cert_branches(adv_pair, dom, y, xvec)
-    probs = np.array([p for p, _, _ in branches])
-    _, pi, residual = branches[int(rng.choice(len(branches), p=probs / probs.sum()))]
-    valid = pi is not None and family.eval(key, pi) == y
+    dom, j, xvec = _sample_challenge(family, dist, b, rng)
+    pi, residual = _sample_certificate(adv_pair, dom, j, xvec, rng)
+    valid = dom.valid(pi, j)
     if valid:
-        bprime = int(rng.random() < _guess_p1(adv_pair, dom, y, residual))
+        bprime = int(rng.random() < _guess_p1(adv_pair, dom.psi_y(j), residual))
     else:
         bprime = int(rng.integers(0, 2))
     return GameTranscript(
         experiment="evtc", seed=seed, b=b, adversary=adv_pair.name,
-        outputs={"y": repr(y), "pi": repr(pi), "valid": bool(valid),
-                 "b_prime": bprime},
+        outputs={"y": repr(dom.table.ys[j]), "pi": repr(dom.value(pi)),
+                 "valid": bool(valid), "b_prime": bprime},
         verdict=bprime,
     )
 
@@ -291,32 +299,24 @@ def ev_target_collapse_ensembles(family: HashFamily, dist: Callable | None,
     ens = {0: [], 1: []}
     keys = _keys_for_exact(family)
     wk = 1.0 / len(keys)
-    layout_cache: dict[int, qsim.RegisterLayout] = {}
+    layout = qsim.RegisterLayout([("X", family.domain.register_dims())])
 
-    def residual_state(vec: np.ndarray | None, dom: _Dom):
-        if vec is None:
-            return None
-        dim = len(vec)
-        lay = layout_cache.get(dim)
-        if lay is None:
-            lay = qsim.RegisterLayout([("X", dom.family.domain.register_dims())])
-            layout_cache[dim] = lay
-        amps = np.zeros(lay.dim, dtype=np.complex128)
-        for i, x in enumerate(dom.values):
-            amps[lay.value_index("X", dom.family.domain.to_register(x))] = vec[i]
-        return qsim.QState(lay, amps)
+    def residual_state(vec: np.ndarray, dom: _Dom) -> qsim.QState:
+        amps = np.zeros(layout.dim, dtype=np.complex128)
+        amps[dom.table.reg_index] = vec
+        return qsim.QState(layout, amps)
 
     for ki, (key, _) in enumerate(keys):
         dom = _Dom(family, key, dist)
-        for y, py in dom.y_distribution():
-            start = {0: [(1.0, dom.psi_y(y))]}
-            start[1] = [(pv, post) for _, pv, post in dom.m_branches(y)]
+        for j, py in dom.y_distribution():
+            start = {0: [(1.0, dom.psi_y(j))]}
+            start[1] = [(pv, post) for _, pv, post in dom.m_branches(j)]
             for b in (0, 1):
                 for pv, xvec in start[b]:
-                    for pc, pi, res in _cert_branches(adv, dom, y, xvec):
-                        valid = pi is not None and family.eval(key, pi) == y
-                        label = (ki, repr(y), repr(pi), valid)
-                        st = residual_state(res, dom) if valid else None
+                    for pc, pi, col in _cert_branches(adv, dom, j, np.abs(xvec) ** 2):
+                        valid = dom.valid(pi, j)
+                        label = (ki, repr(dom.table.ys[j]), repr(dom.value(pi)), valid)
+                        st = residual_state(_residual(xvec, col, pc), dom) if valid else None
                         ens[b].append((wk * py * pv * pc, label, st))
     return qsim.Ensemble(ens[0]), qsim.Ensemble(ens[1])
 
@@ -343,100 +343,107 @@ class LadderResult:
     proj_success: dict = field(default_factory=dict)  # exp -> P(projection ok | valid)
 
 
+def _fold(total: float, columns: list[np.ndarray]) -> float:
+    """total plus every entry of the (nz, branches) stacked columns, z-major
+    and strictly left to right, as the scalar loop over (z, branch) adds."""
+    if not columns:
+        return total
+    terms = np.stack(columns, axis=1).ravel()
+    return float(np.cumsum(np.concatenate(([total], terms)))[-1])
+
+
+def _c_register_terms(adv: Adversary, dom: _Dom, j: int, psi: np.ndarray,
+                      rows: np.ndarray, w0: float, wk: float,
+                      with_exp1: bool) -> dict[str, list]:
+    """Per-z Pr[out=1] terms after the first stage acts on the C-by-X states
+    ``rows`` (nz, 2, D), one per z, each state weighted w0: the projected
+    experiment (Exp2 or Exp3: project C onto phi_pi^z, then measure it)
+    with its success and valid masses, and if asked Exp1 (measure C,
+    require c' = b) for b = 0 and 1."""
+    terms: dict[str, list] = {"exp1b0": [], "exp1b1": [], "proj": [], "succ": [], "valid": []}
+    nz = len(rows)
+    mass = np.sum(np.abs(rows[0]) ** 2, axis=0)  # the same for every z
+    for pc, pi, col in _cert_branches(adv, dom, j, mass):
+        w = w0 * pc * wk
+        if not dom.valid(pi, j):
+            for name in ("exp1b0", "exp1b1", "proj"):
+                terms[name].append(np.full(nz, w * 0.5))
+            continue
+        # a measured certificate leaves only its column: the sums and
+        # overlaps over X reduce to it exactly, so work on it alone
+        res, target = (rows, psi) if col is None else \
+            (rows[..., [col]] / math.sqrt(pc), psi[[col]])
+        pr_c = np.sum(np.abs(res) ** 2, axis=-1)
+        for b in (0, 1) if with_exp1 else ():
+            pb = pr_c[:, b]
+            ok = pb > 1e-15
+            xv = res[:, b] / np.sqrt(np.where(ok, pb, 1.0))[:, None]
+            guess = np.where(ok, _guess_p1(adv, target, xv), 0.5)
+            terms[f"exp1b{b}"].append(w * (pb * guess + (1 - pb) * 0.5))
+        sgn = dom.sign[:, pi]
+        merged = (res[:, 0] + sgn[:, None] * res[:, 1]) / math.sqrt(2)
+        ps = np.sum(np.abs(merged) ** 2, axis=-1)
+        ok = ps > 1e-15
+        guess = _guess_p1(adv, target, merged / np.sqrt(np.where(ok, ps, 1.0))[:, None])
+        # measuring C on phi gives a uniform bit
+        succ = np.where(ok, ps * (0.5 * guess + 0.25), 0.0)
+        terms["proj"].append(w * (succ + (1 - ps) * 0.5))
+        terms["succ"].append(w * ps)
+        terms["valid"].append(np.full(nz, w))
+    return terms
+
+
 def hybrid_ladder_exact(family: HashFamily, adversary: Adversary,
                         dist: Callable | None = None) -> LadderResult:
     """Exact advantages of the four hybrid experiments under the scripted
     adversary, by full enumeration of (key, y, z, v) and branch evolution.
+    Exp1-Exp3 evolve the states of all z at once; their terms are added in
+    the (z, v, branch) order of the scalar enumeration.
     """
     keys = _keys_for_exact(family)
     wk = 1.0 / len(keys)
     p1 = {(e, b): 0.0 for e in range(4) for b in (0, 1)}
     proj_mass = {2: [0.0, 0.0], 3: [0.0, 0.0]}  # [success mass, valid mass]
+    s2 = math.sqrt(2)
 
     for key, _ in keys:
         dom = _Dom(family, key, dist)
-        nz = 1 << dom.mbits
-        wz = 1.0 / nz
-        for y, py in dom.y_distribution():
-            psi = dom.psi_y(y)
-            mbranches = dom.m_branches(y)
+        sign = dom.sign
+        wz = 1.0 / len(sign)
+        for j, py in dom.y_distribution():
+            psi = dom.psi_y(j)
+            mbranches = dom.m_branches(j)
 
             # Exp0
             for b in (0, 1):
                 starts = [(1.0, psi)] if b == 0 else [(pv, post) for _, pv, post in mbranches]
                 for pv, xvec in starts:
-                    for pc, pi, res in _cert_branches(adversary, dom, y, xvec):
-                        w = py * pv * pc
-                        if pi is not None and family.eval(key, pi) == y:
-                            p1[(0, b)] += wk * w * _guess_p1(adversary, dom, y, res)
-                        else:
-                            p1[(0, b)] += wk * w * 0.5
+                    for pc, pi, col in _cert_branches(adversary, dom, j, np.abs(xvec) ** 2):
+                        guess = 0.5
+                        if dom.valid(pi, j):
+                            guess = _guess_p1(adversary, psi, _residual(xvec, col, pc))
+                        p1[(0, b)] += wk * (py * pv * pc) * guess
 
-            for z in range(nz):
-                phase = dom.mphase(z)
-
-                # Exp1 and Exp2 share the joint state (|0>psi + |1>Z_z psi)/sqrt2
-                rows = np.stack([psi, phase * psi]) / math.sqrt(2)
-                for pc, pi, res_rows in _cert_rows(adversary, dom, y, rows):
-                    valid = pi is not None and family.eval(key, pi) == y
-                    w = py * wz * pc * wk
-                    for b in (0, 1):
-                        # Exp1: measure C, require c' = b
-                        if not valid:
-                            p1[(1, b)] += w * 0.5
-                        else:
-                            pr_c = np.sum(np.abs(res_rows) ** 2, axis=1)
-                            pb = float(pr_c[b])
-                            guess = 0.5
-                            if pb > 1e-15:
-                                xv = res_rows[b] / math.sqrt(pb)
-                                guess = _guess_p1(adversary, dom, y, np.real_if_close(xv))
-                            p1[(1, b)] += w * (pb * guess + (1 - pb) * 0.5)
-                        # Exp2: project C onto phi_pi^z first
-                        if not valid:
-                            p1[(2, b)] += w * 0.5
-                            continue
-                        sgn = 1.0 - 2.0 * dom.mdot(pi, z)
-                        merged = (res_rows[0] + sgn * res_rows[1]) / math.sqrt(2)
-                        ps = float(np.sum(np.abs(merged) ** 2))
-                        if b == 0:
-                            proj_mass[2][0] += w * ps
-                            proj_mass[2][1] += w
-                        fail = (1 - ps) * 0.5
-                        if ps > 1e-15:
-                            xv = merged / math.sqrt(ps)
-                            guess = _guess_p1(adversary, dom, y, np.real_if_close(xv))
-                            # measuring C on phi gives a uniform bit
-                            succ = ps * (0.5 * guess + 0.5 * 0.5)
-                        else:
-                            succ = 0.0
-                        p1[(2, b)] += w * (succ + fail)
-
-                # Exp3: measure M first, then the same C machinery
-                for v, pv, post in mbranches:
-                    sgn_v = 1.0 - 2.0 * dom.mdot(_value_with_m(dom, v), z)
-                    rows3 = np.stack([post, sgn_v * post]) / math.sqrt(2)
-                    for pc, pi, res_rows in _cert_rows(adversary, dom, y, rows3):
-                        valid = pi is not None and family.eval(key, pi) == y
-                        w = py * wz * pv * pc * wk
-                        for b in (0, 1):
-                            if not valid:
-                                p1[(3, b)] += w * 0.5
-                                continue
-                            sgn = 1.0 - 2.0 * dom.mdot(pi, z)
-                            merged = (res_rows[0] + sgn * res_rows[1]) / math.sqrt(2)
-                            ps = float(np.sum(np.abs(merged) ** 2))
-                            if b == 0:
-                                proj_mass[3][0] += w * ps
-                                proj_mass[3][1] += w
-                            fail = (1 - ps) * 0.5
-                            if ps > 1e-15:
-                                xv = merged / math.sqrt(ps)
-                                guess = _guess_p1(adversary, dom, y, np.real_if_close(xv))
-                                succ = ps * (0.5 * guess + 0.25)
-                            else:
-                                succ = 0.0
-                            p1[(3, b)] += w * (succ + fail)
+            # Exp1 and Exp2 share the joint state (|0>psi + |1>Z_z psi)/sqrt2
+            rows = np.stack([np.broadcast_to(psi, sign.shape), sign * psi], axis=1) / s2
+            t12 = _c_register_terms(adversary, dom, j, psi, rows, py * wz, wk, with_exp1=True)
+            for b in (0, 1):
+                p1[(1, b)] = _fold(p1[(1, b)], t12[f"exp1b{b}"])
+                p1[(2, b)] = _fold(p1[(2, b)], t12["proj"])
+            # Exp3: measure M first, then the same C machinery
+            t3 = {"proj": [], "succ": [], "valid": []}
+            for i0, pv, post in mbranches:
+                sgn_v = sign[:, i0][:, None]
+                rows3 = np.stack([np.broadcast_to(post, sign.shape), sgn_v * post], axis=1) / s2
+                terms = _c_register_terms(adversary, dom, j, psi, rows3, py * wz * pv, wk,
+                                          with_exp1=False)
+                for name in t3:
+                    t3[name] += terms[name]
+            for b in (0, 1):
+                p1[(3, b)] = _fold(p1[(3, b)], t3["proj"])
+            for e, t in ((2, t12), (3, t3)):
+                proj_mass[e][0] = _fold(proj_mass[e][0], t["succ"])
+                proj_mass[e][1] = _fold(proj_mass[e][1], t["valid"])
 
     advs = tuple(abs(p1[(e, 0)] - p1[(e, 1)]) for e in range(4))
     proj = {e: (proj_mass[e][0] / proj_mass[e][1] if proj_mass[e][1] else 1.0)
@@ -446,40 +453,6 @@ def hybrid_ladder_exact(family: HashFamily, adversary: Adversary,
                         proj_success=proj)
 
 
-def _value_with_m(dom: _Dom, v):
-    """A domain value whose M-value is v (for the (-1)^{<v,z>} phase)."""
-    if dom.family.measure is None:
-        return v  # identity measurement: v is the value itself
-    for x, mv in zip(dom.values, dom.mvals):
-        if mv == v:
-            return x
-    raise ValueError(f"no domain value with measurement outcome {v!r}")
-
-
-def _cert_rows(adv: Adversary, dom: _Dom, y, rows: np.ndarray
-               ) -> list[tuple[float, object, np.ndarray]]:
-    """Certificate branches acting on a (2, D) C-by-X joint state."""
-    if adv.cert == "measure":
-        out = []
-        col_mass = np.sum(np.abs(rows) ** 2, axis=0)
-        for i, p in enumerate(col_mass):
-            if p > 1e-15:
-                res = np.zeros_like(rows)
-                res[:, i] = rows[:, i] / math.sqrt(p)
-                out.append((float(p), dom.values[i], res))
-        return out
-    if adv.cert == "lexfirst":
-        return [(1.0, dom.lexfirst(y), rows)]
-    if adv.cert == "uniform-domain":
-        n = len(dom.values)
-        return [(1.0 / n, x, rows) for x in dom.values]
-    if adv.cert == "garbage":
-        return [(1.0, dom.garbage(y), rows)]
-    if adv.cert == "zero":
-        return [(1.0, dom.values[0], rows)]
-    raise ValueError(f"unknown cert mode {adv.cert}")
-
-
 # ---------------------------------------------------------------------------
 # The hybrid ladder, Monte Carlo mode (verbatim protocol on qsim states)
 # ---------------------------------------------------------------------------
@@ -487,73 +460,43 @@ def _cert_rows(adv: Adversary, dom: _Dom, y, rows: np.ndarray
 def hybrid_ladder_mc(family: HashFamily, adversary: Adversary, exp: int,
                      b: int, rng: np.random.Generator) -> int:
     """One sampled run of Exp_exp(b); returns the experiment output bit."""
-    key, _ = family.sample(rng)
-    dom = _Dom(family, key, None)
-    layout = qsim.RegisterLayout(
-        [("C", (2,)), ("X", family.domain.register_dims())])
-    ys, ps = zip(*dom.y_distribution())
-    y = ys[int(rng.choice(len(ys), p=np.array(ps)))]
-
-    def dom_state(vec: np.ndarray, with_c: bool) -> qsim.QState:
-        segs = [("C", (2,)), ("X", family.domain.register_dims())] if with_c \
-            else [("X", family.domain.register_dims())]
-        lay = qsim.RegisterLayout(segs)
-        amps = np.zeros(lay.dim, dtype=np.complex128)
-        if with_c:
-            half = lay.dim // 2
-            for i, x in enumerate(dom.values):
-                j = lay.value_index("X", family.domain.to_register(x))
-                amps[j] = vec[0, i]
-                amps[half + j] = vec[1, i]
-        else:
-            for i, x in enumerate(dom.values):
-                amps[lay.value_index("X", family.domain.to_register(x))] = vec[i]
-        return qsim.QState(lay, amps)
-
-    def xvec_of(state: qsim.QState, with_c: bool) -> np.ndarray:
-        if with_c:
-            t = state.amps.reshape(2, -1)
-            return np.stack([_project_dom(t[0], dom, family), _project_dom(t[1], dom, family)])
-        return _project_dom(state.amps, dom, family)
-
-    psi = dom.psi_y(y)
     if exp == 0:
-        xvec = psi
-        if b % 2:
-            branches = dom.m_branches(y)
-            probs = np.array([p for _, p, _ in branches])
-            xvec = branches[int(rng.choice(len(branches), p=probs / probs.sum()))][2]
-        branches = _cert_branches(adversary, dom, y, xvec)
-        probs = np.array([p for p, _, _ in branches])
-        _, pi, res = branches[int(rng.choice(len(branches), p=probs / probs.sum()))]
-        if pi is None or family.eval(key, pi) != y:
+        dom, j, xvec = _sample_challenge(family, None, b, rng)
+        pi, res = _sample_certificate(adversary, dom, j, xvec, rng)
+        if not dom.valid(pi, j):
             return int(rng.integers(0, 2))
-        return int(rng.random() < _guess_p1(adversary, dom, y, res))
+        return int(rng.random() < _guess_p1(adversary, dom.psi_y(j), res))
+
+    dom, j, psi = _sample_challenge(family, None, 0, rng)
+    target = psi
+    reg = dom.table.reg_index
+    x_seg = ("X", family.domain.register_dims())
+    layout = qsim.RegisterLayout([("C", (2,)), x_seg])
+
+    def c_state(rows: np.ndarray) -> qsim.QState:
+        amps = np.zeros((2, layout.dim // 2), dtype=np.complex128)
+        amps[:, reg] = rows
+        return qsim.QState(layout, amps)
 
     z = int(rng.integers(0, 1 << dom.mbits))
     if exp == 3:
-        branches = dom.m_branches(y)
-        probs = np.array([p for _, p, _ in branches])
-        v, _, psi = branches[int(rng.choice(len(branches), p=probs / probs.sum()))]
+        psi = _pick(dom.m_branches(j), rng, 1)[2]
 
     # C in |+>, controlled phase (-1)^{<M(x), z>}
-    joint = np.stack([psi, psi]) / math.sqrt(2)
-    state = dom_state(joint, with_c=True)
-    state = qsim.controlled_phase_fn(
-        state, "C", "X",
-        lambda xr: 1.0 - 2.0 * dom.mdot(_reg_to_value(family, xr), z))
+    phase = np.ones(layout.dim // 2)
+    phase[reg] = dom.sign[z]
+    state = qsim.controlled_phase_fn(c_state(np.stack([psi, psi]) / math.sqrt(2)),
+                                     "C", "X", phase)
 
-    rows = xvec_of(state, with_c=True)
-    branches = _cert_rows(adversary, dom, y, rows)
-    probs = np.array([p for p, _, _ in branches])
-    _, pi, res_rows = branches[int(rng.choice(len(branches), p=probs / probs.sum()))]
-    if pi is None or family.eval(key, pi) != y:
+    rows = state.amps.reshape(2, -1)[:, reg]
+    pc, pi, col = _pick(_cert_branches(adversary, dom, j,
+                                       np.sum(np.abs(rows) ** 2, axis=0)), rng, 0)
+    if not dom.valid(pi, j):
         return int(rng.integers(0, 2))
-    state = dom_state(res_rows, with_c=True)
+    state = c_state(_residual(rows, col, pc))
 
     if exp >= 2:
-        sgn = 1.0 - 2.0 * dom.mdot(pi, z)
-        phi = np.array([1.0, sgn]) / math.sqrt(2)
+        phi = np.array([1.0, dom.sign[z, pi]]) / math.sqrt(2)
         p_succ = qsim.project_prob(state, "C", phi)
         if rng.random() >= p_succ:
             return int(rng.integers(0, 2))
@@ -562,19 +505,8 @@ def hybrid_ladder_mc(family: HashFamily, adversary: Adversary, exp: int,
     out = qsim.measure(state, "C", rng)
     if out.value[0] != b % 2:
         return int(rng.integers(0, 2))
-    xvec = xvec_of(qsim.drop_segment(out.post_state, "C", out.value), with_c=False)
-    return int(rng.random() < _guess_p1(adversary, dom, y, xvec))
-
-
-def _project_dom(amps: np.ndarray, dom: _Dom, family: HashFamily) -> np.ndarray:
-    lay = qsim.RegisterLayout([("X", family.domain.register_dims())])
-    return np.array([
-        amps[lay.value_index("X", family.domain.to_register(x))] for x in dom.values
-    ])
-
-
-def _reg_to_value(family: HashFamily, reg):
-    return family.domain.from_register(reg if isinstance(reg, tuple) else (reg,))
+    xvec = qsim.drop_segment(out.post_state, "C", out.value).amps[reg]
+    return int(rng.random() < _guess_p1(adversary, target, xvec))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ domain here is brute-forcible by design.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import qsim
 from .gf2k import GF2k
-from .zqcore import ZqMatrix, ZqVector, centered_array, rho_sigma
+from .zqcore import ZqMatrix, ZqVector, centered_array
 
 FIBER_GUARD = 1 << 16  # largest domain we exhaustively enumerate per fiber
 
@@ -94,6 +95,43 @@ class ZqBallDomain:
         return Fraction(int(np.dot(c, c))) <= self.norm_bound_sq
 
 
+@functools.lru_cache(maxsize=8)
+def _enumerate(domain) -> tuple[tuple, np.ndarray]:
+    """The domain's values and each value's flat index in its register."""
+    values = tuple(domain.values())
+    layout = qsim.RegisterLayout([("X", domain.register_dims())])
+    index = [layout.value_index("X", domain.to_register(x)) for x in values]
+    return values, np.array(index, dtype=np.int64)
+
+
+@dataclass(frozen=True)
+class DomainTable:
+    """One key's function tabulated over ``domain.values()``, in that order.
+
+    ``ys`` holds the distinct images in ascending order and ``image_ids[i]``
+    the position of value i's image in ``ys``. ``mvals`` holds M[h] per
+    value, or for identity-measurement families the value's index (its bits,
+    on a bit domain). ``reg_index`` is each value's flat index in the
+    domain's register.
+    """
+
+    values: tuple
+    ys: list
+    image_ids: np.ndarray
+    mvals: np.ndarray
+    reg_index: np.ndarray
+
+    def repr_order(self) -> list[int]:
+        """Positions in ``ys`` in repr order of the image: the order in which
+        the games and samplers enumerate images."""
+        return sorted(range(len(self.ys)), key=lambda j: repr(self.ys[j]))
+
+    def fiber_mask(self, y) -> np.ndarray:
+        if y not in self.ys:
+            return np.zeros(len(self.values), dtype=bool)
+        return self.image_ids == self.ys.index(y)
+
+
 # ---------------------------------------------------------------------------
 # Families
 # ---------------------------------------------------------------------------
@@ -106,6 +144,8 @@ class HashFamily:
     ``invert(key, td, y)`` returns the full preimage list of y (used for
     superposition inversion); ``measure`` is None for identity-measurement
     families, where the challenger measures the whole input register.
+    ``tabulate(key)`` returns (images, M-values or None) as arrays over
+    ``domain.values()``; without it ``table`` calls eval per value.
     """
 
     name: str
@@ -116,13 +156,39 @@ class HashFamily:
     measure: Callable | None = None  # (key, x) -> bit
     invert: Callable | None = None  # (key, td, y) -> list of preimages
     keys: Callable | None = None  # () -> list[(key, td)], exact-mode only
+    tabulate: Callable | None = None  # key -> (images, M-values or None)
     descriptor: dict = field(default_factory=dict)
+    _last: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def table(self, key) -> DomainTable:
+        """The key's images, M-values and register indices over the domain.
+
+        Memoised for the last key only, by identity: keys can be unhashable
+        arrays, and callers that sample fresh keys must not grow a cache.
+        """
+        if self._last is not None and self._last[0] is key:
+            return self._last[1]
+        if self.domain.size > FIBER_GUARD:
+            raise ValueError(f"domain too large to enumerate ({self.domain.size})")
+        values, reg_index = _enumerate(self.domain)
+        if self.tabulate is not None:
+            images, mvals = self.tabulate(key)
+        else:
+            images = np.array([self.eval(key, x) for x in values])
+            mvals = None if self.measure is None else \
+                np.array([self.measure(key, x) for x in values], dtype=np.int64)
+        if mvals is None:
+            mvals = np.arange(len(values))
+        uniq, inverse = np.unique(images, axis=0, return_inverse=True)
+        ys = uniq.tolist() if uniq.ndim == 1 else [tuple(u) for u in uniq.tolist()]
+        table = DomainTable(values, ys, inverse.reshape(-1), mvals, reg_index)
+        self._last = (key, table)
+        return table
 
     def fiber(self, key, y) -> list:
         """All domain values mapping to y, by exhaustive enumeration."""
-        if self.domain.size > FIBER_GUARD:
-            raise ValueError(f"domain too large to enumerate ({self.domain.size})")
-        return [x for x in self.domain.values() if self.eval(key, x) == y]
+        t = self.table(key)
+        return [t.values[i] for i in np.flatnonzero(t.fiber_mask(y))]
 
 
 def superposition_invert(family: HashFamily, key, td, y,
@@ -141,16 +207,17 @@ def superposition_invert(family: HashFamily, key, td, y,
 def fiber_state(family: HashFamily, key, y, weights: Callable | None = None,
                 signed_bit: int = 0, segment: str = "X") -> qsim.QState:
     """Fiber superposition sum_x (+/-)^ (b*M(x)) sqrt(D(x)) |x> by enumeration."""
-    pre = family.fiber(key, y)
-    if not pre:
+    t = family.table(key)
+    pre = np.flatnonzero(t.fiber_mask(y))
+    if not pre.size:
         raise ValueError(f"empty fiber for {y!r}")
     layout = qsim.RegisterLayout([(segment, family.domain.register_dims())])
+    w = np.ones(pre.size) if weights is None else \
+        np.sqrt([weights(t.values[i]) for i in pre])
+    if signed_bit and family.measure is not None:
+        w = np.where(t.mvals[pre] != 0, -w, w)
     amps = np.zeros(layout.dim, dtype=np.complex128)
-    for x in pre:
-        w = 1.0 if weights is None else math.sqrt(weights(x))
-        if signed_bit and family.measure is not None and family.measure(key, x):
-            w = -w
-        amps[layout.value_index(segment, family.domain.to_register(x))] = w
+    amps[t.reg_index[pre]] = w
     return qsim.QState(layout, amps).normalized()
 
 
@@ -233,6 +300,7 @@ def toy_regular_owf(m: int, r: int, range_bits: int | None = None) -> HashFamily
         sample=sample,
         eval=evalf,
         invert=invert,
+        tabulate=lambda table: (table[np.arange(1 << m) >> r], None),
         descriptor={"family": "toy-regular-owf", "m": m, "r": r, "range_bits": ell},
     )
     fam.input_bits = m
@@ -261,6 +329,7 @@ def two_to_one_family(bits: int) -> HashFamily:
         eval=evalf,
         invert=invert,
         keys=lambda: [("fixed", None)],
+        tabulate=lambda key: (np.arange(1 << bits) >> 1, None),
         descriptor={"family": "two-to-one", "bits": bits},
     )
 
@@ -298,6 +367,11 @@ def fdelta_family(base: HashFamily) -> HashFamily:
             return []  # outputs are always the lexicographically first element
         return base.invert(bkey, td, y) + base.invert(bkey, td, y ^ delta)
 
+    def tabulate(key):
+        bkey, delta = key
+        z = base.tabulate(bkey)[0]
+        return np.minimum(z, z ^ delta), (z > (z ^ delta)).astype(np.int64)
+
     keys = None
     if base.keys is not None:
         def keys():
@@ -316,6 +390,7 @@ def fdelta_family(base: HashFamily) -> HashFamily:
         measure=measure,
         invert=invert if base.invert is not None else None,
         keys=keys,
+        tabulate=tabulate if base.tabulate is not None else None,
         descriptor={"family": "fdelta", "base": base.descriptor},
     )
 
@@ -333,7 +408,7 @@ def chor_goldreich_family(t: int, field_bits: int, out_bits: int) -> HashFamily:
     gf = GF2k(field_bits)
     domain = BitDomain(field_bits)
     shift = field_bits - out_bits
-    value_table_cache: dict[tuple[int, ...], np.ndarray] = {}
+    last_values: list = [None, None]  # the last key's coefficients and value table
 
     def sample(rng: np.random.Generator):
         coeffs = tuple(int(c) for c in rng.integers(0, gf.size, size=t))
@@ -343,12 +418,10 @@ def chor_goldreich_family(t: int, field_bits: int, out_bits: int) -> HashFamily:
         return gf.poly_eval(coeffs, x) >> shift
 
     def _values(coeffs) -> np.ndarray:
-        tab = value_table_cache.get(coeffs)
-        if tab is None:
-            tab = np.array([gf.poly_eval(coeffs, x) for x in range(gf.size)],
-                           dtype=np.int64)
-            value_table_cache[coeffs] = tab
-        return tab
+        if last_values[0] != coeffs:
+            last_values[:] = [coeffs, np.array([gf.poly_eval(coeffs, x) for x in range(gf.size)],
+                                               dtype=np.int64)]
+        return last_values[1]
 
     def roots(coeffs, w: int) -> list[int]:
         tab = _values(coeffs)
@@ -367,6 +440,7 @@ def chor_goldreich_family(t: int, field_bits: int, out_bits: int) -> HashFamily:
         sample=sample,
         eval=evalf,
         invert=invert,
+        tabulate=lambda coeffs: (_values(coeffs) >> shift, None),
         descriptor={"family": "chor-goldreich", "t": t,
                     "field_bits": field_bits, "out_bits": out_bits},
     )
@@ -406,7 +480,12 @@ def compose_balanced(owf: HashFamily, uhash: HashFamily) -> HashFamily:
             pre.extend(owf.invert(okey, otd, w))
         return sorted(pre)
 
+    def tabulate(key):
+        okey, ukey = key
+        return uhash.tabulate(ukey)[0][owf.tabulate(okey)[0]], None
+
     invertible = owf.invert is not None and uhash.invert is not None
+    tabulated = owf.tabulate is not None and uhash.tabulate is not None
     return HashFamily(
         name=f"compose({owf.name},{uhash.name})",
         domain=owf.domain,
@@ -414,6 +493,7 @@ def compose_balanced(owf: HashFamily, uhash: HashFamily) -> HashFamily:
         sample=sample,
         eval=evalf,
         invert=invert if invertible else None,
+        tabulate=tabulate if tabulated else None,
         descriptor={"family": "compose", "owf": owf.descriptor,
                     "uhash": uhash.descriptor},
     )
@@ -441,19 +521,13 @@ def balance_estimate(family: HashFamily, delta: float | None, trials: int,
     """
     if family.measure is None:
         raise ValueError(f"family {family.name} has no measurement predicate")
-    dom = list(family.domain.values())
     ratios = []
     for _ in range(trials):
         key, _ = family.sample(rng)
-        x = dom[int(rng.integers(0, len(dom)))]
-        y = family.eval(key, x)
-        a0 = a1 = 0
-        for xp in dom:
-            if family.eval(key, xp) == y:
-                if family.measure(key, xp):
-                    a1 += 1
-                else:
-                    a0 += 1
+        t = family.table(key)
+        fiber = t.image_ids == t.image_ids[int(rng.integers(0, len(t.values)))]
+        a1 = int(np.count_nonzero(t.mvals[fiber]))
+        a0 = int(np.count_nonzero(fiber)) - a1
         ratios.append(abs(a0 - a1) / (a0 + a1))
     delta_hat = min(max(1.0 - float(np.percentile(ratios, 99.5)), 0.0), 1.0 - 1e-12)
     d = delta_hat if delta is None else delta
@@ -486,13 +560,10 @@ def fiber_split(family: HashFamily, key, y) -> tuple[int, int]:
     """(A0, A1): exact counts of the fiber of y on each side of M[h]."""
     if family.measure is None:
         raise ValueError("family has no measurement predicate")
-    a0 = a1 = 0
-    for x in family.fiber(key, y):
-        if family.measure(key, x):
-            a1 += 1
-        else:
-            a0 += 1
-    return a0, a1
+    t = family.table(key)
+    fiber = t.fiber_mask(y)
+    a1 = int(np.count_nonzero(t.mvals[fiber]))
+    return int(np.count_nonzero(fiber)) - a1, a1
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ metadata, not qudits, since every execution path measures them first.
 
 from __future__ import annotations
 
-import math
 import pickle
 from dataclasses import dataclass
 from typing import Callable
@@ -55,17 +54,11 @@ class PVDCiphertext:
 def _sample_block(family: HashFamily, key, b: int, rng: np.random.Generator
                   ) -> tuple[object, qsim.QState]:
     """Prepare sum_x (-1)^{b M(x)} |x>|h(x)>, measure the image register."""
-    dom = family.domain
-    layout = qsim.RegisterLayout([("X", dom.register_dims())])
-    state = qsim.prepare_weighted(layout, "X", np.ones(layout.dim))
     # image measurement via classical pushforward of the uniform weights
-    fibers: dict[object, int] = {}
-    for x in dom.values():
-        yv = family.eval(key, x)
-        fibers[yv] = fibers.get(yv, 0) + 1
-    ys = sorted(fibers.keys(), key=repr)
-    probs = np.array([fibers[y] for y in ys], dtype=float)
-    y = ys[int(rng.choice(len(ys), p=probs / probs.sum()))]
+    t = family.table(key)
+    order = t.repr_order()
+    probs = np.bincount(t.image_ids, minlength=len(t.ys))[order].astype(float)
+    y = t.ys[order[int(rng.choice(len(order), p=probs / probs.sum()))]]
     block = fiber_state(family, key, y, signed_bit=b % 2)
     return y, block
 
@@ -96,11 +89,11 @@ def open_accept_prob(pair: CommitmentPair, claim_b: int) -> float:
     return p
 
 
-def open_verify(pair: CommitmentPair, claim_b: int | None = None,
-                rng: np.random.Generator | None = None) -> bool:
-    """Sampled opening: project every block onto the claimed fiber state."""
+def open_verify(pair: CommitmentPair, claim_b: int | None,
+                rng: np.random.Generator) -> bool:
+    """Sampled opening: project every block onto the claimed fiber state
+    (claim_b None claims the committed bit)."""
     claim = pair.bit if claim_b is None else claim_b % 2
-    rng = rng or np.random.default_rng()
     for y, block in zip(pair.images, pair.blocks):
         target = fiber_state(pair.family, pair.key, y, signed_bit=claim)
         p = qsim.project_prob(block, "X", target)

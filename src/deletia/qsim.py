@@ -81,7 +81,9 @@ class RegisterLayout:
             raise ValueError(f"value {value} does not fit dims {dims}")
         idx = 0
         for v, d in zip(value, dims):
-            idx = idx * d + (v % d)
+            if not 0 <= v < d:
+                raise ValueError(f"digit {v} out of range for dims {dims}")
+            idx = idx * d + v
         return idx
 
 
@@ -244,13 +246,18 @@ def apply_classical(state: QState, f: Callable, src: str, dst: str) -> QState:
     return QState(layout, np.transpose(out, inv).reshape(-1))
 
 
-def apply_phase_fn(state: QState, segment: str, phase: Callable) -> QState:
-    """|x> -> phase(x)|x> on one segment; phase values must be unit modulus."""
+def apply_phase_fn(state: QState, segment: str, phase: Callable | np.ndarray) -> QState:
+    """|x> -> phase(x)|x> on one segment; phase values must be unit modulus.
+
+    ``phase`` is a function of the segment value or the vector of phases
+    over the segment's values in mixed-radix order.
+    """
     mat, seg_dim = _move_segment_last(state, segment)
-    ph = np.array(
-        [phase(v if len(v) > 1 else v[0]) for v in state.layout.seg_values(segment)],
-        dtype=np.complex128,
-    )
+    if callable(phase):
+        phase = [phase(v if len(v) > 1 else v[0]) for v in state.layout.seg_values(segment)]
+    ph = np.asarray(phase, dtype=np.complex128)
+    if ph.shape != (seg_dim,):
+        raise ValueError(f"phase vector shape {ph.shape} != ({seg_dim},)")
     if np.any(np.abs(np.abs(ph) - 1.0) > 1e-9):
         raise ValueError("phase function must return unit-modulus values")
     out = mat * ph[None, :]
@@ -269,16 +276,6 @@ def measure(state: QState, segment: str, rng: np.random.Generator) -> MeasureOut
     probs = probs / total
     k = int(rng.choice(len(probs), p=probs))
     return _collapse(state, segment, k, float(probs[k]))
-
-
-def measure_value(state: QState, segment: str, value) -> MeasureOutcome:
-    """Post-measurement state for a chosen outcome (exact-mode branching)."""
-    probs = marginal_probs(state, segment)
-    k = state.layout.value_index(segment, _as_tuple(value))
-    p = float(probs[k] / probs.sum())
-    if p < PROJECT_EPS:
-        raise ZeroProbabilityProjection(f"outcome {value} has probability {p}")
-    return _collapse(state, segment, k, p)
 
 
 def _collapse(state: QState, segment: str, k: int, prob: float) -> MeasureOutcome:
@@ -386,7 +383,7 @@ def controlled_phase_oracle(state: QState, control: str, segment: str, v: Sequen
 
 
 def controlled_phase_fn(state: QState, control: str, segment: str,
-                        phase: Callable) -> QState:
+                        phase: Callable | np.ndarray) -> QState:
     """Apply |x> -> phase(x)|x> on ``segment`` only where control is |1>.
 
     Equivalent to coherently computing a classical function of the segment
@@ -474,7 +471,7 @@ class DensityOp:
             raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(m) - 1) > tol:
             raise ValueError(f"trace is {np.trace(m)}, expected 1")
-        if np.min(jacobi_eigvalsh(m)) < -1e-9:
+        if np.min(np.linalg.eigvalsh(m)) < -1e-9:
             raise ValueError("density matrix has a significantly negative eigenvalue")
 
 
@@ -504,48 +501,6 @@ def pauli_twirl_channel(rho: DensityOp, segment: str) -> DensityOp:
     return DensityOp(rho.layout, acc / 2**m)
 
 
-def jacobi_eigvalsh(h: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues of a complex Hermitian matrix by cyclic Jacobi rotations.
-
-    Sweeps until the off-diagonal Frobenius mass drops below tol (relative
-    to the matrix Frobenius norm, with an absolute floor).
-    """
-    a = np.asarray(h, dtype=np.complex128).copy()
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    if n > 4096:
-        raise ValueError(f"dimension {n} exceeds the 4096 eigensolver guard")
-    if n == 1:
-        return np.array([a[0, 0].real])
-    scale = max(1.0, float(np.linalg.norm(a)))
-    for _ in range(max_sweeps):
-        off = math.sqrt(max(0.0, float(np.linalg.norm(a)) ** 2 - float(np.linalg.norm(np.diag(a))) ** 2))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= tol * scale / (n * n):
-                    continue
-                app, aqq = a[p, p].real, a[q, q].real
-                # unitary 2x2 zeroing a[p,q]: phase out apq, then real rotate
-                phase = apq / abs(apq)
-                tau = (aqq - app) / (2 * abs(apq))
-                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1 + tau * tau)) if tau != 0 else 1.0
-                c = 1 / math.sqrt(1 + t * t)
-                s = t * c
-                u_pp, u_pq = c, s * phase
-                u_qp, u_qq = -s * phase.conjugate(), c
-                rows_p = u_pp.conjugate() * a[p, :] + u_qp.conjugate() * a[q, :]
-                rows_q = u_pq.conjugate() * a[p, :] + u_qq.conjugate() * a[q, :]
-                a[p, :], a[q, :] = rows_p, rows_q
-                cols_p = a[:, p] * u_pp + a[:, q] * u_qp
-                cols_q = a[:, p] * u_pq + a[:, q] * u_qq
-                a[:, p], a[:, q] = cols_p, cols_q
-    return np.sort(np.diag(a).real)
-
-
 def trace_distance(a: DensityOp | QState, b: DensityOp | QState) -> float:
     """TD(rho, sigma) = (1/2) sum |eig(rho - sigma)|."""
     if isinstance(a, QState) and isinstance(b, QState):
@@ -564,7 +519,7 @@ def trace_norm(m: np.ndarray) -> float:
     off = m - np.diag(np.diag(m))
     if np.max(np.abs(off)) < 1e-15:
         return float(np.sum(np.abs(np.diag(m).real)))
-    return float(np.sum(np.abs(jacobi_eigvalsh(m))))
+    return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
 
 
 def partial_trace(rho: DensityOp, keep: Sequence[str]) -> DensityOp:
@@ -607,33 +562,48 @@ class Ensemble:
         return out
 
 
-def _label_density(entries: list[tuple[float, QState | DensityOp | None]]) -> tuple[float, np.ndarray | None]:
-    mass = sum(p for p, _ in entries)
-    states = [(p, s) for p, s in entries if s is not None]
-    if not states:
-        return mass, None
-    dim = states[0][1].layout.dim
+def _label_density(entries: list[tuple[float, QState | DensityOp]], dim: int) -> np.ndarray:
     m = np.zeros((dim, dim), dtype=np.complex128)
-    for p, s in states:
+    for p, s in entries:
         if isinstance(s, DensityOp):
             m += p * s.matrix
         else:
             m += p * np.outer(s.amps, s.amps.conj())
-    return mass, m
+    return m
+
+
+def _pure_trace_norm(sa: list[tuple[float, QState]],
+                     sb: list[tuple[float, QState]]) -> float:
+    """Trace norm of sum_a p|v><v| - sum_b p|v><v| from its k x k image
+    R W R^dagger, where V = QR stacks the k distinct states and W holds each
+    state's a-side minus b-side weight (exactly 0 when the sides agree)."""
+    merged: dict[bytes, list] = {}
+    for side, entries in ((0, sa), (1, sb)):
+        for p, s in entries:
+            merged.setdefault(s.amps.tobytes(), [0.0, 0.0, s.amps])[side] += p
+    pairs = [(wa - wb, v) for wa, wb, v in merged.values() if wa != wb]
+    if not pairs:
+        return 0.0
+    _, r = np.linalg.qr(np.stack([v for _, v in pairs], axis=1))
+    g = (r * np.array([w for w, _ in pairs])) @ r.conj().T
+    return float(np.sum(np.abs(np.linalg.eigvalsh(g))))
 
 
 def ensemble_trace_distance(a: Ensemble, b: Ensemble) -> float:
-    """Exact TD between two classical-quantum ensembles."""
+    """Exact TD between two classical-quantum ensembles, label by label in
+    order of first appearance. A label whose entries are all pure states
+    takes the rank-k path; one with a DensityOp the dense D x D path."""
     ga, gb = a.group(), b.group()
     td = 0.0
-    for label in set(ga) | set(gb):
-        ma, rho_a = _label_density(ga.get(label, []))
-        mb, rho_b = _label_density(gb.get(label, []))
-        if rho_a is None and rho_b is None:
-            td += 0.5 * abs(ma - mb)
-            continue
-        dim = rho_a.shape[0] if rho_a is not None else rho_b.shape[0]
-        da = rho_a if rho_a is not None else np.zeros((dim, dim), dtype=np.complex128)
-        db = rho_b if rho_b is not None else np.zeros((dim, dim), dtype=np.complex128)
-        td += 0.5 * trace_norm(da - db)
+    for label in list(ga) + [lb for lb in gb if lb not in ga]:
+        ea, eb = ga.get(label, []), gb.get(label, [])
+        sa = [(p, s) for p, s in ea if s is not None]
+        sb = [(p, s) for p, s in eb if s is not None]
+        if not sa and not sb:
+            td += 0.5 * abs(sum(p for p, _ in ea) - sum(p for p, _ in eb))
+        elif any(isinstance(s, DensityOp) for _, s in sa + sb):
+            dim = (sa or sb)[0][1].layout.dim
+            td += 0.5 * trace_norm(_label_density(sa, dim) - _label_density(sb, dim))
+        else:
+            td += 0.5 * _pure_trace_norm(sa, sb)
     return td

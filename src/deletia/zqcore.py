@@ -11,7 +11,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -211,13 +211,6 @@ def rho_sigma(x, sigma: float, q: int | None = None) -> float:
 def zq_box(q: int, m: int) -> Iterator[tuple[int, ...]]:
     """All of Z_q^m in row-major (mixed-radix) order."""
     return itertools.product(range(q), repeat=m)
-
-
-def box_index(x: Iterable[int], q: int) -> int:
-    idx = 0
-    for c in x:
-        idx = idx * q + (c % q)
-    return idx
 
 
 def truncated_gaussian_pmf(params: GaussianParams) -> np.ndarray:

@@ -52,8 +52,11 @@ def test_unknown_scheme_exits_2(capsys):
 
 
 def test_unknown_adversary_exits_2(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["game", "run", "--exp", "tc", "--adv", "who"])
+    for exp in ("tc", "ladder"):
+        code, out, err = run_cli(capsys, ["game", "run", "--exp", exp, "--adv", "who"])
+        assert code == 2
+        assert out == ""
+        assert "unknown adversary 'who'" in err
 
 
 def test_validate_desk_defaults_golden(capsys):
@@ -159,6 +162,15 @@ def test_bad_config_file_exits_2(tmp_path, capsys):
     cfg.write_text("this is not a key value line\n")
     code, _, err = run_cli(capsys, ["validate", "--config", str(cfg)])
     assert code == 2
+
+
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("qq = 13\n")
+    code, out, err = run_cli(capsys, ["validate", "--config", str(cfg)])
+    assert code == 2
+    assert out == ""
+    assert "unknown config key 'qq'" in err
 
 
 def test_jobs_flag_does_not_change_reports(capsys):

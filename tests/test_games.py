@@ -311,3 +311,45 @@ def test_tcr_exp_aux_plumbing():
     games.tcr_exp(fam, hashfam.brute_force_tcr_adversary,
                   np.random.default_rng(5), aux=leak)
     assert len(seen) == 1
+
+
+# --- pinned exact values ------------------------------------------------------
+
+PINNED_GOLDEN = "tests/golden/ladder_prob1.json"
+
+
+def _pinned_families():
+    fdelta = fdelta_family(toy_regular_owf(4, 1))
+    fdelta.keys = lambda: [fdelta.sample(np.random.default_rng(s)) for s in range(4)]
+    return {"two-to-one-3": two_to_one_family(3), "two-to-one-5": two_to_one_family(5),
+            "fdelta-toy-4-1": fdelta}
+
+
+def pinned_values() -> dict:
+    """prob1 and proj_success of the exact ladder and the EVTC ensemble trace
+    distance, for every scripted adversary on three small families."""
+    out = {}
+    for fname, fam in _pinned_families().items():
+        for aname, adv in sorted(ADVERSARIES.items()):
+            res = hybrid_ladder_exact(fam, adv)
+            e0, e1 = ev_target_collapse_ensembles(fam, None, adv)
+            out[f"{fname}/{aname}"] = {
+                "prob1": res.prob1,
+                "proj_success": {str(e): p for e, p in res.proj_success.items()},
+                "evtc_td": ensemble_trace_distance(e0, e1),
+            }
+    return out
+
+
+def test_exact_values_match_pinned_golden():
+    with open(PINNED_GOLDEN) as fh:
+        want = json.load(fh)
+    got = json.loads(json.dumps(pinned_values()))
+    assert got.keys() == want.keys()
+    for case, vals in want.items():
+        assert got[case]["prob1"] == vals["prob1"], case
+        assert got[case]["proj_success"] == vals["proj_success"], case
+        # The pinned trace distances were summed over labels in set order,
+        # which varies with string hashing between processes (0.125 in one,
+        # 0.12500000000000003 in another), so they are pinned to 1e-15.
+        assert abs(got[case]["evtc_td"] - vals["evtc_td"]) <= 1e-15, case

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -384,3 +385,72 @@ def test_family_descriptor_replay():
 def test_ajtai_requires_prime_modulus():
     with pytest.raises(ValueError):
         ajtai_family(1, 2, 15, 3.0)
+
+
+def test_table_matches_eval_and_measure():
+    uhash = chor_goldreich_family(2, 5, 3)
+    families = [
+        two_to_one_family(4), toy_regular_owf(6, 2), chor_goldreich_family(3, 5, 3),
+        fdelta_family(toy_regular_owf(6, 1)), fdelta_family(identity_bits_family(3)),
+        compose_balanced(toy_regular_owf(6, 1, 5), uhash),
+        fdelta_family(compose_balanced(toy_regular_owf(6, 1, 5), uhash)),
+        ajtai_family(1, 3, 5, 2.0),
+    ]
+    for fam in families:
+        lay = qsim.RegisterLayout([("X", fam.domain.register_dims())])
+        for seed in range(3):
+            key, _ = fam.sample(np.random.default_rng(seed))
+            t = fam.table(key)
+            assert list(t.values) == list(fam.domain.values())
+            assert [t.ys[i] for i in t.image_ids] == [fam.eval(key, x) for x in t.values]
+            assert t.ys == sorted(t.ys)
+            assert [t.ys[j] for j in t.repr_order()] == sorted(t.ys, key=repr)
+            assert all(type(y) in (int, tuple) for y in t.ys)
+            if fam.measure is not None:
+                assert t.mvals.tolist() == [fam.measure(key, x) for x in t.values]
+            assert t.reg_index.tolist() == [
+                lay.value_index("X", fam.domain.to_register(x)) for x in t.values]
+            y = t.ys[-1]
+            assert fam.fiber(key, y) == [x for x in t.values if fam.eval(key, x) == y]
+
+
+def test_balance_estimate_matches_fiber_enumeration():
+    fam = fdelta_family(compose_balanced(toy_regular_owf(6, 1, 5),
+                                         chor_goldreich_family(2, 5, 3)))
+    report = balance_estimate(fam, None, 30, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    dom = list(fam.domain.values())
+    want = []
+    for _ in range(30):
+        key, _ = fam.sample(rng)
+        y = fam.eval(key, dom[int(rng.integers(0, len(dom)))])
+        sides = [fam.measure(key, x) for x in dom if fam.eval(key, x) == y]
+        want.append(abs(len(sides) - 2 * sum(sides)) / len(sides))
+    assert report.ratios == want
+    assert max(want) > 0  # the composed family has unbalanced fibers
+
+
+def test_table_cache_keeps_the_last_key_by_identity():
+    fam = toy_regular_owf(4, 1)
+    k1, _ = fam.sample(np.random.default_rng(0))
+    t1 = fam.table(k1)
+    assert fam.table(k1) is t1
+    k2 = k1.copy()  # equal but unhashable: a new entry replaces the old one
+    t2 = fam.table(k2)
+    assert t2 is not t1 and t2.image_ids.tolist() == t1.image_ids.tolist()
+    assert fam.table(k1) is not t1
+    assert fam.fiber(k1, 99) == []
+
+
+def test_balance_estimate_keeps_no_table_per_sampled_key():
+    uhash = chor_goldreich_family(2, 9, 5)
+    fam = fdelta_family(compose_balanced(toy_regular_owf(10, 1, 9), uhash))
+    tracemalloc.start()
+    try:
+        balance_estimate(fam, None, 5, np.random.default_rng(0))
+        before = tracemalloc.get_traced_memory()[0]
+        balance_estimate(fam, None, 35, np.random.default_rng(1))
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 60_000  # one 4 KiB value table per key would be 120 KB

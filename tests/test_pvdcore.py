@@ -79,6 +79,14 @@ def test_open_honest_and_cross():
         assert open_verify(pair, b, np.random.default_rng(3))
 
 
+def test_open_verify_needs_a_generator():
+    pair = commit(balanced_family(), 0, 2, np.random.default_rng(2))
+    with pytest.raises(TypeError):
+        open_verify(pair, 0)
+    runs = [open_verify(pair, 1, np.random.default_rng(9)) for _ in range(2)]
+    assert runs[0] == runs[1]
+
+
 def test_cross_open_bounded_by_balance():
     rng = np.random.default_rng(3)
     fam = trapdoor_family()

@@ -18,7 +18,6 @@ from deletia.qsim import (
     controlled_phase_oracle,
     drop_segment,
     ensemble_trace_distance,
-    jacobi_eigvalsh,
     marginal_probs,
     measure,
     pauli_twirl_channel,
@@ -35,6 +34,26 @@ from deletia.qsim import (
 def rand_state(layout, rng):
     a = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
     return QState(layout, a / np.linalg.norm(a))
+
+
+def test_phase_vector_matches_phase_function():
+    rng = np.random.default_rng(12)
+    lay = RegisterLayout([("C", (2,)), ("X", (3, 2))])
+    st_ = rand_state(lay, rng)
+    phases = np.exp(2j * np.pi * rng.random(6))
+    by_fn = qsim.controlled_phase_fn(st_, "C", "X", lambda x: phases[2 * x[0] + x[1]])
+    by_vec = qsim.controlled_phase_fn(st_, "C", "X", phases)
+    np.testing.assert_array_equal(by_fn.amps, by_vec.amps)
+    with pytest.raises(ValueError):
+        qsim.apply_phase_fn(st_, "X", phases[:5])
+
+
+def test_value_index_rejects_out_of_range_digits():
+    lay = RegisterLayout([("X", (3, 3))])
+    assert lay.value_index("X", (2, 2)) == 8
+    for bad in [(5, -1), (3, 0), (0, -1)]:
+        with pytest.raises(ValueError):
+            lay.value_index("X", bad)
 
 
 def test_layout_basics():
@@ -298,14 +317,13 @@ def test_trace_distance_monotone_under_partial_trace():
         assert red <= full + 1e-9
 
 
-def test_jacobi_matches_numpy():
+def test_trace_norm_matches_nuclear_norm():
     rng = np.random.default_rng(11)
-    for n in (2, 5, 16, 40):
+    for n in (2, 5, 16, 40, 200):
         a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         h = (a + a.conj().T) / 2
-        got = jacobi_eigvalsh(h)
-        want = np.sort(np.linalg.eigvalsh(h))
-        np.testing.assert_allclose(got, want, atol=1e-9)
+        want = np.linalg.norm(h, "nuc")
+        assert qsim.trace_norm(h) == pytest.approx(want, rel=1e-12)
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -365,3 +383,40 @@ def test_dump_golden_file():
                                  np.random.default_rng(1))
     golden = Path(__file__).parent / "golden" / "gengauss_coset_seed01.dump"
     assert st_.dump() == golden.read_text()
+
+
+def _dense_ensemble_td(a: Ensemble, b: Ensemble) -> float:
+    """Reference: per label, the D x D difference of weighted projectors."""
+    td = 0.0
+    for label in {lb for _, lb, _ in a.branches} | {lb for _, lb, _ in b.branches}:
+        dim = next(s.layout.dim for _, lb, s in a.branches + b.branches if lb == label)
+        m = np.zeros((dim, dim), dtype=np.complex128)
+        for sign, ens in ((1.0, a), (-1.0, b)):
+            for p, lb, s in ens.branches:
+                if lb == label:
+                    m += sign * p * np.outer(s.amps, s.amps.conj())
+        td += 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(m))))
+    return td
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=1, max_value=6))
+@settings(max_examples=40, deadline=None)
+def test_rank_k_ensemble_td_matches_dense_reference(seed, nlabels, k):
+    rng = np.random.default_rng(seed)
+    lay = RegisterLayout([("X", (2, 2, 2))])
+    labels = [("l", i) for i in range(nlabels)]
+
+    def ensemble(states):
+        return Ensemble([(float(rng.random()), labels[int(rng.integers(nlabels))], s)
+                         for s in states])
+
+    pool = [rand_state(lay, rng) for _ in range(k)]
+    a = ensemble(pool + pool[:1])
+    b = ensemble(pool[: int(rng.integers(1, k + 1))] + [rand_state(lay, rng)])
+    want = _dense_ensemble_td(a, b)
+    assert abs(ensemble_trace_distance(a, b) - want) <= 1e-12
+    dense_a = Ensemble([(p, lb, DensityOp.from_state(s)) for p, lb, s in a.branches])
+    assert abs(ensemble_trace_distance(dense_a, b) - want) <= 1e-12
+    # both sides identical: exactly zero
+    assert ensemble_trace_distance(a, Ensemble(list(a.branches))) == 0.0
