@@ -125,6 +125,19 @@ def test_commit_demo_golden(capsys):
     assert out == (GOLDEN / "commit_demo_seed3.json").read_text()
 
 
+@pytest.mark.parametrize("golden,argv", [
+    ("fhe_delete_roundtrip_seed4", ["fhe", "delete-roundtrip", "--seed", "4"]),
+    ("pvd_roundtrip_seed5", ["pvd", "roundtrip", "--seed", "5"]),
+    ("game_sgc_seed2", ["game", "run", "--exp", "sgc", "--adv", "honest-deleter",
+                        "--trials", "20", "--seed", "2"]),
+    ("game_tcr_seed1", ["game", "run", "--exp", "tcr", "--trials", "10", "--seed", "1"]),
+])
+def test_command_matches_golden(capsys, golden, argv):
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert out == (GOLDEN / f"{golden}.json").read_text()
+
+
 def test_fhe_nand_tree_small(capsys):
     code, out, _ = run_cli(capsys, [
         "fhe", "nand-tree", "--trials", "3", "--seed", "2"])
