@@ -11,14 +11,12 @@ Usage: python scripts/calibrate_dualregev.py [--seeds 20]
 """
 
 import argparse
-import itertools
-import math
 from fractions import Fraction
 
 import numpy as np
 
 from deletia import dualregev as dr
-from deletia.zqcore import centered, centered_array
+from deletia.zqcore import centered, centered_array, gaussian_box_weights, zq_box
 
 CANDIDATES = [
     (1, 2, 13, 3),
@@ -33,12 +31,10 @@ CANDIDATES = [
 def exact_probabilities(params: dr.DRParams, seeds: int) -> tuple[float, float, float, float]:
     q, w = params.q, params.width
     bound = params.cert_bound_sq()
-    digits = np.array(list(itertools.product(range(q), repeat=w)), dtype=np.int64)
+    digits = zq_box(q, w)
     cent = centered_array(digits, q)
-    rho2 = np.exp(-2 * math.pi * np.sum(cent.astype(float) ** 2, axis=1)
-                  / float(params.sigma_sq))
-    dual_rho2 = np.exp(-2 * math.pi * np.sum(cent.astype(float) ** 2, axis=1)
-                       * float(params.sigma_sq) / q**2)
+    rho2 = gaussian_box_weights(q, w, params.sigma) ** 2
+    dual_rho2 = gaussian_box_weights(q, w, q / params.sigma) ** 2
     corr, acc = [], []
     for seed in range(seeds):
         keys = dr.dr_keygen(params, np.random.default_rng(seed))

@@ -128,7 +128,7 @@ def cmd_commit_demo(args) -> int:
     pair = pvdcore.commit(fam, b, configs.COMMIT_REPS, rng)
     honest = pvdcore.open_accept_prob(pair, b)
     cross = pvdcore.open_accept_prob(pair, 1 - b)
-    pis = pvdcore.commit_delete(pair, rng)
+    pis = pvdcore.pvd_delete(pair, pair.family, rng)
     verified = pvdcore.commit_ver(fam, pair.key, pair.images, pis)
     _emit({"bit": b, "honest_open_prob": honest, "cross_open_prob": cross,
            "cert": pis, "verified": bool(verified)})
@@ -163,20 +163,6 @@ def _ladder_family() -> hashfam.HashFamily:
     return hashfam.two_to_one_family(3)
 
 
-def _map_trials(fn, trials: int, jobs: int) -> list:
-    """Run fn(t) for t in range(trials), optionally on a thread pool.
-
-    Results come back in trial order either way, so reports are identical
-    for any jobs value (each trial owns its own seeded generator).
-    """
-    if jobs <= 1 or trials <= 1:
-        return [fn(t) for t in range(trials)]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, range(trials)))
-
-
 def _advantage_ci(w0: int, w1: int, t: int) -> tuple[float, float]:
     if t == 0:
         return 0.0, 0.0
@@ -209,19 +195,14 @@ def cmd_game_run(args) -> int:
         else:
             advs = []
             for exp in range(4):
-                def one_trial(t, exp=exp):
-                    out = {}
-                    for b in (0, 1):
-                        rng = _rng(cfg.seed, t * 8 + exp * 2 + b)
-                        out[b] = games.hybrid_ladder_mc(fam, adv, exp, b, rng)
-                    return out
-                results = _map_trials(one_trial, cfg.trials, args.jobs)
                 wins = {0: 0, 1: 0}
-                for t, out in enumerate(results):
+                for t in range(cfg.trials):
                     for b in (0, 1):
-                        wins[b] += out[b]
-                        rows.append({"trial": t, "seed": cfg.seed + t * 8 + exp * 2 + b,
-                                     "b": b, "verdict": "", "guess": out[b]})
+                        offset = t * 8 + exp * 2 + b
+                        out = games.hybrid_ladder_mc(fam, adv, exp, b, _rng(cfg.seed, offset))
+                        wins[b] += out
+                        rows.append({"trial": t, "seed": cfg.seed + offset,
+                                     "b": b, "verdict": "", "guess": out})
                 a, ci = _advantage_ci(wins[0], wins[1], cfg.trials)
                 advs.append((a, ci, wins[0], wins[1]))
             report.update({f"adv{i}": advs[i][0] for i in range(4)})
@@ -272,15 +253,11 @@ def cmd_game_run(args) -> int:
             report.update({"advantage": qsim.ensemble_trace_distance(e0, e1), "ci": 0.0})
     elif args.exp == "sgc":
         params = configs.SGC_DESK
-
-        def one_trial(t):
-            return [games.strong_gauss_collapse_exp(
-                params, adv, b, _rng(cfg.seed, t * 2 + b), seed=cfg.seed + t * 2 + b)
-                for b in (0, 1)]
-
         wins, valid_count = {0: 0, 1: 0}, 0
-        for t, trs in enumerate(_map_trials(one_trial, cfg.trials, args.jobs)):
-            for b, tr in zip((0, 1), trs):
+        for t in range(cfg.trials):
+            for b in (0, 1):
+                tr = games.strong_gauss_collapse_exp(
+                    params, adv, b, _rng(cfg.seed, t * 2 + b), seed=cfg.seed + t * 2 + b)
                 wins[b] += tr.verdict
                 valid_count += tr.outputs["valid"]
                 rows.append({"trial": t, "seed": tr.seed, "b": b,
@@ -361,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sigma", type=float, default=None)
         p.add_argument("--depth", type=int, default=None)
         p.add_argument("--reps", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=1)
 
     dr = sub.add_parser("dr").add_subparsers(dest="sub", required=True)
     p = dr.add_parser("roundtrip")

@@ -54,7 +54,6 @@ class RunConfig:
     seed: int = 0
     trials: int = 100
     exact: bool = False
-    jobs: int = 1
     out: str = ""
 
     def dr(self) -> DRParams:

@@ -10,7 +10,6 @@ evaluation is distribution-exact.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,47 +17,34 @@ from fractions import Fraction
 import numpy as np
 
 from . import qsim
-from .dualregev import gaussian_box_weights, plaintext_offset
+from .dualregev import (
+    DRParams,
+    coset_delete,
+    coset_encrypt,
+    decide_decryption,
+    dr_verify,
+)
 from .zqcore import (
-    ENUM_GUARD,
     ZqMatrix,
     ZqVector,
-    centered,
     gadget_inverse,
     gadget_matrix,
     gadget_width,
     gaussian_pmf_1d,
-    isis_verify,
     matmul_mod,
+    structured_ajtai_keygen,
 )
 
 
 @dataclass(frozen=True)
-class FHEParams:
-    n: int
-    m: int
-    q: int
-    sigma_sq: Fraction
-    depth: int = 1  # NAND-depth bound L
+class FHEParams(DRParams):
+    """The PKE parameters of every column plus the NAND-depth bound L."""
 
-    @property
-    def sigma(self) -> float:
-        return math.sqrt(float(self.sigma_sq))
-
-    @property
-    def alpha(self) -> float:
-        return 1.0 / self.sigma
-
-    @property
-    def width(self) -> int:
-        return self.m + 1
+    depth: int = 1
 
     @property
     def ncols(self) -> int:
         return self.width * gadget_width(self.q)  # N = (m+1) ceil(log2 q)
-
-    def cert_bound_sq(self) -> Fraction:
-        return Fraction(self.width, 2) * self.sigma_sq
 
     def column_dim(self) -> int:
         return self.q**self.width
@@ -91,38 +77,25 @@ class FHECiphertextC:
 
 def fhe_keygen(params: FHEParams, rng: np.random.Generator) -> FHEKeys:
     """A = [Abar | Abar xbar mod q]^T in Z_q^{(m+1) x n}, sk = (-xbar, 1)."""
-    n, m, q = params.n, params.m, params.q
-    abar = rng.integers(0, q, size=(n, m))
-    xbar = rng.integers(0, 2, size=m)
-    last = (abar @ xbar) % q
-    A = ZqMatrix(np.concatenate([abar, last[:, None]], axis=1).T, q)
-    sk = ZqVector(np.concatenate([(-xbar) % q, [1]]), q)
-    return FHEKeys(pk=A, sk=sk, params=params)
+    A, sk = structured_ajtai_keygen(params.n, params.width, params.q, rng)
+    return FHEKeys(pk=A.transpose(), sk=sk, params=params)
 
 
 def fhe_encrypt_q(keys: FHEKeys, x: int, rng: np.random.Generator) -> FHECiphertextQ:
     """Per-column quantum encryption: column j carries plaintext offset x.g_j.
 
-    Column j is the dual-Regev-style state for the coset {v : A^T v = y_j},
-    phased and Fourier-transformed exactly as in the PKE.
+    Column j is the dual-Regev state for the coset {v : A^T v = y_j},
+    built by the PKE's coset_encrypt.
     """
     params = keys.params
-    if params.column_dim() > ENUM_GUARD:
-        raise ValueError(f"column dimension {params.column_dim()} exceeds {ENUM_GUARD}")
-    q, w, N = params.q, params.width, params.ncols
     At = keys.pk.transpose()  # n x (m+1)
-    G = gadget_matrix(q, w)
-    from .dualregev import gen_gauss
-
+    G = gadget_matrix(params.q, params.width)
     cols, ys = [], []
-    for j in range(N):
-        coset, yj = gen_gauss(At, params.sigma, rng)
-        gj = (x % 2) * G.entries[:, j]
-        if np.any(gj % q):
-            coset = qsim.phase_oracle(coset, "X", tuple((-gj) % q))
-        cols.append(qsim.qft(coset, "X"))
+    for j in range(params.ncols):
+        state, yj = coset_encrypt(At, params.sigma, (x % 2) * G.entries[:, j], rng)
+        cols.append(state)
         ys.append(yj.entries)
-    Y = ZqMatrix(np.stack(ys, axis=1), q)
+    Y = ZqMatrix(np.stack(ys, axis=1), params.q)
     return FHECiphertextQ(vk=(keys.pk, Y), columns=cols)
 
 
@@ -153,10 +126,7 @@ def fhe_eval_nand(c0: FHECiphertextC, c1: FHECiphertextC) -> FHECiphertextC:
 
 def fhe_decrypt(keys: FHEKeys, ct: FHECiphertextC) -> int:
     """sk . (last column), centered, thresholded at q/4 (tie decides 1)."""
-    q = keys.params.q
-    last = ct.matrix.column(ct.matrix.cols - 1)
-    v = centered(last.dot(keys.sk), q)
-    return 0 if 4 * abs(v) < q else 1
+    return decide_decryption(ct.matrix.column(ct.matrix.cols - 1), keys.sk, keys.params.q)
 
 
 def fhe_measure_q(ct: FHECiphertextQ, rng: np.random.Generator) -> FHECiphertextC:
@@ -171,13 +141,7 @@ def fhe_measure_q(ct: FHECiphertextQ, rng: np.random.Generator) -> FHECiphertext
 
 def fhe_delete(ct: FHECiphertextQ, rng: np.random.Generator) -> list[ZqVector]:
     """Per-column inverse Fourier transform and measurement."""
-    A, _ = ct.vk
-    pis = []
-    for st in ct.columns:
-        coset = qsim.qft_inverse(st, "X")
-        out = qsim.measure(coset, "X", rng)
-        pis.append(ZqVector(np.asarray(out.value), A.q))
-    return pis
+    return [coset_delete(st, ct.vk[0].q, rng) for st in ct.columns]
 
 
 def fhe_verify(vk: tuple[ZqMatrix, ZqMatrix], pis: list[ZqVector],
@@ -187,11 +151,7 @@ def fhe_verify(vk: tuple[ZqMatrix, ZqMatrix], pis: list[ZqVector],
     if len(pis) != Y.cols:
         return False
     At = A.transpose()
-    bound_sq = params.cert_bound_sq()
-    return all(
-        isis_verify(At, Y.column(i), pis[i], norm_bound_sq=bound_sq)
-        for i in range(Y.cols)
-    )
+    return all(dr_verify((At, Y.column(i)), pis[i], params) for i in range(Y.cols))
 
 
 def nand_tree_eval(keys: FHEKeys, leaves: list[int], rng: np.random.Generator
@@ -208,57 +168,6 @@ def nand_tree_eval(keys: FHEKeys, leaves: list[int], rng: np.random.Generator
         cts = [fhe_eval_nand(cts[i], cts[i + 1]) for i in range(0, len(cts), 2)]
         vals = [1 - (vals[i] & vals[i + 1]) for i in range(0, len(vals), 2)]
     return fhe_decrypt(keys, cts[0]), vals[0]
-
-
-def column_direct_sum(params: FHEParams, A: ZqMatrix, yj: ZqVector, x: int,
-                      j: int) -> qsim.QState:
-    """Column j of the literal Enc sum: sum over (s_j, e_j) of
-    rho_{q/sigma}(e) w^{+<s,y_j>} |A s + e + x g_j>."""
-    q, w = params.q, params.width
-    layout = qsim.RegisterLayout([("X", (q,) * w)])
-    rho_e = gaussian_box_weights(q, w, q / params.sigma)
-    digits = np.array(list(itertools.product(range(q), repeat=w)), dtype=np.int64)
-    radix = q ** np.arange(w - 1, -1, -1, dtype=np.int64)
-    gj = (x % 2) * gadget_matrix(q, w).entries[:, j]
-    amps = np.zeros(q**w, dtype=np.complex128)
-    omega = np.exp(2j * np.pi / q)
-    for s in itertools.product(range(q), repeat=params.n):
-        As = (A.entries @ np.asarray(s, dtype=np.int64)) % q
-        phase = omega ** (int(np.dot(s, yj.entries)) % q)
-        target = ((digits + As[None, :] + gj[None, :]) % q) @ radix
-        amps[target] += phase * rho_e
-    return qsim.QState(layout, amps).normalized()
-
-
-def joint_direct_sum(params: FHEParams, A: ZqMatrix, ys: list[ZqVector],
-                     x: int, cols: list[int]) -> qsim.QState:
-    """The literal Enc sum over a chosen set of columns jointly: enumerate
-    (S, E) restricted to those columns, with phase w^{+Tr[S^T Y]}."""
-    q, w = params.q, params.width
-    k = len(cols)
-    if (q ** (w * k)) > ENUM_GUARD:
-        raise ValueError("joint sum too large")
-    layout = qsim.RegisterLayout([(f"C{i}", (q,) * w) for i in range(k)])
-    G = gadget_matrix(q, w)
-    digits = np.array(list(itertools.product(range(q), repeat=w)), dtype=np.int64)
-    radix = q ** np.arange(w - 1, -1, -1, dtype=np.int64)
-    rho_e = gaussian_box_weights(q, w, q / params.sigma)
-    omega = np.exp(2j * np.pi / q)
-
-    col_vecs = []
-    for i, j in enumerate(cols):
-        gj = (x % 2) * G.entries[:, j]
-        amps = np.zeros(q**w, dtype=np.complex128)
-        for s in itertools.product(range(q), repeat=params.n):
-            As = (A.entries @ np.asarray(s, dtype=np.int64)) % q
-            phase = omega ** (int(np.dot(s, ys[i].entries)) % q)
-            target = ((digits + As[None, :] + gj[None, :]) % q) @ radix
-            amps[target] += phase * rho_e
-        col_vecs.append(amps)
-    joint = col_vecs[0]
-    for v in col_vecs[1:]:
-        joint = np.kron(joint, v)
-    return qsim.QState(layout, joint).normalized()
 
 
 def validate_noise_window(params: FHEParams) -> list[tuple[str, str, str]]:

@@ -12,7 +12,6 @@ coset-side phase negated; see dual_ciphertext_sum.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,12 +20,17 @@ import numpy as np
 
 from . import qsim
 from .zqcore import (
-    ENUM_GUARD,
     ZqMatrix,
     ZqVector,
     centered,
     centered_array,
+    gaussian_box_weights,
     isis_verify,
+    matmul_mod,
+    parse_zq,
+    serialize_zq,
+    structured_ajtai_keygen,
+    zq_box,
 )
 
 
@@ -55,13 +59,6 @@ class DRParams:
         # ||pi|| <= sqrt(m+1) / (sqrt(2) alpha) = sigma sqrt((m+1)/2)
         return Fraction(self.width, 2) * self.sigma_sq
 
-    def state_dim(self) -> int:
-        return self.q**self.width
-
-    def validate(self):
-        if self.state_dim() > ENUM_GUARD:
-            raise ValueError(f"q^(m+1) = {self.state_dim()} exceeds {ENUM_GUARD}")
-
 
 def dr_params(n: int, m: int, q: int, sigma=None, *, sigma_sq=None) -> DRParams:
     if sigma_sq is None:
@@ -88,27 +85,8 @@ def dr_keygen(params: DRParams, rng: np.random.Generator) -> DRKeys:
     Key generation is classical, so it works at any parameter size; the
     q^(m+1) enumeration guard applies when a ciphertext state is built.
     """
-    n, m, q = params.n, params.m, params.q
-    abar = rng.integers(0, q, size=(n, m))
-    xbar = rng.integers(0, 2, size=m)
-    last = (abar @ xbar) % q
-    A = ZqMatrix(np.concatenate([abar, last[:, None]], axis=1), q)
-    sk = ZqVector(np.concatenate([(-xbar) % q, [1]]), q)
+    A, sk = structured_ajtai_keygen(params.n, params.width, params.q, rng)
     return DRKeys(pk=A, sk=sk, params=params)
-
-
-def _box_digits(q: int, w: int) -> np.ndarray:
-    """All of Z_q^w as an array of shape (q^w, w), row-major."""
-    return np.array(list(itertools.product(range(q), repeat=w)), dtype=np.int64)
-
-
-def gaussian_box_weights(q: int, w: int, sigma: float) -> np.ndarray:
-    """rho_sigma over the full box Z_q^w on centered representatives, flat."""
-    digits = centered_array(np.arange(q, dtype=np.int64), q).astype(float)
-    nsq = np.zeros(1)
-    for _ in range(w):
-        nsq = (nsq[:, None] + (digits**2)[None, :]).reshape(-1)
-    return np.exp(-math.pi * nsq / sigma**2)
 
 
 def gen_gauss(A: ZqMatrix, sigma: float, rng: np.random.Generator
@@ -122,12 +100,8 @@ def gen_gauss(A: ZqMatrix, sigma: float, rng: np.random.Generator
     """
     n, w = A.rows, A.cols
     q = A.q
-    if q**w > ENUM_GUARD:
-        raise ValueError(f"q^m = {q**w} exceeds {ENUM_GUARD}")
+    digits = zq_box(q, w)
     weights = gaussian_box_weights(q, w, sigma)
-    digits = _box_digits(q, w)
-    from .zqcore import matmul_mod
-
     images = matmul_mod(digits, A.entries.T, q)
     ycodes = images @ (q ** np.arange(n - 1, -1, -1, dtype=np.int64))
     probs = weights**2
@@ -169,16 +143,29 @@ def plaintext_offset(params: DRParams, b: int) -> np.ndarray:
     return g
 
 
+def coset_encrypt(A: ZqMatrix, sigma: float, g: np.ndarray, rng: np.random.Generator
+                  ) -> tuple[qsim.QState, ZqVector]:
+    """One ciphertext register: the GenGauss coset over {x : A x = y}, the
+    plaintext phase w^{<x, -g>} when g != 0, then the forward Fourier
+    transform. Returns the state and the image y."""
+    coset, y = gen_gauss(A, sigma, rng)
+    if np.any(g % A.q):
+        coset = qsim.phase_oracle(coset, "X", tuple((-g) % A.q))
+    return qsim.qft(coset, "X"), y
+
+
+def coset_delete(state: qsim.QState, q: int, rng: np.random.Generator) -> ZqVector:
+    """Deletion of one ciphertext register: inverse Fourier transform, then
+    measure all slots; the outcome lies in the register's coset."""
+    out = qsim.measure(qsim.qft_inverse(state, "X"), "X", rng)
+    return ZqVector(np.asarray(out.value), q)
+
+
 def dr_encrypt(keys: DRKeys, b: int, rng: np.random.Generator) -> DRCiphertext:
     """Enc: GenGauss coset, plaintext phase, forward Fourier transform."""
-    params = keys.params
-    params.validate()
-    coset, y = gen_gauss(keys.pk, params.sigma, rng)
-    g = plaintext_offset(params, b)
-    if b % 2:
-        coset = qsim.phase_oracle(coset, "X", tuple((-g) % params.q))
-    ct_state = qsim.qft(coset, "X")
-    return DRCiphertext(vk=(keys.pk, y), state=ct_state)
+    g = plaintext_offset(keys.params, b)
+    state, y = coset_encrypt(keys.pk, keys.params.sigma, g, rng)
+    return DRCiphertext(vk=(keys.pk, y), state=state)
 
 
 def dr_decrypt(keys: DRKeys, ct: DRCiphertext, rng: np.random.Generator) -> int:
@@ -195,10 +182,7 @@ def decide_decryption(c: ZqVector, sk: ZqVector, q: int) -> int:
 
 def dr_delete(ct: DRCiphertext, rng: np.random.Generator) -> ZqVector:
     """Del: inverse Fourier transform, measure all slots."""
-    coset = qsim.qft_inverse(ct.state, "X")
-    out = qsim.measure(coset, "X", rng)
-    A, _ = ct.vk
-    return ZqVector(np.asarray(out.value), A.q)
+    return coset_delete(ct.state, ct.vk[0].q, rng)
 
 
 def dr_verify(vk: tuple[ZqMatrix, ZqVector], pi: ZqVector, params: DRParams) -> bool:
@@ -210,28 +194,27 @@ def dr_verify(vk: tuple[ZqMatrix, ZqVector], pi: ZqVector, params: DRParams) -> 
 # Literal ciphertext sum (the paper-formula reference construction)
 # ---------------------------------------------------------------------------
 
-def dual_ciphertext_sum(params: DRParams, A: ZqMatrix, y: ZqVector, b: int
+def dual_ciphertext_sum(A: ZqMatrix, y: ZqVector, g: np.ndarray, sigma: float
                         ) -> qsim.QState:
-    """The ciphertext evaluated directly as the double Gaussian sum
+    """The ciphertext register evaluated directly as the double Gaussian sum
 
-        sum_s sum_e rho_{q/sigma}(e) w^{+<s,y>} |s^T A + e^T + b.g>,
+        sum_s sum_e rho_{q/sigma}(e) w^{+<s,y>} |s^T A + e^T + g>,
 
-    normalized. The phase sign is pinned to +<s,y> to match the forward
-    Fourier transform used by dr_encrypt; the opposite sign is the same
-    state with negated coordinates.
+    normalized, for the register that coset_encrypt(A, sigma, g) builds: a
+    PKE ciphertext (g = b.(0,..,0,floor(q/2))) or one FHE column (A^T,
+    g = x.g_j). The phase sign is pinned to +<s,y> to match the forward
+    Fourier transform; the opposite sign is the same state with negated
+    coordinates. Several FHE columns jointly are the Kronecker product.
     """
-    q, w = params.q, params.width
-    if q ** (params.n + w) > ENUM_GUARD * 32:
-        raise ValueError("direct sum too large to enumerate")
+    q, w = A.q, A.cols
     layout = qsim.RegisterLayout([("X", (q,) * w)])
-    rho_e = gaussian_box_weights(q, w, q / params.sigma)
-    digits = _box_digits(q, w)
+    rho_e = gaussian_box_weights(q, w, q / sigma)
+    digits = zq_box(q, w)
     radix = q ** np.arange(w - 1, -1, -1, dtype=np.int64)
-    g = plaintext_offset(params, b)
     amps = np.zeros(q**w, dtype=np.complex128)
     omega = np.exp(2j * np.pi / q)
-    for s in itertools.product(range(q), repeat=params.n):
-        sA = (np.asarray(s, dtype=np.int64) @ A.entries) % q
+    for s in zq_box(q, A.rows):
+        sA = (s @ A.entries) % q
         phase = omega ** (int(np.dot(s, y.entries)) % q)
         target = ((digits + sA[None, :] + g[None, :]) % q) @ radix
         amps[target] += phase * rho_e
@@ -240,15 +223,11 @@ def dual_ciphertext_sum(params: DRParams, A: ZqMatrix, y: ZqVector, b: int
 
 def serialize_vk(vk: tuple[ZqMatrix, ZqVector]) -> str:
     """vk = (A, y) in the zqcore wire format, matrix then vector."""
-    from .zqcore import serialize_zq
-
     A, y = vk
     return serialize_zq(A) + serialize_zq(y)
 
 
 def parse_vk(text: str) -> tuple[ZqMatrix, ZqVector]:
-    from .zqcore import parse_zq
-
     lines = text.strip().splitlines()
     header = lines[0].split()
     rows = int(header[2])
@@ -263,13 +242,12 @@ def deletion_certificate_distribution(params: DRParams, A: ZqMatrix,
     squared Gaussian mass on the coset (independent of b)."""
     q, w = params.q, params.width
     sigma = params.sigma
+    box = zq_box(q, w)
     weights = {}
     total = 0.0
-    for x in itertools.product(range(q), repeat=w):
-        xv = np.asarray(x, dtype=np.int64)
-        if np.array_equal((A.entries @ xv) % q, y.entries):
-            c = centered_array(xv, q)
-            p = math.exp(-2 * math.pi * float(np.dot(c, c)) / sigma**2)
-            weights[x] = p
-            total += p
+    for xv in box[np.all(matmul_mod(box, A.entries.T, q) == y.entries, axis=1)]:
+        c = centered_array(xv, q)
+        p = math.exp(-2 * math.pi * float(np.dot(c, c)) / sigma**2)
+        weights[tuple(xv.tolist())] = p
+        total += p
     return {x: p / total for x, p in weights.items()}

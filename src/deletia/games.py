@@ -12,7 +12,6 @@ enumerable domain.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,9 +20,15 @@ from typing import Callable
 import numpy as np
 
 from . import qsim
-from .hashfam import HashFamily, structured_ajtai_keygen
-from .dualregev import gaussian_box_weights
-from .zqcore import ZqVector, centered_array
+from .dualregev import gen_gauss
+from .hashfam import HashFamily
+from .zqcore import (
+    ZqVector,
+    centered_array,
+    gaussian_box_weights,
+    structured_ajtai_keygen,
+    zq_box,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -540,14 +545,7 @@ def strong_gauss_collapse_exp(params: SGCParams, adversary: Adversary, b: int,
     """
     n, m, q = params.n, params.m, params.q
     A, t_keygen = structured_ajtai_keygen(n, m, q, rng)
-    layout = qsim.RegisterLayout([("X", (q,) * m), ("Y", (q,) * n)])
-    state = qsim.prepare_weighted(layout, "X", gaussian_box_weights(q, m, params.sigma))
-    state = qsim.apply_classical(
-        state, lambda x: tuple((A @ ZqVector(np.asarray(x), q)).entries.tolist()),
-        "X", "Y")
-    out = qsim.measure(state, "Y", rng)
-    y = ZqVector(np.asarray(out.value), q)
-    state = qsim.drop_segment(out.post_state, "Y", out.value)
+    state, y = gen_gauss(A, params.sigma, rng)
     if b % 2:
         out = qsim.measure(state, "X", rng)
         state = out.post_state
@@ -589,7 +587,7 @@ def sgc_honest_ensembles(params: SGCParams, rng: np.random.Generator
     n, m, q = params.n, params.m, params.q
     A, t_keygen = structured_ajtai_keygen(n, m, q, rng)
     rho2 = gaussian_box_weights(q, m, params.sigma) ** 2
-    digits = np.array(list(itertools.product(range(q), repeat=m)), dtype=np.int64)
+    digits = zq_box(q, m)
     images = (digits @ A.entries.T) % q
     total = rho2.sum()
     bound = params.witness_bound_sq()

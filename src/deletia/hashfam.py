@@ -20,7 +20,7 @@ import numpy as np
 
 from . import qsim
 from .gf2k import GF2k
-from .zqcore import ZqMatrix, ZqVector, centered_array
+from .zqcore import ZqMatrix, ZqVector, centered_array, zq_box
 
 FIBER_GUARD = 1 << 16  # largest domain we exhaustively enumerate per fiber
 
@@ -71,9 +71,7 @@ class ZqBallDomain:
         return self.q**self.m  # box size; the ball filter applies to contains()
 
     def values(self) -> Iterable[tuple[int, ...]]:
-        import itertools
-
-        for x in itertools.product(range(self.q), repeat=self.m):
+        for x in map(tuple, zq_box(self.q, self.m).tolist()):
             if self.contains(x):
                 yield x
 
@@ -247,20 +245,6 @@ def ajtai_family(n: int, m: int, q: int, sigma: float) -> HashFamily:
         eval=evalf,
         descriptor={"family": "ajtai", "n": n, "m": m, "q": q, "sigma": sigma},
     )
-
-
-def structured_ajtai_keygen(n: int, m: int, q: int, rng: np.random.Generator
-                            ) -> tuple[ZqMatrix, ZqVector]:
-    """A = [Abar | Abar xbar mod q] with binary xbar; trapdoor t = (-xbar, 1).
-
-    A t = 0 (mod q) by construction; A is n x m, so xbar has m-1 bits.
-    """
-    abar = rng.integers(0, q, size=(n, m - 1))
-    xbar = rng.integers(0, 2, size=m - 1)
-    last = (abar @ xbar) % q
-    A = ZqMatrix(np.concatenate([abar, last[:, None]], axis=1), q)
-    t = ZqVector(np.concatenate([(-xbar) % q, [1]]), q)
-    return A, t
 
 
 # --- toy regular OWFs ------------------------------------------------------
@@ -592,50 +576,42 @@ def tcr_game(family: HashFamily, adversary, rng: np.random.Generator,
     passed to the adversary (the auxiliary-information variant).
     """
     key, td = family.sample(rng)
-    dom = family.domain
-    layout = qsim.RegisterLayout([("X", dom.register_dims())])
+    t = family.table(key)
+    layout = qsim.RegisterLayout([("X", family.domain.register_dims())])
     if dist is None:
         weights = np.ones(layout.dim)
     else:
         weights = np.zeros(layout.dim)
-        for x in dom.values():
-            weights[layout.value_index("X", dom.to_register(x))] = math.sqrt(dist(x))
+        weights[t.reg_index] = [math.sqrt(dist(x)) for x in t.values]
     state = qsim.prepare_weighted(layout, "X", weights)
 
     # image measurement: branch by classical pushforward, identical to the
-    # coherent compute-then-measure since eval is a basis function
-    probs = qsim.marginal_probs(state, "X")
-    y_weights: dict[object, float] = {}
-    for x in dom.values():
-        p = probs[layout.value_index("X", dom.to_register(x))]
-        if p > 0:
-            yv = family.eval(key, x)
-            y_weights[yv] = y_weights.get(yv, 0.0) + p
-    ys = sorted(y_weights.keys(), key=repr)
-    py = np.array([y_weights[y] for y in ys])
-    y = ys[int(rng.choice(len(ys), p=py / py.sum()))]
+    # coherent compute-then-measure since eval is a basis function; images
+    # are weighed in domain order and drawn in repr order
+    probs = qsim.marginal_probs(state, "X")[t.reg_index]
+    py_all = np.bincount(t.image_ids, weights=probs, minlength=len(t.ys))
+    order = [j for j in t.repr_order() if py_all[j] > 0]
+    py = py_all[order]
+    j = order[int(rng.choice(len(order), p=py / py.sum()))]
+    y = t.ys[j]
 
+    fiber = t.image_ids == j
     fiber_amps = np.zeros(layout.dim, dtype=np.complex128)
-    for x in family.fiber(key, y):
-        i = layout.value_index("X", dom.to_register(x))
-        fiber_amps[i] = state.amps[i]
+    idx = t.reg_index[fiber]
+    fiber_amps[idx] = state.amps[idx]
     state = qsim.QState(layout, fiber_amps).normalized()
 
     if family.measure is None:
         out = qsim.measure(state, "X", rng)
-        v = dom.from_register(out.value)
+        v = family.domain.from_register(out.value)
         state = out.post_state
     else:
-        sides = {0: 0.0, 1: 0.0}
-        for x in family.fiber(key, y):
-            i = layout.value_index("X", dom.to_register(x))
-            sides[family.measure(key, x)] += abs(state.amps[i]) ** 2
+        mvals = t.mvals[fiber]
+        sides = np.bincount(mvals, weights=np.abs(state.amps[idx]) ** 2, minlength=2)
         v = int(rng.random() < sides[1] / (sides[0] + sides[1]))
         kept = np.zeros(layout.dim, dtype=np.complex128)
-        for x in family.fiber(key, y):
-            if family.measure(key, x) == v:
-                i = layout.value_index("X", dom.to_register(x))
-                kept[i] = state.amps[i]
+        keep = idx[mvals == v]
+        kept[keep] = state.amps[keep]
         state = qsim.QState(layout, kept).normalized()
 
     aux_value = aux(td) if aux is not None else None

@@ -109,16 +109,6 @@ def block_overlap(family: HashFamily, key, y) -> float:
     return float(np.vdot(s1.amps, s0.amps).real)
 
 
-def commit_delete(pair: CommitmentPair, rng: np.random.Generator) -> list:
-    """Measure every block in the standard basis; the outcomes are pi."""
-    pis = []
-    for i, block in enumerate(pair.blocks):
-        out = qsim.measure(block, "X", rng)
-        pis.append(pair.family.domain.from_register(out.value))
-        pair.blocks[i] = out.post_state
-    return pis
-
-
 def commit_ver(family: HashFamily, key, images: list, pis: list) -> bool:
     """Ver: h(x_i) = y_i for every block."""
     if len(pis) != len(images):
@@ -137,14 +127,13 @@ def calibrate_recover(family: HashFamily, key, reps_samples: int = 0
     p_b averages |<psi_{h,y,0}|psi_{h,y,b}>|^2 over the image distribution
     of a uniform input; the shipped threshold is the midpoint c = (p0+p1)/2.
     """
-    fibers: dict[object, int] = {}
-    for x in family.domain.values():
-        yv = family.eval(key, x)
-        fibers[yv] = fibers.get(yv, 0) + 1
-    total = sum(fibers.values())
+    t = family.table(key)
+    counts = np.bincount(t.image_ids)
+    total = len(t.values)
+    _, first = np.unique(t.image_ids, return_index=True)
     p1 = 0.0
-    for y, count in fibers.items():
-        p1 += (count / total) * block_overlap(family, key, y) ** 2
+    for j in np.argsort(first):  # images in order of first appearance
+        p1 += (int(counts[j]) / total) * block_overlap(family, key, t.ys[j]) ** 2
     p0 = 1.0
     return p0, p1, (p0 + p1) / 2
 
@@ -194,7 +183,10 @@ def pvd_decrypt(keys: PVDKeys, ct: PVDCiphertext, rng: np.random.Generator) -> i
     return 0 if zeros / keys.reps > keys.recover_threshold else 1
 
 
-def pvd_delete(ct: PVDCiphertext, family: HashFamily, rng: np.random.Generator) -> list:
+def pvd_delete(ct: PVDCiphertext | CommitmentPair, family: HashFamily,
+               rng: np.random.Generator) -> list:
+    """Measure every block in the standard basis; the outcomes are pi. A
+    commitment is deleted the same way."""
     pis = []
     for i, block in enumerate(ct.blocks):
         out = qsim.measure(block, "X", rng)

@@ -363,8 +363,8 @@ def phase_oracle(state: QState, segment: str, v: Sequence[int]) -> QState:
     return QState(state.layout, t.reshape(-1))
 
 
-def controlled_phase_oracle(state: QState, control: str, segment: str, v: Sequence[int]) -> QState:
-    """CZ^v: applies the phase oracle on ``segment`` only where control is |1>."""
+def _on_control_one(state: QState, control: str, op: Callable[[QState], QState]) -> QState:
+    """Apply ``op`` to the slice of the state where the qubit ``control`` is |1>."""
     cdims = state.layout.seg_dims(control)
     if cdims != (2,):
         raise ValueError(f"control segment must be a single qubit, got {cdims}")
@@ -376,10 +376,13 @@ def controlled_phase_oracle(state: QState, control: str, segment: str, v: Sequen
         RegisterLayout([(n, d) for n, d in state.layout.segments if n != control]),
         t[tuple(sl)].reshape(-1),
     )
-    # phase the control-1 slice in place
-    phased = phase_oracle(branch, segment, v)
-    t[tuple(sl)] = phased.amps.reshape(t[tuple(sl)].shape)
+    t[tuple(sl)] = op(branch).amps.reshape(t[tuple(sl)].shape)
     return QState(state.layout, t.reshape(-1))
+
+
+def controlled_phase_oracle(state: QState, control: str, segment: str, v: Sequence[int]) -> QState:
+    """CZ^v: applies the phase oracle on ``segment`` only where control is |1>."""
+    return _on_control_one(state, control, lambda branch: phase_oracle(branch, segment, v))
 
 
 def controlled_phase_fn(state: QState, control: str, segment: str,
@@ -390,20 +393,7 @@ def controlled_phase_fn(state: QState, control: str, segment: str,
     into an ancilla, phasing the ancilla controlled on ``control``, and
     uncomputing.
     """
-    cdims = state.layout.seg_dims(control)
-    if cdims != (2,):
-        raise ValueError(f"control segment must be a single qubit, got {cdims}")
-    cax = state.layout.axes(control)[0]
-    t = state.tensor_view().copy()
-    sl = [slice(None)] * t.ndim
-    sl[cax] = 1
-    branch = QState(
-        RegisterLayout([(n, d) for n, d in state.layout.segments if n != control]),
-        t[tuple(sl)].reshape(-1),
-    )
-    phased = apply_phase_fn(branch, segment, phase)
-    t[tuple(sl)] = phased.amps.reshape(t[tuple(sl)].shape)
-    return QState(state.layout, t.reshape(-1))
+    return _on_control_one(state, control, lambda branch: apply_phase_fn(branch, segment, phase))
 
 
 def project(state: QState, segment: str, target: QState | np.ndarray) -> tuple[float, QState]:

@@ -7,11 +7,9 @@ weights) is computed on centered representatives in (-q/2, q/2].
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
 
 import numpy as np
 
@@ -208,9 +206,25 @@ def rho_sigma(x, sigma: float, q: int | None = None) -> float:
     return math.exp(-math.pi * nsq / float(sigma) ** 2)
 
 
-def zq_box(q: int, m: int) -> Iterator[tuple[int, ...]]:
-    """All of Z_q^m in row-major (mixed-radix) order."""
-    return itertools.product(range(q), repeat=m)
+def zq_box(q: int, w: int) -> np.ndarray:
+    """All of Z_q^w as a (q^w, w) int64 array in row-major (mixed-radix) order."""
+    _check_box(q, w)
+    return np.indices((q,) * w, dtype=np.int64).reshape(w, -1).T
+
+
+def _check_box(q: int, w: int) -> None:
+    if q**w > ENUM_GUARD:
+        raise EnumerationTooLarge(f"q^{w} = {q**w} exceeds {ENUM_GUARD}")
+
+
+def gaussian_box_weights(q: int, w: int, sigma: float) -> np.ndarray:
+    """rho_sigma over Z_q^w on centered representatives, flat in zq_box order."""
+    _check_box(q, w)
+    digits = centered_array(np.arange(q, dtype=np.int64), q).astype(float)
+    nsq = np.zeros(1)
+    for _ in range(w):
+        nsq = (nsq[:, None] + (digits**2)[None, :]).reshape(-1)
+    return np.exp(-math.pi * nsq / sigma**2)
 
 
 def truncated_gaussian_pmf(params: GaussianParams) -> np.ndarray:
@@ -220,14 +234,9 @@ def truncated_gaussian_pmf(params: GaussianParams) -> np.ndarray:
     rho_sigma on centered representatives, normalized over the support.
     """
     q, m, sigma = params.q, params.m, float(params.sigma)
-    if q**m > ENUM_GUARD:
-        raise EnumerationTooLarge(f"q^m = {q**m} exceeds {ENUM_GUARD}")
-    digits = centered_array(np.arange(q, dtype=np.int64), q).astype(float)
-    nsq = np.zeros(1)
-    for _ in range(m):
-        nsq = (nsq[:, None] + (digits**2)[None, :]).reshape(-1)
-    w = np.exp(-math.pi * nsq / sigma**2)
-    w[nsq > sigma**2 * m] = 0.0
+    w = gaussian_box_weights(q, m, sigma)
+    c = centered_array(zq_box(q, m), q)
+    w[np.sum(c * c, axis=1) > sigma**2 * m] = 0.0
     total = w.sum()
     if total <= 0:
         raise ValueError("empty Gaussian support")
@@ -246,6 +255,25 @@ def gaussian_pmf_1d(sigma: float, q: int) -> tuple[np.ndarray, np.ndarray]:
         vals = vals[vals != -half]  # (-q/2, q/2] excludes -q/2
     w = np.exp(-math.pi * vals.astype(float) ** 2 / float(sigma) ** 2)
     return vals, w / w.sum()
+
+
+# ---------------------------------------------------------------------------
+# Structured Ajtai keys (Dual-Regev PKE, FHE and the SGC challenger)
+# ---------------------------------------------------------------------------
+
+def structured_ajtai_keygen(n: int, m: int, q: int, rng: np.random.Generator
+                            ) -> tuple[ZqMatrix, ZqVector]:
+    """A = [Abar | Abar xbar mod q] with binary xbar; trapdoor t = (-xbar, 1).
+
+    A t = 0 (mod q) by construction; A is n x m, so xbar has m-1 bits. Key
+    generation is classical, so it works at any parameter size.
+    """
+    abar = rng.integers(0, q, size=(n, m - 1))
+    xbar = rng.integers(0, 2, size=m - 1)
+    last = (abar @ xbar) % q
+    A = ZqMatrix(np.concatenate([abar, last[:, None]], axis=1), q)
+    t = ZqVector(np.concatenate([(-xbar) % q, [1]]), q)
+    return A, t
 
 
 # ---------------------------------------------------------------------------

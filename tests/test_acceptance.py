@@ -10,6 +10,7 @@ import pytest
 
 from deletia import cli, configs, dualfhe as fhe, dualregev as dr, games, hashfam, pvdcore, qsim
 from deletia.qsim import ensemble_trace_distance
+from deletia.zqcore import gadget_matrix
 
 
 def report(name: str, ok: bool, detail: str, t0: float, budget: float):
@@ -48,7 +49,8 @@ def test_criterion_2_duality_lemma():
         keys = dr.dr_keygen(params, rng)
         for b in (0, 1):
             ct = dr.dr_encrypt(keys, b, np.random.default_rng(seed + 50))
-            ref = dr.dual_ciphertext_sum(params, ct.vk[0], ct.vk[1], b)
+            ref = dr.dual_ciphertext_sum(ct.vk[0], ct.vk[1],
+                                         dr.plaintext_offset(params, b), params.sigma)
             worst = max(worst, qsim.trace_distance(ct.state, ref))
     report("criterion 2 (duality at n=1,m=2,q=13,sigma=3)", worst <= 0.05,
            f"max TD {worst:.4f} <= 0.05", t0, 30)
@@ -105,11 +107,13 @@ def test_criterion_4_dual_regev_fhe():
     for x in (0, 1):
         ct = fhe.fhe_encrypt_q(tkeys, x, np.random.default_rng(4 + x))
         A, Y = ct.vk
-        cols = [0, 4]
-        joint = fhe.joint_direct_sum(configs.FHE_TENSOR, A,
-                                     [Y.column(j) for j in cols], x, cols)
-        kron = qsim.QState(joint.layout,
-                           np.kron(ct.columns[cols[0]].amps, ct.columns[cols[1]].amps))
+        G = gadget_matrix(A.q, A.rows)
+        # the literal joint sum over two columns factorizes into column sums
+        refs = [dr.dual_ciphertext_sum(A.transpose(), Y.column(j), x * G.entries[:, j],
+                                       configs.FHE_TENSOR.sigma) for j in (0, 4)]
+        layout = qsim.RegisterLayout([("C0", (A.q,) * A.rows), ("C1", (A.q,) * A.rows)])
+        joint = qsim.QState(layout, np.kron(refs[0].amps, refs[1].amps))
+        kron = qsim.QState(layout, np.kron(ct.columns[0].amps, ct.columns[4].amps))
         worst_td = max(worst_td, qsim.trace_distance(kron, joint))
     ok = nand_ok == 100 and acc / 100 >= 0.98 and worst_td <= 0.05
     report("criterion 4 (Dual-Regev FHE)", ok,

@@ -186,14 +186,6 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "unknown config key 'qq'" in err
 
 
-def test_jobs_flag_does_not_change_reports(capsys):
-    argv = ["game", "run", "--exp", "sgc", "--adv", "honest-deleter",
-            "--trials", "10", "--seed", "2"]
-    _, serial, _ = run_cli(capsys, argv)
-    _, threaded, _ = run_cli(capsys, argv + ["--jobs", "3"])
-    assert serial == threaded
-
-
 def test_params_flag_is_a_config_alias(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("q = 13\nm = 2\nn = 1\nsigma = 3.0\n")

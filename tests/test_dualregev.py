@@ -5,9 +5,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from deletia import configs, dualregev as dr, qsim
-from deletia.zqcore import ZqMatrix, ZqVector, centered, centered_array, rho_sigma
+from deletia import configs, dualfhe as fhe, dualregev as dr, qsim
+from deletia.zqcore import (
+    ZqMatrix,
+    ZqVector,
+    centered,
+    centered_array,
+    gadget_matrix,
+    rho_sigma,
+    zq_box,
+)
 
 PARAMS = configs.DR_EXACT  # (n=1, m=2, q=13, sigma=3)
 
@@ -98,7 +108,8 @@ def test_lemma16_duality_small_td():
     keys = dr.dr_keygen(PARAMS, rng)
     for b in (0, 1):
         ct = dr.dr_encrypt(keys, b, np.random.default_rng(11))
-        ref = dr.dual_ciphertext_sum(PARAMS, ct.vk[0], ct.vk[1], b)
+        ref = dr.dual_ciphertext_sum(ct.vk[0], ct.vk[1],
+                                     dr.plaintext_offset(PARAMS, b), PARAMS.sigma)
         assert qsim.trace_distance(ct.state, ref) <= 0.05
 
 
@@ -263,3 +274,43 @@ def test_gen_gauss_image_distribution_matches_preimage_masses():
         p = mass / total
         sd = math.sqrt(trials * p * (1 - p))
         assert abs(counts.get(y, 0) - trials * p) <= 4 * sd
+
+
+def assert_certificate_in_coset(A: ZqMatrix, sigma: float, g, seed: int):
+    """Every basis value the deletion measurement can return satisfies A x = y."""
+    state, y = dr.coset_encrypt(A, sigma, g, np.random.default_rng(seed))
+    probs = qsim.marginal_probs(qsim.qft_inverse(state, "X"), "X")
+    box = zq_box(A.q, A.cols)
+    in_coset = np.all((box @ A.entries.T) % A.q == y.entries, axis=1)
+    assert probs[~in_coset].max(initial=0.0) <= 1e-20
+    assert probs[in_coset].sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def small_params(draw):
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 11, 13, 16]))
+    m = draw(st.integers(min_value=1, max_value=int(math.log(4096, q) + 1e-9) - 1))
+    n = draw(st.integers(min_value=1, max_value=3))
+    sigma = draw(st.floats(min_value=0.5, max_value=float(q)))
+    return n, m, q, sigma
+
+
+@given(small_params(), st.integers(min_value=0, max_value=1), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_pke_certificate_lands_in_coset(nmqs, b, seed):
+    n, m, q, sigma = nmqs
+    params = dr.dr_params(n, m, q, sigma)
+    keys = dr.dr_keygen(params, np.random.default_rng(seed))
+    assert_certificate_in_coset(keys.pk, params.sigma, dr.plaintext_offset(params, b), seed)
+
+
+@given(small_params(), st.integers(min_value=0, max_value=1), st.data())
+@settings(max_examples=40, deadline=None)
+def test_fhe_column_certificate_lands_in_coset(nmqs, x, data):
+    n, m, q, sigma = nmqs
+    params = fhe.fhe_params(n, m, q, sigma)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    j = data.draw(st.integers(min_value=0, max_value=params.ncols - 1))
+    keys = fhe.fhe_keygen(params, np.random.default_rng(seed))
+    g = x * gadget_matrix(q, params.width).entries[:, j]
+    assert_certificate_in_coset(keys.pk.transpose(), params.sigma, g, seed)

@@ -206,7 +206,7 @@ def test_sgc_trapdoor_annihilates_matrix():
         if tr.outputs["trapdoor"] is None:
             continue
         # re-derive A from the transcript is not possible; check via keygen
-    from deletia.hashfam import structured_ajtai_keygen
+    from deletia.zqcore import structured_ajtai_keygen
     for seed in range(30):
         A, t_vec = structured_ajtai_keygen(params.n, params.m, params.q,
                                            np.random.default_rng(seed))

@@ -21,13 +21,12 @@ from deletia.hashfam import (
     fiber_split,
     garbage_tcr_adversary,
     honest_tcr_adversary,
-    structured_ajtai_keygen,
     superposition_invert,
     tcr_game,
     toy_regular_owf,
     two_to_one_family,
 )
-from deletia.zqcore import ZqMatrix, ZqVector, centered_array
+from deletia.zqcore import ZqMatrix, ZqVector, centered_array, structured_ajtai_keygen
 
 
 def identity_bits_family(bits: int) -> HashFamily:
@@ -345,6 +344,29 @@ def test_tcr_aux_trapdoor_leak_enables_cross_fiber_preimages():
         assert len(calls) == 1  # aux callback invoked exactly once
         wins += tr.win
     assert wins == 50  # balanced fibers always have the other side
+
+
+def count_calls(fam: HashFamily, *names: str) -> Counter:
+    """Wrap the family's per-value callables so that their calls are counted."""
+    calls = Counter()
+    for name in names:
+        def counted(*args, _fn=getattr(fam, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        setattr(fam, name, counted)
+    return calls
+
+
+def test_tcr_game_reads_the_domain_table():
+    # the challenger works on family.table(key); only the win check evaluates
+    # the adversary's one answer
+    fam = fdelta_family(toy_regular_owf(6, 2))
+    calls = count_calls(fam, "eval", "measure")
+    for seed in range(20):
+        calls.clear()
+        tr = tcr_game(fam, brute_force_tcr_adversary, np.random.default_rng(seed))
+        assert tr.answer is not None
+        assert calls == {"eval": 1, "measure": 1}
 
 
 def test_tcr_without_aux_matches_plain_game():

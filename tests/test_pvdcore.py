@@ -18,7 +18,6 @@ from deletia.pvdcore import (
     block_overlap,
     calibrate_recover,
     commit,
-    commit_delete,
     commit_ver,
     hybrid_compile,
     open_accept_prob,
@@ -123,7 +122,7 @@ def test_commit_delete_verifies_100_seeds():
     for seed in range(100):
         rng = np.random.default_rng(seed)
         pair = commit(fam, seed % 2, 3, rng)
-        pis = commit_delete(pair, rng)
+        pis = pvd_delete(pair, pair.family, rng)
         assert commit_ver(fam, pair.key, pair.images, pis)
 
 
@@ -131,7 +130,7 @@ def test_commit_ver_rejects_wrong_block():
     rng = np.random.default_rng(6)
     fam = balanced_family()
     pair = commit(fam, 0, 3, rng)
-    pis = commit_delete(pair, rng)
+    pis = pvd_delete(pair, pair.family, rng)
     bad = list(pis)
     bad[1] = next(x for x in fam.domain.values()
                   if fam.eval(pair.key, x) != pair.images[1])
@@ -168,6 +167,33 @@ def test_pvd_keygen_calibration_midpoint():
     assert p0 == 1.0
     assert c == pytest.approx((p0 + p1) / 2)
     assert keys.recover_threshold == pytest.approx(c)
+
+
+def test_calibrate_recover_reads_the_domain_table():
+    fam = trapdoor_family()
+    key, _ = fam.sample(np.random.default_rng(8))
+    calls = []
+    evalf = fam.eval
+    fam.eval = lambda k, x: calls.append(x) or evalf(k, x)
+    p0, p1, _ = calibrate_recover(fam, key)
+    assert calls == []
+    assert p0 == 1.0 and 0.0 <= p1 < 1.0
+
+
+def test_calibrate_recover_sums_images_in_order_of_first_appearance():
+    # the threshold is compared against zeros / reps, so it must not move in
+    # the last digit: p1 is folded over images as a domain walk first meets them
+    for fam in (balanced_family(), trapdoor_family()):
+        for seed in range(10):
+            key, _ = fam.sample(np.random.default_rng(seed))
+            counts = {}
+            for x in fam.domain.values():
+                y = fam.eval(key, x)
+                counts[y] = counts.get(y, 0) + 1
+            p1 = 0.0
+            for y, c in counts.items():
+                p1 += (c / sum(counts.values())) * block_overlap(fam, key, y) ** 2
+            assert calibrate_recover(fam, key) == (1.0, p1, (1.0 + p1) / 2)
 
 
 def test_recover_is_projective_two_outcome():

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from deletia.zqcore import (
     centered,
     gadget_inverse,
     gadget_matrix,
+    gaussian_box_weights,
     gaussian_pmf_1d,
     isis_verify,
     matmul_mod,
@@ -101,6 +103,20 @@ def test_truncated_gaussian_pmf_matches_rho_ratios():
 def test_truncated_gaussian_guard():
     with pytest.raises(zqcore.EnumerationTooLarge):
         truncated_gaussian_pmf(zqcore.GaussianParams(3.0, 97, 4))
+
+
+@given(st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=4))
+def test_zq_box_is_the_itertools_product_order(q, w):
+    box = zq_box(q, w)
+    assert box.dtype == np.int64 and box.shape == (q**w, w)
+    assert [tuple(r) for r in box.tolist()] == list(itertools.product(range(q), repeat=w))
+
+
+def test_zq_box_guard():
+    with pytest.raises(zqcore.EnumerationTooLarge):
+        zq_box(13, 7)
+    with pytest.raises(zqcore.EnumerationTooLarge):
+        gaussian_box_weights(13, 7, 3.0)
 
 
 def test_gaussian_pmf_1d():
