@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -324,7 +325,10 @@ def cmd_validate(args) -> int:
     return 2 if any(s == "fail" for _, s, _ in rows) else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``deletia`` parser, built once per process and shared by every
+    ``main`` call: parsing leaves it unchanged, and no caller may add to it."""
     ap = argparse.ArgumentParser(prog="deletia")
     sub = ap.add_subparsers(dest="cmd", required=True)
 

@@ -26,11 +26,11 @@ from .zqcore import (
     centered_array,
     gaussian_box_weights,
     isis_verify,
-    matmul_mod,
     parse_zq,
     serialize_zq,
     structured_ajtai_keygen,
     zq_box,
+    zq_image_codes,
 )
 
 
@@ -94,29 +94,20 @@ def gen_gauss(A: ZqMatrix, sigma: float, rng: np.random.Generator
     """GenGauss: Gaussian superposition, coherent A.x into Y, measure Y.
 
     Returns the residual Gaussian coset state on segment "X" and the image.
-    The image register is measured immediately, so the sampling is done on
-    the classical pushforward and the coset amplitudes are written directly;
-    gen_gauss_verbatim is the step-by-step register version (same channel).
+    The image register is measured immediately, so y is drawn from the
+    pushforward of rho_sigma^2 under x -> A x (read off the image codes, no
+    box is built) and the normalised coset amplitudes
+    rho_sigma(x) / sqrt(mass(y)) are written directly; gen_gauss_verbatim is
+    the step-by-step register version (same channel).
     """
-    n, w = A.rows, A.cols
-    q = A.q
-    digits = zq_box(q, w)
+    n, w, q = A.rows, A.cols, A.q
     weights = gaussian_box_weights(q, w, sigma)
-    images = matmul_mod(digits, A.entries.T, q)
-    ycodes = images @ (q ** np.arange(n - 1, -1, -1, dtype=np.int64))
-    probs = weights**2
-    ydist = np.bincount(ycodes, weights=probs, minlength=q**n)
-    ydist /= ydist.sum()
-    code = int(rng.choice(len(ydist), p=ydist))
-    amps = np.where(ycodes == code, weights, 0.0)
-    layout = qsim.RegisterLayout([("X", (q,) * w)])
-    coset = qsim.QState(layout, amps.astype(np.complex128)).normalized()
-    yval = []
-    rem = code
-    for _ in range(n):
-        yval.append(rem % q)
-        rem //= q
-    return coset, ZqVector(np.asarray(list(reversed(yval))), q)
+    ycodes = zq_image_codes(A)
+    mass = np.bincount(ycodes, weights=weights**2, minlength=q**n)
+    code = int(rng.choice(len(mass), p=mass / mass.sum()))
+    amps = np.where(ycodes == code, weights / math.sqrt(mass[code]), 0.0)
+    coset = qsim.QState(qsim.RegisterLayout([("X", (q,) * w)]), amps)
+    return coset, ZqVector(np.asarray(np.unravel_index(code, (q,) * n)), q)
 
 
 def gen_gauss_verbatim(A: ZqMatrix, sigma: float, rng: np.random.Generator
@@ -242,10 +233,11 @@ def deletion_certificate_distribution(params: DRParams, A: ZqMatrix,
     squared Gaussian mass on the coset (independent of b)."""
     q, w = params.q, params.width
     sigma = params.sigma
-    box = zq_box(q, w)
+    ycode = np.ravel_multi_index(tuple(y.entries), (q,) * A.rows)
+    coset = np.flatnonzero(zq_image_codes(A) == ycode)
     weights = {}
     total = 0.0
-    for xv in box[np.all(matmul_mod(box, A.entries.T, q) == y.entries, axis=1)]:
+    for xv in np.stack(np.unravel_index(coset, (q,) * w), axis=1):
         c = centered_array(xv, q)
         p = math.exp(-2 * math.pi * float(np.dot(c, c)) / sigma**2)
         weights[tuple(xv.tolist())] = p

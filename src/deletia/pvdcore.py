@@ -120,8 +120,7 @@ def commit_ver(family: HashFamily, key, images: list, pis: list) -> bool:
 # PKE with PVD from trapdoor phase-recoverability
 # ---------------------------------------------------------------------------
 
-def calibrate_recover(family: HashFamily, key, reps_samples: int = 0
-                      ) -> tuple[float, float, float]:
+def calibrate_recover(family: HashFamily, key) -> tuple[float, float, float]:
     """(p0, p1, c): exact Recover->0 probabilities on b=0 and b=1 blocks.
 
     p_b averages |<psi_{h,y,0}|psi_{h,y,b}>|^2 over the image distribution

@@ -270,27 +270,31 @@ def marginal_probs(state: QState, segment: str) -> np.ndarray:
 
 
 def measure(state: QState, segment: str, rng: np.random.Generator) -> MeasureOutcome:
-    """Born-rule measurement of one segment in the computational basis."""
+    """Born-rule measurement of one segment in the computational basis.
+
+    Raises ValueError when the state's norm is off by more than NORM_TOL.
+    """
     probs = marginal_probs(state, segment)
     total = probs.sum()
+    if abs(total - 1.0) > NORM_TOL:
+        raise ValueError(f"cannot measure a state of squared norm {total!r}")
     probs = probs / total
     k = int(rng.choice(len(probs), p=probs))
     return _collapse(state, segment, k, float(probs[k]))
 
 
 def _collapse(state: QState, segment: str, k: int, prob: float) -> MeasureOutcome:
-    mat, seg_dim = _move_segment_last(state, segment)
-    out = np.zeros_like(mat)
-    out[:, k] = mat[:, k]
-    amps = _restore_from_last(out, state.layout, segment)
-    nrm = np.linalg.norm(amps)
-    dims = state.layout.seg_dims(segment)
-    val, rem = [], k
-    for d in reversed(dims):
-        val.append(rem % d)
-        rem //= d
-    value = tuple(reversed(val))
-    return MeasureOutcome(value, prob, QState(state.layout, amps / nrm))
+    """Keep the slice where ``segment`` holds its k-th value, renormalised."""
+    value = tuple(int(v) for v in np.unravel_index(k, state.layout.seg_dims(segment)))
+    t = state.tensor_view()
+    sl = [slice(None)] * t.ndim
+    for ax, v in zip(state.layout.axes(segment), value):
+        sl[ax] = v
+    out = np.zeros_like(t)
+    out[tuple(sl)] = t[tuple(sl)]
+    amps = out.reshape(-1)
+    amps /= np.linalg.norm(amps)
+    return MeasureOutcome(value, prob, QState(state.layout, amps))
 
 
 def drop_segment(state: QState, segment: str, value) -> QState:
@@ -316,10 +320,13 @@ def _dft_matrix(q: int) -> np.ndarray:
 
 
 def _apply_along_axes(state: QState, segment: str, u: np.ndarray) -> QState:
-    axes = state.layout.axes(segment)
-    t = state.tensor_view()
-    for ax in axes:
-        t = np.moveaxis(np.tensordot(u, t, axes=([1], [ax])), 0, ax)
+    """Apply the d x d matrix ``u`` to every slot of ``segment``: one matmul
+    per slot on the (prefix, d, suffix) view, so nothing is transposed."""
+    dims = state.layout.all_dims
+    t = state.amps
+    for ax in state.layout.axes(segment):
+        t3 = t.reshape(math.prod(dims[:ax]), dims[ax], -1)
+        t = u @ t3 if t3.shape[2] > 1 else t3[:, :, 0] @ u.T
     return QState(state.layout, t.reshape(-1))
 
 

@@ -217,6 +217,24 @@ def _check_box(q: int, w: int) -> None:
         raise EnumerationTooLarge(f"q^{w} = {q**w} exceeds {ENUM_GUARD}")
 
 
+def zq_image_codes(A: ZqMatrix) -> np.ndarray:
+    """Mixed-radix code of A x mod q for every x of Z_q^w, flat in zq_box order.
+
+    Each row's image is built slot by slot as an outer sum over A's columns,
+    like the norms in gaussian_box_weights, so the box is never formed.
+    """
+    q, w = A.q, A.cols
+    _check_box(q, w)
+    digits = np.arange(q, dtype=np.int64)
+    codes = np.zeros(q**w, dtype=np.int64)
+    for row in A.entries:
+        img = np.zeros(1, dtype=np.int64)
+        for a in row:
+            img = ((img[:, None] + (digits * a % q)[None, :]) % q).reshape(-1)
+        codes = codes * q + img
+    return codes
+
+
 def gaussian_box_weights(q: int, w: int, sigma: float) -> np.ndarray:
     """rho_sigma over Z_q^w on centered representatives, flat in zq_box order."""
     _check_box(q, w)

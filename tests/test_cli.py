@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,6 +39,23 @@ def test_same_seed_twice_is_byte_identical(capsys):
     _, out3, _ = run_cli(capsys, ["pvd", "roundtrip", "--seed", "5"])
     _, out4, _ = run_cli(capsys, ["pvd", "roundtrip", "--seed", "5"])
     assert out3 == out4
+
+
+def test_cached_parser_matches_a_fresh_process(capsys, monkeypatch):
+    monkeypatch.delenv("DELETIA_SEED", raising=False)
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["fhe", "delete-roundtrip", "--seed", "11"]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    fresh = subprocess.run([sys.executable, "-m", "deletia.cli", *argv],
+                           capture_output=True, text=True, env=env, check=True).stdout
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fhe", "delete-roundtrip", "--seed", "eleven"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    for _ in range(3):
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert out == fresh
 
 
 def test_env_seed_override(capsys, monkeypatch):

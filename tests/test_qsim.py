@@ -198,6 +198,65 @@ def test_qft_preserves_inner_products():
     np.testing.assert_allclose(roundtrip.amps, a.amps, atol=1e-10)
 
 
+def _random_layout_around(data, d, k):
+    """A layout of up to three segments whose segment "S" has k slots of
+    dimension d and sits first, in the middle or last."""
+    others = [("A", tuple(data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=2)))),
+              ("B", tuple(data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=2))))]
+    others = others[:data.draw(st.integers(0, 2))]
+    pos = data.draw(st.integers(0, len(others)))
+    return RegisterLayout(others[:pos] + [("S", (d,) * k)] + others[pos:])
+
+
+def _tensordot_reference(state, segment, u):
+    t = state.tensor_view()
+    for ax in state.layout.axes(segment):
+        t = np.moveaxis(np.tensordot(u, t, axes=([1], [ax])), 0, ax)
+    return t.reshape(-1)
+
+
+@given(st.data(), st.integers(2, 5), st.integers(1, 3), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_slot_matmul_matches_tensordot_and_qft_inverts(data, d, k, seed):
+    rng = np.random.default_rng(seed)
+    lay = _random_layout_around(data, d, k)
+    state = rand_state(lay, rng)
+    u = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    got = qsim._apply_along_axes(state, "S", u).amps
+    np.testing.assert_allclose(got, _tensordot_reference(state, "S", u), rtol=0, atol=1e-12)
+    back = qft_inverse(qft(state, "S"), "S").amps
+    np.testing.assert_allclose(back, state.amps, rtol=0, atol=1e-12)
+
+
+def _zero_and_copy_reference(state, segment, k):
+    mat, _ = qsim._move_segment_last(state, segment)
+    out = np.zeros_like(mat)
+    out[:, k] = mat[:, k]
+    amps = qsim._restore_from_last(out, state.layout, segment)
+    return amps / np.linalg.norm(amps)
+
+
+@given(st.data(), st.integers(2, 4), st.integers(1, 3), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_collapse_matches_zero_and_copy_reference(data, d, k, seed):
+    rng = np.random.default_rng(seed)
+    lay = _random_layout_around(data, d, k)
+    state = rand_state(lay, rng)
+    idx = data.draw(st.integers(0, d**k - 1))
+    out = qsim._collapse(state, "S", idx, 0.5)
+    assert out.value == tuple(itertools.product(range(d), repeat=k))[idx]
+    assert np.array_equal(out.post_state.amps, _zero_and_copy_reference(state, "S", idx))
+
+
+def test_measure_rejects_unnormalised_state():
+    lay = RegisterLayout([("X", (3,)), ("Y", (2,))])
+    good = rand_state(lay, np.random.default_rng(8))
+    measure(QState(lay, good.amps * (1 + 1e-12)), "X", np.random.default_rng(0))
+    for scale in (1.001, 0.5):
+        with pytest.raises(ValueError, match="squared norm"):
+            measure(QState(lay, good.amps * scale), "X", np.random.default_rng(0))
+
+
 def test_phase_oracle_zero_vector_is_identity():
     rng = np.random.default_rng(5)
     lay = RegisterLayout([("X", (5, 5))])

@@ -23,6 +23,7 @@ from deletia.zqcore import (
     serialize_zq,
     truncated_gaussian_pmf,
     zq_box,
+    zq_image_codes,
 )
 
 
@@ -112,11 +113,23 @@ def test_zq_box_is_the_itertools_product_order(q, w):
     assert [tuple(r) for r in box.tolist()] == list(itertools.product(range(q), repeat=w))
 
 
+@given(st.integers(1, 3), st.integers(1, 6), st.integers(2, 13), st.integers(0, 10**6))
+def test_zq_image_codes_match_the_box_product(n, w, q, seed):
+    w = min(w, int(math.log(4096, q) + 1e-9))
+    A = ZqMatrix(np.random.default_rng(seed).integers(0, q, size=(n, w)), q)
+    radix = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    want = matmul_mod(zq_box(q, w), A.entries.T, q) @ radix
+    got = zq_image_codes(A)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
 def test_zq_box_guard():
     with pytest.raises(zqcore.EnumerationTooLarge):
         zq_box(13, 7)
     with pytest.raises(zqcore.EnumerationTooLarge):
         gaussian_box_weights(13, 7, 3.0)
+    with pytest.raises(zqcore.EnumerationTooLarge):
+        zq_image_codes(ZqMatrix(np.ones((1, 7), dtype=np.int64), 13))
 
 
 def test_gaussian_pmf_1d():
