@@ -111,14 +111,66 @@ class _Dom:
         else:
             self.mbits = 1
 
+    def sign(self, z, idx=slice(None)) -> np.ndarray:
+        """(-1)^{<M(x), z>} for z packed as an int, at the value indices idx."""
+        return 1.0 - 2.0 * (np.bitwise_count(z & self.table.mvals[idx]) & 1)
+
     @functools.cached_property
-    def sign(self) -> np.ndarray:
-        """(2^mbits x D) matrix of (-1)^{<M(x), z>}, z packed as an int."""
-        dots = np.arange(1 << self.mbits)[:, None] & self.table.mvals[None, :]
-        parity = np.zeros_like(dots)
-        for k in range(self.mbits):
-            parity ^= (dots >> k) & 1
-        return 1.0 - 2.0 * parity
+    def fibers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(row, pos, fib): each value's image row (rows in repr order of y)
+        and position in its fiber, and the (ny, F) matrix of every fiber's
+        value indices, ascending, padded with -1."""
+        ny = len(self.table.ys)
+        row = np.argsort(self.table.repr_order())[self.table.image_ids]
+        counts = np.bincount(row, minlength=ny)
+        by_row = np.argsort(row, kind="stable")
+        pos = np.empty_like(row)
+        pos[by_row] = np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)
+        fib = np.full((ny, counts.max()), -1)
+        fib[row, pos] = np.arange(len(row))
+        return row, pos, fib
+
+    @functools.cached_property
+    def fiber_states(self) -> tuple[np.ndarray, np.ndarray]:
+        """(py, psi): Pr[y] and psi_y on the fiber columns, one row per y."""
+        row, _, fib = self.fibers
+        py = np.bincount(row, weights=self.weights, minlength=len(fib))
+        amps = np.where(fib >= 0, np.sqrt(self.weights[fib]), 0.0)
+        return py, amps / np.sqrt(_dot(amps, amps))
+
+    @functools.cached_property
+    def m_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(post, pv, i0): measuring M on psi_y, outcomes in repr order of
+        the outcome along axis 1 (padded with pv = 0): the (ny, V, F) post
+        vectors, their probabilities and each outcome's first value index."""
+        row, pos, fib = self.fibers
+        _, psi = self.fiber_states
+        labels, label = np.unique(self.table.mvals, return_inverse=True)
+        keys = [repr(self.values[m]) if self.family.measure is None else repr(int(m))
+                for m in labels]
+        rank = np.argsort(sorted(range(len(keys)), key=keys.__getitem__))
+        # one cell per (y, outcome), sorted by y and then by the outcome's repr
+        cell, first, inv = np.unique(row * len(keys) + rank[label],
+                                     return_index=True, return_inverse=True)
+        cell_row = cell // len(keys)
+        outcome = np.arange(len(cell)) - np.searchsorted(cell_row, cell_row)
+        onehot = np.zeros((len(fib), outcome.max() + 1, fib.shape[1]), dtype=bool)
+        onehot[row, outcome[inv], pos] = True
+        i0 = np.zeros(onehot.shape[:2], dtype=np.int64)
+        i0[cell_row, outcome] = first
+        pv = np.cumsum(np.where(onehot, psi[:, None, :] ** 2, 0.0), axis=-1)[..., -1]
+        ok = pv > 0
+        post = np.where(onehot & ok[..., None], psi[:, None, :], 0.0) \
+            / np.sqrt(np.where(ok, pv, 1.0))[..., None]
+        return post, pv, i0
+
+    @functools.cached_property
+    def lexfirst_pos(self) -> np.ndarray:
+        """Each fiber's position of its least value."""
+        _, _, fib = self.fibers
+        n = len(self.values)
+        vrank = np.argsort(sorted(range(n), key=self.values.__getitem__))
+        return np.argmin(np.where(fib >= 0, vrank[fib], n), axis=1)
 
     def y_distribution(self) -> list[tuple[int, float]]:
         """(position j of y in the table's ys, Pr[y]) in repr order of y."""
@@ -175,13 +227,14 @@ def _keys_for_exact(family: HashFamily) -> list:
     return family.keys()
 
 
-def _guess_p1(adv: Adversary, target: np.ndarray, xvec: np.ndarray):
+def _guess_p1(adv: Adversary, target: np.ndarray, xvec, dot=np.matmul):
     """Exact Pr[b'=1] for the unbounded second stage on pure residuals
-    (the rows of ``xvec``); ``target`` is the fiber superposition psi_y."""
+    (the rows of ``xvec``); ``target`` is the fiber superposition psi_y and
+    ``dot`` takes their overlaps."""
     if adv.guess == "random":
         return 0.5
     if adv.guess == "project0":
-        return 1.0 - np.abs(xvec @ target) ** 2
+        return 1.0 - np.abs(dot(xvec, target)) ** 2
     raise ValueError(f"unknown guess mode {adv.guess}")
 
 
@@ -348,110 +401,177 @@ class LadderResult:
     proj_success: dict = field(default_factory=dict)  # exp -> P(projection ok | valid)
 
 
-def _fold(total: float, columns: list[np.ndarray]) -> float:
-    """total plus every entry of the (nz, branches) stacked columns, z-major
-    and strictly left to right, as the scalar loop over (z, branch) adds."""
-    if not columns:
+# A chunk of y rows spans about this many (y, z, v, branch) cells, or one row
+# where a row has more: it bounds the exact ladder's working set.
+_LADDER_CELLS = 1 << 13
+
+
+def _fold(total: float, terms: np.ndarray) -> float:
+    """total plus every entry of ``terms``, strictly left to right in C order,
+    as a scalar loop adds them."""
+    flat = np.array(terms, dtype=np.float64).ravel()
+    if flat.size == 0:
         return total
-    terms = np.stack(columns, axis=1).ravel()
-    return float(np.cumsum(np.concatenate(([total], terms)))[-1])
+    flat[0] += total
+    return float(np.cumsum(flat, out=flat)[-1])
 
 
-def _c_register_terms(adv: Adversary, dom: _Dom, j: int, psi: np.ndarray,
-                      rows: np.ndarray, w0: float, wk: float,
-                      with_exp1: bool) -> dict[str, list]:
-    """Per-z Pr[out=1] terms after the first stage acts on the C-by-X states
-    ``rows`` (nz, 2, D), one per z, each state weighted w0: the projected
-    experiment (Exp2 or Exp3: project C onto phi_pi^z, then measure it)
-    with its success and valid masses, and if asked Exp1 (measure C,
-    require c' = b) for b = 0 and 1."""
-    terms: dict[str, list] = {"exp1b0": [], "exp1b1": [], "proj": [], "succ": [], "valid": []}
-    nz = len(rows)
-    mass = np.sum(np.abs(rows[0]) ** 2, axis=0)  # the same for every z
-    for pc, pi, col in _cert_branches(adv, dom, j, mass):
-        w = w0 * pc * wk
-        if not dom.valid(pi, j):
-            for name in ("exp1b0", "exp1b1", "proj"):
-                terms[name].append(np.full(nz, w * 0.5))
-            continue
-        # a measured certificate leaves only its column: the sums and
-        # overlaps over X reduce to it exactly, so work on it alone
-        res, target = (rows, psi) if col is None else \
-            (rows[..., [col]] / math.sqrt(pc), psi[[col]])
-        pr_c = np.sum(np.abs(res) ** 2, axis=-1)
-        for b in (0, 1) if with_exp1 else ():
-            pb = pr_c[:, b]
-            ok = pb > 1e-15
-            xv = res[:, b] / np.sqrt(np.where(ok, pb, 1.0))[:, None]
-            guess = np.where(ok, _guess_p1(adv, target, xv), 0.5)
-            terms[f"exp1b{b}"].append(w * (pb * guess + (1 - pb) * 0.5))
-        sgn = dom.sign[:, pi]
-        merged = (res[:, 0] + sgn[:, None] * res[:, 1]) / math.sqrt(2)
-        ps = np.sum(np.abs(merged) ** 2, axis=-1)
-        ok = ps > 1e-15
-        guess = _guess_p1(adv, target, merged / np.sqrt(np.where(ok, ps, 1.0))[:, None])
-        # measuring C on phi gives a uniform bit
-        succ = np.where(ok, ps * (0.5 * guess + 0.25), 0.0)
-        terms["proj"].append(w * (succ + (1 - ps) * 0.5))
-        terms["succ"].append(w * ps)
-        terms["valid"].append(np.full(nz, w))
-    return terms
+def _ladder_branches(adv: Adversary, dom: _Dom, rows: np.ndarray, mass: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first stage's certificate branches on states whose X marginal on
+    the fiber columns is ``mass`` (Y, V, F), for the image rows ``rows``:
+    (pc, fpos, valid), each (Y, V, K), with pi's position in the fiber where
+    it is valid. A measured certificate has one branch per fiber column, pc
+    = 0.0 where the column's mass is at most 1e-15; the other modes leave
+    the state untouched."""
+    row, pos, _ = dom.fibers
+    shape = mass.shape[:2] + (1,)
+    if adv.cert == "measure":
+        valid = mass > 1e-15
+        return np.where(valid, mass, 0.0), np.broadcast_to(np.arange(mass.shape[2]),
+                                                           mass.shape), valid
+    if adv.cert == "uniform-domain":
+        n = len(row)
+        shape = shape[:2] + (n,)
+        valid = row == rows[:, None, None]
+        return np.full(shape, 1.0 / n), np.broadcast_to(pos, shape), \
+            np.broadcast_to(valid, shape)
+    if adv.cert == "lexfirst":
+        fpos, valid = dom.lexfirst_pos[rows], True
+    elif adv.cert == "garbage":
+        fpos, valid = 0, False
+    elif adv.cert == "zero":
+        fpos, valid = pos[0], row[0] == rows
+    else:
+        raise ValueError(f"unknown cert mode {adv.cert}")
+    return np.ones(shape), np.broadcast_to(np.reshape(fpos, (-1, 1, 1)), shape), \
+        np.broadcast_to(np.reshape(valid, (-1, 1, 1)), shape)
+
+
+def _safe_sqrt(p: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.where(ok, p, 1.0))
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Real inner products over the last (fiber column) axis, kept as size 1."""
+    return np.einsum("...f,...f->...", a, b)[..., None]
+
+
+def _exp0_terms(adv: Adversary, dom: _Dom, rows: np.ndarray, py: np.ndarray,
+                x: np.ndarray, pv: np.ndarray, psi: np.ndarray, wk: float) -> np.ndarray:
+    """(Y, V, K) Pr[out=1] terms of Exp0 from the X states ``x`` (Y, V, F)
+    reached with probabilities ``pv`` (Y, V)."""
+    pc, _, valid = _ladder_branches(adv, dom, rows, np.abs(x) ** 2)
+    if adv.cert == "measure":  # the residual is the basis state of the column
+        guess = _guess_p1(adv, psi[:, None, :], 1.0, np.multiply)
+    else:
+        guess = _guess_p1(adv, psi[:, None, :], x, _dot)
+    return (wk * ((py[:, None] * pv)[..., None] * pc)) * np.where(valid, guess, 0.5)
+
+
+def _c_register_terms(adv: Adversary, dom: _Dom, rows: np.ndarray, x: np.ndarray,
+                      s1: np.ndarray, spi: np.ndarray, psi: np.ndarray,
+                      w0: np.ndarray, wk: float, with_exp1: bool) -> dict[str, np.ndarray]:
+    """(Y, Z, V, K) Pr[out=1] terms after the first stage acts on the C-by-X
+    states (|0> x + |1> s1 x)/sqrt2, x (Y, V, F) and s1 broadcasting to
+    (Y, Z, V, F), each weighted w0 (Y, V): the projected experiment (Exp2
+    or Exp3: project C onto phi_pi^z, then measure it) with its success and
+    valid masses, and if asked Exp1 (measure C, require c' = b) for b = 0
+    and 1. ``spi`` (Y, Z, F) is the phase sign of the value at each fiber
+    position: a certificate pi enters the projection only through it."""
+    s2 = math.sqrt(2)
+    r0 = (x / s2)[:, None]
+    r1 = (s1 * x[:, None]) / s2
+    pc, fpos, valid = _ladder_branches(adv, dom, rows, np.abs(r0[:, 0]) ** 2
+                                       + np.abs(r1[:, 0]) ** 2)
+    w = ((w0[..., None] * pc) * wk)[:, None]
+    full = w.shape[:1] + r1.shape[1:3] + w.shape[3:]
+    t = psi[:, None, None, :]
+    spi = spi[:, :, None, :]
+    if adv.cert == "measure":
+        # a measured certificate leaves only its column, renormalised: every
+        # sum and overlap over X is that one entry, and K runs over columns
+        sp = _safe_sqrt(pc, valid)[:, None]
+        res, dot = (r0 / sp, r1 / sp), np.multiply
+        merged, tm = (res[0] + spi * res[1]) / s2, t
+    else:
+        # the state is untouched: project for pi at every fiber position f
+        # along a new axis before F, and pick each branch's f below
+        res, dot = (r0, r1), _dot
+        merged, tm = (r0[..., None, :] + spi[..., None] * r1[..., None, :]) / s2, t[..., None, :]
+    valid = valid[:, None]
+    terms = {}
+    for b in (0, 1) if with_exp1 else ():
+        pb = dot(res[b], res[b])
+        ok = pb > 1e-15
+        guess = np.where(ok, _guess_p1(adv, t, res[b] / _safe_sqrt(pb, ok), dot), 0.5)
+        terms[f"exp1b{b}"] = np.where(valid, w * (pb * guess + (1 - pb) * 0.5), w * 0.5)
+    ps = dot(merged, merged)
+    ok = ps > 1e-15
+    guess = _guess_p1(adv, tm, merged / _safe_sqrt(ps, ok), dot)
+    # measuring C on phi gives a uniform bit
+    succ = np.where(ok, ps * (0.5 * guess + 0.25), 0.0)
+    proj = succ + (1 - ps) * 0.5
+    if adv.cert != "measure":
+        at = np.broadcast_to(fpos[:, None], full)
+        proj, ps = (np.take_along_axis(a[..., 0], at, axis=-1) for a in (proj, ps))
+    terms["proj"] = np.where(valid, w * proj, w * 0.5)
+    terms["succ"] = np.where(valid, w * ps, 0.0)
+    terms["valid"] = np.where(valid, w, 0.0)
+    return {name: np.broadcast_to(a, full) for name, a in terms.items()}
 
 
 def hybrid_ladder_exact(family: HashFamily, adversary: Adversary,
                         dist: Callable | None = None) -> LadderResult:
     """Exact advantages of the four hybrid experiments under the scripted
     adversary, by full enumeration of (key, y, z, v) and branch evolution.
-    Exp1-Exp3 evolve the states of all z at once; their terms are added in
-    the (z, v, branch) order of the scalar enumeration.
+
+    Every experiment is evaluated for a chunk of images y at once, on the
+    fiber columns only, and its terms are added in the (key, y, z, v,
+    branch) order of the scalar enumeration; absent branches and padding
+    add exactly 0.0.
     """
     keys = _keys_for_exact(family)
     wk = 1.0 / len(keys)
-    p1 = {(e, b): 0.0 for e in range(4) for b in (0, 1)}
-    proj_mass = {2: [0.0, 0.0], 3: [0.0, 0.0]}  # [success mass, valid mass]
-    s2 = math.sqrt(2)
+    acc = dict.fromkeys(("exp0b0", "exp0b1", "exp1b0", "exp1b1", "proj2", "succ2",
+                         "valid2", "proj3", "succ3", "valid3"), 0.0)
 
     for key, _ in keys:
         dom = _Dom(family, key, dist)
-        sign = dom.sign
-        wz = 1.0 / len(sign)
-        for j, py in dom.y_distribution():
-            psi = dom.psi_y(j)
-            mbranches = dom.m_branches(j)
-
-            # Exp0
-            for b in (0, 1):
-                starts = [(1.0, psi)] if b == 0 else [(pv, post) for _, pv, post in mbranches]
-                for pv, xvec in starts:
-                    for pc, pi, col in _cert_branches(adversary, dom, j, np.abs(xvec) ** 2):
-                        guess = 0.5
-                        if dom.valid(pi, j):
-                            guess = _guess_p1(adversary, psi, _residual(xvec, col, pc))
-                        p1[(0, b)] += wk * (py * pv * pc) * guess
-
+        _, _, fib = dom.fibers
+        py_all, psi_all = dom.fiber_states
+        post_all, pv_all, i0_all = dom.m_groups
+        z = np.arange(1 << dom.mbits)[None, :, None]
+        wz = 1.0 / z.size
+        ny, nf = fib.shape
+        nv = pv_all.shape[1]
+        nk = len(dom.values) if adversary.cert == "uniform-domain" else 1
+        step = max(1, _LADDER_CELLS // (z.size * nv * max(nk, nf * nf)))
+        for lo in range(0, ny, step):
+            rows = np.arange(lo, min(lo + step, ny))
+            py, psi, post, pv = py_all[rows], psi_all[rows], post_all[rows], pv_all[rows]
+            spi = dom.sign(z, fib[rows][:, None, :])  # (Y, Z, F)
+            acc["exp0b0"] = _fold(acc["exp0b0"], _exp0_terms(
+                adversary, dom, rows, py, psi[:, None], np.ones((len(rows), 1)), psi, wk))
+            acc["exp0b1"] = _fold(acc["exp0b1"], _exp0_terms(
+                adversary, dom, rows, py, post, pv, psi, wk))
             # Exp1 and Exp2 share the joint state (|0>psi + |1>Z_z psi)/sqrt2
-            rows = np.stack([np.broadcast_to(psi, sign.shape), sign * psi], axis=1) / s2
-            t12 = _c_register_terms(adversary, dom, j, psi, rows, py * wz, wk, with_exp1=True)
-            for b in (0, 1):
-                p1[(1, b)] = _fold(p1[(1, b)], t12[f"exp1b{b}"])
-                p1[(2, b)] = _fold(p1[(2, b)], t12["proj"])
+            t12 = _c_register_terms(adversary, dom, rows, psi[:, None], spi[:, :, None],
+                                    spi, psi, (py * wz)[:, None], wk, with_exp1=True)
             # Exp3: measure M first, then the same C machinery
-            t3 = {"proj": [], "succ": [], "valid": []}
-            for i0, pv, post in mbranches:
-                sgn_v = sign[:, i0][:, None]
-                rows3 = np.stack([np.broadcast_to(post, sign.shape), sgn_v * post], axis=1) / s2
-                terms = _c_register_terms(adversary, dom, j, psi, rows3, py * wz * pv, wk,
-                                          with_exp1=False)
-                for name in t3:
-                    t3[name] += terms[name]
-            for b in (0, 1):
-                p1[(3, b)] = _fold(p1[(3, b)], t3["proj"])
+            s3 = dom.sign(z, i0_all[rows][:, None, :])[..., None]
+            t3 = _c_register_terms(adversary, dom, rows, post, s3, spi, psi,
+                                   (py * wz)[:, None] * pv, wk, with_exp1=False)
+            for name in ("exp1b0", "exp1b1"):
+                acc[name] = _fold(acc[name], t12[name])
             for e, t in ((2, t12), (3, t3)):
-                proj_mass[e][0] = _fold(proj_mass[e][0], t["succ"])
-                proj_mass[e][1] = _fold(proj_mass[e][1], t["valid"])
+                for name in ("proj", "succ", "valid"):
+                    acc[f"{name}{e}"] = _fold(acc[f"{name}{e}"], t[name])
 
+    p1 = {(e, b): acc[f"exp{e}b{b}"] if e < 2 else acc[f"proj{e}"]
+          for e in range(4) for b in (0, 1)}
     advs = tuple(abs(p1[(e, 0)] - p1[(e, 1)]) for e in range(4))
-    proj = {e: (proj_mass[e][0] / proj_mass[e][1] if proj_mass[e][1] else 1.0)
+    proj = {e: (acc[f"succ{e}"] / acc[f"valid{e}"] if acc[f"valid{e}"] else 1.0)
             for e in (2, 3)}
     return LadderResult(adv=advs, prob1={f"exp{e}b{b}": p1[(e, b)]
                                          for e in range(4) for b in (0, 1)},
@@ -489,7 +609,7 @@ def hybrid_ladder_mc(family: HashFamily, adversary: Adversary, exp: int,
 
     # C in |+>, controlled phase (-1)^{<M(x), z>}
     phase = np.ones(layout.dim // 2)
-    phase[reg] = dom.sign[z]
+    phase[reg] = dom.sign(z)
     state = qsim.controlled_phase_fn(c_state(np.stack([psi, psi]) / math.sqrt(2)),
                                      "C", "X", phase)
 
@@ -501,7 +621,7 @@ def hybrid_ladder_mc(family: HashFamily, adversary: Adversary, exp: int,
     state = c_state(_residual(rows, col, pc))
 
     if exp >= 2:
-        phi = np.array([1.0, dom.sign[z, pi]]) / math.sqrt(2)
+        phi = np.array([1.0, dom.sign(z, pi)]) / math.sqrt(2)
         p_succ = qsim.project_prob(state, "C", phi)
         if rng.random() >= p_succ:
             return int(rng.integers(0, 2))

@@ -292,9 +292,9 @@ def _collapse(state: QState, segment: str, k: int, prob: float) -> MeasureOutcom
         sl[ax] = v
     out = np.zeros_like(t)
     out[tuple(sl)] = t[tuple(sl)]
-    amps = out.reshape(-1)
-    amps /= np.linalg.norm(amps)
-    return MeasureOutcome(value, prob, QState(state.layout, amps))
+    # the rest is zeros, and 0 / x is 0.0: divide only the kept slice
+    out[tuple(sl)] /= np.linalg.norm(out.reshape(-1))
+    return MeasureOutcome(value, prob, QState(state.layout, out.reshape(-1)))
 
 
 def drop_segment(state: QState, segment: str, value) -> QState:

@@ -25,7 +25,13 @@ from deletia.games import (
     target_collapse_advantage_exact,
     target_collapse_exp,
 )
-from deletia.hashfam import fdelta_family, toy_regular_owf, two_to_one_family
+from deletia.hashfam import (
+    chor_goldreich_family,
+    compose_balanced,
+    fdelta_family,
+    toy_regular_owf,
+    two_to_one_family,
+)
 from deletia.qsim import ensemble_trace_distance
 from deletia.zqcore import ZqVector
 
@@ -353,3 +359,142 @@ def test_exact_values_match_pinned_golden():
         # which varies with string hashing between processes (0.125 in one,
         # 0.12500000000000003 in another), so they are pinned to 1e-15.
         assert abs(got[case]["evtc_td"] - vals["evtc_td"]) <= 1e-15, case
+
+
+# --- the batched ladder against the scalar enumeration ------------------------
+
+def _ref_fold(total, columns):
+    """total plus the (nz, branches) stacked columns, z-major, left to right."""
+    if not columns:
+        return total
+    terms = np.stack(columns, axis=1).ravel()
+    return float(np.cumsum(np.concatenate(([total], terms)))[-1])
+
+
+def _ref_c_register_terms(adv, dom, sign, j, psi, rows, w0, wk, with_exp1):
+    """Per-z Pr[out=1] terms of the C-by-X states ``rows`` (nz, 2, D)."""
+    terms = {"exp1b0": [], "exp1b1": [], "proj": [], "succ": [], "valid": []}
+    nz = len(rows)
+    mass = np.sum(np.abs(rows[0]) ** 2, axis=0)
+    for pc, pi, col in games._cert_branches(adv, dom, j, mass):
+        w = w0 * pc * wk
+        if not dom.valid(pi, j):
+            for name in ("exp1b0", "exp1b1", "proj"):
+                terms[name].append(np.full(nz, w * 0.5))
+            continue
+        res, target = (rows, psi) if col is None else \
+            (rows[..., [col]] / math.sqrt(pc), psi[[col]])
+        pr_c = np.sum(np.abs(res) ** 2, axis=-1)
+        for b in (0, 1) if with_exp1 else ():
+            pb = pr_c[:, b]
+            ok = pb > 1e-15
+            xv = res[:, b] / np.sqrt(np.where(ok, pb, 1.0))[:, None]
+            guess = np.where(ok, games._guess_p1(adv, target, xv), 0.5)
+            terms[f"exp1b{b}"].append(w * (pb * guess + (1 - pb) * 0.5))
+        merged = (res[:, 0] + sign[:, pi][:, None] * res[:, 1]) / math.sqrt(2)
+        ps = np.sum(np.abs(merged) ** 2, axis=-1)
+        ok = ps > 1e-15
+        guess = games._guess_p1(adv, target, merged / np.sqrt(np.where(ok, ps, 1.0))[:, None])
+        succ = np.where(ok, ps * (0.5 * guess + 0.25), 0.0)
+        terms["proj"].append(w * (succ + (1 - ps) * 0.5))
+        terms["succ"].append(w * ps)
+        terms["valid"].append(np.full(nz, w))
+    return terms
+
+
+def _ladder_reference(family, adversary, dist=None):
+    """The ladder by the scalar enumeration over (key, y), with every state
+    on the whole domain: Exp0 branch by branch, Exp1-Exp3 for all z at once."""
+    keys = games._keys_for_exact(family)
+    wk = 1.0 / len(keys)
+    p1 = {(e, b): 0.0 for e in range(4) for b in (0, 1)}
+    proj_mass = {2: [0.0, 0.0], 3: [0.0, 0.0]}
+    s2 = math.sqrt(2)
+    for key, _ in keys:
+        dom = games._Dom(family, key, dist)
+        sign = dom.sign(np.arange(1 << dom.mbits)[:, None])
+        wz = 1.0 / len(sign)
+        for j, py in dom.y_distribution():
+            psi = dom.psi_y(j)
+            mbranches = dom.m_branches(j)
+            for b in (0, 1):
+                starts = [(1.0, psi)] if b == 0 else [(pv, post) for _, pv, post in mbranches]
+                for pv, xvec in starts:
+                    for pc, pi, col in games._cert_branches(adversary, dom, j,
+                                                            np.abs(xvec) ** 2):
+                        guess = 0.5
+                        if dom.valid(pi, j):
+                            guess = games._guess_p1(adversary, psi,
+                                                    games._residual(xvec, col, pc))
+                        p1[(0, b)] += wk * (py * pv * pc) * guess
+            rows = np.stack([np.broadcast_to(psi, sign.shape), sign * psi], axis=1) / s2
+            t12 = _ref_c_register_terms(adversary, dom, sign, j, psi, rows, py * wz, wk, True)
+            for b in (0, 1):
+                p1[(1, b)] = _ref_fold(p1[(1, b)], t12[f"exp1b{b}"])
+                p1[(2, b)] = _ref_fold(p1[(2, b)], t12["proj"])
+            t3 = {"proj": [], "succ": [], "valid": []}
+            for i0, pv, post in mbranches:
+                rows3 = np.stack([np.broadcast_to(post, sign.shape),
+                                  sign[:, i0][:, None] * post], axis=1) / s2
+                terms = _ref_c_register_terms(adversary, dom, sign, j, psi, rows3,
+                                              py * wz * pv, wk, False)
+                for name in t3:
+                    t3[name] += terms[name]
+            for b in (0, 1):
+                p1[(3, b)] = _ref_fold(p1[(3, b)], t3["proj"])
+            for e, t in ((2, t12), (3, t3)):
+                proj_mass[e][0] = _ref_fold(proj_mass[e][0], t["succ"])
+                proj_mass[e][1] = _ref_fold(proj_mass[e][1], t["valid"])
+    prob1 = {f"exp{e}b{b}": p1[(e, b)] for e in range(4) for b in (0, 1)}
+    proj = {e: (proj_mass[e][0] / proj_mass[e][1] if proj_mass[e][1] else 1.0) for e in (2, 3)}
+    return prob1, proj
+
+
+def _sampled_keys(fam, n=3):
+    fam.keys = lambda: [fam.sample(np.random.default_rng(s)) for s in range(n)]
+    return fam
+
+
+def _skewed(x):
+    return 1.0 + (x % 5)
+
+
+def _small_fiber_families():
+    """Fibers of 2, and of 2 and 4 (range_bits 6 leaves some pairs unmerged)."""
+    fams = {f"two-to-one-{b}": two_to_one_family(b) for b in range(3, 8)}
+    fams["fdelta-toy-5-1-r6"] = _sampled_keys(fdelta_family(toy_regular_owf(5, 1, range_bits=6)))
+    return fams
+
+
+def _large_fiber_families():
+    """Fibers of 8 and of 16."""
+    return {"fdelta-toy-6-2": _sampled_keys(fdelta_family(toy_regular_owf(6, 2))),
+            "fdelta-cg": _sampled_keys(fdelta_family(compose_balanced(
+                toy_regular_owf(6, 1), chor_goldreich_family(2, 5, 3))))}
+
+
+@pytest.mark.parametrize("dist", [None, _skewed], ids=["uniform", "skewed"])
+def test_batched_ladder_matches_scalar_reference(dist):
+    for tol, fams in ((0.0, _small_fiber_families()), (1e-15, _large_fiber_families())):
+        for fname, fam in fams.items():
+            for aname, adv in sorted(ADVERSARIES.items()):
+                want_p1, want_proj = _ladder_reference(fam, adv, dist)
+                res = hybrid_ladder_exact(fam, adv, dist)
+                case = (fname, aname)
+                if tol == 0.0:
+                    assert res.prob1 == want_p1, case
+                    assert res.proj_success == want_proj, case
+                else:
+                    for k, v in want_p1.items():
+                        assert abs(res.prob1[k] - v) <= tol, (case, k)
+                    for e, v in want_proj.items():
+                        assert abs(res.proj_success[e] - v) <= tol, (case, e)
+
+
+def test_ladder_relations_at_scale():
+    fams = {"two-to-one-8": two_to_one_family(8), **_large_fiber_families()}
+    for fname, fam in fams.items():
+        for adv in (OVERLAP_PROJECTOR, HONEST_DELETER):
+            adv0, adv1, adv2, _ = hybrid_ladder_exact(fam, adv).adv
+            assert adv2 <= 1e-12, (fname, adv.name)
+            assert abs(adv1 - adv0 / 2) <= 1e-12, (fname, adv.name)

@@ -248,6 +248,68 @@ def test_collapse_matches_zero_and_copy_reference(data, d, k, seed):
     assert np.array_equal(out.post_state.amps, _zero_and_copy_reference(state, "S", idx))
 
 
+def _dims(max_slots=2, lo=2, hi=4):
+    return st.lists(st.integers(lo, hi), min_size=1, max_size=max_slots).map(tuple)
+
+
+@given(st.data(), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_apply_classical_permutes_basis_states(data, seed):
+    """|x>|t>|e> -> |x>|t + f(x) mod dims>|e> moves every amplitude to the
+    image of its basis state under one bijection, exactly."""
+    segs = [("X", data.draw(_dims())), ("T", data.draw(_dims()))]
+    if data.draw(st.booleans()):
+        segs.append(("E", data.draw(_dims(max_slots=1))))
+    segs = data.draw(st.permutations(segs))
+    lay = RegisterLayout(segs)
+    table = {x: tuple(data.draw(st.integers(0, 9)) for _ in lay.seg_dims("T"))
+             for x in lay.seg_values("X")}
+    state = rand_state(lay, np.random.default_rng(seed))
+    out = apply_classical(state, lambda x: table[x if isinstance(x, tuple) else (x,)], "X", "T")
+    digits = np.array(np.unravel_index(np.arange(lay.dim), lay.all_dims))
+    x_ax, t_ax = lay.axes("X"), lay.axes("T")
+    shift = np.array([table[tuple(col)] for col in digits[x_ax].T]).T
+    digits[t_ax] = (digits[t_ax] + shift) % np.array(lay.seg_dims("T"))[:, None]
+    perm = np.ravel_multi_index(tuple(digits), lay.all_dims)
+    assert np.array_equal(np.sort(perm), np.arange(lay.dim))
+    moved = np.zeros_like(state.amps)
+    moved[perm] = state.amps
+    assert np.array_equal(out.amps, moved)
+
+
+def _random_mixed(lay, rng, n):
+    return DensityOp.mixture([(w, rand_state(lay, rng))
+                              for w in rng.dirichlet(np.ones(n))])
+
+
+@given(_dims(max_slots=3, hi=2), st.lists(st.integers(2, 3), max_size=1),
+       st.integers(1, 3), st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_pauli_twirl_is_idempotent(qubits, env, nmix, seed):
+    segs = [("Q", qubits)] + ([("E", tuple(env))] if env else [])
+    rho = _random_mixed(RegisterLayout(segs), np.random.default_rng(seed), nmix)
+    once = pauli_twirl_channel(rho, "Q")
+    twice = pauli_twirl_channel(once, "Q")
+    np.testing.assert_allclose(twice.matrix, once.matrix, rtol=0, atol=1e-12)
+    once.check()
+
+
+@given(_dims(max_slots=1, hi=3), _dims(max_slots=2, hi=3), st.integers(1, 3),
+       st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_trace_distance_is_a_metric_that_partial_trace_contracts(a_dims, b_dims, nmix, seed):
+    lay = RegisterLayout([("A", a_dims), ("B", b_dims)])
+    rng = np.random.default_rng(seed)
+    x, y, z = (_random_mixed(lay, rng, nmix) for _ in range(3))
+    dxy, dyz, dxz = trace_distance(x, y), trace_distance(y, z), trace_distance(x, z)
+    assert abs(dxy - trace_distance(y, x)) <= 1e-12
+    assert 0.0 <= dxy <= 1.0 + 1e-12
+    assert dxz <= dxy + dyz + 1e-12
+    for keep in (["A"], ["B"]):
+        red = trace_distance(qsim.partial_trace(x, keep), qsim.partial_trace(y, keep))
+        assert red <= dxy + 1e-12
+
+
 def test_measure_rejects_unnormalised_state():
     lay = RegisterLayout([("X", (3,)), ("Y", (2,))])
     good = rand_state(lay, np.random.default_rng(8))
