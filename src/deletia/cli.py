@@ -174,6 +174,8 @@ def _advantage_ci(w0: int, w1: int, t: int) -> tuple[float, float]:
 
 def cmd_game_run(args) -> int:
     cfg = _config_from(args)
+    if args.exact and args.exp in ("tcr", "fact35"):
+        raise ValueError(f"experiment {args.exp!r} has no exact mode; drop --exact")
     adv = games.ADVERSARIES.get(args.adv)
     if adv is None and args.exp != "fact35":
         raise ValueError(f"unknown adversary {args.adv!r}; "
@@ -249,6 +251,9 @@ def cmd_game_run(args) -> int:
             a, ci = _advantage_ci(wins[0], wins[1], cfg.trials)
             report.update({"advantage": a, "ci": ci,
                            "counts": {"b0_ones": wins[0], "b1_ones": wins[1]}})
+        if args.exp == "tc" and args.exact:
+            report.update({"advantage": games.target_collapse_advantage_exact(fam, None, adv),
+                           "ci": 0.0})
         if args.exp == "evtc" and args.exact:
             e0, e1 = games.ev_target_collapse_ensembles(fam, None, adv)
             report.update({"advantage": qsim.ensemble_trace_distance(e0, e1), "ci": 0.0})

@@ -238,6 +238,58 @@ def _guess_p1(adv: Adversary, target: np.ndarray, xvec, dot=np.matmul):
     raise ValueError(f"unknown guess mode {adv.guess}")
 
 
+def _fold(total: float, terms: np.ndarray) -> float:
+    """total plus every entry of ``terms``, strictly left to right in C order,
+    as a scalar loop adds them."""
+    flat = np.array(terms, dtype=np.float64).ravel()
+    if flat.size == 0:
+        return total
+    flat[0] += total
+    return float(np.cumsum(flat, out=flat)[-1])
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Real inner products over the last (fiber column) axis, kept as size 1."""
+    return np.einsum("...f,...f->...", a, b)[..., None]
+
+
+def _ladder_branches(adv: Adversary, dom: _Dom, rows: np.ndarray, mass: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The first stage's certificate branches on states whose X marginal on
+    the fiber columns is ``mass`` (Y, V, F), for the image rows ``rows``:
+    (pc, pi, fpos, valid), each (Y, V, K), with pi's value index (-1 for
+    none) and its position in the fiber where it is valid. A measured
+    certificate has one branch per fiber column, pc = 0.0 where the column's
+    mass is at most 1e-15; the other modes leave the state untouched."""
+    row, pos, fib = dom.fibers
+    shape = mass.shape[:2] + (1,)
+    if adv.cert == "measure":
+        valid = mass > 1e-15
+        return np.where(valid, mass, 0.0), np.broadcast_to(fib[rows][:, None, :], mass.shape), \
+            np.broadcast_to(np.arange(mass.shape[2]), mass.shape), valid
+    if adv.cert == "uniform-domain":
+        n = len(row)
+        shape = shape[:2] + (n,)
+        valid = row == rows[:, None, None]
+        return np.full(shape, 1.0 / n), np.broadcast_to(np.arange(n), shape), \
+            np.broadcast_to(pos, shape), np.broadcast_to(valid, shape)
+    if adv.cert == "lexfirst":
+        fpos, valid = dom.lexfirst_pos[rows], True
+        pi = fib[rows, fpos]
+    elif adv.cert == "garbage":
+        # the first value outside the fiber: 0, or in value 0's own fiber the
+        # first value of another one (none when there is one image)
+        outside = np.flatnonzero(row != row[0])
+        pi = np.where(rows == row[0], outside[0] if outside.size else -1, 0)
+        fpos, valid = 0, False
+    elif adv.cert == "zero":
+        pi, fpos, valid = 0, pos[0], row[0] == rows
+    else:
+        raise ValueError(f"unknown cert mode {adv.cert}")
+    return np.ones(shape), *(np.broadcast_to(np.reshape(a, (-1, 1, 1)), shape)
+                             for a in (pi, fpos, valid))
+
+
 def _cert_branches(adv: Adversary, dom: _Dom, j: int, mass: np.ndarray
                    ) -> list[tuple[float, int | None, int | None]]:
     """(prob, pi, measured X index or None) branches of the first stage on a
@@ -308,18 +360,19 @@ def target_collapse_exp(family: HashFamily, dist: Callable | None,
 
 def target_collapse_advantage_exact(family: HashFamily, dist: Callable | None,
                                     adversary: Adversary) -> float:
-    """|Pr[out=1 | b=0] - Pr[out=1 | b=1]| over enumerable keys."""
-    totals = {0: 0.0, 1: 0.0}
+    """|Pr[out=1 | b=0] - Pr[out=1 | b=1]| over enumerable keys, with every
+    image y of a key at once on its fiber columns; the terms are added in
+    the (key, y, M outcome) order of the scalar enumeration."""
+    totals = [0.0, 0.0]
     keys = _keys_for_exact(family)
     for key, _ in keys:
         dom = _Dom(family, key, dist)
-        for j, py in dom.y_distribution():
-            psi = dom.psi_y(j)
-            totals[0] += py * _guess_p1(adversary, psi, psi)
-            for _, pv, post in dom.m_branches(j):
-                totals[1] += py * pv * _guess_p1(adversary, psi, post)
-    n = len(keys)
-    return abs(totals[0] - totals[1]) / n
+        py, psi = dom.fiber_states
+        post, pv, _ = dom.m_groups
+        totals[0] = _fold(totals[0], py[:, None] * _guess_p1(adversary, psi, psi, _dot))
+        totals[1] = _fold(totals[1], (py[:, None] * pv)[..., None]
+                          * _guess_p1(adversary, psi[:, None], post, _dot))
+    return abs(totals[0] - totals[1]) / len(keys)
 
 
 # ---------------------------------------------------------------------------
@@ -353,29 +406,40 @@ def ev_target_collapse_ensembles(family: HashFamily, dist: Callable | None,
     """Exact challenger-side output ensembles of the experiment for b=0 and
     b=1: classical labels (key, y, pi, valid) with the residual state the
     second stage would receive. Their trace distance bounds any unbounded
-    second stage's advantage."""
-    ens = {0: [], 1: []}
+    second stage's advantage.
+
+    A label fixes y, so each residual is given on its fiber's columns, in
+    ascending value index: an isometric image of the state on the whole X
+    register, with the same trace distance. Branches come in (key, y, M
+    outcome, certificate) order, every y of a key at once."""
+    ens = ([], [])
     keys = _keys_for_exact(family)
     wk = 1.0 / len(keys)
-    layout = qsim.RegisterLayout([("X", family.domain.register_dims())])
-
-    def residual_state(vec: np.ndarray, dom: _Dom) -> qsim.QState:
-        amps = np.zeros(layout.dim, dtype=np.complex128)
-        amps[dom.table.reg_index] = vec
-        return qsim.QState(layout, amps)
-
+    measured = adv.cert == "measure"
     for ki, (key, _) in enumerate(keys):
         dom = _Dom(family, key, dist)
-        for j, py in dom.y_distribution():
-            start = {0: [(1.0, dom.psi_y(j))]}
-            start[1] = [(pv, post) for _, pv, post in dom.m_branches(j)]
-            for b in (0, 1):
-                for pv, xvec in start[b]:
-                    for pc, pi, col in _cert_branches(adv, dom, j, np.abs(xvec) ** 2):
-                        valid = dom.valid(pi, j)
-                        label = (ki, repr(dom.table.ys[j]), repr(dom.value(pi)), valid)
-                        st = residual_state(_residual(xvec, col, pc), dom) if valid else None
-                        ens[b].append((wk * py * pv * pc, label, st))
+        _, _, fib = dom.fibers
+        py, psi = dom.fiber_states
+        post, pv, _ = dom.m_groups
+        nf = fib.shape[1]
+        layout = qsim.RegisterLayout([("X", (nf,))])
+        basis = [qsim.QState(layout, e) for e in np.eye(nf)]
+        ys = [repr(dom.table.ys[j]) for j in dom.table.repr_order()]
+        pis = [repr(v) for v in dom.values] + [repr(None)]  # index -1: no pi
+        rows = np.arange(len(fib))
+        for out, x, px in ((ens[0], psi[:, None], np.ones((len(fib), 1))), (ens[1], post, pv)):
+            pc, pi, fpos, valid = _ladder_branches(adv, dom, rows, np.abs(x) ** 2)
+            w = ((wk * py)[:, None] * px)[..., None] * pc
+            # absent M outcomes and measured columns without mass are no branch
+            keep = np.broadcast_to((px > 0)[..., None] & (valid | (not measured)), w.shape)
+            r, v, _ = np.nonzero(keep)
+            if measured:  # the residual is the basis state of the column
+                states, at = basis, fpos[keep]
+            else:  # the residual is the branch's start state x[r, v]
+                states, at = [qsim.QState(layout, a) for a in x.reshape(-1, nf)], r * x.shape[1] + v
+            out.extend((ww, (ki, ys[rr], pis[ii], ok), states[si] if ok else None)
+                       for rr, ww, ii, si, ok in zip(r.tolist(), w[keep].tolist(), pi[keep].tolist(),
+                                                     at.tolist(), valid[keep].tolist()))
     return qsim.Ensemble(ens[0]), qsim.Ensemble(ens[1])
 
 
@@ -406,62 +470,15 @@ class LadderResult:
 _LADDER_CELLS = 1 << 13
 
 
-def _fold(total: float, terms: np.ndarray) -> float:
-    """total plus every entry of ``terms``, strictly left to right in C order,
-    as a scalar loop adds them."""
-    flat = np.array(terms, dtype=np.float64).ravel()
-    if flat.size == 0:
-        return total
-    flat[0] += total
-    return float(np.cumsum(flat, out=flat)[-1])
-
-
-def _ladder_branches(adv: Adversary, dom: _Dom, rows: np.ndarray, mass: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The first stage's certificate branches on states whose X marginal on
-    the fiber columns is ``mass`` (Y, V, F), for the image rows ``rows``:
-    (pc, fpos, valid), each (Y, V, K), with pi's position in the fiber where
-    it is valid. A measured certificate has one branch per fiber column, pc
-    = 0.0 where the column's mass is at most 1e-15; the other modes leave
-    the state untouched."""
-    row, pos, _ = dom.fibers
-    shape = mass.shape[:2] + (1,)
-    if adv.cert == "measure":
-        valid = mass > 1e-15
-        return np.where(valid, mass, 0.0), np.broadcast_to(np.arange(mass.shape[2]),
-                                                           mass.shape), valid
-    if adv.cert == "uniform-domain":
-        n = len(row)
-        shape = shape[:2] + (n,)
-        valid = row == rows[:, None, None]
-        return np.full(shape, 1.0 / n), np.broadcast_to(pos, shape), \
-            np.broadcast_to(valid, shape)
-    if adv.cert == "lexfirst":
-        fpos, valid = dom.lexfirst_pos[rows], True
-    elif adv.cert == "garbage":
-        fpos, valid = 0, False
-    elif adv.cert == "zero":
-        fpos, valid = pos[0], row[0] == rows
-    else:
-        raise ValueError(f"unknown cert mode {adv.cert}")
-    return np.ones(shape), np.broadcast_to(np.reshape(fpos, (-1, 1, 1)), shape), \
-        np.broadcast_to(np.reshape(valid, (-1, 1, 1)), shape)
-
-
 def _safe_sqrt(p: np.ndarray, ok: np.ndarray) -> np.ndarray:
     return np.sqrt(np.where(ok, p, 1.0))
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Real inner products over the last (fiber column) axis, kept as size 1."""
-    return np.einsum("...f,...f->...", a, b)[..., None]
 
 
 def _exp0_terms(adv: Adversary, dom: _Dom, rows: np.ndarray, py: np.ndarray,
                 x: np.ndarray, pv: np.ndarray, psi: np.ndarray, wk: float) -> np.ndarray:
     """(Y, V, K) Pr[out=1] terms of Exp0 from the X states ``x`` (Y, V, F)
     reached with probabilities ``pv`` (Y, V)."""
-    pc, _, valid = _ladder_branches(adv, dom, rows, np.abs(x) ** 2)
+    pc, _, _, valid = _ladder_branches(adv, dom, rows, np.abs(x) ** 2)
     if adv.cert == "measure":  # the residual is the basis state of the column
         guess = _guess_p1(adv, psi[:, None, :], 1.0, np.multiply)
     else:
@@ -482,7 +499,7 @@ def _c_register_terms(adv: Adversary, dom: _Dom, rows: np.ndarray, x: np.ndarray
     s2 = math.sqrt(2)
     r0 = (x / s2)[:, None]
     r1 = (s1 * x[:, None]) / s2
-    pc, fpos, valid = _ladder_branches(adv, dom, rows, np.abs(r0[:, 0]) ** 2
+    pc, _, fpos, valid = _ladder_branches(adv, dom, rows, np.abs(r0[:, 0]) ** 2
                                        + np.abs(r1[:, 0]) ** 2)
     w = ((w0[..., None] * pc) * wk)[:, None]
     full = w.shape[:1] + r1.shape[1:3] + w.shape[3:]

@@ -263,17 +263,19 @@ def toy_regular_owf(m: int, r: int, range_bits: int | None = None) -> HashFamily
     domain = BitDomain(m)
 
     def sample(rng: np.random.Generator):
-        targets = rng.permutation(1 << ell)[: 1 << (m - r)]
-        table = np.asarray(targets, dtype=np.int64)
-        inverse = {int(v): u for u, v in enumerate(table)}
+        # the trapdoor holds each range point's preimage under g, or -1
+        table = np.asarray(rng.permutation(1 << ell)[: 1 << (m - r)], dtype=np.int64)
+        inverse = np.full(1 << ell, -1, dtype=np.int64)
+        inverse[table] = np.arange(table.size)
         return table, inverse
 
     def evalf(table, x: int) -> int:
         return int(table[x >> r])
 
     def invert(table, inverse, y: int) -> list[int]:
-        u = inverse.get(int(y))
-        if u is None:
+        y = int(y)
+        u = int(inverse[y]) if 0 <= y < inverse.size else -1
+        if u < 0:
             return []
         return [(u << r) | j for j in range(1 << r)]
 

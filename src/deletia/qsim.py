@@ -121,9 +121,6 @@ class QState:
     def copy(self) -> "QState":
         return QState(self.layout, self.amps.copy())
 
-    def fidelity_overlap(self, other: "QState") -> complex:
-        return complex(np.vdot(self.amps, other.amps))
-
     def dump(self, eps: float = 1e-12) -> str:
         """Debug dump: lines "index-tuple  re  im" for |amp| > eps, index order."""
         dims = self.layout.all_dims
@@ -573,7 +570,8 @@ def _pure_trace_norm(sa: list[tuple[float, QState]],
                      sb: list[tuple[float, QState]]) -> float:
     """Trace norm of sum_a p|v><v| - sum_b p|v><v| from its k x k image
     R W R^dagger, where V = QR stacks the k distinct states and W holds each
-    state's a-side minus b-side weight (exactly 0 when the sides agree)."""
+    state's a-side minus b-side weight (exactly 0 when the sides agree). One
+    state left with a nonzero weight needs no QR."""
     merged: dict[bytes, list] = {}
     for side, entries in ((0, sa), (1, sb)):
         for p, s in entries:
@@ -581,6 +579,9 @@ def _pure_trace_norm(sa: list[tuple[float, QState]],
     pairs = [(wa - wb, v) for wa, wb, v in merged.values() if wa != wb]
     if not pairs:
         return 0.0
+    if len(pairs) == 1:
+        w, v = pairs[0]
+        return abs(w) * float(np.vdot(v, v).real)
     _, r = np.linalg.qr(np.stack([v for _, v in pairs], axis=1))
     g = (r * np.array([w for w, _ in pairs])) @ r.conj().T
     return float(np.sum(np.abs(np.linalg.eigvalsh(g))))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from deletia import cli
+from deletia import cli, games, hashfam
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -116,6 +116,28 @@ def test_ladder_exact_report_fields(capsys):
     for field in ("adv0", "adv1", "adv2", "adv3"):
         assert field in doc
     assert doc["ci"] == 0.0
+
+
+@pytest.mark.parametrize("trials", ["0", "5"])
+def test_tc_exact_reports_the_exact_advantage(capsys, trials):
+    want = games.target_collapse_advantage_exact(
+        hashfam.two_to_one_family(3), None, games.OVERLAP_PROJECTOR)
+    code, out, _ = run_cli(capsys, [
+        "game", "run", "--exp", "tc", "--adv", "overlap-projector",
+        "--exact", "--seed", "1", "--trials", trials])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["exact"] is True
+    assert doc["advantage"] == want and doc["ci"] == 0.0
+    assert abs(want - 0.5) <= 1e-12
+
+
+@pytest.mark.parametrize("exp", ["tcr", "fact35"])
+def test_exact_without_an_exact_mode_exits_2(capsys, exp):
+    code, out, err = run_cli(capsys, ["game", "run", "--exp", exp, "--exact", "--trials", "3"])
+    assert code == 2
+    assert out == ""
+    assert f"experiment {exp!r} has no exact mode" in err
 
 
 def test_game_zero_trials_empty_report(capsys):

@@ -498,3 +498,114 @@ def test_ladder_relations_at_scale():
             adv0, adv1, adv2, _ = hybrid_ladder_exact(fam, adv).adv
             assert adv2 <= 1e-12, (fname, adv.name)
             assert abs(adv1 - adv0 / 2) <= 1e-12, (fname, adv.name)
+
+
+# --- the fiber-column EVTC ensembles and exact TC against the per-y enumeration
+
+def _evtc_reference(family, dist, adv):
+    """The EVTC ensembles by the per-y enumeration, every residual a state on
+    the whole X register."""
+    ens = {0: [], 1: []}
+    keys = games._keys_for_exact(family)
+    wk = 1.0 / len(keys)
+    layout = qsim.RegisterLayout([("X", family.domain.register_dims())])
+
+    def residual_state(vec, dom):
+        amps = np.zeros(layout.dim, dtype=np.complex128)
+        amps[dom.table.reg_index] = vec
+        return qsim.QState(layout, amps)
+
+    for ki, (key, _) in enumerate(keys):
+        dom = games._Dom(family, key, dist)
+        for j, py in dom.y_distribution():
+            start = {0: [(1.0, dom.psi_y(j))]}
+            start[1] = [(pv, post) for _, pv, post in dom.m_branches(j)]
+            for b in (0, 1):
+                for pv, xvec in start[b]:
+                    for pc, pi, col in games._cert_branches(adv, dom, j, np.abs(xvec) ** 2):
+                        valid = dom.valid(pi, j)
+                        label = (ki, repr(dom.table.ys[j]), repr(dom.value(pi)), valid)
+                        st = residual_state(games._residual(xvec, col, pc), dom) if valid else None
+                        ens[b].append((wk * py * pv * pc, label, st))
+    return qsim.Ensemble(ens[0]), qsim.Ensemble(ens[1])
+
+
+def _tc_reference(family, dist, adversary):
+    """The exact TC advantage by the per-y enumeration."""
+    totals = {0: 0.0, 1: 0.0}
+    keys = games._keys_for_exact(family)
+    for key, _ in keys:
+        dom = games._Dom(family, key, dist)
+        for j, py in dom.y_distribution():
+            psi = dom.psi_y(j)
+            totals[0] += py * games._guess_p1(adversary, psi, psi)
+            for _, pv, post in dom.m_branches(j):
+                totals[1] += py * pv * games._guess_p1(adversary, psi, post)
+    return abs(totals[0] - totals[1]) / len(keys)
+
+
+def _assert_ensemble_matches(got, want, family, dist, tol, case):
+    """Same labels in the same order; weights, and each fiber-column residual
+    embedded into the whole register through its fiber, within ``tol``
+    (``tol`` = 0: repr-equal weights and equal states)."""
+    assert [lb for _, lb, _ in got.branches] == [lb for _, lb, _ in want.branches], case
+    fibers = {}
+    for ki, (key, _) in enumerate(games._keys_for_exact(family)):
+        dom = games._Dom(family, key, dist)
+        fib = dom.fibers[2]
+        for r, j in enumerate(dom.table.repr_order()):
+            fibers[(ki, repr(dom.table.ys[j]))] = dom.table.reg_index[fib[r][fib[r] >= 0]]
+    for (p, label, st), (q, _, ref) in zip(got.branches, want.branches):
+        if tol == 0.0:
+            assert repr(float(p)) == repr(float(q)), (case, label)
+        else:
+            assert abs(p - q) <= tol, (case, label)
+        assert (st is None) == (ref is None), (case, label)
+        if st is None:
+            continue
+        cols = fibers[label[:2]]
+        embedded = np.zeros_like(ref.amps)
+        embedded[cols] = st.amps[:len(cols)]
+        assert not st.amps[len(cols):].any(), (case, label)
+        assert np.max(np.abs(embedded - ref.amps)) <= tol, (case, label)
+
+
+@pytest.mark.parametrize("dist", [None, _skewed], ids=["uniform", "skewed"])
+def test_fiber_column_evtc_matches_per_y_reference(dist):
+    for large, fams in ((False, _small_fiber_families()), (True, _large_fiber_families())):
+        # under skewed weights, psi_y on 8- and 16-wide fibers is normalised
+        # over the fiber columns here and over the whole register by the
+        # reference, which moves it by an ulp
+        tol = 1e-15 if large and dist is not None else 0.0
+        for fname, fam in fams.items():
+            for aname, adv in sorted(ADVERSARIES.items()):
+                case = (fname, aname)
+                e0, e1 = ev_target_collapse_ensembles(fam, dist, adv)
+                r0, r1 = _evtc_reference(fam, dist, adv)
+                _assert_ensemble_matches(e0, r0, fam, dist, tol, case)
+                _assert_ensemble_matches(e1, r1, fam, dist, tol, case)
+                td, want = ensemble_trace_distance(e0, e1), ensemble_trace_distance(r0, r1)
+                assert abs(td - want) <= 1e-15, case
+                got = target_collapse_advantage_exact(fam, dist, adv)
+                want = _tc_reference(fam, dist, adv)
+                if tol == 0.0:
+                    assert repr(got) == repr(float(want)), case
+                else:
+                    assert abs(got - want) <= tol, case
+
+
+def test_evtc_at_scale_on_fiber_columns():
+    fam = _sampled_keys(fdelta_family(toy_regular_owf(12, 2)), n=2)
+    for adv in (HONEST_DELETER, GARBAGE_CERTIFIER):
+        assert ensemble_trace_distance(*ev_target_collapse_ensembles(fam, None, adv)) <= 1e-10
+    # the overlap projector keeps psi_y against its M-dephased mixture: the
+    # TD is sum_y Pr[y] sqrt(p0 p1) = sum_y sqrt(A0 A1) / |domain|, per key
+    closed = 0.0
+    for key, _ in fam.keys():
+        for y in sorted({fam.eval(key, x) for x in fam.domain.values()}):
+            a0, a1 = hashfam.fiber_split(fam, key, y)
+            closed += math.sqrt(a0 * a1) / fam.domain.size
+    closed /= len(fam.keys())
+    assert closed == 0.5
+    td = ensemble_trace_distance(*ev_target_collapse_ensembles(fam, None, OVERLAP_PROJECTOR))
+    assert abs(td - closed) <= 1e-12

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -98,6 +99,23 @@ def test_toy_regular_owf_exact_regularity():
         pre = fam.invert(key, td, y)
         assert len(pre) == 4
         assert all(fam.eval(key, x) == y for x in pre)
+
+
+def test_toy_regular_owf_inverse_matches_dict_reference():
+    for m, r, range_bits in ((6, 2, None), (5, 1, 6), (6, 1, 8)):
+        fam = toy_regular_owf(m, r, range_bits)
+        ell = fam.range_bits
+        for seed in range(4):
+            table, td = fam.sample(np.random.default_rng(seed))
+            draw = np.random.default_rng(seed).permutation(1 << ell)[: 1 << (m - r)]
+            assert np.array_equal(table, draw)
+            ref = {int(v): u for u, v in enumerate(table)}
+            unpickled = pickle.loads(pickle.dumps(td))
+            for y in range(-2, (1 << ell) + 2):
+                u = ref.get(y)
+                want = [] if u is None else [(u << r) | j for j in range(1 << r)]
+                assert fam.invert(table, td, y) == want, (m, r, range_bits, y)
+                assert fam.invert(table, unpickled, np.int64(y)) == want
 
 
 def test_toy_regular_owf_resampling_is_deterministic():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -287,6 +288,20 @@ def test_hybrid_deletion_ignores_aux():
     ct.aux_ct = b"corrupted garbage"  # deletion path never touches it
     pis = scheme.delete(ct, rng)
     assert scheme.verify(ct.images, pis)
+
+
+def test_hybrid_aux_trapdoor_inverts_like_the_key_trapdoor():
+    rng = np.random.default_rng(16)
+    fam = trapdoor_family()
+    base = pvd_keygen(fam, rng, reps=2)
+    enc, dec = stream_cipher(3)
+    td = pickle.loads(dec(hybrid_compile(base, enc, dec).encrypt(0, rng).aux_ct))
+    inverted = 0
+    for y in range(1 << fam.range_bits):
+        pre = fam.invert(base.key, td, y)
+        assert pre == fam.invert(base.key, base.trapdoor, y)
+        inverted += bool(pre)
+    assert inverted > 0
 
 
 def test_hybrid_accepts_external_encryptor_callbacks():
