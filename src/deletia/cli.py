@@ -172,6 +172,27 @@ def _advantage_ci(w0: int, w1: int, t: int) -> tuple[float, float]:
     return abs(p0 - p1), ci
 
 
+def _exact_report(exp: str, adv: games.Adversary, seed: int) -> dict:
+    """The exact advantage with ci 0.0, and for the ladder every Exp's
+    advantage and the projection success rates; no trials are played."""
+    if exp == "ladder":
+        res = games.hybrid_ladder_exact(_ladder_family(), adv)
+        return {**{f"adv{i}": res.adv[i] for i in range(4)}, "advantage": res.adv[0],
+                "ci": 0.0, "proj_success": res.proj_success}
+    if exp == "tc":
+        advantage = games.target_collapse_advantage_exact(_ladder_family(), None, adv)
+    elif exp == "evtc":
+        advantage = qsim.ensemble_trace_distance(
+            *games.ev_target_collapse_ensembles(_ladder_family(), None, adv))
+    elif adv is not games.HONEST_DELETER:
+        raise ValueError(f"experiment 'sgc' has an exact mode only for "
+                         f"{games.HONEST_DELETER.name!r}, not {adv.name!r}")
+    else:
+        advantage = qsim.ensemble_trace_distance(
+            *games.sgc_honest_ensembles(configs.SGC_DESK, _rng(seed)))
+    return {"advantage": advantage, "ci": 0.0}
+
+
 def cmd_game_run(args) -> int:
     cfg = _config_from(args)
     if args.exact and args.exp in ("tcr", "fact35"):
@@ -183,36 +204,34 @@ def cmd_game_run(args) -> int:
     report = {"exp": args.exp, "adv": args.adv, "seed": cfg.seed,
               "trials": cfg.trials, "exact": bool(args.exact)}
     rows = []
-    if cfg.trials == 0 and not args.exact and args.exp != "fact35":
+    if args.exact:
+        report.update(_exact_report(args.exp, adv, cfg.seed))
+        _finish_game(report, rows, args)
+        return 0
+    if cfg.trials == 0 and args.exp != "fact35":
         report.update({"advantage": None, "ci": 0.0, "counts": {}})
         _finish_game(report, rows, args)
         return 0
 
     if args.exp == "ladder":
         fam = _ladder_family()
-        if args.exact:
-            res = games.hybrid_ladder_exact(fam, adv)
-            report.update({f"adv{i}": res.adv[i] for i in range(4)})
-            report.update({"advantage": res.adv[0], "ci": 0.0,
-                           "proj_success": res.proj_success})
-        else:
-            advs = []
-            for exp in range(4):
-                wins = {0: 0, 1: 0}
-                for t in range(cfg.trials):
-                    for b in (0, 1):
-                        offset = t * 8 + exp * 2 + b
-                        out = games.hybrid_ladder_mc(fam, adv, exp, b, _rng(cfg.seed, offset))
-                        wins[b] += out
-                        rows.append({"trial": t, "seed": cfg.seed + offset,
-                                     "b": b, "verdict": "", "guess": out})
-                a, ci = _advantage_ci(wins[0], wins[1], cfg.trials)
-                advs.append((a, ci, wins[0], wins[1]))
-            report.update({f"adv{i}": advs[i][0] for i in range(4)})
-            report.update({"advantage": advs[0][0], "ci": advs[0][1],
-                           "counts": {f"exp{i}": {"b0_ones": advs[i][2],
-                                                  "b1_ones": advs[i][3]}
-                                      for i in range(4)}})
+        advs = []
+        for exp in range(4):
+            wins = {0: 0, 1: 0}
+            for t in range(cfg.trials):
+                for b in (0, 1):
+                    offset = t * 8 + exp * 2 + b
+                    out = games.hybrid_ladder_mc(fam, adv, exp, b, _rng(cfg.seed, offset))
+                    wins[b] += out
+                    rows.append({"trial": t, "seed": cfg.seed + offset,
+                                 "b": b, "verdict": "", "guess": out})
+            a, ci = _advantage_ci(wins[0], wins[1], cfg.trials)
+            advs.append((a, ci, wins[0], wins[1]))
+        report.update({f"adv{i}": advs[i][0] for i in range(4)})
+        report.update({"advantage": advs[0][0], "ci": advs[0][1],
+                       "counts": {f"exp{i}": {"b0_ones": advs[i][2],
+                                              "b1_ones": advs[i][3]}
+                                  for i in range(4)}})
     elif args.exp in ("tc", "tcr", "evtc"):
         fam = _ladder_family() if args.exp != "tcr" else _default_bbm_family(cfg)
         wins = {0: 0, 1: 0}
@@ -251,12 +270,6 @@ def cmd_game_run(args) -> int:
             a, ci = _advantage_ci(wins[0], wins[1], cfg.trials)
             report.update({"advantage": a, "ci": ci,
                            "counts": {"b0_ones": wins[0], "b1_ones": wins[1]}})
-        if args.exp == "tc" and args.exact:
-            report.update({"advantage": games.target_collapse_advantage_exact(fam, None, adv),
-                           "ci": 0.0})
-        if args.exp == "evtc" and args.exact:
-            e0, e1 = games.ev_target_collapse_ensembles(fam, None, adv)
-            report.update({"advantage": qsim.ensemble_trace_distance(e0, e1), "ci": 0.0})
     elif args.exp == "sgc":
         params = configs.SGC_DESK
         wins, valid_count = {0: 0, 1: 0}, 0
@@ -273,9 +286,6 @@ def cmd_game_run(args) -> int:
                        "counts": {"b0_ones": wins[0], "b1_ones": wins[1],
                                   "valid": valid_count},
                        "valid_rate": valid_count / max(1, 2 * cfg.trials)})
-        if args.exact:
-            e0, e1 = games.sgc_honest_ensembles(params, _rng(cfg.seed))
-            report.update({"advantage": qsim.ensemble_trace_distance(e0, e1), "ci": 0.0})
     elif args.exp == "fact35":
         rng = _rng(cfg.seed)
         worst = math.inf

@@ -97,8 +97,8 @@ def gen_gauss(A: ZqMatrix, sigma: float, rng: np.random.Generator
     The image register is measured immediately, so y is drawn from the
     pushforward of rho_sigma^2 under x -> A x (read off the image codes, no
     box is built) and the normalised coset amplitudes
-    rho_sigma(x) / sqrt(mass(y)) are written directly; gen_gauss_verbatim is
-    the step-by-step register version (same channel).
+    rho_sigma(x) / sqrt(mass(y)) are written directly: the same channel as
+    preparing the Gaussian on X, computing A x into Y and measuring Y.
     """
     n, w, q = A.rows, A.cols, A.q
     weights = gaussian_box_weights(q, w, sigma)
@@ -108,24 +108,6 @@ def gen_gauss(A: ZqMatrix, sigma: float, rng: np.random.Generator
     amps = np.where(ycodes == code, weights / math.sqrt(mass[code]), 0.0)
     coset = qsim.QState(qsim.RegisterLayout([("X", (q,) * w)]), amps)
     return coset, ZqVector(np.asarray(np.unravel_index(code, (q,) * n)), q)
-
-
-def gen_gauss_verbatim(A: ZqMatrix, sigma: float, rng: np.random.Generator
-                       ) -> tuple[qsim.QState, ZqVector]:
-    """GenGauss as literal register operations (prepare, U_A, measure)."""
-    n, w = A.rows, A.cols
-    q = A.q
-    layout = qsim.RegisterLayout([("X", (q,) * w), ("Y", (q,) * n)])
-    state = qsim.prepare_weighted(layout, "X", gaussian_box_weights(q, w, sigma))
-
-    def f(xval):
-        x = ZqVector(np.asarray(xval, dtype=np.int64), q)
-        return tuple((A @ x).entries.tolist())
-
-    state = qsim.apply_classical(state, f, "X", "Y")
-    out = qsim.measure(state, "Y", rng)
-    coset = qsim.drop_segment(out.post_state, "Y", out.value)
-    return coset, ZqVector(np.asarray(out.value), q)
 
 
 def plaintext_offset(params: DRParams, b: int) -> np.ndarray:

@@ -91,15 +91,17 @@ class GameTranscript:
 
 
 # ---------------------------------------------------------------------------
-# Shared exact-mode plumbing over a family's enumerable domain
+# Per-key domain tables, shared by the sampled and the exact games
 # ---------------------------------------------------------------------------
 
 class _Dom:
     """One key's domain table with D-weights. Images are addressed by their
-    position j in ``ys``, certificates pi by their index into ``values``."""
+    row, in repr order of y (the rows of ``fibers``), certificates pi by
+    their index into ``values``."""
 
     def __init__(self, family: HashFamily, key, dist: Callable | None):
         self.family = family
+        self.dist = dist
         self.table = family.table(key)
         self.values = self.table.values
         d = np.array([1.0 if dist is None else dist(x) for x in self.values])
@@ -114,6 +116,11 @@ class _Dom:
     def sign(self, z, idx=slice(None)) -> np.ndarray:
         """(-1)^{<M(x), z>} for z packed as an int, at the value indices idx."""
         return 1.0 - 2.0 * (np.bitwise_count(z & self.table.mvals[idx]) & 1)
+
+    @functools.cached_property
+    def ys(self) -> list:
+        """The images in row order."""
+        return [self.table.ys[j] for j in self.table.repr_order()]
 
     @functools.cached_property
     def fibers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -172,51 +179,19 @@ class _Dom:
         vrank = np.argsort(sorted(range(n), key=self.values.__getitem__))
         return np.argmin(np.where(fib >= 0, vrank[fib], n), axis=1)
 
-    def y_distribution(self) -> list[tuple[int, float]]:
-        """(position j of y in the table's ys, Pr[y]) in repr order of y."""
-        py = np.bincount(self.table.image_ids, weights=self.weights,
-                         minlength=len(self.table.ys))
-        return [(j, py[j]) for j in self.table.repr_order()]
 
-    def fiber(self, j: int) -> np.ndarray:
-        return np.flatnonzero(self.table.image_ids == j)
+_last_dom: _Dom | None = None
 
-    def psi_y(self, j: int) -> np.ndarray:
-        amps = np.where(self.table.image_ids == j, np.sqrt(self.weights), 0.0)
-        return amps / np.linalg.norm(amps)
 
-    def value(self, pi: int | None):
-        return None if pi is None else self.values[pi]
-
-    def valid(self, pi: int | None, j: int) -> bool:
-        return pi is not None and bool(self.table.image_ids[pi] == j)
-
-    def lexfirst(self, j: int) -> int:
-        return int(min(self.fiber(j), key=self.values.__getitem__))
-
-    def garbage(self, j: int) -> int | None:
-        outside = np.flatnonzero(self.table.image_ids != j)
-        return int(outside[0]) if outside.size else None
-
-    def m_branches(self, j: int) -> list[tuple[int, float, np.ndarray]]:
-        """Outcomes of measuring M on psi_y, in repr order of the outcome:
-        (index of a value with that outcome, prob, post vector)."""
-        psi = self.psi_y(j)
-        identity = self.family.measure is None
-        groups: dict[object, list[int]] = {}
-        for i in self.fiber(j):
-            v = self.values[i] if identity else int(self.table.mvals[i])
-            groups.setdefault(v, []).append(int(i))
-        out = []
-        for v in sorted(groups.keys(), key=repr):
-            idxs = groups[v]
-            p = float(np.cumsum(psi[idxs] ** 2)[-1])
-            if p <= 0:
-                continue
-            post = np.zeros_like(psi)
-            post[idxs] = psi[idxs]
-            out.append((idxs[0], p, post / math.sqrt(p)))
-        return out
+def _dom(family: HashFamily, key, dist: Callable | None) -> _Dom:
+    """The key's _Dom, reused while ``family.table(key)`` and ``dist`` are the
+    objects it was built from, so that sampled runs which draw the same key
+    build its tables once. Only the last one is kept."""
+    global _last_dom
+    if _last_dom is None or _last_dom.table is not family.table(key) \
+            or _last_dom.dist is not dist:
+        _last_dom = _Dom(family, key, dist)
+    return _last_dom
 
 
 def _keys_for_exact(family: HashFamily) -> list:
@@ -290,59 +265,38 @@ def _ladder_branches(adv: Adversary, dom: _Dom, rows: np.ndarray, mass: np.ndarr
                              for a in (pi, fpos, valid))
 
 
-def _cert_branches(adv: Adversary, dom: _Dom, j: int, mass: np.ndarray
-                   ) -> list[tuple[float, int | None, int | None]]:
-    """(prob, pi, measured X index or None) branches of the first stage on a
-    state whose X marginal is ``mass``; None leaves the state untouched."""
-    if adv.cert == "measure":
-        return [(float(p), i, i) for i, p in enumerate(mass) if p > 1e-15]
-    if adv.cert == "lexfirst":
-        return [(1.0, dom.lexfirst(j), None)]
-    if adv.cert == "uniform-domain":
-        n = len(dom.values)
-        return [(1.0 / n, i, None) for i in range(n)]
-    if adv.cert == "garbage":
-        return [(1.0, dom.garbage(j), None)]
-    if adv.cert == "zero":
-        return [(1.0, 0, None)]
-    raise ValueError(f"unknown cert mode {adv.cert}")
-
-
-def _residual(rows: np.ndarray, col: int | None, pc: float) -> np.ndarray:
-    """The state after a certificate branch. Measuring X of a pure X state
-    leaves the basis state |x>; a C-by-X state (..., 2, D) keeps its C
-    amplitudes on the measured column, renormalised."""
-    if col is None:
-        return rows
-    res = np.zeros_like(rows)
-    res[..., col] = 1.0 if rows.ndim == 1 else rows[..., col] / math.sqrt(pc)
-    return res
-
-
-def _pick(branches: list[tuple], rng: np.random.Generator, at: int) -> tuple:
-    """One branch, drawn with the probabilities held at position ``at``."""
-    probs = np.array([br[at] for br in branches])
-    return branches[int(rng.choice(len(branches), p=probs / probs.sum()))]
+def _pick(p: np.ndarray, rng: np.random.Generator) -> int:
+    """The index of one nonzero entry of ``p``, drawn in proportion to it."""
+    k = np.flatnonzero(p)
+    return int(k[rng.choice(len(k), p=p[k] / p[k].sum())])
 
 
 def _sample_challenge(family: HashFamily, dist: Callable | None, b: int,
                       rng: np.random.Generator) -> tuple[_Dom, int, np.ndarray]:
-    """Sample h and y, and for odd b measure M: (domain, y position, X state)."""
+    """Sample h and y, and for odd b measure M: (domain, image row, X state
+    on the row's fiber columns)."""
     key, _ = family.sample(rng)
-    dom = _Dom(family, key, dist)
-    js, ps = zip(*dom.y_distribution())
-    j = js[int(rng.choice(len(js), p=np.array(ps)))]
-    xvec = dom.psi_y(j)
+    dom = _dom(family, key, dist)
+    py, psi = dom.fiber_states
+    r = int(rng.choice(len(py), p=py))
     if b % 2:
-        xvec = _pick(dom.m_branches(j), rng, 1)[2]
-    return dom, j, xvec
+        post, pv, _ = dom.m_groups
+        return dom, r, post[r, _pick(pv[r], rng)]
+    return dom, r, psi[r]
 
 
-def _sample_certificate(adv: Adversary, dom: _Dom, j: int, xvec: np.ndarray,
-                        rng: np.random.Generator) -> tuple[int | None, np.ndarray]:
-    """The first stage on a pure X state: (pi, residual X state)."""
-    pc, pi, col = _pick(_cert_branches(adv, dom, j, np.abs(xvec) ** 2), rng, 0)
-    return pi, _residual(xvec, col, pc)
+def _sample_certificate(adv: Adversary, dom: _Dom, r: int, mass: np.ndarray,
+                        rng: np.random.Generator) -> tuple[int, int | None, bool]:
+    """The first stage on a state of image row r whose X marginal on the
+    row's fiber columns is ``mass`` (its padding may be left off): pi's value
+    index (-1 for none), the measured fiber position (None when the state is
+    left untouched) and whether pi is valid."""
+    full = np.zeros(dom.fibers[2].shape[1])
+    full[:len(mass)] = mass
+    pc, pi, fpos, valid = (a.ravel() for a in
+                           _ladder_branches(adv, dom, np.array([r]), full[None, None]))
+    k = _pick(pc, rng)
+    return int(pi[k]), int(fpos[k]) if adv.cert == "measure" else None, bool(valid[k])
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +307,8 @@ def target_collapse_exp(family: HashFamily, dist: Callable | None,
                         adversary: Adversary, b: int,
                         rng: np.random.Generator) -> int:
     """One sampled run; returns the adversary's guess bit."""
-    dom, j, xvec = _sample_challenge(family, dist, b, rng)
-    p1 = _guess_p1(adversary, dom.psi_y(j), xvec)
-    return int(rng.random() < p1)
+    dom, r, xvec = _sample_challenge(family, dist, b, rng)
+    return int(rng.random() < _guess_p1(adversary, dom.fiber_states[1][r], xvec))
 
 
 def target_collapse_advantage_exact(family: HashFamily, dist: Callable | None,
@@ -366,7 +319,7 @@ def target_collapse_advantage_exact(family: HashFamily, dist: Callable | None,
     totals = [0.0, 0.0]
     keys = _keys_for_exact(family)
     for key, _ in keys:
-        dom = _Dom(family, key, dist)
+        dom = _dom(family, key, dist)
         py, psi = dom.fiber_states
         post, pv, _ = dom.m_groups
         totals[0] = _fold(totals[0], py[:, None] * _guess_p1(adversary, psi, psi, _dot))
@@ -385,16 +338,16 @@ def ev_target_collapse_exp(family: HashFamily, dist: Callable | None,
                            ) -> GameTranscript:
     """One sampled run of the certified-everlasting experiment; the verdict
     records the fallback: an invalid certificate draws b' uniformly."""
-    dom, j, xvec = _sample_challenge(family, dist, b, rng)
-    pi, residual = _sample_certificate(adv_pair, dom, j, xvec, rng)
-    valid = dom.valid(pi, j)
-    if valid:
-        bprime = int(rng.random() < _guess_p1(adv_pair, dom.psi_y(j), residual))
+    dom, r, xvec = _sample_challenge(family, dist, b, rng)
+    pi, col, valid = _sample_certificate(adv_pair, dom, r, np.abs(xvec) ** 2, rng)
+    if valid:  # measuring X leaves the basis state of the column
+        residual = xvec if col is None else np.eye(len(xvec))[col]
+        bprime = int(rng.random() < _guess_p1(adv_pair, dom.fiber_states[1][r], residual))
     else:
         bprime = int(rng.integers(0, 2))
     return GameTranscript(
         experiment="evtc", seed=seed, b=b, adversary=adv_pair.name,
-        outputs={"y": repr(dom.table.ys[j]), "pi": repr(dom.value(pi)),
+        outputs={"y": repr(dom.ys[r]), "pi": repr(None if pi < 0 else dom.values[pi]),
                  "valid": bool(valid), "b_prime": bprime},
         verdict=bprime,
     )
@@ -417,14 +370,14 @@ def ev_target_collapse_ensembles(family: HashFamily, dist: Callable | None,
     wk = 1.0 / len(keys)
     measured = adv.cert == "measure"
     for ki, (key, _) in enumerate(keys):
-        dom = _Dom(family, key, dist)
+        dom = _dom(family, key, dist)
         _, _, fib = dom.fibers
         py, psi = dom.fiber_states
         post, pv, _ = dom.m_groups
         nf = fib.shape[1]
         layout = qsim.RegisterLayout([("X", (nf,))])
         basis = [qsim.QState(layout, e) for e in np.eye(nf)]
-        ys = [repr(dom.table.ys[j]) for j in dom.table.repr_order()]
+        ys = [repr(y) for y in dom.ys]
         pis = [repr(v) for v in dom.values] + [repr(None)]  # index -1: no pi
         rows = np.arange(len(fib))
         for out, x, px in ((ens[0], psi[:, None], np.ones((len(fib), 1))), (ens[1], post, pv)):
@@ -441,17 +394,6 @@ def ev_target_collapse_ensembles(family: HashFamily, dist: Callable | None,
                        for rr, ww, ii, si, ok in zip(r.tolist(), w[keep].tolist(), pi[keep].tolist(),
                                                      at.tolist(), valid[keep].tolist()))
     return qsim.Ensemble(ens[0]), qsim.Ensemble(ens[1])
-
-
-def tcr_exp(family: HashFamily, adversary, rng: np.random.Generator,
-            dist: Callable | None = None, aux: Callable | None = None):
-    """The target-collision-resistance experiment, including the
-    auxiliary-information variant: ``aux(td)`` is invoked once and its
-    result handed to the adversary alongside (h, y, X). With aux=None this
-    is exactly the plain experiment (shared implementation in hashfam)."""
-    from .hashfam import tcr_game
-
-    return tcr_game(family, adversary, rng, dist=dist, aux=aux)
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +496,7 @@ def hybrid_ladder_exact(family: HashFamily, adversary: Adversary,
                          "valid2", "proj3", "succ3", "valid3"), 0.0)
 
     for key, _ in keys:
-        dom = _Dom(family, key, dist)
+        dom = _dom(family, key, dist)
         _, _, fib = dom.fibers
         py_all, psi_all = dom.fiber_states
         post_all, pv_all, i0_all = dom.m_groups
@@ -601,19 +543,16 @@ def hybrid_ladder_exact(family: HashFamily, adversary: Adversary,
 
 def hybrid_ladder_mc(family: HashFamily, adversary: Adversary, exp: int,
                      b: int, rng: np.random.Generator) -> int:
-    """One sampled run of Exp_exp(b); returns the experiment output bit."""
+    """One sampled run of Exp_exp(b); returns the experiment output bit.
+    Exp0 is the certified-everlasting experiment."""
     if exp == 0:
-        dom, j, xvec = _sample_challenge(family, None, b, rng)
-        pi, res = _sample_certificate(adversary, dom, j, xvec, rng)
-        if not dom.valid(pi, j):
-            return int(rng.integers(0, 2))
-        return int(rng.random() < _guess_p1(adversary, dom.psi_y(j), res))
+        return ev_target_collapse_exp(family, None, adversary, b, rng).verdict
 
-    dom, j, psi = _sample_challenge(family, None, 0, rng)
-    target = psi
-    reg = dom.table.reg_index
-    x_seg = ("X", family.domain.register_dims())
-    layout = qsim.RegisterLayout([("C", (2,)), x_seg])
+    dom, r, psi = _sample_challenge(family, None, 0, rng)
+    fib = dom.fibers[2][r]
+    reg = dom.table.reg_index[fib[fib >= 0]]  # the row's fiber columns (padding is last)
+    target = psi = psi[:len(reg)]
+    layout = qsim.RegisterLayout([("C", (2,)), ("X", family.domain.register_dims())])
 
     def c_state(rows: np.ndarray) -> qsim.QState:
         amps = np.zeros((2, layout.dim // 2), dtype=np.complex128)
@@ -622,20 +561,25 @@ def hybrid_ladder_mc(family: HashFamily, adversary: Adversary, exp: int,
 
     z = int(rng.integers(0, 1 << dom.mbits))
     if exp == 3:
-        psi = _pick(dom.m_branches(j), rng, 1)[2]
+        post, pv, _ = dom.m_groups
+        psi = post[r, _pick(pv[r], rng), :len(reg)]
 
     # C in |+>, controlled phase (-1)^{<M(x), z>}
     phase = np.ones(layout.dim // 2)
-    phase[reg] = dom.sign(z)
+    phase[dom.table.reg_index] = dom.sign(z)
     state = qsim.controlled_phase_fn(c_state(np.stack([psi, psi]) / math.sqrt(2)),
                                      "C", "X", phase)
 
     rows = state.amps.reshape(2, -1)[:, reg]
-    pc, pi, col = _pick(_cert_branches(adversary, dom, j,
-                                       np.sum(np.abs(rows) ** 2, axis=0)), rng, 0)
-    if not dom.valid(pi, j):
+    mass = np.sum(np.abs(rows) ** 2, axis=0)
+    pi, col, valid = _sample_certificate(adversary, dom, r, mass, rng)
+    if not valid:
         return int(rng.integers(0, 2))
-    state = c_state(_residual(rows, col, pc))
+    if col is not None:  # measuring X keeps the column's C amplitudes, renormalised
+        kept = np.zeros_like(rows)
+        kept[:, col] = rows[:, col] / math.sqrt(mass[col])
+        rows = kept
+    state = c_state(rows)
 
     if exp >= 2:
         phi = np.array([1.0, dom.sign(z, pi)]) / math.sqrt(2)

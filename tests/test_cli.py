@@ -132,6 +132,28 @@ def test_tc_exact_reports_the_exact_advantage(capsys, trials):
     assert abs(want - 0.5) <= 1e-12
 
 
+@pytest.mark.parametrize("exp", ["tc", "evtc", "sgc"])
+def test_exact_report_plays_no_trials(capsys, exp):
+    docs = []
+    for trials in ("0", "200"):
+        code, out, _ = run_cli(capsys, ["game", "run", "--exp", exp, "--exact",
+                                        "--seed", "2", "--trials", trials])
+        assert code == 0
+        docs.append(json.loads(out))
+    for doc in docs:
+        assert list(doc) == ["exp", "adv", "seed", "trials", "exact", "advantage", "ci"]
+        assert doc["exact"] is True and doc["ci"] == 0.0
+    assert docs[0]["advantage"] == docs[1]["advantage"]
+
+
+def test_sgc_exact_needs_the_honest_deleter(capsys):
+    code, out, err = run_cli(capsys, ["game", "run", "--exp", "sgc", "--adv", "noop",
+                                      "--exact", "--trials", "0"])
+    assert code == 2
+    assert out == ""
+    assert "exact mode only for 'honest-deleter'" in err
+
+
 @pytest.mark.parametrize("exp", ["tcr", "fact35"])
 def test_exact_without_an_exact_mode_exits_2(capsys, exp):
     code, out, err = run_cli(capsys, ["game", "run", "--exp", exp, "--exact", "--trials", "3"])

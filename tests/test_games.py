@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 
@@ -5,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from deletia import configs, games, hashfam, qsim
+from deletia import cli, configs, games, hashfam, qsim
 from deletia.games import (
     ADVERSARIES,
     BRUTE_FORCE_INVERTER,
@@ -302,8 +304,8 @@ def test_exact_and_mc_agree_for_honest_deleter_exp0():
 
 def test_tcr_exp_aux_plumbing():
     fam = fdelta_family(toy_regular_owf(6, 2))
-    tr_plain = games.tcr_exp(fam, hashfam.brute_force_tcr_adversary,
-                             np.random.default_rng(4))
+    tr_plain = hashfam.tcr_game(fam, hashfam.brute_force_tcr_adversary,
+                                np.random.default_rng(4))
     tr_match = hashfam.tcr_game(fam, hashfam.brute_force_tcr_adversary,
                                 np.random.default_rng(4))
     assert (tr_plain.y, tr_plain.v, tr_plain.answer) == \
@@ -314,8 +316,8 @@ def test_tcr_exp_aux_plumbing():
         seen.append(td)
         return td
 
-    games.tcr_exp(fam, hashfam.brute_force_tcr_adversary,
-                  np.random.default_rng(5), aux=leak)
+    hashfam.tcr_game(fam, hashfam.brute_force_tcr_adversary,
+                     np.random.default_rng(5), aux=leak)
     assert len(seen) == 1
 
 
@@ -363,6 +365,86 @@ def test_exact_values_match_pinned_golden():
 
 # --- the batched ladder against the scalar enumeration ------------------------
 
+class _RefDom(games._Dom):
+    """The per-y view of one key's domain table that the scalar references
+    enumerate: images by their position j in ``ys``, every state on the whole
+    domain."""
+
+    def y_distribution(self) -> list[tuple[int, float]]:
+        """(position j of y in the table's ys, Pr[y]) in repr order of y."""
+        py = np.bincount(self.table.image_ids, weights=self.weights,
+                         minlength=len(self.table.ys))
+        return [(j, py[j]) for j in self.table.repr_order()]
+
+    def fiber(self, j: int) -> np.ndarray:
+        return np.flatnonzero(self.table.image_ids == j)
+
+    def psi_y(self, j: int) -> np.ndarray:
+        amps = np.where(self.table.image_ids == j, np.sqrt(self.weights), 0.0)
+        return amps / np.linalg.norm(amps)
+
+    def value(self, pi: int | None):
+        return None if pi is None else self.values[pi]
+
+    def valid(self, pi: int | None, j: int) -> bool:
+        return pi is not None and bool(self.table.image_ids[pi] == j)
+
+    def lexfirst(self, j: int) -> int:
+        return int(min(self.fiber(j), key=self.values.__getitem__))
+
+    def garbage(self, j: int) -> int | None:
+        outside = np.flatnonzero(self.table.image_ids != j)
+        return int(outside[0]) if outside.size else None
+
+    def m_branches(self, j: int) -> list[tuple[int, float, np.ndarray]]:
+        """Outcomes of measuring M on psi_y, in repr order of the outcome:
+        (index of a value with that outcome, prob, post vector)."""
+        psi = self.psi_y(j)
+        identity = self.family.measure is None
+        groups: dict[object, list[int]] = {}
+        for i in self.fiber(j):
+            v = self.values[i] if identity else int(self.table.mvals[i])
+            groups.setdefault(v, []).append(int(i))
+        out = []
+        for v in sorted(groups.keys(), key=repr):
+            idxs = groups[v]
+            p = float(np.cumsum(psi[idxs] ** 2)[-1])
+            if p <= 0:
+                continue
+            post = np.zeros_like(psi)
+            post[idxs] = psi[idxs]
+            out.append((idxs[0], p, post / math.sqrt(p)))
+        return out
+
+
+def _ref_cert_branches(adv, dom, j, mass):
+    """(prob, pi, measured X index or None) branches of the first stage on a
+    state whose X marginal is ``mass``; None leaves the state untouched."""
+    if adv.cert == "measure":
+        return [(float(p), i, i) for i, p in enumerate(mass) if p > 1e-15]
+    if adv.cert == "lexfirst":
+        return [(1.0, dom.lexfirst(j), None)]
+    if adv.cert == "uniform-domain":
+        n = len(dom.values)
+        return [(1.0 / n, i, None) for i in range(n)]
+    if adv.cert == "garbage":
+        return [(1.0, dom.garbage(j), None)]
+    if adv.cert == "zero":
+        return [(1.0, 0, None)]
+    raise ValueError(f"unknown cert mode {adv.cert}")
+
+
+def _ref_residual(rows, col, pc):
+    """The state after a certificate branch. Measuring X of a pure X state
+    leaves the basis state |x>; a C-by-X state (..., 2, D) keeps its C
+    amplitudes on the measured column, renormalised."""
+    if col is None:
+        return rows
+    res = np.zeros_like(rows)
+    res[..., col] = 1.0 if rows.ndim == 1 else rows[..., col] / math.sqrt(pc)
+    return res
+
+
 def _ref_fold(total, columns):
     """total plus the (nz, branches) stacked columns, z-major, left to right."""
     if not columns:
@@ -376,7 +458,7 @@ def _ref_c_register_terms(adv, dom, sign, j, psi, rows, w0, wk, with_exp1):
     terms = {"exp1b0": [], "exp1b1": [], "proj": [], "succ": [], "valid": []}
     nz = len(rows)
     mass = np.sum(np.abs(rows[0]) ** 2, axis=0)
-    for pc, pi, col in games._cert_branches(adv, dom, j, mass):
+    for pc, pi, col in _ref_cert_branches(adv, dom, j, mass):
         w = w0 * pc * wk
         if not dom.valid(pi, j):
             for name in ("exp1b0", "exp1b1", "proj"):
@@ -411,7 +493,7 @@ def _ladder_reference(family, adversary, dist=None):
     proj_mass = {2: [0.0, 0.0], 3: [0.0, 0.0]}
     s2 = math.sqrt(2)
     for key, _ in keys:
-        dom = games._Dom(family, key, dist)
+        dom = _RefDom(family, key, dist)
         sign = dom.sign(np.arange(1 << dom.mbits)[:, None])
         wz = 1.0 / len(sign)
         for j, py in dom.y_distribution():
@@ -420,12 +502,12 @@ def _ladder_reference(family, adversary, dist=None):
             for b in (0, 1):
                 starts = [(1.0, psi)] if b == 0 else [(pv, post) for _, pv, post in mbranches]
                 for pv, xvec in starts:
-                    for pc, pi, col in games._cert_branches(adversary, dom, j,
+                    for pc, pi, col in _ref_cert_branches(adversary, dom, j,
                                                             np.abs(xvec) ** 2):
                         guess = 0.5
                         if dom.valid(pi, j):
                             guess = games._guess_p1(adversary, psi,
-                                                    games._residual(xvec, col, pc))
+                                                    _ref_residual(xvec, col, pc))
                         p1[(0, b)] += wk * (py * pv * pc) * guess
             rows = np.stack([np.broadcast_to(psi, sign.shape), sign * psi], axis=1) / s2
             t12 = _ref_c_register_terms(adversary, dom, sign, j, psi, rows, py * wz, wk, True)
@@ -516,16 +598,16 @@ def _evtc_reference(family, dist, adv):
         return qsim.QState(layout, amps)
 
     for ki, (key, _) in enumerate(keys):
-        dom = games._Dom(family, key, dist)
+        dom = _RefDom(family, key, dist)
         for j, py in dom.y_distribution():
             start = {0: [(1.0, dom.psi_y(j))]}
             start[1] = [(pv, post) for _, pv, post in dom.m_branches(j)]
             for b in (0, 1):
                 for pv, xvec in start[b]:
-                    for pc, pi, col in games._cert_branches(adv, dom, j, np.abs(xvec) ** 2):
+                    for pc, pi, col in _ref_cert_branches(adv, dom, j, np.abs(xvec) ** 2):
                         valid = dom.valid(pi, j)
                         label = (ki, repr(dom.table.ys[j]), repr(dom.value(pi)), valid)
-                        st = residual_state(games._residual(xvec, col, pc), dom) if valid else None
+                        st = residual_state(_ref_residual(xvec, col, pc), dom) if valid else None
                         ens[b].append((wk * py * pv * pc, label, st))
     return qsim.Ensemble(ens[0]), qsim.Ensemble(ens[1])
 
@@ -535,7 +617,7 @@ def _tc_reference(family, dist, adversary):
     totals = {0: 0.0, 1: 0.0}
     keys = games._keys_for_exact(family)
     for key, _ in keys:
-        dom = games._Dom(family, key, dist)
+        dom = _RefDom(family, key, dist)
         for j, py in dom.y_distribution():
             psi = dom.psi_y(j)
             totals[0] += py * games._guess_p1(adversary, psi, psi)
@@ -609,3 +691,55 @@ def test_evtc_at_scale_on_fiber_columns():
     assert closed == 0.5
     td = ensemble_trace_distance(*ev_target_collapse_ensembles(fam, None, OVERLAP_PROJECTOR))
     assert abs(td - closed) <= 1e-12
+
+
+# --- pinned Monte Carlo draws -------------------------------------------------
+
+MC_GOLDEN = "tests/golden/mc_games.json"
+
+
+# a measured certificate with a projecting second stage: the one pairing in
+# which a sampled run's bit depends on the measured residual
+MEASURING_PROJECTOR = games.Adversary("measuring-projector", "test", "measure", "project0")
+
+
+def mc_values() -> dict:
+    """Sampled-game outputs: the CLI's tc / evtc / ladder stdout for every
+    scripted adversary at seed 1 with the trial counts of the mc-protocols
+    benchmark, and the API's transcripts and bits under uniform and skewed
+    weights, interleaved so that consecutive runs change the weights and the
+    adversary, on a family that samples a fresh key per run and on the
+    single-key 2-to-1 family."""
+    out = {}
+    for exp, trials in (("tc", 20), ("evtc", 20), ("ladder", 5)):
+        for aname in sorted(ADVERSARIES):
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(["game", "run", "--exp", exp, "--adv", aname,
+                                 "--trials", str(trials), "--seed", "1"])
+            out[f"cli/{exp}/{aname}"] = [code, stdout.getvalue()]
+    advs = sorted([*ADVERSARIES.values(), MEASURING_PROJECTOR], key=lambda a: a.name)
+    for fname, fam in (("fdelta-toy-6-2", fdelta_family(toy_regular_owf(6, 2))),
+                       ("two-to-one-3", two_to_one_family(3))):
+        for seed in range(4):
+            for adv in advs:
+                for b in (0, 1):
+                    for dname, dist in (("uniform", None), ("skewed", _skewed)):
+                        rng = np.random.default_rng(100 * seed + b)
+                        tr = ev_target_collapse_exp(fam, dist, adv, b, rng, seed=seed)
+                        bit = target_collapse_exp(fam, dist, adv, b,
+                                                  np.random.default_rng(100 * seed + 2 + b))
+                        out[f"api/{fname}/{dname}/{adv.name}/{seed}/{b}"] = [tr.to_json(), bit]
+                    out[f"api/{fname}/ladder/{adv.name}/{seed}/{b}"] = [
+                        hybrid_ladder_mc(fam, adv, e, b, np.random.default_rng(100 * seed + 10 * e + b))
+                        for e in range(4)]
+    return out
+
+
+def test_monte_carlo_draws_match_pinned_golden():
+    with open(MC_GOLDEN) as fh:
+        want = json.load(fh)
+    got = json.loads(json.dumps(mc_values()))
+    assert got.keys() == want.keys()
+    for case, vals in want.items():
+        assert got[case] == vals, case
