@@ -105,7 +105,12 @@ def gen_gauss(A: ZqMatrix, sigma: float, rng: np.random.Generator
     ycodes = zq_image_codes(A)
     mass = np.bincount(ycodes, weights=weights**2, minlength=q**n)
     code = int(rng.choice(len(mass), p=mass / mass.sum()))
-    amps = np.where(ycodes == code, weights / math.sqrt(mass[code]), 0.0)
+    members = np.flatnonzero(ycodes == code)
+    values = weights[members] / math.sqrt(mass[code])
+    # free the box-sized tables first, so the state can take their place
+    del weights, ycodes
+    amps = np.zeros(q**w, dtype=np.complex128)
+    amps[members] = values
     coset = qsim.QState(qsim.RegisterLayout([("X", (q,) * w)]), amps)
     return coset, ZqVector(np.asarray(np.unravel_index(code, (q,) * n)), q)
 

@@ -95,7 +95,12 @@ class ZqBallDomain:
 
 @functools.lru_cache(maxsize=8)
 def _enumerate(domain) -> tuple[tuple, np.ndarray]:
-    """The domain's values and each value's flat index in its register."""
+    """The domain's values and each value's flat index in its register.
+
+    A bit domain's qubits are big-endian, so each value is its own index.
+    """
+    if isinstance(domain, BitDomain):
+        return tuple(range(domain.size)), np.arange(domain.size, dtype=np.int64)
     values = tuple(domain.values())
     layout = qsim.RegisterLayout([("X", domain.register_dims())])
     index = [layout.value_index("X", domain.to_register(x)) for x in values]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -138,9 +138,22 @@ class QState:
 
 @dataclass
 class MeasureOutcome:
+    """A measured value, its probability and the collapsed post-state.
+
+    The post-state may be passed as a function of no arguments; it is then
+    called on the first read of ``post_state`` only, so a caller that keeps
+    just the value never builds a state-sized copy.
+    """
+
     value: tuple[int, ...]
     probability: float
-    post_state: QState
+    _post_state: QState | Callable[[], QState] = field(repr=False, compare=False)
+
+    @property
+    def post_state(self) -> QState:
+        if not isinstance(self._post_state, QState):
+            self._post_state = self._post_state()
+        return self._post_state
 
 
 def basis_state(layout: RegisterLayout, assignment: dict[str, Sequence[int]] | None = None) -> QState:
@@ -263,21 +276,27 @@ def apply_phase_fn(state: QState, segment: str, phase: Callable | np.ndarray) ->
 
 def marginal_probs(state: QState, segment: str) -> np.ndarray:
     mat, _ = _move_segment_last(state, segment)
-    return np.sum(np.abs(mat) ** 2, axis=0)
+    probs = np.abs(mat)
+    np.square(probs, out=probs)
+    return probs[0] if len(probs) == 1 else probs.sum(axis=0)
 
 
 def measure(state: QState, segment: str, rng: np.random.Generator) -> MeasureOutcome:
     """Born-rule measurement of one segment in the computational basis.
 
-    Raises ValueError when the state's norm is off by more than NORM_TOL.
+    The collapsed state is built on the first read of the outcome's
+    ``post_state``. Raises ValueError when the state's norm is off by more
+    than NORM_TOL.
     """
     probs = marginal_probs(state, segment)
     total = probs.sum()
     if abs(total - 1.0) > NORM_TOL:
         raise ValueError(f"cannot measure a state of squared norm {total!r}")
-    probs = probs / total
+    probs /= total
     k = int(rng.choice(len(probs), p=probs))
-    return _collapse(state, segment, k, float(probs[k]))
+    prob = float(probs[k])
+    value = tuple(int(v) for v in np.unravel_index(k, state.layout.seg_dims(segment)))
+    return MeasureOutcome(value, prob, lambda: _collapse(state, segment, k, prob).post_state)
 
 
 def _collapse(state: QState, segment: str, k: int, prob: float) -> MeasureOutcome:
@@ -363,7 +382,7 @@ def phase_oracle(state: QState, segment: str, v: Sequence[int]) -> QState:
         ph = w ** ((np.arange(d) * vi) % d)
         shape = [1] * t.ndim
         shape[ax] = d
-        t = t * ph.reshape(shape)
+        t *= ph.reshape(shape)
     return QState(state.layout, t.reshape(-1))
 
 

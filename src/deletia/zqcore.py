@@ -220,29 +220,42 @@ def _check_box(q: int, w: int) -> None:
 def zq_image_codes(A: ZqMatrix) -> np.ndarray:
     """Mixed-radix code of A x mod q for every x of Z_q^w, flat in zq_box order.
 
-    Each row's image is built slot by slot as an outer sum over A's columns,
-    like the norms in gaussian_box_weights, so the box is never formed.
+    Each row's image is built slot by slot, gathering from a q x q table of
+    (i + j) mod q rather than reducing a growing outer sum, so the box is
+    never formed. The table is built only for w >= 2, where q^2 fits the box.
     """
     q, w = A.q, A.cols
     _check_box(q, w)
+    small = np.min_scalar_type(q - 1)
     digits = np.arange(q, dtype=np.int64)
-    codes = np.zeros(q**w, dtype=np.int64)
+    residue = ((digits[:, None] + digits[None, :]) % q).astype(small) if w > 1 else None
+    # the first row broadcasts this to the box; with no rows every code is 0
+    codes = np.zeros(1 if A.rows else q**w, dtype=np.int64)
     for row in A.entries:
-        img = np.zeros(1, dtype=np.int64)
-        for a in row:
-            img = ((img[:, None] + (digits * a % q)[None, :]) % q).reshape(-1)
+        img = (digits * row[0] % q).astype(small)
+        for a in row[1:]:
+            img = residue[:, digits * a % q].take(img, axis=0).reshape(-1)
         codes = codes * q + img
     return codes
 
 
 def gaussian_box_weights(q: int, w: int, sigma: float) -> np.ndarray:
-    """rho_sigma over Z_q^w on centered representatives, flat in zq_box order."""
+    """rho_sigma over Z_q^w on centered representatives, flat in zq_box order.
+
+    The integer squared norms take at most w (q // 2)^2 + 1 values, so exp is
+    taken once per norm and gathered; each entry is the same float as exp over
+    the whole box. At w = 1 that table would outgrow the box, so the box's
+    own norms are exponentiated instead.
+    """
     _check_box(q, w)
-    digits = centered_array(np.arange(q, dtype=np.int64), q).astype(float)
-    nsq = np.zeros(1)
-    for _ in range(w):
-        nsq = (nsq[:, None] + (digits**2)[None, :]).reshape(-1)
-    return np.exp(-math.pi * nsq / sigma**2)
+    top = w * (q // 2) ** 2
+    sq = (centered_array(np.arange(q, dtype=np.int64), q) ** 2).astype(np.min_scalar_type(top))
+    nsq = sq
+    for _ in range(w - 1):
+        nsq = np.add.outer(nsq, sq).reshape(-1)
+    if top >= nsq.size:
+        return np.exp(-math.pi * nsq / sigma**2)
+    return np.exp(-math.pi * np.arange(top + 1) / sigma**2).take(nsq)
 
 
 def truncated_gaussian_pmf(params: GaussianParams) -> np.ndarray:

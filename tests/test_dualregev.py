@@ -18,6 +18,7 @@ from deletia.zqcore import (
     gaussian_box_weights,
     rho_sigma,
     zq_box,
+    zq_image_codes,
 )
 
 PARAMS = configs.DR_EXACT  # (n=1, m=2, q=13, sigma=3)
@@ -332,3 +333,44 @@ def test_fhe_column_certificate_lands_in_coset(nmqs, x, data):
     keys = fhe.fhe_keygen(params, np.random.default_rng(seed))
     g = x * gadget_matrix(q, params.width).entries[:, j]
     assert_certificate_in_coset(keys.pk.transpose(), params.sigma, g, seed)
+
+
+def _gen_gauss_where_reference(A, sigma, rng):
+    """GenGauss written as a whole-box np.where over the image codes, with
+    QState converting the real amplitudes to complex."""
+    n, w, q = A.rows, A.cols, A.q
+    weights = gaussian_box_weights(q, w, sigma)
+    ycodes = zq_image_codes(A)
+    mass = np.bincount(ycodes, weights=weights**2, minlength=q**n)
+    code = int(rng.choice(len(mass), p=mass / mass.sum()))
+    amps = np.where(ycodes == code, weights / math.sqrt(mass[code]), 0.0)
+    coset = qsim.QState(qsim.RegisterLayout([("X", (q,) * w)]), amps)
+    return coset, ZqVector(np.asarray(np.unravel_index(code, (q,) * n)), q)
+
+
+@given(small_params(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_gen_gauss_matches_the_where_reference(nmqs, seed):
+    n, m, q, sigma = nmqs
+    A = ZqMatrix(np.random.default_rng(seed).integers(0, q, size=(n, m + 1)), q)
+    rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    state, y = dr.gen_gauss(A, sigma, rng)
+    want, want_y = _gen_gauss_where_reference(A, sigma, ref_rng)
+    assert y == want_y
+    assert np.array_equal(state.amps, want.amps)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_delete_and_decrypt_build_no_collapsed_state(monkeypatch):
+    def collapse(*args):
+        raise AssertionError("a collapsed state was built that nobody reads")
+
+    monkeypatch.setattr(qsim, "_collapse", collapse)
+    params = dr.dr_params(1, 3, 7, 2)
+    rng = np.random.default_rng(11)
+    keys = dr.dr_keygen(params, rng)
+    ct = dr.dr_encrypt(keys, 1, rng)
+    A, y = ct.vk
+    assert A @ dr.dr_delete(ct, rng) == y
+    assert A @ dr.coset_delete(ct.state, params.q, rng) == y
+    assert dr.dr_decrypt(keys, ct, rng) in (0, 1)

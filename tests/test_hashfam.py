@@ -494,3 +494,19 @@ def test_balance_estimate_keeps_no_table_per_sampled_key():
     finally:
         tracemalloc.stop()
     assert grown < 60_000  # one 4 KiB value table per key would be 120 KB
+
+
+def _enumerate_per_value(domain):
+    """Each value's register index through value_index, one call per value."""
+    values = tuple(domain.values())
+    layout = qsim.RegisterLayout([("X", domain.register_dims())])
+    index = [layout.value_index("X", domain.to_register(x)) for x in values]
+    return values, np.array(index, dtype=np.int64)
+
+
+def test_bit_domain_enumeration_matches_the_per_value_path():
+    for bits in range(1, 13):
+        values, index = hashfam._enumerate(BitDomain(bits))
+        want_values, want_index = _enumerate_per_value(BitDomain(bits))
+        assert values == want_values and all(type(v) is int for v in values)
+        assert index.dtype == np.int64 and np.array_equal(index, want_index)

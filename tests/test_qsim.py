@@ -248,6 +248,44 @@ def test_collapse_matches_zero_and_copy_reference(data, d, k, seed):
     assert np.array_equal(out.post_state.amps, _zero_and_copy_reference(state, "S", idx))
 
 
+@given(st.data(), st.integers(2, 4), st.integers(1, 3), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_measure_and_phase_kernels_match_their_reference_forms(data, d, k, seed):
+    """marginal_probs, the measured probability and the post-state are the
+    same floats as squaring into a new array, summing over every row and
+    collapsing at once; phase_oracle is the same as multiplying into copies."""
+    rng = np.random.default_rng(seed)
+    state = rand_state(_random_layout_around(data, d, k), rng)
+    mat, _ = qsim._move_segment_last(state, "S")
+    probs = np.sum(np.abs(mat) ** 2, axis=0)
+    assert np.array_equal(marginal_probs(state, "S"), probs)
+    probs = probs / probs.sum()
+    out = measure(state, "S", np.random.default_rng(seed))
+    idx = int(np.random.default_rng(seed).choice(len(probs), p=probs))
+    want = qsim._collapse(state, "S", idx, float(probs[idx]))
+    assert (out.value, out.probability) == (want.value, want.probability)
+    assert np.array_equal(out.post_state.amps, want.post_state.amps)
+    v = data.draw(st.lists(st.integers(0, d - 1), min_size=k, max_size=k))
+    t = state.tensor_view()
+    for ax, vi in zip(state.layout.axes("S"), v):
+        shape = [1] * t.ndim
+        shape[ax] = d
+        t = t * (np.exp(2j * np.pi / d) ** ((np.arange(d) * vi) % d)).reshape(shape)
+    assert np.array_equal(phase_oracle(state, "S", v).amps, t.reshape(-1))
+
+
+def test_measure_builds_the_collapsed_state_once_on_read(monkeypatch):
+    state = rand_state(RegisterLayout([("X", (3, 2)), ("Y", (2,))]), np.random.default_rng(5))
+    calls = []
+    collapse = qsim._collapse
+    monkeypatch.setattr(qsim, "_collapse", lambda *args: calls.append(args) or collapse(*args))
+    out = measure(state, "X", np.random.default_rng(1))
+    assert calls == []
+    first = out.post_state
+    assert out.post_state is first and len(calls) == 1
+    assert drop_segment(first, "X", out.value).norm() == pytest.approx(1.0)
+
+
 def _dims(max_slots=2, lo=2, hi=4):
     return st.lists(st.integers(lo, hi), min_size=1, max_size=max_slots).map(tuple)
 

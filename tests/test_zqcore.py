@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from deletia.zqcore import (
     ZqMatrix,
     ZqVector,
     centered,
+    centered_array,
     gadget_inverse,
     gadget_matrix,
     gaussian_box_weights,
@@ -121,6 +123,40 @@ def test_zq_image_codes_match_the_box_product(n, w, q, seed):
     want = matmul_mod(zq_box(q, w), A.entries.T, q) @ radix
     got = zq_image_codes(A)
     assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def _box_weights_reference(q, w, sigma):
+    """rho_sigma as exp over the float squared norms of the whole box."""
+    digits = centered_array(np.arange(q, dtype=np.int64), q).astype(float)
+    nsq = np.zeros(1)
+    for _ in range(w):
+        nsq = (nsq[:, None] + (digits**2)[None, :]).reshape(-1)
+    return np.exp(-math.pi * nsq / sigma**2)
+
+
+def test_gaussian_box_weights_match_exp_over_the_box():
+    sigmas = [0.5, 1.5, math.sqrt(2.0) * 3, 5.0, 12.25, 40.0]
+    for q in range(2, 41):
+        for w in range(1, 7):
+            if q**w > 1 << 14:
+                break
+            for sigma in sigmas:
+                got = gaussian_box_weights(q, w, sigma)
+                assert got.dtype == np.float64
+                assert np.array_equal(got, _box_weights_reference(q, w, sigma)), (q, w, sigma)
+
+
+def test_gaussian_box_weights_one_slot_builds_no_table_past_the_box():
+    # a norm table at w = 1 would hold ~q^2/4 floats: terabytes at this q
+    q = zqcore.ENUM_GUARD - 3
+    tracemalloc.start()
+    try:
+        got = gaussian_box_weights(q, 1, 1000.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (q,) and peak <= 4 * got.nbytes
+    assert got[0] == 1.0 and got[1000] == got[q - 1000] == pytest.approx(math.exp(-math.pi))
 
 
 def test_zq_box_guard():
