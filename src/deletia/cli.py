@@ -2,6 +2,13 @@
 
 JSON goes to stdout, a short human summary to stderr. Exit codes: 0 ok,
 1 verdict failure, 2 config error. DELETIA_SEED overrides any seed.
+
+Each command declares only the flags it reads (``build_parser``). Its
+parameter flags, the ones among ``CONFIG_KEYS``, may also come from a
+``--config`` file of ``key = value`` lines: a key that is not one of the
+command's parameter flags exits 2, and a flag on the command line beats
+the file. A lattice command runs its shipped parameter set from
+``configs`` with each given n, m, q, sigma and depth put in.
 """
 
 from __future__ import annotations
@@ -14,11 +21,15 @@ import math
 import os
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 
 from . import configs, dualfhe, dualregev, games, hashfam, pvdcore, qsim
-from .configs import RunConfig
+
+# Every parameter flag and config-file key, with its type.
+CONFIG_KEYS = {"n": int, "m": int, "q": int, "sigma": float, "depth": int,
+               "trials": int, "reps": int}
 
 
 def _rng(seed: int, offset: int = 0) -> np.random.Generator:
@@ -33,29 +44,32 @@ def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _resolve_seed(args) -> int:
-    env = os.environ.get("DELETIA_SEED")
-    if env is not None:
-        return int(env)
-    return args.seed
+def _resolve(args) -> None:
+    """Fill in each parameter flag not given on the command line from the
+    ``--config`` file, else from the command's default (None: the field of
+    its shipped parameter set); DELETIA_SEED overrides ``--seed``."""
+    given = configs.parse_config_file(args.config) if getattr(args, "config", None) else {}
+    for key in given:
+        if key not in args.keys:
+            raise ValueError(f"unknown config key {key!r}")
+    for key in args.keys:
+        if getattr(args, key) is None:
+            setattr(args, key, CONFIG_KEYS[key](given[key]) if key in given
+                    else args.defaults.get(key))
+    if "DELETIA_SEED" in os.environ:
+        args.seed = int(os.environ["DELETIA_SEED"])
 
 
-def _config_from(args) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        raw = configs.parse_config_file(args.config)
-        for key, val in raw.items():
-            if not hasattr(cfg, key):
-                raise ValueError(f"unknown config key {key!r}")
-            cur = getattr(cfg, key)
-            cfg = replace(cfg, **{key: type(cur)(val) if not isinstance(cur, bool)
-                                  else val.lower() in ("1", "true", "yes")})
-    for key in ("n", "m", "q", "sigma", "depth", "trials", "reps"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg = replace(cfg, **{key: val})
-    cfg = replace(cfg, seed=_resolve_seed(args))
-    return cfg
+def _params(base, args):
+    """``base`` with each n, m, q, depth and sigma (as sigma^2) that ``args`` gives."""
+    fields = {k: getattr(args, k) for k in ("n", "m", "q", "depth")
+              if getattr(args, k, None) is not None}
+    sigma = getattr(args, "sigma", None)
+    if sigma is not None:
+        if not (sigma > 0 and sigma * sigma < math.inf):
+            raise ValueError(f"sigma must be > 0 with a finite square, got {sigma}")
+        fields["sigma_sq"] = Fraction(sigma) ** 2
+    return replace(base, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -63,9 +77,8 @@ def _config_from(args) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_dr_roundtrip(args) -> int:
-    cfg = _config_from(args)
-    params = cfg.dr() if args.n is not None else configs.DR_ROUNDTRIP
-    rng = _rng(cfg.seed)
+    params = _params(configs.DR_ROUNDTRIP, args)
+    rng = _rng(args.seed)
     keys = dualregev.dr_keygen(params, rng)
     b = int(rng.integers(0, 2)) if args.bit is None else args.bit % 2
     decrypted = dualregev.dr_decrypt(keys, dualregev.dr_encrypt(keys, b, rng), rng)
@@ -79,31 +92,26 @@ def cmd_dr_roundtrip(args) -> int:
 
 
 def cmd_fhe_nand_tree(args) -> int:
-    cfg = _config_from(args)
-    params = cfg.fhe() if args.n is not None else configs.FHE_CLASSICAL
-    if args.depth is not None:
-        params = dualfhe.fhe_params(params.n, params.m, params.q,
-                                    sigma_sq=params.sigma_sq, depth=args.depth)
-    rng = _rng(cfg.seed)
+    params, trials = _params(configs.FHE_CLASSICAL, args), args.trials
+    rng = _rng(args.seed)
     keys = dualfhe.fhe_keygen(params, rng)
     records, all_ok = [], True
-    for t in range(cfg.trials):
+    for t in range(trials):
         leaves = [int(v) for v in rng.integers(0, 2, size=1 << params.depth)]
         dec, exp = dualfhe.nand_tree_eval(keys, leaves, rng)
         ok = dec == exp
         all_ok &= ok
         records.append({"trial": t, "leaves": leaves, "decrypted": dec,
                         "expected": exp, "ok": ok})
-    _emit({"scheme": "fhe", "depth": params.depth, "trials": cfg.trials,
+    _emit({"scheme": "fhe", "depth": params.depth, "trials": trials,
            "all_ok": all_ok, "records": records})
-    _note(f"fhe nand-tree: {sum(r['ok'] for r in records)}/{cfg.trials} correct")
+    _note(f"fhe nand-tree: {sum(r['ok'] for r in records)}/{trials} correct")
     return 0 if all_ok else 1
 
 
 def cmd_fhe_delete_roundtrip(args) -> int:
-    cfg = _config_from(args)
-    params = cfg.fhe() if args.n is not None else configs.FHE_QUANTUM
-    rng = _rng(cfg.seed)
+    params = _params(configs.FHE_QUANTUM, args)
+    rng = _rng(args.seed)
     keys = dualfhe.fhe_keygen(params, rng)
     x = int(rng.integers(0, 2)) if args.bit is None else args.bit % 2
     measured = dualfhe.fhe_measure_q(dualfhe.fhe_encrypt_q(keys, x, rng), rng)
@@ -117,14 +125,13 @@ def cmd_fhe_delete_roundtrip(args) -> int:
     return 0 if (decrypted == x and verified) else 1
 
 
-def _default_bbm_family(cfg: RunConfig) -> hashfam.HashFamily:
+def _default_bbm_family() -> hashfam.HashFamily:
     return hashfam.fdelta_family(hashfam.toy_regular_owf(6, 2))
 
 
 def cmd_commit_demo(args) -> int:
-    cfg = _config_from(args)
-    rng = _rng(cfg.seed)
-    fam = _default_bbm_family(cfg)
+    rng = _rng(args.seed)
+    fam = _default_bbm_family()
     b = int(rng.integers(0, 2)) if args.bit is None else args.bit % 2
     pair = pvdcore.commit(fam, b, configs.COMMIT_REPS, rng)
     honest = pvdcore.open_accept_prob(pair, b)
@@ -138,13 +145,11 @@ def cmd_commit_demo(args) -> int:
 
 
 def cmd_pvd_roundtrip(args) -> int:
-    cfg = _config_from(args)
-    rng = _rng(cfg.seed)
+    rng = _rng(args.seed)
     comp = hashfam.compose_balanced(
-        hashfam.toy_regular_owf(6, 2),
-        hashfam.chor_goldreich_family(cfg.t_universal, 4, 3))
+        hashfam.toy_regular_owf(6, 2), hashfam.chor_goldreich_family(6, 4, 3))
     fam = hashfam.fdelta_family(comp)
-    keys = pvdcore.pvd_keygen(fam, rng, reps=cfg.reps)
+    keys = pvdcore.pvd_keygen(fam, rng, reps=args.reps)
     b = int(rng.integers(0, 2)) if args.bit is None else args.bit % 2
     decrypted = pvdcore.pvd_decrypt(keys, pvdcore.pvd_encrypt(keys, b, rng), rng)
     ct = pvdcore.pvd_encrypt(keys, b, rng)
@@ -194,21 +199,21 @@ def _exact_report(exp: str, adv: games.Adversary, seed: int) -> dict:
 
 
 def cmd_game_run(args) -> int:
-    cfg = _config_from(args)
+    seed, trials = args.seed, args.trials
     if args.exact and args.exp in ("tcr", "fact35"):
         raise ValueError(f"experiment {args.exp!r} has no exact mode; drop --exact")
     adv = games.ADVERSARIES.get(args.adv)
     if adv is None and args.exp != "fact35":
         raise ValueError(f"unknown adversary {args.adv!r}; "
                          f"known: {sorted(games.ADVERSARIES)}")
-    report = {"exp": args.exp, "adv": args.adv, "seed": cfg.seed,
-              "trials": cfg.trials, "exact": bool(args.exact)}
+    report = {"exp": args.exp, "adv": args.adv, "seed": seed,
+              "trials": trials, "exact": bool(args.exact)}
     rows = []
     if args.exact:
-        report.update(_exact_report(args.exp, adv, cfg.seed))
+        report.update(_exact_report(args.exp, adv, seed))
         _finish_game(report, rows, args)
         return 0
-    if cfg.trials == 0 and args.exp != "fact35":
+    if trials == 0 and args.exp != "fact35":
         report.update({"advantage": None, "ci": 0.0, "counts": {}})
         _finish_game(report, rows, args)
         return 0
@@ -218,14 +223,14 @@ def cmd_game_run(args) -> int:
         advs = []
         for exp in range(4):
             wins = {0: 0, 1: 0}
-            for t in range(cfg.trials):
+            for t in range(trials):
                 for b in (0, 1):
                     offset = t * 8 + exp * 2 + b
-                    out = games.hybrid_ladder_mc(fam, adv, exp, b, _rng(cfg.seed, offset))
+                    out = games.hybrid_ladder_mc(fam, adv, exp, b, _rng(seed, offset))
                     wins[b] += out
-                    rows.append({"trial": t, "seed": cfg.seed + offset,
+                    rows.append({"trial": t, "seed": seed + offset,
                                  "b": b, "verdict": "", "guess": out})
-            a, ci = _advantage_ci(wins[0], wins[1], cfg.trials)
+            a, ci = _advantage_ci(wins[0], wins[1], trials)
             advs.append((a, ci, wins[0], wins[1]))
         report.update({f"adv{i}": advs[i][0] for i in range(4)})
         report.update({"advantage": advs[0][0], "ci": advs[0][1],
@@ -233,16 +238,16 @@ def cmd_game_run(args) -> int:
                                               "b1_ones": advs[i][3]}
                                   for i in range(4)}})
     elif args.exp in ("tc", "tcr", "evtc"):
-        fam = _ladder_family() if args.exp != "tcr" else _default_bbm_family(cfg)
+        fam = _ladder_family() if args.exp != "tcr" else _default_bbm_family()
         wins = {0: 0, 1: 0}
         win_count = 0
-        for t in range(cfg.trials):
-            rng = _rng(cfg.seed, t)
+        for t in range(trials):
+            rng = _rng(seed, t)
             if args.exp == "tc":
                 for b in (0, 1):
-                    out = games.target_collapse_exp(fam, None, adv, b, _rng(cfg.seed, t * 2 + b))
+                    out = games.target_collapse_exp(fam, None, adv, b, _rng(seed, t * 2 + b))
                     wins[b] += out
-                    rows.append({"trial": t, "seed": cfg.seed + t * 2 + b, "b": b,
+                    rows.append({"trial": t, "seed": seed + t * 2 + b, "b": b,
                                  "verdict": "", "guess": out})
             elif args.exp == "tcr":
                 adv_fn = {"brute-force-inverter": hashfam.brute_force_tcr_adversary,
@@ -251,53 +256,53 @@ def cmd_game_run(args) -> int:
                               args.adv, hashfam.honest_tcr_adversary)
                 tr = hashfam.tcr_game(fam, adv_fn, rng)
                 win_count += tr.win
-                rows.append({"trial": t, "seed": cfg.seed + t, "b": "",
+                rows.append({"trial": t, "seed": seed + t, "b": "",
                              "verdict": tr.win, "guess": repr(tr.answer)})
             else:
                 for b in (0, 1):
                     tr = games.ev_target_collapse_exp(fam, None, adv, b,
-                                                      _rng(cfg.seed, t * 2 + b),
-                                                      seed=cfg.seed + t * 2 + b)
+                                                      _rng(seed, t * 2 + b),
+                                                      seed=seed + t * 2 + b)
                     wins[b] += tr.verdict
                     rows.append({"trial": t, "seed": tr.seed, "b": b,
                                  "verdict": tr.outputs["valid"], "guess": tr.verdict})
         if args.exp == "tcr":
-            report.update({"win_rate": win_count / max(1, cfg.trials), "ci": 0.0,
-                           "advantage": win_count / max(1, cfg.trials),
+            report.update({"win_rate": win_count / max(1, trials), "ci": 0.0,
+                           "advantage": win_count / max(1, trials),
                            "counts": {"wins": win_count,
-                                      "losses": cfg.trials - win_count}})
+                                      "losses": trials - win_count}})
         else:
-            a, ci = _advantage_ci(wins[0], wins[1], cfg.trials)
+            a, ci = _advantage_ci(wins[0], wins[1], trials)
             report.update({"advantage": a, "ci": ci,
                            "counts": {"b0_ones": wins[0], "b1_ones": wins[1]}})
     elif args.exp == "sgc":
         params = configs.SGC_DESK
         wins, valid_count = {0: 0, 1: 0}, 0
-        for t in range(cfg.trials):
+        for t in range(trials):
             for b in (0, 1):
                 tr = games.strong_gauss_collapse_exp(
-                    params, adv, b, _rng(cfg.seed, t * 2 + b), seed=cfg.seed + t * 2 + b)
+                    params, adv, b, _rng(seed, t * 2 + b), seed=seed + t * 2 + b)
                 wins[b] += tr.verdict
                 valid_count += tr.outputs["valid"]
                 rows.append({"trial": t, "seed": tr.seed, "b": b,
                              "verdict": tr.outputs["valid"], "guess": tr.verdict})
-        a, ci = _advantage_ci(wins[0], wins[1], cfg.trials)
+        a, ci = _advantage_ci(wins[0], wins[1], trials)
         report.update({"advantage": a, "ci": ci,
                        "counts": {"b0_ones": wins[0], "b1_ones": wins[1],
                                   "valid": valid_count},
-                       "valid_rate": valid_count / max(1, 2 * cfg.trials)})
+                       "valid_rate": valid_count / max(1, 2 * trials)})
     elif args.exp == "fact35":
-        rng = _rng(cfg.seed)
+        rng = _rng(seed)
         worst = math.inf
         holds = True
-        for t in range(cfg.trials):
+        for t in range(trials):
             nproj = int(rng.integers(2, 5))
             dim = int(rng.integers(nproj + 1, 9))
             D, pis, psi = games.random_fact35_instance(rng, dim, nproj)
             res = games.fact35_check(D, pis, psi)
             worst = min(worst, res.lhs - res.rhs)
             holds &= res.holds
-            rows.append({"trial": t, "seed": cfg.seed, "b": "",
+            rows.append({"trial": t, "seed": seed, "b": "",
                          "verdict": res.holds, "guess": f"{res.lhs - res.rhs:.3e}"})
         report.update({"advantage": 0.0, "ci": 0.0, "all_hold": holds,
                        "worst_slack": worst})
@@ -314,7 +319,7 @@ def _finish_game(report: dict, rows: list[dict], args) -> None:
     _emit(report)
     adv = report.get("advantage")
     _note(f"game {report['exp']}: advantage={adv} ci={report.get('ci')}")
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=["trial", "seed", "b", "verdict", "guess"])
             writer.writeheader()
@@ -327,12 +332,11 @@ def _finish_game(report: dict, rows: list[dict], args) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    cfg = _config_from(args)
-    scheme = args.scheme
-    rows = configs.validate_scheme(scheme, cfg)
-    report = {"scheme": scheme,
-              "params": {"n": cfg.n, "m": cfg.m, "q": cfg.q,
-                         "sigma": cfg.sigma, "depth": cfg.depth},
+    params = _params(configs.VALIDATE_DEFAULTS, args)
+    rows = configs.validate_scheme(args.scheme, params)
+    report = {"scheme": args.scheme,
+              "params": {"n": params.n, "m": params.m, "q": params.q,
+                         "sigma": params.sigma, "depth": params.depth},
               "checks": [{"name": n, "status": s, "detail": d} for n, s, d in rows]}
     _emit(report)
     for name, status, detail in rows:
@@ -347,64 +351,51 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="deletia")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, trials_default=100):
+    def command(group, name, fn, keys=(), bit=False, **defaults):
+        """A subcommand with --seed, the parameter flags ``keys`` (with
+        --config when there are any), and --bit if it encrypts one bit.
+        ``defaults`` holds the keys not taken from a shipped parameter set."""
+        p = group.add_parser(name)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--config", "--params", dest="config", type=str, default=None)
-        p.add_argument("--trials", type=int, default=trials_default)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--m", type=int, default=None)
-        p.add_argument("--q", type=int, default=None)
-        p.add_argument("--sigma", type=float, default=None)
-        p.add_argument("--depth", type=int, default=None)
-        p.add_argument("--reps", type=int, default=None)
+        if keys:
+            p.add_argument("--config", "--params", dest="config", default=None)
+        for key in keys:
+            p.add_argument(f"--{key}", type=CONFIG_KEYS[key], default=None)
+        if bit:
+            p.add_argument("--bit", type=int, default=None)
+        p.set_defaults(fn=fn, keys=keys, defaults=defaults)
+        return p
 
-    dr = sub.add_parser("dr").add_subparsers(dest="sub", required=True)
-    p = dr.add_parser("roundtrip")
-    common(p)
-    p.add_argument("--bit", type=int, default=None)
-    p.set_defaults(fn=cmd_dr_roundtrip)
+    def group(name):
+        return sub.add_parser(name).add_subparsers(dest="sub", required=True)
 
-    fhe = sub.add_parser("fhe").add_subparsers(dest="sub", required=True)
-    p = fhe.add_parser("nand-tree")
-    common(p, trials_default=10)
-    p.set_defaults(fn=cmd_fhe_nand_tree)
-    p = fhe.add_parser("delete-roundtrip")
-    common(p)
-    p.add_argument("--bit", type=int, default=None)
-    p.set_defaults(fn=cmd_fhe_delete_roundtrip)
+    lattice = ("n", "m", "q", "sigma")
+    command(group("dr"), "roundtrip", cmd_dr_roundtrip, lattice, bit=True)
+    fhe = group("fhe")
+    command(fhe, "nand-tree", cmd_fhe_nand_tree, (*lattice, "depth", "trials"), trials=10)
+    command(fhe, "delete-roundtrip", cmd_fhe_delete_roundtrip, lattice, bit=True)
+    command(group("commit"), "demo", cmd_commit_demo, bit=True)
+    command(group("pvd"), "roundtrip", cmd_pvd_roundtrip, ("reps",), bit=True,
+            reps=configs.PVD_REPS)
 
-    com = sub.add_parser("commit").add_subparsers(dest="sub", required=True)
-    p = com.add_parser("demo")
-    common(p)
-    p.add_argument("--bit", type=int, default=None)
-    p.set_defaults(fn=cmd_commit_demo)
-
-    pvd = sub.add_parser("pvd").add_subparsers(dest="sub", required=True)
-    p = pvd.add_parser("roundtrip")
-    common(p)
-    p.add_argument("--bit", type=int, default=None)
-    p.set_defaults(fn=cmd_pvd_roundtrip)
-
-    game = sub.add_parser("game").add_subparsers(dest="sub", required=True)
-    p = game.add_parser("run")
-    common(p, trials_default=200)
+    p = command(group("game"), "run", cmd_game_run, ("trials",), trials=200)
     p.add_argument("--exp", required=True,
                    choices=["tc", "tcr", "evtc", "ladder", "sgc", "fact35"])
     p.add_argument("--adv", default="honest-deleter")
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--out", type=str, default=None)
-    p.set_defaults(fn=cmd_game_run)
+    p.add_argument("--out", default=None)
 
-    p = sub.add_parser("validate")
-    common(p)
+    # validate draws nothing, but it takes --seed so that one seeded command
+    # line per command works for all of them (bench/workloads.py sends one).
+    p = command(sub, "validate", cmd_validate, (*lattice, "depth"))
     p.add_argument("--scheme", choices=["dr", "fhe"], default="dr")
-    p.set_defaults(fn=cmd_validate)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _resolve(args)
         return args.fn(args)
     except (ValueError, OSError) as exc:
         _note(f"error: {exc}")

@@ -1,6 +1,10 @@
 """Shipped desk-scale parameter sets, the parameter validator, and the flat
 key/value config file format used by the CLI.
 
+Each lattice command of the CLI runs one of these sets with the fields its
+flags or config file give put in by ``dataclasses.replace``; a config file
+holds only keys that are parameter flags of the command it is passed to.
+
 Desk parameters are chosen so every quantum register stays enumerable
 (q^(m+1) <= 2^22) and the relevant exact probabilities have margin over the
 acceptance thresholds; the calibration script under scripts/ reproduces the
@@ -10,7 +14,6 @@ numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .dualfhe import FHEParams, fhe_params, validate_noise_window
@@ -37,30 +40,9 @@ SGC_DESK = SGCParams(n=1, m=3, q=7, sigma_sq=Fraction(4))
 COMMIT_REPS = 6
 PVD_REPS = 8
 
-
-@dataclass
-class RunConfig:
-    """One CLI run: scheme id, parameter block, seeding, and output knobs."""
-
-    scheme: str = "dr"
-    n: int = DR_ROUNDTRIP.n
-    m: int = DR_ROUNDTRIP.m
-    q: int = DR_ROUNDTRIP.q
-    sigma: float = float(DR_ROUNDTRIP.sigma)
-    depth: int = 2
-    reps: int = PVD_REPS
-    t_universal: int = 6
-    field_bits: int = 8
-    seed: int = 0
-    trials: int = 100
-    exact: bool = False
-    out: str = ""
-
-    def dr(self) -> DRParams:
-        return dr_params(self.n, self.m, self.q, self.sigma)
-
-    def fhe(self) -> FHEParams:
-        return fhe_params(self.n, self.m, self.q, self.sigma, self.depth)
+# The block `deletia validate` checks when no parameter is given:
+# DR_ROUNDTRIP's with NAND depth 2.
+VALIDATE_DEFAULTS = fhe_params(n=1, m=2, q=19, sigma=5, depth=2)
 
 
 def parse_config_file(path: str) -> dict:
@@ -78,11 +60,11 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
-def validate_scheme(scheme: str, cfg: RunConfig) -> list[tuple[str, str, str]]:
-    """pass/warn/fail rows for the parameter block of one scheme."""
+def validate_scheme(scheme: str, params: FHEParams) -> list[tuple[str, str, str]]:
+    """pass/warn/fail rows for the parameter block of one scheme; the NAND
+    depth is read for ``fhe`` only."""
     rows = []
-    q, m, n = cfg.q, cfg.m, cfg.n
-    sigma = cfg.sigma
+    q, m, sigma = params.q, params.m, params.sigma
     rows.append(("q-prime", "pass" if is_prime(q) else "fail", f"q = {q}"))
     lo, hi = math.sqrt(8 * m), q / math.sqrt(8 * m)
     if lo < sigma < hi:
@@ -98,5 +80,5 @@ def validate_scheme(scheme: str, cfg: RunConfig) -> list[tuple[str, str, str]]:
         rows.append(("state-size", "pass" if dim <= ENUM_GUARD else "fail",
                      f"q^(m+1) = {dim} vs {ENUM_GUARD}"))
     elif scheme == "fhe":
-        rows.extend(validate_noise_window(cfg.fhe()))
+        rows.extend(validate_noise_window(params))
     return rows

@@ -42,6 +42,11 @@ class FHEParams(DRParams):
 
     depth: int = 1
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.depth < 0:
+            raise ValueError(f"depth must be >= 0, got {self.depth}")
+
     @property
     def ncols(self) -> int:
         return self.width * gadget_width(self.q)  # N = (m+1) ceil(log2 q)

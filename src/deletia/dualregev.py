@@ -43,6 +43,13 @@ class DRParams:
     q: int
     sigma_sq: Fraction
 
+    def __post_init__(self):
+        for name, low in (("n", 1), ("m", 1), ("q", 2)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if self.sigma_sq <= 0:
+            raise ValueError(f"sigma^2 must be > 0, got {self.sigma_sq}")
+
     @property
     def sigma(self) -> float:
         return math.sqrt(float(self.sigma_sq))

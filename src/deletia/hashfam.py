@@ -20,9 +20,7 @@ import numpy as np
 
 from . import qsim
 from .gf2k import GF2k
-from .zqcore import ZqMatrix, ZqVector, centered_array, zq_box
-
-FIBER_GUARD = 1 << 16  # largest domain we exhaustively enumerate per fiber
+from .zqcore import ENUM_GUARD, ZqMatrix, ZqVector, centered_array, zq_box
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +169,9 @@ class HashFamily:
         """
         if self._last is not None and self._last[0] is key:
             return self._last[1]
-        if self.domain.size > FIBER_GUARD:
-            raise ValueError(f"domain too large to enumerate ({self.domain.size})")
+        if self.domain.size > ENUM_GUARD:
+            raise ValueError(f"domain too large to enumerate "
+                             f"({self.domain.size} > {ENUM_GUARD})")
         values, reg_index = _enumerate(self.domain)
         if self.tabulate is not None:
             images, mvals = self.tabulate(key)

@@ -1,15 +1,20 @@
+import argparse
 import csv
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from deletia import cli, games, hashfam
+from deletia import cli, configs, games, hashfam
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parents[1] / "README.md"
 
 
 def run_cli(capsys, argv):
@@ -257,3 +262,191 @@ def test_params_flag_is_a_config_alias(tmp_path, capsys):
     _, via_params, _ = run_cli(capsys, ["validate", "--scheme", "dr",
                                         "--params", str(cfg)])
     assert via_config == via_params
+
+
+# Every (command, flag) pair the command does not read: each exits 2.
+UNREAD_FLAGS = [
+    (["dr", "roundtrip"], ["--trials", "--depth", "--reps"]),
+    (["fhe", "nand-tree"], ["--reps"]),
+    (["fhe", "delete-roundtrip"], ["--trials", "--depth", "--reps"]),
+    (["commit", "demo"], ["--config", "--trials", "--n", "--m", "--q", "--sigma",
+                          "--depth", "--reps"]),
+    (["pvd", "roundtrip"], ["--trials", "--n", "--m", "--q", "--sigma", "--depth"]),
+    (["game", "run", "--exp", "tc"], ["--n", "--m", "--q", "--sigma", "--depth", "--reps"]),
+    (["validate"], ["--trials", "--reps"]),
+]
+
+
+@pytest.mark.parametrize("argv", [cmd + [flag, "2"] for cmd, flags in UNREAD_FLAGS
+                                  for flag in flags], ids=" ".join)
+def test_flag_a_command_does_not_read_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"unrecognized arguments: {argv[-2]} 2" in out.err
+
+
+@pytest.mark.parametrize("key", ["seed", "exact", "out", "scheme", "field_bits",
+                                 "t_universal", "trials", "reps"])
+def test_config_key_no_flag_reads_exits_2(tmp_path, capsys, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = 1\n")
+    code, out, err = run_cli(capsys, ["validate", "--config", str(cfg)])
+    assert code == 2
+    assert out == ""
+    assert f"unknown config key {key!r}" in err
+
+
+def test_a_config_key_belongs_to_its_command(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("reps = 6\n")
+    code, _, err = run_cli(capsys, ["dr", "roundtrip", "--config", str(cfg)])
+    assert code == 2 and "unknown config key 'reps'" in err
+    code, out, _ = run_cli(capsys, ["pvd", "roundtrip", "--config", str(cfg), "--seed", "5"])
+    assert code == 0
+    assert out == run_cli(capsys, ["pvd", "roundtrip", "--reps", "6", "--seed", "5"])[1]
+
+
+def test_dr_parameter_flags_act_without_n(tmp_path, capsys):
+    full = run_cli(capsys, ["dr", "roundtrip", "--n", "1", "--m", "2", "--q", "23",
+                            "--sigma", "5", "--seed", "1"])
+    assert full[0] == 0
+    assert run_cli(capsys, ["dr", "roundtrip", "--q", "23", "--seed", "1"]) == full
+    cfg = tmp_path / "q23.cfg"
+    cfg.write_text("q = 23\n")
+    assert run_cli(capsys, ["dr", "roundtrip", "--config", str(cfg), "--seed", "1"]) == full
+    shipped = run_cli(capsys, ["dr", "roundtrip", "--seed", "1"])
+    assert shipped[1] != full[1]
+
+
+def test_config_trials_are_played(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("trials = 3\n")
+    out_csv = tmp_path / "rows.csv"
+    code, out, _ = run_cli(capsys, ["game", "run", "--exp", "tc", "--config", str(cfg),
+                                    "--out", str(out_csv)])
+    assert code == 0
+    assert json.loads(out)["trials"] == 3
+    assert len(out_csv.read_text().splitlines()) == 1 + 2 * 3
+    _, out, _ = run_cli(capsys, ["game", "run", "--exp", "tc", "--config", str(cfg),
+                                 "--trials", "2"])
+    assert json.loads(out)["trials"] == 2  # the flag beats the file
+
+
+def test_nand_tree_n_keeps_the_classical_set(capsys, monkeypatch):
+    seen = []
+    keygen = cli.dualfhe.fhe_keygen
+    monkeypatch.setattr(cli.dualfhe, "fhe_keygen",
+                        lambda params, rng: seen.append(params) or keygen(params, rng))
+    code, out, _ = run_cli(capsys, ["fhe", "nand-tree", "--n", "3", "--trials", "2",
+                                    "--seed", "0"])
+    assert code == 0 and json.loads(out)["all_ok"] is True
+    assert seen == [replace(configs.FHE_CLASSICAL, n=3)]
+    assert (seen[0].m, seen[0].q, seen[0].sigma_sq, seen[0].depth) == (
+        8, 260000011, configs.FHE_CLASSICAL.sigma_sq, 2)
+    run_cli(capsys, ["fhe", "nand-tree", "--depth", "1", "--trials", "1"])
+    assert seen[1] == replace(configs.FHE_CLASSICAL, depth=1)
+
+
+def test_delete_roundtrip_sigma_is_squared_into_the_quantum_set(capsys, monkeypatch):
+    seen = []
+    keygen = cli.dualfhe.fhe_keygen
+    monkeypatch.setattr(cli.dualfhe, "fhe_keygen",
+                        lambda params, rng: seen.append(params) or keygen(params, rng))
+    run_cli(capsys, ["fhe", "delete-roundtrip", "--seed", "4"])
+    run_cli(capsys, ["fhe", "delete-roundtrip", "--sigma", "3", "--seed", "4"])
+    assert seen == [configs.FHE_QUANTUM, replace(configs.FHE_QUANTUM, sigma_sq=9)]
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["dr", "roundtrip", "--n", "0"], "n"),
+    (["dr", "roundtrip", "--m", "0"], "m"),
+    (["dr", "roundtrip", "--q", "1"], "q"),
+    (["dr", "roundtrip", "--n", "1", "--sigma", "-5"], "sigma"),
+    (["dr", "roundtrip", "--sigma", "0"], "sigma"),
+    (["dr", "roundtrip", "--sigma", "nan"], "sigma"),
+    (["fhe", "delete-roundtrip", "--q", "0"], "q"),
+    (["fhe", "nand-tree", "--depth", "-1"], "depth"),
+])
+def test_bad_parameters_exit_2_before_any_state(capsys, monkeypatch, argv, name):
+    def no_keys(*_):
+        raise AssertionError("built keys for bad parameters")
+    monkeypatch.setattr(cli.dualregev, "dr_keygen", no_keys)
+    monkeypatch.setattr(cli.dualfhe, "fhe_keygen", no_keys)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {name}")
+
+
+def test_bad_parameters_in_a_config_file_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sigma = -1\n")
+    code, out, err = run_cli(capsys, ["validate", "--config", str(cfg)])
+    assert code == 2 and out == "" and "sigma must be > 0" in err
+
+
+def test_validate_rejects_a_modulus_below_2(capsys):
+    code, out, err = run_cli(capsys, ["validate", "--q", "1"])
+    assert code == 2
+    assert out == ""
+    assert "q must be >= 2, got 1" in err
+
+
+def _readme_cli_block() -> list[str]:
+    return README.read_text().split("## CLI", 1)[1].split("```")[1].splitlines()
+
+
+def test_readme_cli_examples(tmp_path, capsys, monkeypatch):
+    """Every ``deletia`` line of README's CLI block exits 0, and every
+    key/value on an example output line is the command's real one."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("DELETIA_SEED", raising=False)
+    commands = checked = 0
+    out = ""
+    for line in _readme_cli_block():
+        if line.startswith("deletia "):
+            code, out, err = run_cli(capsys, shlex.split(line.split("#", 1)[0])[1:])
+            assert code == 0, (line, err)
+            commands += 1
+        elif line.strip().startswith("{"):
+            shown = line.strip()[1:-1].strip().removeprefix("...").removesuffix("...")
+            doc = json.loads(out)
+            for key, value in json.loads("{" + shown.strip(" ,") + "}").items():
+                assert doc[key] == value, (key, doc[key], value)
+                checked += 1
+    assert commands == 9 and checked == 7
+    assert (tmp_path / "report.csv").exists()
+
+
+def _commands(parser, path=()):
+    """(command name, its parser) for every leaf command."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(path), parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _commands(sub, (*path, name))
+
+
+def test_readme_flag_table_is_the_parser():
+    """README's table lists each command's parameter flags (its config keys)
+    and its other flags, and the parser declares exactly those."""
+    table = {}
+    for row in README.read_text().splitlines():
+        cells = [c.strip() for c in row.strip("|").split("|")]
+        if row.startswith("| `") and len(cells) == 4 and "--seed" in cells[2]:
+            table[cells[0].strip("`")] = (set(re.findall(r"--([a-z]+)", cells[1])),
+                                          set(re.findall(r"--[a-z]+", cells[2])))
+    parsed = {}
+    for name, p in _commands(cli.build_parser()):
+        keys = set(p.get_default("keys"))
+        flags = {a.option_strings[0] for a in p._actions if a.option_strings}
+        assert ("--config" in flags) == bool(keys)
+        assert keys <= set(cli.CONFIG_KEYS)
+        parsed[name] = (keys, flags - {f"--{k}" for k in keys} - {"-h", "--config"})
+    assert table == parsed
+    assert sum(len(k) + len(f) + bool(k) for k, f in parsed.values()) == 43
+    assert sum(len(k) for k, _ in parsed.values()) == 21

@@ -1,6 +1,8 @@
 import inspect
 import itertools
 import math
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -374,3 +376,25 @@ def test_delete_and_decrypt_build_no_collapsed_state(monkeypatch):
     assert A @ dr.dr_delete(ct, rng) == y
     assert A @ dr.coset_delete(ct.state, params.q, rng) == y
     assert dr.dr_decrypt(keys, ct, rng) in (0, 1)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("n", 0, "n must be >= 1, got 0"), ("m", 0, "m must be >= 1, got 0"),
+    ("q", 1, "q must be >= 2, got 1"), ("sigma_sq", Fraction(0), "sigma^2 must be > 0"),
+    ("sigma_sq", Fraction(-4), "sigma^2 must be > 0"),
+])
+def test_params_reject_a_bad_field_by_name(field, value, message):
+    good = {"n": 1, "m": 2, "q": 13, "sigma_sq": Fraction(9)}
+    bad = {**good, field: value}
+    for build in (lambda: dr.DRParams(**bad), lambda: fhe.FHEParams(**bad, depth=2),
+                  lambda: replace(configs.DR_ROUNDTRIP, **{field: value}),
+                  lambda: replace(configs.FHE_QUANTUM, **{field: value})):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
+    dr.DRParams(**good)
+
+
+def test_fhe_params_reject_a_negative_depth():
+    with pytest.raises(ValueError, match="depth must be >= 0, got -1"):
+        fhe.fhe_params(1, 1, 7, sigma_sq=Fraction(14), depth=-1)
+    assert fhe.fhe_params(1, 1, 7, sigma_sq=Fraction(14), depth=0).depth == 0

@@ -510,3 +510,31 @@ def test_bit_domain_enumeration_matches_the_per_value_path():
         want_values, want_index = _enumerate_per_value(BitDomain(bits))
         assert values == want_values and all(type(v) is int for v in values)
         assert index.dtype == np.int64 and np.array_equal(index, want_index)
+
+
+def test_table_beyond_the_old_fiber_guard_matches_eval():
+    """A 2^17-value domain, above the 2^16 bound that hashfam had of its own,
+    is tabulated under zqcore.ENUM_GUARD and agrees with per-value eval."""
+    fam = fdelta_family(toy_regular_owf(17, 2))
+    key, _ = fam.sample(np.random.default_rng(3))
+    t = fam.table(key)
+    assert len(t.values) == 1 << 17
+    for i in np.random.default_rng(4).integers(0, 1 << 17, size=300).tolist():
+        x = t.values[i]
+        assert t.ys[t.image_ids[i]] == fam.eval(key, x)
+        assert t.mvals[i] == fam.measure(key, x)
+        assert t.reg_index[i] == x
+
+
+def test_table_refuses_a_domain_over_the_enumeration_guard(monkeypatch):
+    def untouched(*_):
+        raise AssertionError("enumerated a domain over the guard")
+
+    monkeypatch.setattr(hashfam, "_enumerate", untouched)
+    fam = HashFamily(name="wide", domain=BitDomain(23), range_bits=1,
+                     sample=lambda rng: (0, None), eval=untouched, tabulate=untouched)
+    assert BitDomain(23).size == 2 * hashfam.ENUM_GUARD
+    with pytest.raises(ValueError, match="domain too large to enumerate"):
+        fam.table(0)
+    with pytest.raises(ValueError, match="domain too large to enumerate"):
+        fam.fiber(0, 0)
