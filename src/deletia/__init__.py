@@ -3,7 +3,6 @@ cryptosystems (Dual-Regev PKE/FHE, commitments and PKE from balanced
 binary-measurement hashes, and executable security experiments)."""
 
 from . import (  # noqa: F401
-    cli,
     configs,
     dualfhe,
     dualregev,

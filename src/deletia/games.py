@@ -104,7 +104,7 @@ class _Dom:
         self.dist = dist
         self.table = family.table(key)
         self.values = self.table.values
-        d = np.array([1.0 if dist is None else dist(x) for x in self.values])
+        d = np.ones(len(self.values)) if dist is None else np.array([dist(x) for x in self.values])
         self.weights = d / d.sum()
         if family.measure is None:
             self.mbits = getattr(family.domain, "bits", None)
@@ -645,9 +645,7 @@ def strong_gauss_collapse_exp(params: SGCParams, adversary: Adversary, b: int,
     trapdoor = None
     if valid:
         trapdoor = ZqVector((-t_keygen.entries) % q, q)  # (xbar, -1)
-        bprime = int(rng.integers(0, 2))  # honest deleter guesses blindly
-    else:
-        bprime = int(rng.integers(0, 2))
+    bprime = int(rng.integers(0, 2))  # the honest deleter guesses blindly
     return GameTranscript(
         experiment="sgc", seed=seed, b=b, adversary=adversary.name,
         outputs={

@@ -92,13 +92,14 @@ class ZqBallDomain:
 
 
 @functools.lru_cache(maxsize=8)
-def _enumerate(domain) -> tuple[tuple, np.ndarray]:
+def _enumerate(domain) -> tuple[Sequence, np.ndarray]:
     """The domain's values and each value's flat index in its register.
 
-    A bit domain's qubits are big-endian, so each value is its own index.
+    A bit domain's qubits are big-endian, so each value is its own index,
+    and its values are a ``range``, not a Python int object per value.
     """
     if isinstance(domain, BitDomain):
-        return tuple(range(domain.size)), np.arange(domain.size, dtype=np.int64)
+        return range(domain.size), np.arange(domain.size, dtype=np.int64)
     values = tuple(domain.values())
     layout = qsim.RegisterLayout([("X", domain.register_dims())])
     index = [layout.value_index("X", domain.to_register(x)) for x in values]
@@ -116,7 +117,7 @@ class DomainTable:
     domain's register.
     """
 
-    values: tuple
+    values: Sequence
     ys: list
     image_ids: np.ndarray
     mvals: np.ndarray
@@ -293,8 +294,6 @@ def toy_regular_owf(m: int, r: int, range_bits: int | None = None) -> HashFamily
         tabulate=lambda table: (table[np.arange(1 << m) >> r], None),
         descriptor={"family": "toy-regular-owf", "m": m, "r": r, "range_bits": ell},
     )
-    fam.input_bits = m
-    fam.regularity = r
     return fam
 
 
@@ -434,7 +433,6 @@ def chor_goldreich_family(t: int, field_bits: int, out_bits: int) -> HashFamily:
         descriptor={"family": "chor-goldreich", "t": t,
                     "field_bits": field_bits, "out_bits": out_bits},
     )
-    fam.universality = t
     return fam
 
 

@@ -4,6 +4,10 @@ A register layout is an ordered list of named segments, each a list of
 per-slot dimensions. States are dense complex amplitude vectors indexed in
 mixed radix (row-major over all slots); everything here is exact up to
 float64, and every public operation renormalizes or preserves norm.
+
+A segment's slots are contiguous, so every state is a (before, segment,
+after) array without a copy (``RegisterLayout.split``, ``_view``), and every
+one-segment operation is an index or a product on axis 1 of that view.
 """
 
 from __future__ import annotations
@@ -62,6 +66,16 @@ class RegisterLayout:
 
     def seg_dim(self, name: str) -> int:
         return math.prod(self.seg_dims(name))
+
+    def split(self, name: str) -> tuple[int, int, int]:
+        """(before, d, after): the dimensions of the slots before the segment,
+        of the segment and of the slots after it."""
+        names = self.names()
+        if name not in names:
+            raise KeyError(f"no segment named {name!r}")
+        sizes = [math.prod(dims) for _, dims in self.segments]
+        i = names.index(name)
+        return math.prod(sizes[:i]), sizes[i], math.prod(sizes[i + 1:])
 
     def axes(self, name: str) -> list[int]:
         """Indices of this segment's slots within the full tensor shape."""
@@ -123,14 +137,9 @@ class QState:
 
     def dump(self, eps: float = 1e-12) -> str:
         """Debug dump: lines "index-tuple  re  im" for |amp| > eps, index order."""
-        dims = self.layout.all_dims
         lines = []
         for flat in np.nonzero(np.abs(self.amps) > eps)[0]:
-            idx, rem = [], int(flat)
-            for d in reversed(dims):
-                idx.append(rem % d)
-                rem //= d
-            tup = ",".join(str(i) for i in reversed(idx))
+            tup = ",".join(str(i) for i in np.unravel_index(flat, self.layout.all_dims))
             a = self.amps[flat]
             lines.append(f"{tup}  {a.real:+.12e}  {a.imag:+.12e}")
         return "\n".join(lines) + ("\n" if lines else "")
@@ -159,34 +168,26 @@ class MeasureOutcome:
 def basis_state(layout: RegisterLayout, assignment: dict[str, Sequence[int]] | None = None) -> QState:
     """Computational basis state; unassigned segments sit at |0>."""
     assignment = assignment or {}
-    flat = 0
-    for name, dims in layout.segments:
-        val = _as_tuple(assignment.get(name, (0,) * len(dims)))
-        for v, d in zip(val, dims):
-            flat = flat * d + (v % d)
+    digits = [v for name, dims in layout.segments
+              for v in _as_tuple(assignment.get(name, (0,) * len(dims)))]
     amps = np.zeros(layout.dim, dtype=np.complex128)
-    amps[flat] = 1.0
+    amps[np.ravel_multi_index(digits, layout.all_dims, mode="wrap")] = 1.0
     return QState(layout, amps)
 
 
-def _move_segment_last(state: QState, segment: str) -> tuple[np.ndarray, int]:
-    """Tensor reshaped to (rest, seg_dim), plus seg_dim."""
-    axes = state.layout.axes(segment)
-    t = state.tensor_view()
-    rest_axes = [i for i in range(t.ndim) if i not in axes]
-    t = np.transpose(t, rest_axes + axes)
-    seg_dim = state.layout.seg_dim(segment)
-    return t.reshape(-1, seg_dim), seg_dim
+def _view(state: QState, segment: str) -> np.ndarray:
+    """The amplitudes as a (before, segment, after) array; no copy."""
+    return state.amps.reshape(state.layout.split(segment))
 
 
-def _restore_from_last(mat: np.ndarray, layout: RegisterLayout, segment: str) -> np.ndarray:
-    axes = layout.axes(segment)
-    dims = layout.all_dims
-    rest_axes = [i for i in range(len(dims)) if i not in axes]
-    shape = [dims[i] for i in rest_axes] + [dims[i] for i in axes]
-    t = mat.reshape(shape)
-    inv = np.argsort(rest_axes + axes)
-    return np.transpose(t, inv).reshape(-1)
+def _rows(state: QState, segment: str) -> np.ndarray:
+    """The amplitudes as (rest, segment) rows, the rest in register order.
+
+    A sum or a matmul over these rows adds in row order wherever the segment
+    sits; a sum of the view over axes (0, 2) can add in another order and
+    change the last bit."""
+    v = _view(state, segment)
+    return v.swapaxes(1, 2).reshape(-1, v.shape[1])
 
 
 def prepare_weighted(layout: RegisterLayout, segment: str, weights) -> QState:
@@ -210,16 +211,8 @@ def prepare_weighted(layout: RegisterLayout, segment: str, weights) -> QState:
     n = np.linalg.norm(w)
     if n == 0:
         raise ValueError("all-zero weight table")
-    if len(layout.segments) == 1:
-        return QState(layout, w / n)
     amps = np.zeros(layout.dim, dtype=np.complex128)
-    for i, val in enumerate(layout.seg_values(segment)):
-        flat = 0
-        for name, dims in layout.segments:
-            v = val if name == segment else (0,) * len(dims)
-            for c, d in zip(v, dims):
-                flat = flat * d + (c % d)
-        amps[flat] = w[i] / n
+    amps.reshape(layout.split(segment))[0, :, 0] = w / n
     return QState(layout, amps)
 
 
@@ -230,30 +223,27 @@ def apply_classical(state: QState, f: Callable, src: str, dst: str) -> QState:
     single-slot segments).
     """
     layout = state.layout
-    src_dim, dst_dim = layout.seg_dim(src), layout.seg_dim(dst)
+    if src == dst:
+        raise ValueError(f"src and dst are both {src!r}")
     dst_dims = layout.seg_dims(dst)
-    axes = layout.axes(src) + layout.axes(dst)
-    t = state.tensor_view()
-    rest_axes = [i for i in range(t.ndim) if i not in axes]
-    t2 = np.transpose(t, rest_axes + axes).reshape(-1, src_dim, dst_dim)
-
+    shifts = []
+    for sval in layout.seg_values(src):
+        shift = _as_tuple(f(sval if len(sval) > 1 else sval[0]))
+        if len(shift) != len(dst_dims):
+            raise ValueError(f"f output length {len(shift)} != dst slots {len(dst_dims)}")
+        shifts.append(shift)
+    # new |t'> receives the old amplitude at t' - f(x): gather[x, t']
     dst_vals = np.array(list(layout.seg_values(dst)), dtype=np.int64)
-    gather = np.empty((src_dim, dst_dim), dtype=np.int64)
-    radix = np.ones(len(dst_dims), dtype=np.int64)
-    for i in range(len(dst_dims) - 2, -1, -1):
-        radix[i] = radix[i + 1] * dst_dims[i + 1]
-    for sidx, sval in enumerate(layout.seg_values(src)):
-        shift = np.asarray(_as_tuple(f(sval if len(sval) > 1 else sval[0])), dtype=np.int64)
-        if shift.size != len(dst_dims):
-            raise ValueError(f"f output length {shift.size} != dst slots {len(dst_dims)}")
-        # new|t'> receives old amplitude at t' - f(x)
-        pre = (dst_vals - shift[None, :]) % np.asarray(dst_dims, dtype=np.int64)
-        gather[sidx, :] = pre @ radix
-    out = np.take_along_axis(t2, gather[None, :, :], axis=2)
-    shape = [t.shape[i] for i in rest_axes] + [t.shape[i] for i in axes]
-    out = out.reshape(shape)
-    inv = np.argsort(rest_axes + axes)
-    return QState(layout, np.transpose(out, inv).reshape(-1))
+    pre = (dst_vals[None] - np.array(shifts, dtype=np.int64)[:, None]) % np.array(dst_dims)
+    gather = np.ravel_multi_index(tuple(np.moveaxis(pre, 2, 0)), dst_dims)
+    # one axis per segment; the gather index spans the src and dst axes
+    names = layout.names()
+    t = state.amps.reshape([layout.seg_dim(name) for name in names])
+    s, d = names.index(src), names.index(dst)
+    shape = [1] * t.ndim
+    shape[s], shape[d] = gather.shape
+    index = (gather if s < d else gather.T).reshape(shape)
+    return QState(layout, np.take_along_axis(t, index, axis=d).reshape(-1))
 
 
 def apply_phase_fn(state: QState, segment: str, phase: Callable | np.ndarray) -> QState:
@@ -262,7 +252,7 @@ def apply_phase_fn(state: QState, segment: str, phase: Callable | np.ndarray) ->
     ``phase`` is a function of the segment value or the vector of phases
     over the segment's values in mixed-radix order.
     """
-    mat, seg_dim = _move_segment_last(state, segment)
+    seg_dim = state.layout.seg_dim(segment)
     if callable(phase):
         phase = [phase(v if len(v) > 1 else v[0]) for v in state.layout.seg_values(segment)]
     ph = np.asarray(phase, dtype=np.complex128)
@@ -270,13 +260,11 @@ def apply_phase_fn(state: QState, segment: str, phase: Callable | np.ndarray) ->
         raise ValueError(f"phase vector shape {ph.shape} != ({seg_dim},)")
     if np.any(np.abs(np.abs(ph) - 1.0) > 1e-9):
         raise ValueError("phase function must return unit-modulus values")
-    out = mat * ph[None, :]
-    return QState(state.layout, _restore_from_last(out, state.layout, segment))
+    return QState(state.layout, (_view(state, segment) * ph[:, None]).reshape(-1))
 
 
 def marginal_probs(state: QState, segment: str) -> np.ndarray:
-    mat, _ = _move_segment_last(state, segment)
-    probs = np.abs(mat)
+    probs = np.abs(_rows(state, segment))
     np.square(probs, out=probs)
     return probs[0] if len(probs) == 1 else probs.sum(axis=0)
 
@@ -302,28 +290,20 @@ def measure(state: QState, segment: str, rng: np.random.Generator) -> MeasureOut
 def _collapse(state: QState, segment: str, k: int, prob: float) -> MeasureOutcome:
     """Keep the slice where ``segment`` holds its k-th value, renormalised."""
     value = tuple(int(v) for v in np.unravel_index(k, state.layout.seg_dims(segment)))
-    t = state.tensor_view()
-    sl = [slice(None)] * t.ndim
-    for ax, v in zip(state.layout.axes(segment), value):
-        sl[ax] = v
-    out = np.zeros_like(t)
-    out[tuple(sl)] = t[tuple(sl)]
+    v = _view(state, segment)
+    out = np.zeros_like(v)
+    out[:, k] = v[:, k]
     # the rest is zeros, and 0 / x is 0.0: divide only the kept slice
-    out[tuple(sl)] /= np.linalg.norm(out.reshape(-1))
+    out[:, k] /= np.linalg.norm(out.reshape(-1))
     return MeasureOutcome(value, prob, QState(state.layout, out.reshape(-1)))
 
 
 def drop_segment(state: QState, segment: str, value) -> QState:
     """Remove a segment that was just measured, keeping the slice at value."""
-    axes = state.layout.axes(segment)
     dims = state.layout.seg_dims(segment)
-    val = _as_tuple(value)
-    t = state.tensor_view()
-    sl = [slice(None)] * t.ndim
-    for ax, v, d in zip(axes, val, dims):
-        sl[ax] = v % d
+    k = state.layout.value_index(segment, [v % d for v, d in zip(_as_tuple(value), dims)])
     rest = RegisterLayout([(n, d) for n, d in state.layout.segments if n != segment])
-    out = QState(rest, t[tuple(sl)].reshape(-1))
+    out = QState(rest, _view(state, segment)[:, k].reshape(-1))
     nrm = out.norm()
     if nrm < 1e-12:
         raise ZeroProbabilityProjection(f"segment {segment} is not {value} with any amplitude")
@@ -391,16 +371,11 @@ def _on_control_one(state: QState, control: str, op: Callable[[QState], QState])
     cdims = state.layout.seg_dims(control)
     if cdims != (2,):
         raise ValueError(f"control segment must be a single qubit, got {cdims}")
-    cax = state.layout.axes(control)[0]
-    t = state.tensor_view().copy()
-    sl = [slice(None)] * t.ndim
-    sl[cax] = 1
-    branch = QState(
-        RegisterLayout([(n, d) for n, d in state.layout.segments if n != control]),
-        t[tuple(sl)].reshape(-1),
-    )
-    t[tuple(sl)] = op(branch).amps.reshape(t[tuple(sl)].shape)
-    return QState(state.layout, t.reshape(-1))
+    out = state.copy()
+    one = _view(out, control)[:, 1]
+    rest = RegisterLayout([(n, d) for n, d in state.layout.segments if n != control])
+    one[...] = op(QState(rest, one.reshape(-1))).amps.reshape(one.shape)
+    return out
 
 
 def controlled_phase_oracle(state: QState, control: str, segment: str, v: Sequence[int]) -> QState:
@@ -425,30 +400,30 @@ def project(state: QState, segment: str, target: QState | np.ndarray) -> tuple[f
     Returns (success probability, renormalized post-state); raises
     ZeroProbabilityProjection below 1e-14.
     """
+    tv, ov, prob = _overlaps(state, segment, target)
+    if prob < PROJECT_EPS:
+        raise ZeroProbabilityProjection(f"projection probability {prob} < {PROJECT_EPS}")
+    before, _, after = state.layout.split(segment)
+    out = ov.reshape(before, after)[:, None, :] * tv[:, None] / math.sqrt(prob)
+    return prob, QState(state.layout, out.reshape(-1))
+
+
+def project_prob(state: QState, segment: str, target: QState | np.ndarray) -> float:
+    """Success probability of ``project`` without the post-state (may be 0)."""
+    return _overlaps(state, segment, target)[2]
+
+
+def _overlaps(state: QState, segment: str, target: QState | np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, float]:
+    """(normalised target, <target|psi> per rest index, success probability)."""
     seg_dim = state.layout.seg_dim(segment)
     tv = target.amps if isinstance(target, QState) else np.asarray(target, dtype=np.complex128)
     tv = tv.reshape(-1)
     if tv.size != seg_dim:
         raise ValueError(f"target dim {tv.size} != segment dim {seg_dim}")
     tv = tv / np.linalg.norm(tv)
-    mat, _ = _move_segment_last(state, segment)
-    ov = mat @ tv.conj()  # <target|psi> per rest index
-    prob = float(np.sum(np.abs(ov) ** 2))
-    if prob < PROJECT_EPS:
-        raise ZeroProbabilityProjection(f"projection probability {prob} < {PROJECT_EPS}")
-    out = np.outer(ov, tv) / math.sqrt(prob)
-    return prob, QState(state.layout, _restore_from_last(out, state.layout, segment))
-
-
-def project_prob(state: QState, segment: str, target: QState | np.ndarray) -> float:
-    """Success probability of ``project`` without the post-state (may be 0)."""
-    seg_dim = state.layout.seg_dim(segment)
-    tv = target.amps if isinstance(target, QState) else np.asarray(target, dtype=np.complex128)
-    tv = tv.reshape(-1) / np.linalg.norm(tv)
-    if tv.size != seg_dim:
-        raise ValueError(f"target dim {tv.size} != segment dim {seg_dim}")
-    mat, _ = _move_segment_last(state, segment)
-    return float(np.sum(np.abs(mat @ tv.conj()) ** 2))
+    ov = _rows(state, segment) @ tv.conj()
+    return tv, ov, float(np.sum(np.abs(ov) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -493,25 +468,10 @@ def pauli_twirl_channel(rho: DensityOp, segment: str) -> DensityOp:
     dims = rho.layout.seg_dims(segment)
     if any(d != 2 for d in dims):
         raise ValueError(f"pauli twirl needs qubit slots, got {dims}")
-    m = len(dims)
-    d = rho.layout.dim
-    axes = rho.layout.axes(segment)
-    all_dims = rho.layout.all_dims
-
-    def z_diag(z: tuple[int, ...]) -> np.ndarray:
-        diag = np.ones(1)
-        for i, dim in enumerate(all_dims):
-            if i in axes and z[axes.index(i)]:
-                diag = np.kron(diag, np.array([1.0, -1.0]))
-            else:
-                diag = np.kron(diag, np.ones(dim))
-        return diag
-
-    acc = np.zeros((d, d), dtype=np.complex128)
-    for z in itertools.product((0, 1), repeat=m):
-        diag = z_diag(z)
-        acc += diag[:, None] * rho.matrix * diag[None, :]
-    return DensityOp(rho.layout, acc / 2**m)
+    # the average of (-1)^{<z, x xor x'>} over z is 1 if x = x', else 0
+    _, seg_dim, after = rho.layout.split(segment)
+    x = np.arange(rho.layout.dim) // after % seg_dim
+    return DensityOp(rho.layout, np.where(x[:, None] == x[None, :], rho.matrix, 0))
 
 
 def trace_distance(a: DensityOp | QState, b: DensityOp | QState) -> float:

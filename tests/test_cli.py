@@ -51,8 +51,10 @@ def test_cached_parser_matches_a_fresh_process(capsys, monkeypatch):
     assert cli.build_parser() is cli.build_parser()
     argv = ["fhe", "delete-roundtrip", "--seed", "11"]
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    fresh = subprocess.run([sys.executable, "-m", "deletia.cli", *argv],
-                           capture_output=True, text=True, env=env, check=True).stdout
+    proc = subprocess.run([sys.executable, "-m", "deletia.cli", *argv],
+                          capture_output=True, text=True, env=env, check=True)
+    assert "RuntimeWarning" not in proc.stderr
+    fresh = proc.stdout
     with pytest.raises(SystemExit) as exc:
         cli.main(["fhe", "delete-roundtrip", "--seed", "eleven"])
     assert exc.value.code == 2

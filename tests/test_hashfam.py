@@ -508,7 +508,7 @@ def test_bit_domain_enumeration_matches_the_per_value_path():
     for bits in range(1, 13):
         values, index = hashfam._enumerate(BitDomain(bits))
         want_values, want_index = _enumerate_per_value(BitDomain(bits))
-        assert values == want_values and all(type(v) is int for v in values)
+        assert tuple(values) == want_values and all(type(v) is int for v in values)
         assert index.dtype == np.int64 and np.array_equal(index, want_index)
 
 

@@ -67,6 +67,26 @@ def test_layout_basics():
         RegisterLayout([("X", (2,)), ("X", (2,))])
 
 
+def test_split_gives_the_dims_around_a_segment():
+    lay = RegisterLayout([("X", (5, 5)), ("Y", (3,)), ("Z", (2, 2))])
+    assert [lay.split(n) for n in lay.names()] == [(1, 25, 12), (25, 3, 4), (75, 4, 1)]
+    with pytest.raises(KeyError):
+        lay.split("W")
+
+
+def test_segment_values_wrap_and_a_wrong_length_raises():
+    lay = RegisterLayout([("X", (5, 5)), ("Y", (3,))])
+    wrapped = basis_state(lay, {"X": (7, -1), "Y": 4})
+    assert np.array_equal(wrapped.amps, basis_state(lay, {"X": (2, 4), "Y": 1}).amps)
+    assert drop_segment(wrapped, "X", (7, -1)).amps[1] == 1.0
+    with pytest.raises(ValueError):
+        basis_state(lay, {"X": (1,)})
+    with pytest.raises(ValueError):
+        drop_segment(wrapped, "X", (2,))
+    with pytest.raises(ValueError):
+        apply_classical(wrapped, lambda x: x, "Y", "Y")
+
+
 def test_layout_guard():
     with pytest.raises(ValueError):
         RegisterLayout([("X", (2,) * 23)])
@@ -198,11 +218,12 @@ def test_qft_preserves_inner_products():
     np.testing.assert_allclose(roundtrip.amps, a.amps, atol=1e-10)
 
 
-def _random_layout_around(data, d, k):
+def _random_layout_around(data, d, k, hi=4):
     """A layout of up to three segments whose segment "S" has k slots of
-    dimension d and sits first, in the middle or last."""
-    others = [("A", tuple(data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=2)))),
-              ("B", tuple(data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=2))))]
+    dimension d and sits first, in the middle or last; the other slots have
+    dimensions 2 to hi."""
+    others = [("A", tuple(data.draw(st.lists(st.integers(2, hi), min_size=1, max_size=2)))),
+              ("B", tuple(data.draw(st.lists(st.integers(2, hi), min_size=1, max_size=2))))]
     others = others[:data.draw(st.integers(0, 2))]
     pos = data.draw(st.integers(0, len(others)))
     return RegisterLayout(others[:pos] + [("S", (d,) * k)] + others[pos:])
@@ -228,11 +249,32 @@ def test_slot_matmul_matches_tensordot_and_qft_inverts(data, d, k, seed):
     np.testing.assert_allclose(back, state.amps, rtol=0, atol=1e-12)
 
 
+def _move_segment_last(state, segment):
+    """Tensor reshaped to (rest, seg_dim), plus seg_dim: the transpose that
+    qsim's segment operations made before the (before, segment, after) view."""
+    axes = state.layout.axes(segment)
+    t = state.tensor_view()
+    rest_axes = [i for i in range(t.ndim) if i not in axes]
+    t = np.transpose(t, rest_axes + axes)
+    seg_dim = state.layout.seg_dim(segment)
+    return t.reshape(-1, seg_dim), seg_dim
+
+
+def _restore_from_last(mat, layout, segment):
+    axes = layout.axes(segment)
+    dims = layout.all_dims
+    rest_axes = [i for i in range(len(dims)) if i not in axes]
+    shape = [dims[i] for i in rest_axes] + [dims[i] for i in axes]
+    t = mat.reshape(shape)
+    inv = np.argsort(rest_axes + axes)
+    return np.transpose(t, inv).reshape(-1)
+
+
 def _zero_and_copy_reference(state, segment, k):
-    mat, _ = qsim._move_segment_last(state, segment)
+    mat, _ = _move_segment_last(state, segment)
     out = np.zeros_like(mat)
     out[:, k] = mat[:, k]
-    amps = qsim._restore_from_last(out, state.layout, segment)
+    amps = _restore_from_last(out, state.layout, segment)
     return amps / np.linalg.norm(amps)
 
 
@@ -256,7 +298,7 @@ def test_measure_and_phase_kernels_match_their_reference_forms(data, d, k, seed)
     collapsing at once; phase_oracle is the same as multiplying into copies."""
     rng = np.random.default_rng(seed)
     state = rand_state(_random_layout_around(data, d, k), rng)
-    mat, _ = qsim._move_segment_last(state, "S")
+    mat, _ = _move_segment_last(state, "S")
     probs = np.sum(np.abs(mat) ** 2, axis=0)
     assert np.array_equal(marginal_probs(state, "S"), probs)
     probs = probs / probs.sum()
@@ -579,3 +621,182 @@ def test_rank_k_ensemble_td_matches_dense_reference(seed, nlabels, k):
     assert abs(ensemble_trace_distance(dense_a, b) - want) <= 1e-12
     # both sides identical: exactly zero
     assert ensemble_trace_distance(a, Ensemble(list(a.branches))) == 0.0
+
+
+# The transpose and slice-list bodies that qsim's segment operations had
+# before they read the (before, segment, after) view: each view form must
+# give the same floats as its reference here.
+
+def _marginal_probs_reference(state, segment):
+    mat, _ = _move_segment_last(state, segment)
+    probs = np.abs(mat)
+    np.square(probs, out=probs)
+    return probs[0] if len(probs) == 1 else probs.sum(axis=0)
+
+
+def _collapse_reference(state, segment, k):
+    value = np.unravel_index(k, state.layout.seg_dims(segment))
+    t = state.tensor_view()
+    sl = [slice(None)] * t.ndim
+    for ax, v in zip(state.layout.axes(segment), value):
+        sl[ax] = v
+    out = np.zeros_like(t)
+    out[tuple(sl)] = t[tuple(sl)]
+    out[tuple(sl)] /= np.linalg.norm(out.reshape(-1))
+    return out.reshape(-1)
+
+
+def _drop_segment_reference(state, segment, value):
+    t = state.tensor_view()
+    sl = [slice(None)] * t.ndim
+    for ax, v, d in zip(state.layout.axes(segment), value, state.layout.seg_dims(segment)):
+        sl[ax] = v % d
+    kept = t[tuple(sl)].reshape(-1)
+    return kept / float(np.linalg.norm(kept))
+
+
+def _apply_phase_fn_reference(state, segment, ph):
+    mat, _ = _move_segment_last(state, segment)
+    return _restore_from_last(mat * ph[None, :], state.layout, segment)
+
+
+def _controlled_phase_fn_reference(state, control, segment, ph):
+    t = state.tensor_view().copy()
+    sl = [slice(None)] * t.ndim
+    sl[state.layout.axes(control)[0]] = 1
+    rest = RegisterLayout([(n, d) for n, d in state.layout.segments if n != control])
+    branch = QState(rest, t[tuple(sl)].reshape(-1))
+    t[tuple(sl)] = _apply_phase_fn_reference(branch, segment, ph).reshape(t[tuple(sl)].shape)
+    return t.reshape(-1)
+
+
+def _project_reference(state, segment, target):
+    tv = target / np.linalg.norm(target)
+    mat, _ = _move_segment_last(state, segment)
+    ov = mat @ tv.conj()
+    prob = float(np.sum(np.abs(ov) ** 2))
+    out = np.outer(ov, tv) / math.sqrt(prob)
+    return prob, _restore_from_last(out, state.layout, segment)
+
+
+def _prepare_weighted_reference(layout, segment, w):
+    w = np.asarray(w, dtype=np.complex128)
+    n = np.linalg.norm(w)
+    amps = np.zeros(layout.dim, dtype=np.complex128)
+    for i, val in enumerate(layout.seg_values(segment)):
+        flat = 0
+        for name, dims in layout.segments:
+            v = val if name == segment else (0,) * len(dims)
+            for c, d in zip(v, dims):
+                flat = flat * d + (c % d)
+        amps[flat] = w[i] / n
+    return amps
+
+
+def _apply_classical_reference(state, f, src, dst):
+    layout = state.layout
+    src_dim, dst_dim = layout.seg_dim(src), layout.seg_dim(dst)
+    dst_dims = layout.seg_dims(dst)
+    axes = layout.axes(src) + layout.axes(dst)
+    t = state.tensor_view()
+    rest_axes = [i for i in range(t.ndim) if i not in axes]
+    t2 = np.transpose(t, rest_axes + axes).reshape(-1, src_dim, dst_dim)
+    dst_vals = np.array(list(layout.seg_values(dst)), dtype=np.int64)
+    gather = np.empty((src_dim, dst_dim), dtype=np.int64)
+    radix = np.ones(len(dst_dims), dtype=np.int64)
+    for i in range(len(dst_dims) - 2, -1, -1):
+        radix[i] = radix[i + 1] * dst_dims[i + 1]
+    for sidx, sval in enumerate(layout.seg_values(src)):
+        shift = np.asarray(f(sval if len(sval) > 1 else sval[0]), dtype=np.int64)
+        pre = (dst_vals - shift[None, :]) % np.asarray(dst_dims, dtype=np.int64)
+        gather[sidx, :] = pre @ radix
+    out = np.take_along_axis(t2, gather[None, :, :], axis=2)
+    out = out.reshape([t.shape[i] for i in rest_axes] + [t.shape[i] for i in axes])
+    return np.transpose(out, np.argsort(rest_axes + axes)).reshape(-1)
+
+
+def _pauli_twirl_reference(rho, segment):
+    """The average of Z^z rho Z^z over all z, one Kronecker diagonal per z."""
+    axes = rho.layout.axes(segment)
+    acc = np.zeros_like(rho.matrix)
+    for z in itertools.product((0, 1), repeat=len(axes)):
+        diag = np.ones(1)
+        for i, dim in enumerate(rho.layout.all_dims):
+            flip = i in axes and z[axes.index(i)]
+            diag = np.kron(diag, np.array([1.0, -1.0]) if flip else np.ones(dim))
+        acc += diag[:, None] * rho.matrix * diag[None, :]
+    return acc / 2 ** len(axes)
+
+
+def _insert(layout, pos, segment):
+    return RegisterLayout(layout.segments[:pos] + (segment,) + layout.segments[pos:])
+
+
+@given(st.data(), st.integers(2, 4), st.integers(1, 3), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_segment_view_ops_match_their_transpose_forms(data, d, k, seed):
+    rng = np.random.default_rng(seed)
+    lay = _random_layout_around(data, d, k)
+    assert lay.split("S") == (math.prod(lay.all_dims[:lay.axes("S")[0]]), d**k,
+                              math.prod(lay.all_dims[lay.axes("S")[-1] + 1:]))
+    state = rand_state(lay, rng)
+    assert np.array_equal(marginal_probs(state, "S"), _marginal_probs_reference(state, "S"))
+    idx = data.draw(st.integers(0, d**k - 1))
+    assert np.array_equal(qsim._collapse(state, "S", idx, 0.5).post_state.amps,
+                          _collapse_reference(state, "S", idx))
+    value = tuple(data.draw(st.lists(st.integers(0, 3 * d), min_size=k, max_size=k)))
+    assert np.array_equal(drop_segment(state, "S", value).amps,
+                          _drop_segment_reference(state, "S", value))
+    ph = np.exp(2j * np.pi * rng.random(d**k))
+    assert np.array_equal(qsim.apply_phase_fn(state, "S", ph).amps,
+                          _apply_phase_fn_reference(state, "S", ph))
+    target = rng.normal(size=d**k) + 1j * rng.normal(size=d**k)
+    prob, post = project(state, "S", target)
+    want_prob, want_amps = _project_reference(state, "S", target)
+    assert prob == want_prob == project_prob(state, "S", target)
+    assert np.array_equal(post.amps, want_amps)
+    w = rng.random(d**k) * (rng.random(d**k) < 0.7)
+    w[idx] = 1.0
+    assert np.array_equal(prepare_weighted(lay, "S", w).amps,
+                          _prepare_weighted_reference(lay, "S", w))
+
+
+@given(st.data(), st.integers(2, 4), st.integers(1, 3), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_controlled_phase_fn_matches_its_slice_form(data, d, k, seed):
+    lay = _random_layout_around(data, d, k)
+    lay = _insert(lay, data.draw(st.integers(0, len(lay.segments))), ("C", (2,)))
+    rng = np.random.default_rng(seed)
+    state = rand_state(lay, rng)
+    ph = np.exp(2j * np.pi * rng.random(d**k))
+    assert np.array_equal(qsim.controlled_phase_fn(state, "C", "S", ph).amps,
+                          _controlled_phase_fn_reference(state, "C", "S", ph))
+
+
+@pytest.mark.parametrize("src_first", [True, False])
+@given(data=st.data(), d=st.integers(2, 4), k=st.integers(1, 2), seed=st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_apply_classical_matches_its_transpose_form(src_first, data, d, k, seed):
+    lay = _random_layout_around(data, d, k)
+    s = lay.names().index("S")
+    pos = data.draw(st.integers(0, s) if src_first else st.integers(s + 1, len(lay.segments)))
+    lay = _insert(lay, pos, ("X", data.draw(_dims(hi=3))))
+    table = {x: tuple(data.draw(st.integers(-9, 9)) for _ in range(k)) for x in lay.seg_values("X")}
+    f = lambda x: table[x if isinstance(x, tuple) else (x,)]
+    state = rand_state(lay, np.random.default_rng(seed))
+    assert np.array_equal(apply_classical(state, f, "X", "S").amps,
+                          _apply_classical_reference(state, f, "X", "S"))
+
+
+@given(st.data(), st.integers(1, 3), st.integers(1, 3), st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_pauli_twirl_mask_matches_the_sum_over_z(data, k, nmix, seed):
+    """Keeping the entries whose two segment values agree is the average over
+    all z, to 1e-15, with exact zeros off the block diagonal."""
+    lay = _random_layout_around(data, 2, k, hi=2)
+    rho = _random_mixed(lay, np.random.default_rng(seed), nmix)
+    out = pauli_twirl_channel(rho, "S").matrix
+    np.testing.assert_allclose(out, _pauli_twirl_reference(rho, "S"), rtol=0, atol=1e-15)
+    digits = np.array(np.unravel_index(np.arange(lay.dim), lay.all_dims))[lay.axes("S")]
+    same = np.all(digits[:, :, None] == digits[:, None, :], axis=0)
+    assert np.all(out[~same] == 0) and np.array_equal(out[same], rho.matrix[same])
