@@ -28,6 +28,7 @@ from .zqcore import (
     gaussian_box_weights,
     structured_ajtai_keygen,
     zq_box,
+    zq_image_codes,
 )
 
 
@@ -172,6 +173,12 @@ class _Dom:
         return post, pv, i0
 
     @functools.cached_property
+    def first_outside(self) -> int:
+        """The first value outside value 0's fiber (-1 when there is one image)."""
+        outside = np.flatnonzero(self.fibers[0] != self.fibers[0][0])
+        return int(outside[0]) if outside.size else -1
+
+    @functools.cached_property
     def lexfirst_pos(self) -> np.ndarray:
         """Each fiber's position of its least value."""
         _, _, fib = self.fibers
@@ -253,9 +260,8 @@ def _ladder_branches(adv: Adversary, dom: _Dom, rows: np.ndarray, mass: np.ndarr
         pi = fib[rows, fpos]
     elif adv.cert == "garbage":
         # the first value outside the fiber: 0, or in value 0's own fiber the
-        # first value of another one (none when there is one image)
-        outside = np.flatnonzero(row != row[0])
-        pi = np.where(rows == row[0], outside[0] if outside.size else -1, 0)
+        # first value of another one
+        pi = np.where(rows == row[0], dom.first_outside, 0)
         fpos, valid = 0, False
     elif adv.cert == "zero":
         pi, fpos, valid = 0, pos[0], row[0] == rows
@@ -362,38 +368,43 @@ def ev_target_collapse_ensembles(family: HashFamily, dist: Callable | None,
     second stage's advantage.
 
     A label fixes y, so each residual is given on its fiber's columns, in
-    ascending value index: an isometric image of the state on the whole X
-    register, with the same trace distance. Branches come in (key, y, M
-    outcome, certificate) order, every y of a key at once."""
-    ens = ([], [])
+    ascending value index and padded to the widest fiber: an isometric image
+    of the state on the whole X register, with the same trace distance. The
+    shared table holds the identity (a measured certificate leaves its
+    column's basis state) or every key's psi_y and M post states (the start
+    states an unmeasured certificate leaves). Branches come in (key, y, M
+    outcome, certificate) order, every y of a key at once. On D domain
+    values the label code is (key index * D + y's row) * (D + 1) + pi + 1,
+    with pi = -1 for none; validity follows from it."""
     keys = _keys_for_exact(family)
     wk = 1.0 / len(keys)
     measured = adv.cert == "measure"
+    cols: tuple[list, list] = ([], [])  # per side, (p, label, state) per key
+    blocks, base, width = [], 0, 0
     for ki, (key, _) in enumerate(keys):
         dom = _dom(family, key, dist)
-        _, _, fib = dom.fibers
+        n = len(dom.values)
         py, psi = dom.fiber_states
         post, pv, _ = dom.m_groups
-        nf = fib.shape[1]
-        layout = qsim.RegisterLayout([("X", (nf,))])
-        basis = [qsim.QState(layout, e) for e in np.eye(nf)]
-        ys = [repr(y) for y in dom.ys]
-        pis = [repr(v) for v in dom.values] + [repr(None)]  # index -1: no pi
-        rows = np.arange(len(fib))
-        for out, x, px in ((ens[0], psi[:, None], np.ones((len(fib), 1))), (ens[1], post, pv)):
-            pc, pi, fpos, valid = _ladder_branches(adv, dom, rows, np.abs(x) ** 2)
+        ny, width = len(psi), max(width, psi.shape[1])
+        for side, x, px in ((0, psi[:, None], np.ones((ny, 1))), (1, post, pv)):
+            pc, pi, fpos, valid = _ladder_branches(adv, dom, np.arange(ny), np.abs(x) ** 2)
             w = ((wk * py)[:, None] * px)[..., None] * pc
             # absent M outcomes and measured columns without mass are no branch
             keep = np.broadcast_to((px > 0)[..., None] & (valid | (not measured)), w.shape)
             r, v, _ = np.nonzero(keep)
-            if measured:  # the residual is the basis state of the column
-                states, at = basis, fpos[keep]
-            else:  # the residual is the branch's start state x[r, v]
-                states, at = [qsim.QState(layout, a) for a in x.reshape(-1, nf)], r * x.shape[1] + v
-            out.extend((ww, (ki, ys[rr], pis[ii], ok), states[si] if ok else None)
-                       for rr, ww, ii, si, ok in zip(r.tolist(), w[keep].tolist(), pi[keep].tolist(),
-                                                     at.tolist(), valid[keep].tolist()))
-    return qsim.Ensemble(ens[0]), qsim.Ensemble(ens[1])
+            if measured:
+                at = fpos[keep]
+            else:
+                at = base + r * x.shape[1] + v
+                blocks.append(x.reshape(-1, x.shape[2]))
+                base += len(blocks[-1])
+            cols[side].append((w[keep], (ki * n + r) * (n + 1) + pi[keep] + 1,
+                               np.where(valid[keep], at, -1)))
+    states = np.eye(width, dtype=np.complex128) if measured else np.concatenate(
+        [np.pad(x, ((0, 0), (0, width - x.shape[1]))) for x in blocks], dtype=np.complex128)
+    return tuple(qsim.Ensemble.from_columns(*map(np.concatenate, zip(*c)), states)
+                 for c in cols)
 
 
 # ---------------------------------------------------------------------------
@@ -662,23 +673,20 @@ def sgc_honest_ensembles(params: SGCParams, rng: np.random.Generator
                          ) -> tuple[qsim.Ensemble, qsim.Ensemble]:
     """Exact adversary-view ensembles (y, w, trapdoor released) of the
     honest computational-basis deleter for b = 0 versus b = 1, at one
-    sampled structured key. The views are classical after deletion."""
+    sampled structured key. The views are classical after deletion. The
+    label of the box value w at index i (zq_box order) is (image code of y
+    * q^m + i) * 2 + [w is a valid witness]."""
     n, m, q = params.n, params.m, params.q
-    A, t_keygen = structured_ajtai_keygen(n, m, q, rng)
+    A, _ = structured_ajtai_keygen(n, m, q, rng)
     rho2 = gaussian_box_weights(q, m, params.sigma) ** 2
-    digits = zq_box(q, m)
-    images = (digits @ A.entries.T) % q
-    total = rho2.sum()
+    c = centered_array(zq_box(q, m), q)
     bound = params.witness_bound_sq()
-    branches = []
-    for i in range(len(digits)):
-        w = digits[i]
-        c = centered_array(w, q)
-        valid = (Fraction(int(c @ c)) <= bound)
-        label = (tuple(images[i].tolist()), tuple(w.tolist()), bool(valid))
-        branches.append((rho2[i] / total, label, None))
+    valid = np.einsum("ij,ij->i", c, c) * bound.denominator <= bound.numerator
+    label = (zq_image_codes(A) * len(c) + np.arange(len(c))) * 2 + valid
+    states = np.zeros((0, 0), dtype=np.complex128)
+    e0 = qsim.Ensemble.from_columns(rho2 / rho2.sum(), label, -1, states)
     # measuring first (b=1) and then deleting produces the same joint law
-    return qsim.Ensemble(branches), qsim.Ensemble(list(branches))
+    return e0, qsim.Ensemble(e0.branches.copy(), states)
 
 
 # ---------------------------------------------------------------------------

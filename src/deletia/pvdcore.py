@@ -51,16 +51,17 @@ class PVDCiphertext:
     blocks: list[qsim.QState]
 
 
-def _sample_block(family: HashFamily, key, b: int, rng: np.random.Generator
-                  ) -> tuple[object, qsim.QState]:
-    """Prepare sum_x (-1)^{b M(x)} |x>|h(x)>, measure the image register."""
+def _sample_blocks(family: HashFamily, key, b: int, reps: int, rng: np.random.Generator
+                   ) -> tuple[list, list[qsim.QState]]:
+    """reps times: prepare sum_x (-1)^{b M(x)} |x>|h(x)>, measure the image
+    register. Returns (images, blocks)."""
     # image measurement via classical pushforward of the uniform weights
     t = family.table(key)
     order = t.repr_order()
     probs = np.bincount(t.image_ids, minlength=len(t.ys))[order].astype(float)
-    y = t.ys[order[int(rng.choice(len(order), p=probs / probs.sum()))]]
-    block = fiber_state(family, key, y, signed_bit=b % 2)
-    return y, block
+    images = [t.ys[order[int(rng.choice(len(order), p=probs / probs.sum()))]]
+              for _ in range(reps)]
+    return images, [fiber_state(family, key, y, signed_bit=b % 2) for y in images]
 
 
 def commit(family: HashFamily, b: int, reps: int, rng: np.random.Generator
@@ -71,11 +72,7 @@ def commit(family: HashFamily, b: int, reps: int, rng: np.random.Generator
     if not 1 <= reps <= MAX_REPS:
         raise ValueError(f"reps must be 1..{MAX_REPS}")
     key, _ = family.sample(rng)
-    images, blocks = [], []
-    for _ in range(reps):
-        y, block = _sample_block(family, key, b, rng)
-        images.append(y)
-        blocks.append(block)
+    images, blocks = _sample_blocks(family, key, b, reps, rng)
     return CommitmentPair(family=family, key=key, images=images, blocks=blocks, bit=b % 2)
 
 
@@ -149,11 +146,7 @@ def pvd_keygen(family: HashFamily, rng: np.random.Generator, reps: int = 8) -> P
 
 
 def pvd_encrypt(keys: PVDKeys, b: int, rng: np.random.Generator) -> PVDCiphertext:
-    images, blocks = [], []
-    for _ in range(keys.reps):
-        y, block = _sample_block(keys.family, keys.key, b, rng)
-        images.append(y)
-        blocks.append(block)
+    images, blocks = _sample_blocks(keys.family, keys.key, b, keys.reps, rng)
     return PVDCiphertext(images=images, blocks=blocks)
 
 

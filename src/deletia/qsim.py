@@ -515,72 +515,64 @@ def partial_trace(rho: DensityOp, keep: Sequence[str]) -> DensityOp:
 # Classical-quantum ensembles (exact challenger views)
 # ---------------------------------------------------------------------------
 
+BRANCH = np.dtype([("p", np.float64), ("label", np.int64), ("state", np.int64)])
+
+
 @dataclass
 class Ensemble:
-    """Mixture of (probability, classical label, optional quantum state).
+    """Mixture of (probability, classical label, optional pure state), one
+    ``BRANCH`` row per branch: its weight ``p``, an int64 ``label`` code
+    (equal codes are one classical label) and the row of the (S, F)
+    ``states`` table that holds its state (-1 for none). Two ensembles that
+    are compared share one table.
 
     Classical labels are perfectly distinguishable, so the trace distance
     between two ensembles decomposes per label.
     """
 
-    branches: list[tuple[float, tuple, QState | DensityOp | None]]
+    branches: np.ndarray
+    states: np.ndarray
 
-    def total(self) -> float:
-        return sum(p for p, _, _ in self.branches)
-
-    def group(self) -> dict[tuple, list[tuple[float, QState | DensityOp | None]]]:
-        out: dict[tuple, list] = {}
-        for p, label, st in self.branches:
-            out.setdefault(label, []).append((p, st))
-        return out
-
-
-def _label_density(entries: list[tuple[float, QState | DensityOp]], dim: int) -> np.ndarray:
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    for p, s in entries:
-        if isinstance(s, DensityOp):
-            m += p * s.matrix
-        else:
-            m += p * np.outer(s.amps, s.amps.conj())
-    return m
-
-
-def _pure_trace_norm(sa: list[tuple[float, QState]],
-                     sb: list[tuple[float, QState]]) -> float:
-    """Trace norm of sum_a p|v><v| - sum_b p|v><v| from its k x k image
-    R W R^dagger, where V = QR stacks the k distinct states and W holds each
-    state's a-side minus b-side weight (exactly 0 when the sides agree). One
-    state left with a nonzero weight needs no QR."""
-    merged: dict[bytes, list] = {}
-    for side, entries in ((0, sa), (1, sb)):
-        for p, s in entries:
-            merged.setdefault(s.amps.tobytes(), [0.0, 0.0, s.amps])[side] += p
-    pairs = [(wa - wb, v) for wa, wb, v in merged.values() if wa != wb]
-    if not pairs:
-        return 0.0
-    if len(pairs) == 1:
-        w, v = pairs[0]
-        return abs(w) * float(np.vdot(v, v).real)
-    _, r = np.linalg.qr(np.stack([v for _, v in pairs], axis=1))
-    g = (r * np.array([w for w, _ in pairs])) @ r.conj().T
-    return float(np.sum(np.abs(np.linalg.eigvalsh(g))))
+    @classmethod
+    def from_columns(cls, p, label, state, states: np.ndarray) -> "Ensemble":
+        """The ensemble whose branches are the broadcast 1-d columns p, label, state."""
+        branches = np.empty(np.broadcast(p, label, state).size, BRANCH)
+        branches["p"], branches["label"], branches["state"] = p, label, state
+        return cls(branches, states)
 
 
 def ensemble_trace_distance(a: Ensemble, b: Ensemble) -> float:
-    """Exact TD between two classical-quantum ensembles, label by label in
-    order of first appearance. A label whose entries are all pure states
-    takes the rank-k path; one with a DensityOp the dense D x D path."""
-    ga, gb = a.group(), b.group()
-    td = 0.0
-    for label in list(ga) + [lb for lb in gb if lb not in ga]:
-        ea, eb = ga.get(label, []), gb.get(label, [])
-        sa = [(p, s) for p, s in ea if s is not None]
-        sb = [(p, s) for p, s in eb if s is not None]
-        if not sa and not sb:
-            td += 0.5 * abs(sum(p for p, _ in ea) - sum(p for p, _ in eb))
-        elif any(isinstance(s, DensityOp) for _, s in sa + sb):
-            dim = (sa or sb)[0][1].layout.dim
-            td += 0.5 * trace_norm(_label_density(sa, dim) - _label_density(sb, dim))
-        else:
-            td += 0.5 * _pure_trace_norm(sa, sb)
-    return td
+    """Exact TD between two classical-quantum ensembles on one state table.
+
+    Each (label, state) pair's a-side minus b-side weight w (each side
+    summed on its own, so equal sides give exactly 0) leaves, per label, the
+    operator sum_v w_v |v><v| plus |w| for no state. A label with one
+    surviving state adds |w| ||v||^2; one with k >= 2 the trace norm of its
+    k x k image R diag(w) R^dagger, where V = QR stacks its states, batched
+    over the labels with the same k."""
+    if a.states is not b.states:
+        raise ValueError("the two ensembles must share one state table")
+    br, n, s = np.concatenate([a.branches, b.branches]), len(a.branches), len(a.states) + 1
+    codes, label = np.unique(br["label"], return_inverse=True)
+    pairs, at = np.unique(label * s + br["state"] + 1, return_inverse=True)
+    w = np.bincount(at[:n], a.branches["p"], len(pairs)) \
+        - np.bincount(at[n:], b.branches["p"], len(pairs))
+    label, state = np.divmod(pairs[w != 0], s)
+    w, state = w[w != 0], state - 1
+    norm = np.zeros(len(codes))  # each label's trace norm
+    norm[label[state < 0]] = np.abs(w[state < 0])
+    w, label, state = w[state >= 0], label[state >= 0], state[state >= 0]
+    # pairs are sorted by label: each label's surviving states are one run
+    _, start, k = np.unique(label, return_index=True, return_counts=True)
+    for kk in np.unique(k):
+        first = start[k == kk]
+        if kk == 1:
+            v = a.states[state[first]]
+            norm[label[first]] += np.abs(w[first]) * np.einsum("sf,sf->s", v.conj(), v).real
+            continue
+        idx = first[:, None] + np.arange(kk)
+        r = np.linalg.qr(a.states[state[idx]].swapaxes(1, 2), mode="r")
+        g = (r * w[idx][:, None, :]) @ r.conj().swapaxes(1, 2)
+        norm[label[first]] += np.abs(np.linalg.eigvalsh(g)).sum(axis=1)
+    # added left to right in label order, as a loop over the labels adds them
+    return 0.5 * float(np.cumsum(norm)[-1]) if norm.size else 0.0

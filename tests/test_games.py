@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from deletia.hashfam import (
     two_to_one_family,
 )
 from deletia.qsim import ensemble_trace_distance
-from deletia.zqcore import ZqVector
+from deletia.zqcore import ZqVector, centered_array, structured_ajtai_keygen, zq_box
 
 
 FAM = two_to_one_family(3)
@@ -186,6 +187,23 @@ def test_sgc_honest_deleter_valid_and_advantage_zero():
     assert valid / trials >= 0.99
     e0, e1 = sgc_honest_ensembles(params, np.random.default_rng(5))
     assert ensemble_trace_distance(e0, e1) <= 1e-10
+
+
+def test_sgc_labels_code_image_witness_and_validity():
+    params = configs.SGC_DESK
+    q = params.q
+    e0, e1 = sgc_honest_ensembles(params, np.random.default_rng(5))
+    A, _ = structured_ajtai_keygen(params.n, params.m, q, np.random.default_rng(5))
+    box = zq_box(q, params.m)
+    assert np.array_equal(e0.branches, e1.branches)
+    for i, (_, code, state) in enumerate(e0.branches.tolist()):
+        rest, valid = divmod(code, 2)
+        image, idx = divmod(rest, len(box))
+        c = centered_array(box[i], q)
+        assert (idx, state) == (i, -1)
+        assert image == int(np.polyval((A.entries @ box[i]) % q, q))  # digits, first row high
+        assert valid == (Fraction(int(c @ c)) <= params.witness_bound_sq())
+    assert abs(e0.branches["p"].sum() - 1.0) <= 1e-12
 
 
 def test_sgc_noop_certifier_gets_random_bit():
@@ -585,8 +603,9 @@ def test_ladder_relations_at_scale():
 # --- the fiber-column EVTC ensembles and exact TC against the per-y enumeration
 
 def _evtc_reference(family, dist, adv):
-    """The EVTC ensembles by the per-y enumeration, every residual a state on
-    the whole X register."""
+    """The EVTC ensembles by the per-y enumeration as lists of (weight,
+    label (key index, repr(y), repr(pi), valid), residual or None), every
+    residual a state on the whole X register."""
     ens = {0: [], 1: []}
     keys = games._keys_for_exact(family)
     wk = 1.0 / len(keys)
@@ -609,7 +628,40 @@ def _evtc_reference(family, dist, adv):
                         label = (ki, repr(dom.table.ys[j]), repr(dom.value(pi)), valid)
                         st = residual_state(_ref_residual(xvec, col, pc), dom) if valid else None
                         ens[b].append((wk * py * pv * pc, label, st))
-    return qsim.Ensemble(ens[0]), qsim.Ensemble(ens[1])
+    return ens[0], ens[1]
+
+
+def _array_form(*lists):
+    """List ensembles in array form: labels coded in order of first
+    appearance, one row of the shared table per branch state."""
+    codes, rows, cols = {}, [], []
+    for branches in lists:
+        state = []
+        for _, _, st in branches:
+            state.append(-1 if st is None else len(rows))
+            if st is not None:
+                rows.append(st.amps)
+        cols.append(([p for p, _, _ in branches],
+                     [codes.setdefault(lb, len(codes)) for _, lb, _ in branches], state))
+    table = np.array(rows, dtype=np.complex128) if rows else np.zeros((0, 0), np.complex128)
+    return [qsim.Ensemble.from_columns(*c, table) for c in cols]
+
+
+def _decoded_branches(ens, family, dist):
+    """(weight, (key index, repr(y), repr(pi), valid), fiber-column state or
+    None) per branch of an array-form EVTC ensemble, the label decoded from
+    its code (key index * D + y's row) * (D + 1) + pi + 1."""
+    doms = [games._Dom(family, key, dist) for key, _ in games._keys_for_exact(family)]
+    n = len(doms[0].values)
+    out = []
+    for p, code, s in ens.branches.tolist():
+        rest, pi = divmod(code, n + 1)
+        ki, r = divmod(rest, n)
+        dom, pi = doms[ki], pi - 1
+        valid = pi >= 0 and bool(dom.fibers[0][pi] == r)
+        label = (ki, repr(dom.ys[r]), repr(None if pi < 0 else dom.values[pi]), valid)
+        out.append((p, label, None if s < 0 else ens.states[s]))
+    return out
 
 
 def _tc_reference(family, dist, adversary):
@@ -627,17 +679,18 @@ def _tc_reference(family, dist, adversary):
 
 
 def _assert_ensemble_matches(got, want, family, dist, tol, case):
-    """Same labels in the same order; weights, and each fiber-column residual
-    embedded into the whole register through its fiber, within ``tol``
-    (``tol`` = 0: repr-equal weights and equal states)."""
-    assert [lb for _, lb, _ in got.branches] == [lb for _, lb, _ in want.branches], case
+    """Same decoded labels in the same order; weights, and each fiber-column
+    residual embedded into the whole register through its fiber, within
+    ``tol`` (``tol`` = 0: repr-equal weights and equal states)."""
+    got = _decoded_branches(got, family, dist)
+    assert [lb for _, lb, _ in got] == [lb for _, lb, _ in want], case
     fibers = {}
     for ki, (key, _) in enumerate(games._keys_for_exact(family)):
         dom = games._Dom(family, key, dist)
         fib = dom.fibers[2]
         for r, j in enumerate(dom.table.repr_order()):
             fibers[(ki, repr(dom.table.ys[j]))] = dom.table.reg_index[fib[r][fib[r] >= 0]]
-    for (p, label, st), (q, _, ref) in zip(got.branches, want.branches):
+    for (p, label, st), (q, _, ref) in zip(got, want):
         if tol == 0.0:
             assert repr(float(p)) == repr(float(q)), (case, label)
         else:
@@ -647,8 +700,8 @@ def _assert_ensemble_matches(got, want, family, dist, tol, case):
             continue
         cols = fibers[label[:2]]
         embedded = np.zeros_like(ref.amps)
-        embedded[cols] = st.amps[:len(cols)]
-        assert not st.amps[len(cols):].any(), (case, label)
+        embedded[cols] = st[:len(cols)]
+        assert not st[len(cols):].any(), (case, label)
         assert np.max(np.abs(embedded - ref.amps)) <= tol, (case, label)
 
 
@@ -666,7 +719,8 @@ def test_fiber_column_evtc_matches_per_y_reference(dist):
                 r0, r1 = _evtc_reference(fam, dist, adv)
                 _assert_ensemble_matches(e0, r0, fam, dist, tol, case)
                 _assert_ensemble_matches(e1, r1, fam, dist, tol, case)
-                td, want = ensemble_trace_distance(e0, e1), ensemble_trace_distance(r0, r1)
+                td = ensemble_trace_distance(e0, e1)
+                want = ensemble_trace_distance(*_array_form(r0, r1))
                 assert abs(td - want) <= 1e-15, case
                 got = target_collapse_advantage_exact(fam, dist, adv)
                 want = _tc_reference(fam, dist, adv)

@@ -144,18 +144,21 @@ def test_post_deletion_view_identical_across_bits():
     fam = balanced_family()
     key, _ = fam.sample(np.random.default_rng(7))
     total = fam.domain.size
+    no_states = np.zeros((0, 0), dtype=np.complex128)
     views = {}
     for b in (0, 1):
-        branches = []
-        for y in sorted({fam.eval(key, x) for x in fam.domain.values()}, key=repr):
+        p, label = [], []
+        ys = sorted({fam.eval(key, x) for x in fam.domain.values()}, key=repr)
+        for j, y in enumerate(ys):
             fiber = fam.fiber(key, y)
             py = len(fiber) / total
             block = hashfam.fiber_state(fam, key, y, signed_bit=b)
             probs = qsim.marginal_probs(block, "X")
             for x in fiber:
                 i = block.layout.value_index("X", fam.domain.to_register(x))
-                branches.append((py * probs[i], (repr(y), x), None))
-        views[b] = qsim.Ensemble(branches)
+                p.append(py * probs[i])
+                label.append(j * block.layout.dim + i)  # the view (y, x)
+        views[b] = qsim.Ensemble.from_columns(p, label, -1, no_states)
     assert qsim.ensemble_trace_distance(views[0], views[1]) <= 1e-10
 
 

@@ -561,17 +561,25 @@ def test_dump_format():
 
 def test_ensemble_trace_distance():
     lay = RegisterLayout([("X", (2,))])
-    zero = basis_state(lay)
-    one = basis_state(lay, {"X": (1,)})
-    a = Ensemble([(0.5, ("y",), zero), (0.5, ("n",), one)])
-    b = Ensemble([(0.5, ("y",), zero), (0.5, ("n",), one)])
+    states = np.array([basis_state(lay).amps, basis_state(lay, {"X": (1,)}).amps])
+    y, n = 0, 1
+    a = Ensemble.from_columns([0.5, 0.5], [y, n], [0, 1], states)
+    b = Ensemble.from_columns([0.5, 0.5], [y, n], [0, 1], states)
     assert ensemble_trace_distance(a, b) == pytest.approx(0.0, abs=1e-12)
-    c = Ensemble([(0.5, ("y",), one), (0.5, ("n",), one)])
+    c = Ensemble.from_columns([0.5, 0.5], [y, n], [1, 1], states)
     assert ensemble_trace_distance(a, c) == pytest.approx(0.5, abs=1e-12)
     # classical-only branches compare by mass
-    d = Ensemble([(1.0, ("y",), None)])
-    e = Ensemble([(0.25, ("y",), None), (0.75, ("n",), None)])
+    d = Ensemble.from_columns([1.0], [y], -1, states)
+    e = Ensemble.from_columns([0.25, 0.75], [y, n], -1, states)
     assert ensemble_trace_distance(d, e) == pytest.approx(0.75, abs=1e-12)
+
+
+def test_ensemble_trace_distance_needs_one_state_table():
+    states = np.eye(2, dtype=np.complex128)
+    a = Ensemble.from_columns([1.0], [0], [0], states)
+    b = Ensemble.from_columns([1.0], [0], [0], np.eye(2, dtype=np.complex128))
+    with pytest.raises(ValueError, match="one state table"):
+        ensemble_trace_distance(a, b)
 
 
 def test_dump_golden_file():
@@ -587,15 +595,18 @@ def test_dump_golden_file():
 
 
 def _dense_ensemble_td(a: Ensemble, b: Ensemble) -> float:
-    """Reference: per label, the D x D difference of weighted projectors."""
+    """Reference: per label, the dense difference of weighted projectors, a
+    branch without a state counting as one more orthogonal basis state."""
+    dim = a.states.shape[1]
+    none = np.eye(dim + 1)[dim]
     td = 0.0
-    for label in {lb for _, lb, _ in a.branches} | {lb for _, lb, _ in b.branches}:
-        dim = next(s.layout.dim for _, lb, s in a.branches + b.branches if lb == label)
-        m = np.zeros((dim, dim), dtype=np.complex128)
+    for label in set(a.branches["label"].tolist()) | set(b.branches["label"].tolist()):
+        m = np.zeros((dim + 1, dim + 1), dtype=np.complex128)
         for sign, ens in ((1.0, a), (-1.0, b)):
-            for p, lb, s in ens.branches:
+            for p, lb, s in ens.branches.tolist():
                 if lb == label:
-                    m += sign * p * np.outer(s.amps, s.amps.conj())
+                    v = none if s < 0 else np.append(ens.states[s], 0)
+                    m += sign * p * np.outer(v, v.conj())
         td += 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(m))))
     return td
 
@@ -606,21 +617,22 @@ def _dense_ensemble_td(a: Ensemble, b: Ensemble) -> float:
 def test_rank_k_ensemble_td_matches_dense_reference(seed, nlabels, k):
     rng = np.random.default_rng(seed)
     lay = RegisterLayout([("X", (2, 2, 2))])
-    labels = [("l", i) for i in range(nlabels)]
+    # random int64 label codes; the last one is for classical-only branches
+    codes = rng.integers(-2**62, 2**62, size=nlabels + 1)
+    pool = [rand_state(lay, rng).amps for _ in range(k)]
+    # one shared table with repeated rows: the pool twice, then one more state
+    states = np.array(pool + pool + [rand_state(lay, rng).amps])
 
-    def ensemble(states):
-        return Ensemble([(float(rng.random()), labels[int(rng.integers(nlabels))], s)
-                         for s in states])
+    def ensemble(rows):
+        rows = np.array([*rows, -1, -1])
+        label = np.where(rows >= 0, codes[rng.integers(nlabels, size=len(rows))], codes[-1])
+        return Ensemble.from_columns(rng.random(len(rows)), label, rows, states)
 
-    pool = [rand_state(lay, rng) for _ in range(k)]
-    a = ensemble(pool + pool[:1])
-    b = ensemble(pool[: int(rng.integers(1, k + 1))] + [rand_state(lay, rng)])
-    want = _dense_ensemble_td(a, b)
-    assert abs(ensemble_trace_distance(a, b) - want) <= 1e-12
-    dense_a = Ensemble([(p, lb, DensityOp.from_state(s)) for p, lb, s in a.branches])
-    assert abs(ensemble_trace_distance(dense_a, b) - want) <= 1e-12
+    a = ensemble([*range(k), k])  # pool[0] twice, through its repeated row
+    b = ensemble([*rng.choice(2 * k, int(rng.integers(1, k + 1)), replace=False), 2 * k])
+    assert abs(ensemble_trace_distance(a, b) - _dense_ensemble_td(a, b)) <= 1e-12
     # both sides identical: exactly zero
-    assert ensemble_trace_distance(a, Ensemble(list(a.branches))) == 0.0
+    assert ensemble_trace_distance(a, Ensemble(a.branches.copy(), states)) == 0.0
 
 
 # The transpose and slice-list bodies that qsim's segment operations had
