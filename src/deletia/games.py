@@ -21,7 +21,7 @@ import numpy as np
 
 from . import qsim
 from .dualregev import gen_gauss
-from .hashfam import HashFamily
+from .hashfam import HashFamily, dense_unique, repr_argsort
 from .zqcore import (
     ZqVector,
     centered_array,
@@ -121,15 +121,16 @@ class _Dom:
     @functools.cached_property
     def ys(self) -> list:
         """The images in row order."""
-        return [self.table.ys[j] for j in self.table.repr_order()]
+        return [self.table.ys[j] for j in self.table.repr_order]
 
     @functools.cached_property
     def fibers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(row, pos, fib): each value's image row (rows in repr order of y)
         and position in its fiber, and the (ny, F) matrix of every fiber's
         value indices, ascending, padded with -1."""
-        ny = len(self.table.ys)
-        row = np.argsort(self.table.repr_order())[self.table.image_ids]
+        order = self.table.repr_order
+        ny = len(order)
+        row = _inverse(order)[self.table.image_ids]
         counts = np.bincount(row, minlength=ny)
         by_row = np.argsort(row, kind="stable")
         pos = np.empty_like(row)
@@ -153,14 +154,15 @@ class _Dom:
         vectors, their probabilities and each outcome's first value index."""
         row, pos, fib = self.fibers
         _, psi = self.fiber_states
-        labels, label = np.unique(self.table.mvals, return_inverse=True)
-        keys = [repr(self.values[m]) if self.family.measure is None else repr(int(m))
-                for m in labels]
-        rank = np.argsort(sorted(range(len(keys)), key=keys.__getitem__))
+        labels, label = dense_unique(self.table.mvals)
+        if self.family.measure is None and not isinstance(self.values, range):
+            labels = [self.values[m] for m in labels]  # a range's values are their indices
+        rank = _inverse(repr_argsort(labels))
         # one cell per (y, outcome), sorted by y and then by the outcome's repr
-        cell, first, inv = np.unique(row * len(keys) + rank[label],
-                                     return_index=True, return_inverse=True)
-        cell_row = cell // len(keys)
+        cell, inv = dense_unique(row * len(rank) + rank[label])
+        first = np.full(len(cell), len(row))
+        np.minimum.at(first, inv, np.arange(len(row)))
+        cell_row = cell // len(rank)
         outcome = np.arange(len(cell)) - np.searchsorted(cell_row, cell_row)
         onehot = np.zeros((len(fib), outcome.max() + 1, fib.shape[1]), dtype=bool)
         onehot[row, outcome[inv], pos] = True
@@ -183,8 +185,16 @@ class _Dom:
         """Each fiber's position of its least value."""
         _, _, fib = self.fibers
         n = len(self.values)
-        vrank = np.argsort(sorted(range(n), key=self.values.__getitem__))
+        vrank = np.arange(n) if isinstance(self.values, range) else \
+            _inverse(np.array(sorted(range(n), key=self.values.__getitem__)))
         return np.argmin(np.where(fib >= 0, vrank[fib], n), axis=1)
+
+
+def _inverse(order: np.ndarray) -> np.ndarray:
+    """The inverse permutation: each position's rank in ``order``."""
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return rank
 
 
 _last_dom: _Dom | None = None
@@ -220,14 +230,21 @@ def _guess_p1(adv: Adversary, target: np.ndarray, xvec, dot=np.matmul):
     raise ValueError(f"unknown guess mode {adv.guess}")
 
 
-def _fold(total: float, terms: np.ndarray) -> float:
-    """total plus every entry of ``terms``, strictly left to right in C order,
-    as a scalar loop adds them."""
-    flat = np.array(terms, dtype=np.float64).ravel()
-    if flat.size == 0:
-        return total
-    flat[0] += total
-    return float(np.cumsum(flat, out=flat)[-1])
+def _fold(totals: np.ndarray, terms: list) -> np.ndarray:
+    """Each totals[i] plus every entry of terms[i], strictly left to right in
+    C order, as a scalar loop adds them: one cumsum along the rows of a
+    stack whose first column is the totals and whose short rows are padded
+    with +0.0, which adds nothing. A term is an array, or a pair (table,
+    index) that stands for table[index] and is gathered into the stack."""
+    terms = [t if isinstance(t, tuple) else (t[None], np.zeros(1, dtype=np.int64))
+             for t in terms]
+    sizes = [len(index) * table[0].size for table, index in terms]
+    stack = np.zeros((len(terms), 1 + max(sizes)))
+    stack[:, 0] = totals
+    for row, n, (table, index) in zip(stack, sizes, terms):
+        np.take(table.reshape(len(table), -1), index, axis=0, mode="clip",
+                out=row[1:1 + n].reshape(len(index), -1))
+    return np.cumsum(stack, axis=1, out=stack)[:, -1].copy()  # not a view that keeps the stack
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -322,16 +339,16 @@ def target_collapse_advantage_exact(family: HashFamily, dist: Callable | None,
     """|Pr[out=1 | b=0] - Pr[out=1 | b=1]| over enumerable keys, with every
     image y of a key at once on its fiber columns; the terms are added in
     the (key, y, M outcome) order of the scalar enumeration."""
-    totals = [0.0, 0.0]
+    totals = np.zeros(2)
     keys = _keys_for_exact(family)
     for key, _ in keys:
         dom = _dom(family, key, dist)
         py, psi = dom.fiber_states
         post, pv, _ = dom.m_groups
-        totals[0] = _fold(totals[0], py[:, None] * _guess_p1(adversary, psi, psi, _dot))
-        totals[1] = _fold(totals[1], (py[:, None] * pv)[..., None]
-                          * _guess_p1(adversary, psi[:, None], post, _dot))
-    return abs(totals[0] - totals[1]) / len(keys)
+        totals = _fold(totals, [py[:, None] * _guess_p1(adversary, psi, psi, _dot),
+                                (py[:, None] * pv)[..., None]
+                                * _guess_p1(adversary, psi[:, None], post, _dot)])
+    return abs(float(totals[0]) - float(totals[1])) / len(keys)
 
 
 # ---------------------------------------------------------------------------
@@ -441,14 +458,15 @@ def _exp0_terms(adv: Adversary, dom: _Dom, rows: np.ndarray, py: np.ndarray,
 
 def _c_register_terms(adv: Adversary, dom: _Dom, rows: np.ndarray, x: np.ndarray,
                       s1: np.ndarray, spi: np.ndarray, psi: np.ndarray,
-                      w0: np.ndarray, wk: float, with_exp1: bool) -> dict[str, np.ndarray]:
+                      w0: np.ndarray, wk: float) -> dict[str, np.ndarray]:
     """(Y, Z, V, K) Pr[out=1] terms after the first stage acts on the C-by-X
     states (|0> x + |1> s1 x)/sqrt2, x (Y, V, F) and s1 broadcasting to
     (Y, Z, V, F), each weighted w0 (Y, V): the projected experiment (Exp2
     or Exp3: project C onto phi_pi^z, then measure it) with its success and
-    valid masses, and if asked Exp1 (measure C, require c' = b) for b = 0
-    and 1. ``spi`` (Y, Z, F) is the phase sign of the value at each fiber
-    position: a certificate pi enters the projection only through it."""
+    valid masses, and Exp1 (measure C, require c' = b) for b = 0 and 1 on
+    the first state along v only, as (Y, Z, 1, K). ``spi`` (Y, Z, F) is the
+    phase sign of the value at each fiber position: a certificate pi enters
+    the projection only through it."""
     s2 = math.sqrt(2)
     r0 = (x / s2)[:, None]
     r1 = (s1 * x[:, None]) / s2
@@ -471,11 +489,12 @@ def _c_register_terms(adv: Adversary, dom: _Dom, rows: np.ndarray, x: np.ndarray
         merged, tm = (r0[..., None, :] + spi[..., None] * r1[..., None, :]) / s2, t[..., None, :]
     valid = valid[:, None]
     terms = {}
-    for b in (0, 1) if with_exp1 else ():
-        pb = dot(res[b], res[b])
+    for b in (0, 1):
+        rb, vb, wb = res[b][:, :, :1], valid[:, :, :1], w[:, :, :1]
+        pb = dot(rb, rb)
         ok = pb > 1e-15
-        guess = np.where(ok, _guess_p1(adv, t, res[b] / _safe_sqrt(pb, ok), dot), 0.5)
-        terms[f"exp1b{b}"] = np.where(valid, w * (pb * guess + (1 - pb) * 0.5), w * 0.5)
+        guess = np.where(ok, _guess_p1(adv, t, rb / _safe_sqrt(pb, ok), dot), 0.5)
+        terms[f"exp1b{b}"] = np.where(vb, wb * (pb * guess + (1 - pb) * 0.5), wb * 0.5)
     ps = dot(merged, merged)
     ok = ps > 1e-15
     guess = _guess_p1(adv, tm, merged / _safe_sqrt(ps, ok), dot)
@@ -488,7 +507,23 @@ def _c_register_terms(adv: Adversary, dom: _Dom, rows: np.ndarray, x: np.ndarray
     terms["proj"] = np.where(valid, w * proj, w * 0.5)
     terms["succ"] = np.where(valid, w * ps, 0.0)
     terms["valid"] = np.where(valid, w, 0.0)
-    return {name: np.broadcast_to(a, full) for name, a in terms.items()}
+    return {name: np.broadcast_to(a, full[:2] + a.shape[2:3] + full[3:])
+            for name, a in terms.items()}
+
+
+def _z_classes(spi: np.ndarray, real: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the (y, z) cells of the signs ``spi`` (Y, Z, F) by y and by the
+    signs on y's fiber positions (``real`` (Y, F) marks those that are not
+    padding): (cls, rep), each cell's class in C order of the cells, and one
+    cell of each class (any will do: they share y and its signs). One
+    ``np.unique`` pass per 8 fiber positions."""
+    ny, nz, _ = spi.shape
+    cls = np.repeat(np.arange(ny), nz)
+    for byte in np.packbits((spi < 0) & real[:, None, :], axis=-1).reshape(ny * nz, -1).T:
+        _, cls = np.unique(cls * 256 + byte, return_inverse=True)
+    rep = np.empty(cls.max() + 1, dtype=np.int64)
+    rep[cls] = np.arange(cls.size)
+    return cls, rep
 
 
 def hybrid_ladder_exact(family: HashFamily, adversary: Adversary,
@@ -497,55 +532,57 @@ def hybrid_ladder_exact(family: HashFamily, adversary: Adversary,
     adversary, by full enumeration of (key, y, z, v) and branch evolution.
 
     Every experiment is evaluated for a chunk of images y at once, on the
-    fiber columns only, and its terms are added in the (key, y, z, v,
+    fiber columns only. A term depends on z only through the signs z puts
+    on y's fiber positions, so Exp1-Exp3 are evaluated once per class of z
+    with equal signs (at most 2^F of them, however many values z takes) and
+    gathered back to every z. All terms are added in the (key, y, z, v,
     branch) order of the scalar enumeration; absent branches and padding
     add exactly 0.0.
     """
     keys = _keys_for_exact(family)
     wk = 1.0 / len(keys)
-    acc = dict.fromkeys(("exp0b0", "exp0b1", "exp1b0", "exp1b1", "proj2", "succ2",
-                         "valid2", "proj3", "succ3", "valid3"), 0.0)
+    acc = np.zeros(10)  # exp0b0, exp0b1, exp1b0, exp1b1, then proj, succ, valid of Exp2 and Exp3
 
     for key, _ in keys:
         dom = _dom(family, key, dist)
         _, _, fib = dom.fibers
         py_all, psi_all = dom.fiber_states
         post_all, pv_all, i0_all = dom.m_groups
-        z = np.arange(1 << dom.mbits)[None, :, None]
-        wz = 1.0 / z.size
+        nz = 1 << dom.mbits
+        wz = 1.0 / nz
         ny, nf = fib.shape
         nv = pv_all.shape[1]
         nk = len(dom.values) if adversary.cert == "uniform-domain" else 1
-        step = max(1, _LADDER_CELLS // (z.size * nv * max(nk, nf * nf)))
+        step = max(1, _LADDER_CELLS // (nz * nv * max(nk, nf * nf)))
         for lo in range(0, ny, step):
             rows = np.arange(lo, min(lo + step, ny))
-            py, psi, post, pv = py_all[rows], psi_all[rows], post_all[rows], pv_all[rows]
-            spi = dom.sign(z, fib[rows][:, None, :])  # (Y, Z, F)
-            acc["exp0b0"] = _fold(acc["exp0b0"], _exp0_terms(
-                adversary, dom, rows, py, psi[:, None], np.ones((len(rows), 1)), psi, wk))
-            acc["exp0b1"] = _fold(acc["exp0b1"], _exp0_terms(
-                adversary, dom, rows, py, post, pv, psi, wk))
-            # Exp1 and Exp2 share the joint state (|0>psi + |1>Z_z psi)/sqrt2
-            t12 = _c_register_terms(adversary, dom, rows, psi[:, None], spi[:, :, None],
-                                    spi, psi, (py * wz)[:, None], wk, with_exp1=True)
-            # Exp3: measure M first, then the same C machinery
-            s3 = dom.sign(z, i0_all[rows][:, None, :])[..., None]
-            t3 = _c_register_terms(adversary, dom, rows, post, s3, spi, psi,
-                                   (py * wz)[:, None] * pv, wk, with_exp1=False)
-            for name in ("exp1b0", "exp1b1"):
-                acc[name] = _fold(acc[name], t12[name])
-            for e, t in ((2, t12), (3, t3)):
-                for name in ("proj", "succ", "valid"):
-                    acc[f"{name}{e}"] = _fold(acc[f"{name}{e}"], t[name])
+            py, psi = py_all[rows], psi_all[rows]
+            # along v: psi, then each M outcome's post state, reached with pv
+            x = np.concatenate([psi[:, None], post_all[rows]], axis=1)  # (Y, 1 + V, F)
+            pv = np.pad(pv_all[rows], ((0, 0), (1, 0)), constant_values=1.0)
+            e0 = _exp0_terms(adversary, dom, rows, py, x, pv, psi, wk)
+            # One (y, z) cell per class, as a row u of its own. The phase Z_z
+            # puts the signs of the fiber positions on psi (Exp1 and Exp2) and
+            # the sign of its outcome on each post state (Exp3).
+            cls, rep = _z_classes(dom.sign(np.arange(nz)[None, :, None], fib[rows][:, None, :]),
+                                  fib[rows] >= 0)
+            u, z = rep // nz, (rep % nz)[:, None, None, None]
+            at = np.concatenate([fib[rows][:, None],
+                                 np.repeat(i0_all[rows][..., None], nf, axis=2)], axis=1)
+            s1 = dom.sign(z, at[u][:, None])  # (U, 1, 1 + V, F)
+            t = _c_register_terms(adversary, dom, rows[u], x[u], s1, s1[:, :, 0], psi[u],
+                                  (py[u] * wz)[:, None] * pv[u], wk)
+            names = ("exp1b0", "exp1b1", "proj", "succ", "valid")
+            acc = _fold(acc, [e0[:, :1], e0[:, 1:], *((t[n][:, :, 0], cls) for n in names),
+                              *((t[n][:, :, 1:], cls) for n in names[2:])])
 
-    p1 = {(e, b): acc[f"exp{e}b{b}"] if e < 2 else acc[f"proj{e}"]
-          for e in range(4) for b in (0, 1)}
-    advs = tuple(abs(p1[(e, 0)] - p1[(e, 1)]) for e in range(4))
-    proj = {e: (acc[f"succ{e}"] / acc[f"valid{e}"] if acc[f"valid{e}"] else 1.0)
-            for e in (2, 3)}
-    return LadderResult(adv=advs, prob1={f"exp{e}b{b}": p1[(e, b)]
-                                         for e in range(4) for b in (0, 1)},
-                        proj_success=proj)
+    exp0b0, exp0b1, exp1b0, exp1b1, proj2, succ2, valid2, proj3, succ3, valid3 = acc.tolist()
+    prob1 = {"exp0b0": exp0b0, "exp0b1": exp0b1, "exp1b0": exp1b0, "exp1b1": exp1b1,
+             "exp2b0": proj2, "exp2b1": proj2, "exp3b0": proj3, "exp3b1": proj3}
+    advs = tuple(abs(prob1[f"exp{e}b0"] - prob1[f"exp{e}b1"]) for e in range(4))
+    proj = {e: (succ / valid if valid else 1.0)
+            for e, succ, valid in ((2, succ2, valid2), (3, succ3, valid3))}
+    return LadderResult(adv=advs, prob1=prob1, proj_success=proj)
 
 
 # ---------------------------------------------------------------------------

@@ -110,28 +110,71 @@ def _enumerate(domain) -> tuple[Sequence, np.ndarray]:
 class DomainTable:
     """One key's function tabulated over ``domain.values()``, in that order.
 
-    ``ys`` holds the distinct images in ascending order and ``image_ids[i]``
-    the position of value i's image in ``ys``. ``mvals`` holds M[h] per
-    value, or for identity-measurement families the value's index (its bits,
-    on a bit domain). ``reg_index`` is each value's flat index in the
-    domain's register.
+    ``images`` holds each value's image (one row per value for tuple
+    images). ``mvals`` holds M[h] per value, or for identity-measurement
+    families the value's index (its bits, on a bit domain). ``reg_index`` is
+    each value's flat index in the domain's register. The images are ranked
+    when first read: ``ys`` holds the distinct images in ascending order and
+    ``image_ids[i]`` the position of value i's image in ``ys``.
     """
 
     values: Sequence
-    ys: list
-    image_ids: np.ndarray
+    images: np.ndarray
     mvals: np.ndarray
     reg_index: np.ndarray
 
-    def repr_order(self) -> list[int]:
+    @functools.cached_property
+    def _ranked(self) -> tuple[np.ndarray, np.ndarray]:
+        """(the distinct images ascending, each value's position among them)."""
+        if self.images.ndim == 1:
+            return dense_unique(self.images)
+        uniq, inverse = np.unique(self.images, axis=0, return_inverse=True)
+        return uniq, inverse.reshape(-1)
+
+    @property
+    def image_ids(self) -> np.ndarray:
+        return self._ranked[1]
+
+    @functools.cached_property
+    def ys(self) -> list:
+        uniq = self._ranked[0]
+        return uniq.tolist() if uniq.ndim == 1 else [tuple(u) for u in uniq.tolist()]
+
+    @functools.cached_property
+    def repr_order(self) -> np.ndarray:
         """Positions in ``ys`` in repr order of the image: the order in which
         the games and samplers enumerate images."""
-        return sorted(range(len(self.ys)), key=lambda j: repr(self.ys[j]))
+        uniq = self._ranked[0]
+        return repr_argsort(uniq if uniq.ndim == 1 else self.ys)
 
     def fiber_mask(self, y) -> np.ndarray:
-        if y not in self.ys:
-            return np.zeros(len(self.values), dtype=bool)
-        return self.image_ids == self.ys.index(y)
+        """Which values map to y; none when y is not an image of this shape."""
+        y = np.asarray(y)
+        if y.shape != self.images.shape[1:]:
+            return np.zeros(len(self.images), dtype=bool)
+        same = self.images == y
+        return same if same.ndim == 1 else same.all(axis=1)
+
+
+def dense_unique(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(a, return_inverse=True)`` for a 1-d array. Integers that
+    are nonnegative and below twice the array's size are ranked by marking
+    the present ones; anything else is sorted."""
+    if a.dtype.kind in "iu" and a.size and 0 <= a.min() and a.max() < 2 * a.size:
+        present = np.zeros(a.max() + 1, dtype=bool)
+        present[a] = True
+        return np.flatnonzero(present), (np.cumsum(present) - 1)[a]
+    uniq, inverse = np.unique(a, return_inverse=True)
+    return uniq, inverse.reshape(-1)
+
+
+def repr_argsort(items) -> np.ndarray:
+    """Indices that put ``items`` in repr order, the order in which images
+    and M outcomes are enumerated: an int array sorts its decimal strings,
+    anything else one repr per item."""
+    if isinstance(items, np.ndarray) and items.ndim == 1 and items.dtype.kind in "iu":
+        return np.argsort(items.astype(str))
+    return np.argsort([repr(x) for x in items])
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +225,7 @@ class HashFamily:
                 np.array([self.measure(key, x) for x in values], dtype=np.int64)
         if mvals is None:
             mvals = np.arange(len(values))
-        uniq, inverse = np.unique(images, axis=0, return_inverse=True)
-        ys = uniq.tolist() if uniq.ndim == 1 else [tuple(u) for u in uniq.tolist()]
-        table = DomainTable(values, ys, inverse.reshape(-1), mvals, reg_index)
+        table = DomainTable(values, np.asarray(images), mvals, reg_index)
         self._last = (key, table)
         return table
 
@@ -513,7 +554,7 @@ def balance_estimate(family: HashFamily, delta: float | None, trials: int,
     for _ in range(trials):
         key, _ = family.sample(rng)
         t = family.table(key)
-        fiber = t.image_ids == t.image_ids[int(rng.integers(0, len(t.values)))]
+        fiber = t.fiber_mask(t.images[int(rng.integers(0, len(t.values)))])
         a1 = int(np.count_nonzero(t.mvals[fiber]))
         a0 = int(np.count_nonzero(fiber)) - a1
         ratios.append(abs(a0 - a1) / (a0 + a1))
@@ -594,7 +635,7 @@ def tcr_game(family: HashFamily, adversary, rng: np.random.Generator,
     # are weighed in domain order and drawn in repr order
     probs = qsim.marginal_probs(state, "X")[t.reg_index]
     py_all = np.bincount(t.image_ids, weights=probs, minlength=len(t.ys))
-    order = [j for j in t.repr_order() if py_all[j] > 0]
+    order = [j for j in t.repr_order if py_all[j] > 0]
     py = py_all[order]
     j = order[int(rng.choice(len(order), p=py / py.sum()))]
     y = t.ys[j]

@@ -57,7 +57,7 @@ def _sample_blocks(family: HashFamily, key, b: int, reps: int, rng: np.random.Ge
     register. Returns (images, blocks)."""
     # image measurement via classical pushforward of the uniform weights
     t = family.table(key)
-    order = t.repr_order()
+    order = t.repr_order
     probs = np.bincount(t.image_ids, minlength=len(t.ys))[order].astype(float)
     images = [t.ys[order[int(rng.choice(len(order), p=probs / probs.sum()))]]
               for _ in range(reps)]

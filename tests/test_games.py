@@ -392,7 +392,7 @@ class _RefDom(games._Dom):
         """(position j of y in the table's ys, Pr[y]) in repr order of y."""
         py = np.bincount(self.table.image_ids, weights=self.weights,
                          minlength=len(self.table.ys))
-        return [(j, py[j]) for j in self.table.repr_order()]
+        return [(j, py[j]) for j in self.table.repr_order]
 
     def fiber(self, j: int) -> np.ndarray:
         return np.flatnonzero(self.table.image_ids == j)
@@ -600,6 +600,107 @@ def test_ladder_relations_at_scale():
             assert abs(adv1 - adv0 / 2) <= 1e-12, (fname, adv.name)
 
 
+# --- the z-class ladder against the per-z ladder -------------------------------
+
+def _scalar_fold(total: float, terms: np.ndarray) -> float:
+    """total plus every entry of ``terms``, strictly left to right in C order,
+    as a scalar loop adds them."""
+    flat = np.array(terms, dtype=np.float64).ravel()
+    if flat.size == 0:
+        return total
+    flat[0] += total
+    return float(np.cumsum(flat, out=flat)[-1])
+
+
+def _per_z_ladder(family, adversary, dist=None):
+    """The batched ladder as it was before z-sign classes: every term
+    evaluated once per z, and each of the ten sums folded on its own."""
+    keys = games._keys_for_exact(family)
+    wk = 1.0 / len(keys)
+    acc = dict.fromkeys(("exp0b0", "exp0b1", "exp1b0", "exp1b1", "proj2", "succ2",
+                         "valid2", "proj3", "succ3", "valid3"), 0.0)
+
+    for key, _ in keys:
+        dom = games._dom(family, key, dist)
+        _, _, fib = dom.fibers
+        py_all, psi_all = dom.fiber_states
+        post_all, pv_all, i0_all = dom.m_groups
+        z = np.arange(1 << dom.mbits)[None, :, None]
+        wz = 1.0 / z.size
+        ny, nf = fib.shape
+        nv = pv_all.shape[1]
+        nk = len(dom.values) if adversary.cert == "uniform-domain" else 1
+        step = max(1, (1 << 13) // (z.size * nv * max(nk, nf * nf)))
+        for lo in range(0, ny, step):
+            rows = np.arange(lo, min(lo + step, ny))
+            py, psi, post, pv = py_all[rows], psi_all[rows], post_all[rows], pv_all[rows]
+            spi = dom.sign(z, fib[rows][:, None, :])  # (Y, Z, F)
+            acc["exp0b0"] = _scalar_fold(acc["exp0b0"], games._exp0_terms(
+                adversary, dom, rows, py, psi[:, None], np.ones((len(rows), 1)), psi, wk))
+            acc["exp0b1"] = _scalar_fold(acc["exp0b1"], games._exp0_terms(
+                adversary, dom, rows, py, post, pv, psi, wk))
+            # Exp1 and Exp2 share the joint state (|0>psi + |1>Z_z psi)/sqrt2
+            t12 = games._c_register_terms(adversary, dom, rows, psi[:, None], spi[:, :, None],
+                                          spi, psi, (py * wz)[:, None], wk)
+            # Exp3: measure M first, then the same C machinery
+            s3 = dom.sign(z, i0_all[rows][:, None, :])[..., None]
+            t3 = games._c_register_terms(adversary, dom, rows, post, s3, spi, psi,
+                                         (py * wz)[:, None] * pv, wk)
+            for name in ("exp1b0", "exp1b1"):
+                acc[name] = _scalar_fold(acc[name], t12[name])
+            for e, t in ((2, t12), (3, t3)):
+                for name in ("proj", "succ", "valid"):
+                    acc[f"{name}{e}"] = _scalar_fold(acc[f"{name}{e}"], t[name])
+
+    p1 = {(e, b): acc[f"exp{e}b{b}"] if e < 2 else acc[f"proj{e}"]
+          for e in range(4) for b in (0, 1)}
+    advs = tuple(abs(p1[(e, 0)] - p1[(e, 1)]) for e in range(4))
+    proj = {e: (acc[f"succ{e}"] / acc[f"valid{e}"] if acc[f"valid{e}"] else 1.0)
+            for e in (2, 3)}
+    return games.LadderResult(adv=advs, prob1={f"exp{e}b{b}": p1[(e, b)]
+                                               for e in range(4) for b in (0, 1)},
+                              proj_success=proj)
+
+
+def _sign_class_families():
+    """Identity-M families (2^bits values of z; fibers of 2 and, composed, of
+    16) and f_Delta families (fibers of 4 to 16, two values of z)."""
+    fams = {f"two-to-one-{b}": two_to_one_family(b) for b in range(2, 10)}
+    fams["compose-6-cg-2"] = _sampled_keys(compose_balanced(
+        toy_regular_owf(6, 1), chor_goldreich_family(2, 5, 2)))
+    for m, r in ((4, 1), (5, 1), (6, 2), (7, 2), (8, 3)):
+        fams[f"fdelta-toy-{m}-{r}"] = _sampled_keys(fdelta_family(toy_regular_owf(m, r)))
+    return fams
+
+
+@pytest.mark.parametrize("dist", [None, _skewed], ids=["uniform", "skewed"])
+def test_sign_class_ladder_matches_the_per_z_ladder(dist):
+    for fname, fam in _sign_class_families().items():
+        for aname, adv in sorted(ADVERSARIES.items()):
+            if adv.cert == "uniform-domain" and fam.domain.size > 1 << 7:
+                continue  # one branch per domain value: O(D^2 2^bits) terms
+            want = _per_z_ladder(fam, adv, dist)
+            got = hybrid_ladder_exact(fam, adv, dist)
+            case = (fname, aname)
+            assert repr(got.adv) == repr(want.adv), case
+            assert repr(got.prob1) == repr(want.prob1), case
+            assert repr(got.proj_success) == repr(want.proj_success), case
+
+
+def test_sign_classes_group_cells_by_row_and_signs():
+    rng = np.random.default_rng(0)
+    for nf in (1, 3, 8, 9, 17):  # one, and more than one, byte of signs
+        spi = rng.choice([-1.0, 1.0], size=(3, 16, nf))
+        spi[:, 8:] = spi[:, :8]  # every class has two members at least
+        real = np.ones((3, nf), dtype=bool)
+        real[2, nf // 2:] = False  # a row with padding: its signs there do not count
+        cls, rep = games._z_classes(spi, real)
+        cells = [(y, tuple(spi[y, z][real[y]])) for y in range(3) for z in range(16)]
+        assert len(rep) == len(set(cells))
+        for i, cell in enumerate(cells):
+            assert cells[rep[cls[i]]] == cell
+
+
 # --- the fiber-column EVTC ensembles and exact TC against the per-y enumeration
 
 def _evtc_reference(family, dist, adv):
@@ -688,7 +789,7 @@ def _assert_ensemble_matches(got, want, family, dist, tol, case):
     for ki, (key, _) in enumerate(games._keys_for_exact(family)):
         dom = games._Dom(family, key, dist)
         fib = dom.fibers[2]
-        for r, j in enumerate(dom.table.repr_order()):
+        for r, j in enumerate(dom.table.repr_order):
             fibers[(ki, repr(dom.table.ys[j]))] = dom.table.reg_index[fib[r][fib[r] >= 0]]
     for (p, label, st), (q, _, ref) in zip(got, want):
         if tol == 0.0:

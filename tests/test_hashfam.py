@@ -444,7 +444,7 @@ def test_table_matches_eval_and_measure():
             assert list(t.values) == list(fam.domain.values())
             assert [t.ys[i] for i in t.image_ids] == [fam.eval(key, x) for x in t.values]
             assert t.ys == sorted(t.ys)
-            assert [t.ys[j] for j in t.repr_order()] == sorted(t.ys, key=repr)
+            assert [t.ys[j] for j in t.repr_order] == sorted(t.ys, key=repr)
             assert all(type(y) in (int, tuple) for y in t.ys)
             if fam.measure is not None:
                 assert t.mvals.tolist() == [fam.measure(key, x) for x in t.values]
@@ -452,6 +452,75 @@ def test_table_matches_eval_and_measure():
                 lay.value_index("X", fam.domain.to_register(x)) for x in t.values]
             y = t.ys[-1]
             assert fam.fiber(key, y) == [x for x in t.values if fam.eval(key, x) == y]
+
+
+def _ranked_reference(images):
+    """ys, image_ids and repr order the way tables ranked images when built:
+    one sort of the whole image array."""
+    uniq, inverse = np.unique(images, axis=0, return_inverse=True)
+    ys = uniq.tolist() if uniq.ndim == 1 else [tuple(u) for u in uniq.tolist()]
+    return ys, inverse.reshape(-1), sorted(range(len(ys)), key=lambda j: repr(ys[j]))
+
+
+def _lazy_rank_tables():
+    """Tables of int images that cross digit counts (9/10, 99/100, 999/1000),
+    ranked densely and, with a sparse or negative image, by sorting; and the
+    int and tuple images of the shipped families."""
+    rng = np.random.default_rng(7)
+    dense = rng.choice([0, 3, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 1100], size=600)
+    tables = {"dense": dense, "dense-all": np.arange(1024)[::-1] % 1001,
+              "sparse": np.where(dense > 500, dense * 10**6, dense),
+              "negative": dense - 100}
+    tables = {name: hashfam.DomainTable(range(len(im)), im, np.zeros(len(im), dtype=np.int64),
+                                        np.arange(len(im))) for name, im in tables.items()}
+    for fam in (chor_goldreich_family(3, 10, 7), fdelta_family(toy_regular_owf(10, 2)),
+                ajtai_family(2, 3, 5, 2.0)):
+        key, _ = fam.sample(np.random.default_rng(1))
+        tables[fam.name] = fam.table(key)
+    return tables
+
+
+@pytest.mark.parametrize("name", list(_lazy_rank_tables()))
+def test_lazy_ranks_match_a_sorted_reference(name):
+    t = _lazy_rank_tables()[name]
+    ys, ids, order = _ranked_reference(t.images)
+    assert t.ys == ys and all(type(y) in (int, tuple) for y in t.ys)
+    assert t.image_ids.tolist() == ids.tolist()
+    assert t.repr_order.tolist() == order
+    present = ys[len(ys) // 2]
+    assert t.fiber_mask(present).tolist() == (ids == len(ys) // 2).tolist()
+    if isinstance(present, tuple):
+        candidates = itertools.product(range(5), repeat=len(present))
+        outside = [present[:1], (10**30,) * len(present), 3]
+    else:
+        candidates = range(min(ys), max(ys))
+        outside = [max(ys) + 1, min(ys) - 1, 10**30, (present,) * 2, None]
+    absent = next((y for y in candidates if y not in ys), None)
+    assert absent is not None or name not in ("dense", "sparse", "negative")  # the others are onto
+    for y in [absent, *outside] if absent is not None else outside:
+        assert not t.fiber_mask(y).any(), y
+
+
+def _balance_reference(family, trials, rng):
+    """The fiber ratios of balance_estimate by per-value eval and measure."""
+    ratios = []
+    for _ in range(trials):
+        key, _ = family.sample(rng)
+        values = list(family.domain.values())
+        y = family.eval(key, values[int(rng.integers(0, len(values)))])
+        sides = [family.measure(key, x) for x in values if family.eval(key, x) == y]
+        ratios.append(abs(len(sides) - 2 * sum(sides)) / len(sides))
+    return ratios
+
+
+def test_balance_ratios_match_the_per_value_reference():
+    const = HashFamily(name="const", domain=BitDomain(4), range_bits=2,
+                       sample=lambda rng: (None, None), eval=lambda key, x: 0)
+    for fam in (fdelta_family(toy_regular_owf(10, 2)),
+                fdelta_family(compose_balanced(toy_regular_owf(6, 2), const)),
+                fdelta_family(toy_regular_owf(6, 0, range_bits=7))):  # ratios 0 and 1
+        report = balance_estimate(fam, None, 12, np.random.default_rng(4))
+        assert report.ratios == _balance_reference(fam, 12, np.random.default_rng(4)), fam.name
 
 
 def test_balance_estimate_matches_fiber_enumeration():
