@@ -11,7 +11,6 @@ enumerable domain.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import qsim
 from .dualregev import gen_gauss
-from .hashfam import HashFamily, dense_unique, repr_argsort
+from .hashfam import DomainTable, HashFamily
 from .zqcore import (
     ZqVector,
     centered_array,
@@ -92,124 +91,8 @@ class GameTranscript:
 
 
 # ---------------------------------------------------------------------------
-# Per-key domain tables, shared by the sampled and the exact games
+# Shared by the sampled and the exact games
 # ---------------------------------------------------------------------------
-
-class _Dom:
-    """One key's domain table with D-weights. Images are addressed by their
-    row, in repr order of y (the rows of ``fibers``), certificates pi by
-    their index into ``values``."""
-
-    def __init__(self, family: HashFamily, key, dist: Callable | None):
-        self.family = family
-        self.dist = dist
-        self.table = family.table(key)
-        self.values = self.table.values
-        d = np.ones(len(self.values)) if dist is None else np.array([dist(x) for x in self.values])
-        self.weights = d / d.sum()
-        if family.measure is None:
-            self.mbits = getattr(family.domain, "bits", None)
-            if self.mbits is None:
-                raise ValueError("identity-M exact mode needs a bit domain")
-        else:
-            self.mbits = 1
-
-    def sign(self, z, idx=slice(None)) -> np.ndarray:
-        """(-1)^{<M(x), z>} for z packed as an int, at the value indices idx."""
-        return 1.0 - 2.0 * (np.bitwise_count(z & self.table.mvals[idx]) & 1)
-
-    @functools.cached_property
-    def ys(self) -> list:
-        """The images in row order."""
-        return [self.table.ys[j] for j in self.table.repr_order]
-
-    @functools.cached_property
-    def fibers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(row, pos, fib): each value's image row (rows in repr order of y)
-        and position in its fiber, and the (ny, F) matrix of every fiber's
-        value indices, ascending, padded with -1."""
-        order = self.table.repr_order
-        ny = len(order)
-        row = _inverse(order)[self.table.image_ids]
-        counts = np.bincount(row, minlength=ny)
-        by_row = np.argsort(row, kind="stable")
-        pos = np.empty_like(row)
-        pos[by_row] = np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)
-        fib = np.full((ny, counts.max()), -1)
-        fib[row, pos] = np.arange(len(row))
-        return row, pos, fib
-
-    @functools.cached_property
-    def fiber_states(self) -> tuple[np.ndarray, np.ndarray]:
-        """(py, psi): Pr[y] and psi_y on the fiber columns, one row per y."""
-        row, _, fib = self.fibers
-        py = np.bincount(row, weights=self.weights, minlength=len(fib))
-        amps = np.where(fib >= 0, np.sqrt(self.weights[fib]), 0.0)
-        return py, amps / np.sqrt(_dot(amps, amps))
-
-    @functools.cached_property
-    def m_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(post, pv, i0): measuring M on psi_y, outcomes in repr order of
-        the outcome along axis 1 (padded with pv = 0): the (ny, V, F) post
-        vectors, their probabilities and each outcome's first value index."""
-        row, pos, fib = self.fibers
-        _, psi = self.fiber_states
-        labels, label = dense_unique(self.table.mvals)
-        if self.family.measure is None and not isinstance(self.values, range):
-            labels = [self.values[m] for m in labels]  # a range's values are their indices
-        rank = _inverse(repr_argsort(labels))
-        # one cell per (y, outcome), sorted by y and then by the outcome's repr
-        cell, inv = dense_unique(row * len(rank) + rank[label])
-        first = np.full(len(cell), len(row))
-        np.minimum.at(first, inv, np.arange(len(row)))
-        cell_row = cell // len(rank)
-        outcome = np.arange(len(cell)) - np.searchsorted(cell_row, cell_row)
-        onehot = np.zeros((len(fib), outcome.max() + 1, fib.shape[1]), dtype=bool)
-        onehot[row, outcome[inv], pos] = True
-        i0 = np.zeros(onehot.shape[:2], dtype=np.int64)
-        i0[cell_row, outcome] = first
-        pv = np.cumsum(np.where(onehot, psi[:, None, :] ** 2, 0.0), axis=-1)[..., -1]
-        ok = pv > 0
-        post = np.where(onehot & ok[..., None], psi[:, None, :], 0.0) \
-            / np.sqrt(np.where(ok, pv, 1.0))[..., None]
-        return post, pv, i0
-
-    @functools.cached_property
-    def first_outside(self) -> int:
-        """The first value outside value 0's fiber (-1 when there is one image)."""
-        outside = np.flatnonzero(self.fibers[0] != self.fibers[0][0])
-        return int(outside[0]) if outside.size else -1
-
-    @functools.cached_property
-    def lexfirst_pos(self) -> np.ndarray:
-        """Each fiber's position of its least value."""
-        _, _, fib = self.fibers
-        n = len(self.values)
-        vrank = np.arange(n) if isinstance(self.values, range) else \
-            _inverse(np.array(sorted(range(n), key=self.values.__getitem__)))
-        return np.argmin(np.where(fib >= 0, vrank[fib], n), axis=1)
-
-
-def _inverse(order: np.ndarray) -> np.ndarray:
-    """The inverse permutation: each position's rank in ``order``."""
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = np.arange(len(order))
-    return rank
-
-
-_last_dom: _Dom | None = None
-
-
-def _dom(family: HashFamily, key, dist: Callable | None) -> _Dom:
-    """The key's _Dom, reused while ``family.table(key)`` and ``dist`` are the
-    objects it was built from, so that sampled runs which draw the same key
-    build its tables once. Only the last one is kept."""
-    global _last_dom
-    if _last_dom is None or _last_dom.table is not family.table(key) \
-            or _last_dom.dist is not dist:
-        _last_dom = _Dom(family, key, dist)
-    return _last_dom
-
 
 def _keys_for_exact(family: HashFamily) -> list:
     if family.keys is None:
@@ -252,7 +135,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...f,...f->...", a, b)[..., None]
 
 
-def _ladder_branches(adv: Adversary, dom: _Dom, rows: np.ndarray, mass: np.ndarray
+def _ladder_branches(adv: Adversary, dom: DomainTable, rows: np.ndarray, mass: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The first stage's certificate branches on states whose X marginal on
     the fiber columns is ``mass`` (Y, V, F), for the image rows ``rows``:
@@ -260,7 +143,8 @@ def _ladder_branches(adv: Adversary, dom: _Dom, rows: np.ndarray, mass: np.ndarr
     none) and its position in the fiber where it is valid. A measured
     certificate has one branch per fiber column, pc = 0.0 where the column's
     mass is at most 1e-15; the other modes leave the state untouched."""
-    row, pos, fib = dom.fibers
+    row = dom.image_ids
+    pos, fib = dom.fibers
     shape = mass.shape[:2] + (1,)
     if adv.cert == "measure":
         valid = mass > 1e-15
@@ -295,11 +179,11 @@ def _pick(p: np.ndarray, rng: np.random.Generator) -> int:
 
 
 def _sample_challenge(family: HashFamily, dist: Callable | None, b: int,
-                      rng: np.random.Generator) -> tuple[_Dom, int, np.ndarray]:
-    """Sample h and y, and for odd b measure M: (domain, image row, X state
+                      rng: np.random.Generator) -> tuple[DomainTable, int, np.ndarray]:
+    """Sample h and y, and for odd b measure M: (the key's table, image row, X state
     on the row's fiber columns)."""
     key, _ = family.sample(rng)
-    dom = _dom(family, key, dist)
+    dom = family.table(key, dist)
     py, psi = dom.fiber_states
     r = int(rng.choice(len(py), p=py))
     if b % 2:
@@ -308,13 +192,13 @@ def _sample_challenge(family: HashFamily, dist: Callable | None, b: int,
     return dom, r, psi[r]
 
 
-def _sample_certificate(adv: Adversary, dom: _Dom, r: int, mass: np.ndarray,
+def _sample_certificate(adv: Adversary, dom: DomainTable, r: int, mass: np.ndarray,
                         rng: np.random.Generator) -> tuple[int, int | None, bool]:
     """The first stage on a state of image row r whose X marginal on the
     row's fiber columns is ``mass`` (its padding may be left off): pi's value
     index (-1 for none), the measured fiber position (None when the state is
     left untouched) and whether pi is valid."""
-    full = np.zeros(dom.fibers[2].shape[1])
+    full = np.zeros(dom.fibers[1].shape[1])
     full[:len(mass)] = mass
     pc, pi, fpos, valid = (a.ravel() for a in
                            _ladder_branches(adv, dom, np.array([r]), full[None, None]))
@@ -342,7 +226,7 @@ def target_collapse_advantage_exact(family: HashFamily, dist: Callable | None,
     totals = np.zeros(2)
     keys = _keys_for_exact(family)
     for key, _ in keys:
-        dom = _dom(family, key, dist)
+        dom = family.table(key, dist)
         py, psi = dom.fiber_states
         post, pv, _ = dom.m_groups
         totals = _fold(totals, [py[:, None] * _guess_p1(adversary, psi, psi, _dot),
@@ -399,7 +283,7 @@ def ev_target_collapse_ensembles(family: HashFamily, dist: Callable | None,
     cols: tuple[list, list] = ([], [])  # per side, (p, label, state) per key
     blocks, base, width = [], 0, 0
     for ki, (key, _) in enumerate(keys):
-        dom = _dom(family, key, dist)
+        dom = family.table(key, dist)
         n = len(dom.values)
         py, psi = dom.fiber_states
         post, pv, _ = dom.m_groups
@@ -444,7 +328,7 @@ def _safe_sqrt(p: np.ndarray, ok: np.ndarray) -> np.ndarray:
     return np.sqrt(np.where(ok, p, 1.0))
 
 
-def _exp0_terms(adv: Adversary, dom: _Dom, rows: np.ndarray, py: np.ndarray,
+def _exp0_terms(adv: Adversary, dom: DomainTable, rows: np.ndarray, py: np.ndarray,
                 x: np.ndarray, pv: np.ndarray, psi: np.ndarray, wk: float) -> np.ndarray:
     """(Y, V, K) Pr[out=1] terms of Exp0 from the X states ``x`` (Y, V, F)
     reached with probabilities ``pv`` (Y, V)."""
@@ -456,7 +340,7 @@ def _exp0_terms(adv: Adversary, dom: _Dom, rows: np.ndarray, py: np.ndarray,
     return (wk * ((py[:, None] * pv)[..., None] * pc)) * np.where(valid, guess, 0.5)
 
 
-def _c_register_terms(adv: Adversary, dom: _Dom, rows: np.ndarray, x: np.ndarray,
+def _c_register_terms(adv: Adversary, dom: DomainTable, rows: np.ndarray, x: np.ndarray,
                       s1: np.ndarray, spi: np.ndarray, psi: np.ndarray,
                       w0: np.ndarray, wk: float) -> dict[str, np.ndarray]:
     """(Y, Z, V, K) Pr[out=1] terms after the first stage acts on the C-by-X
@@ -544,8 +428,8 @@ def hybrid_ladder_exact(family: HashFamily, adversary: Adversary,
     acc = np.zeros(10)  # exp0b0, exp0b1, exp1b0, exp1b1, then proj, succ, valid of Exp2 and Exp3
 
     for key, _ in keys:
-        dom = _dom(family, key, dist)
-        _, _, fib = dom.fibers
+        dom = family.table(key, dist)
+        _, fib = dom.fibers
         py_all, psi_all = dom.fiber_states
         post_all, pv_all, i0_all = dom.m_groups
         nz = 1 << dom.mbits
@@ -597,8 +481,8 @@ def hybrid_ladder_mc(family: HashFamily, adversary: Adversary, exp: int,
         return ev_target_collapse_exp(family, None, adversary, b, rng).verdict
 
     dom, r, psi = _sample_challenge(family, None, 0, rng)
-    fib = dom.fibers[2][r]
-    reg = dom.table.reg_index[fib[fib >= 0]]  # the row's fiber columns (padding is last)
+    fib = dom.fibers[1][r]
+    reg = dom.reg_index[fib[fib >= 0]]  # the row's fiber columns (padding is last)
     target = psi = psi[:len(reg)]
     layout = qsim.RegisterLayout([("C", (2,)), ("X", family.domain.register_dims())])
 
@@ -614,7 +498,7 @@ def hybrid_ladder_mc(family: HashFamily, adversary: Adversary, exp: int,
 
     # C in |+>, controlled phase (-1)^{<M(x), z>}
     phase = np.ones(layout.dim // 2)
-    phase[dom.table.reg_index] = dom.sign(z)
+    phase[dom.reg_index] = dom.sign(z)
     state = qsim.controlled_phase_fn(c_state(np.stack([psi, psi]) / math.sqrt(2)),
                                      "C", "X", phase)
 

@@ -11,7 +11,6 @@ domain here is brute-forcible by design.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -106,46 +105,54 @@ def _enumerate(domain) -> tuple[Sequence, np.ndarray]:
     return values, np.array(index, dtype=np.int64)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class DomainTable:
-    """One key's function tabulated over ``domain.values()``, in that order.
+    """One key's function tabulated over ``domain.values()``, in that order,
+    with everything the games and samplers derive from it.
 
     ``images`` holds each value's image (one row per value for tuple
     images). ``mvals`` holds M[h] per value, or for identity-measurement
-    families the value's index (its bits, on a bit domain). ``reg_index`` is
-    each value's flat index in the domain's register. The images are ranked
-    when first read: ``ys`` holds the distinct images in ascending order and
-    ``image_ids[i]`` the position of value i's image in ``ys``.
+    families (``measured`` false) the value's index (its bits, on a bit
+    domain). ``reg_index`` is each value's flat index in the domain's
+    register. ``domain`` is the domain tabulated, and ``dist`` weighs its
+    values, D(x), uniform when None.
+
+    Everything else is built when first read. The images are ranked once:
+    ``ys`` holds the distinct images in repr order, the order in which the
+    games and samplers enumerate them, and ``image_ids[i]`` is value i's
+    row, the position of its image in ``ys``. Certificates pi are indices
+    into ``values``.
     """
 
     values: Sequence
     images: np.ndarray
     mvals: np.ndarray
     reg_index: np.ndarray
+    domain: object
+    measured: bool
+    dist: Callable | None
 
     @functools.cached_property
-    def _ranked(self) -> tuple[np.ndarray, np.ndarray]:
-        """(the distinct images ascending, each value's position among them)."""
+    def _ranked(self) -> tuple[list, np.ndarray]:
+        """(the distinct images in repr order, each value's row among them)."""
         if self.images.ndim == 1:
-            return dense_unique(self.images)
-        uniq, inverse = np.unique(self.images, axis=0, return_inverse=True)
-        return uniq, inverse.reshape(-1)
+            uniq, inverse = dense_unique(self.images)
+            order = repr_argsort(uniq)
+            ys = uniq[order].tolist()
+        else:
+            uniq, inverse = np.unique(self.images, axis=0, return_inverse=True)
+            ys = [tuple(u) for u in uniq.tolist()]
+            order = repr_argsort(ys)
+            ys = [ys[j] for j in order]
+        return ys, _inverse(order)[inverse.reshape(-1)]
+
+    @property
+    def ys(self) -> list:
+        return self._ranked[0]
 
     @property
     def image_ids(self) -> np.ndarray:
         return self._ranked[1]
-
-    @functools.cached_property
-    def ys(self) -> list:
-        uniq = self._ranked[0]
-        return uniq.tolist() if uniq.ndim == 1 else [tuple(u) for u in uniq.tolist()]
-
-    @functools.cached_property
-    def repr_order(self) -> np.ndarray:
-        """Positions in ``ys`` in repr order of the image: the order in which
-        the games and samplers enumerate images."""
-        uniq = self._ranked[0]
-        return repr_argsort(uniq if uniq.ndim == 1 else self.ys)
 
     def fiber_mask(self, y) -> np.ndarray:
         """Which values map to y; none when y is not an image of this shape."""
@@ -154,6 +161,98 @@ class DomainTable:
             return np.zeros(len(self.images), dtype=bool)
         same = self.images == y
         return same if same.ndim == 1 else same.all(axis=1)
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """D(x) per value, normalised."""
+        d = np.ones(len(self.values)) if self.dist is None else \
+            np.array([self.dist(x) for x in self.values])
+        return d / d.sum()
+
+    @property
+    def mbits(self) -> int:
+        """The bits of an M outcome z: 1, or the domain's for identity M."""
+        if self.measured:
+            return 1
+        bits = getattr(self.domain, "bits", None)
+        if bits is None:
+            raise ValueError("identity-M exact mode needs a bit domain")
+        return bits
+
+    def sign(self, z, idx=slice(None)) -> np.ndarray:
+        """(-1)^{<M(x), z>} for z packed as an int, at the value indices idx."""
+        return 1.0 - 2.0 * (np.bitwise_count(z & self.mvals[idx]) & 1)
+
+    @functools.cached_property
+    def fibers(self) -> tuple[np.ndarray, np.ndarray]:
+        """(pos, fib): each value's position in its fiber, and the (ny, F)
+        matrix of every fiber's value indices, ascending, padded with -1."""
+        row = self.image_ids
+        counts = np.bincount(row, minlength=len(self.ys))
+        by_row = np.argsort(row, kind="stable")
+        pos = np.empty_like(row)
+        pos[by_row] = np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)
+        fib = np.full((len(counts), counts.max()), -1)
+        fib[row, pos] = np.arange(len(row))
+        return pos, fib
+
+    @functools.cached_property
+    def fiber_states(self) -> tuple[np.ndarray, np.ndarray]:
+        """(py, psi): Pr[y] and psi_y on the fiber columns, one row per y."""
+        _, fib = self.fibers
+        py = np.bincount(self.image_ids, weights=self.weights, minlength=len(fib))
+        amps = np.where(fib >= 0, np.sqrt(self.weights[fib]), 0.0)
+        return py, amps / np.sqrt(np.einsum("...f,...f->...", amps, amps)[..., None])
+
+    @functools.cached_property
+    def m_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(post, pv, i0): measuring M on psi_y, outcomes in repr order of
+        the outcome along axis 1 (padded with pv = 0): the (ny, V, F) post
+        vectors, their probabilities and each outcome's first value index."""
+        row = self.image_ids
+        pos, fib = self.fibers
+        _, psi = self.fiber_states
+        labels, label = dense_unique(self.mvals)
+        if not self.measured and not isinstance(self.values, range):
+            labels = [self.values[m] for m in labels]  # a range's values are their indices
+        rank = _inverse(repr_argsort(labels))
+        # one cell per (y, outcome), sorted by y and then by the outcome's repr
+        cell, inv = dense_unique(row * len(rank) + rank[label])
+        first = np.full(len(cell), len(row))
+        np.minimum.at(first, inv, np.arange(len(row)))
+        cell_row = cell // len(rank)
+        outcome = np.arange(len(cell)) - np.searchsorted(cell_row, cell_row)
+        onehot = np.zeros((len(fib), outcome.max() + 1, fib.shape[1]), dtype=bool)
+        onehot[row, outcome[inv], pos] = True
+        i0 = np.zeros(onehot.shape[:2], dtype=np.int64)
+        i0[cell_row, outcome] = first
+        pv = np.cumsum(np.where(onehot, psi[:, None, :] ** 2, 0.0), axis=-1)[..., -1]
+        ok = pv > 0
+        post = np.where(onehot & ok[..., None], psi[:, None, :], 0.0) \
+            / np.sqrt(np.where(ok, pv, 1.0))[..., None]
+        return post, pv, i0
+
+    @functools.cached_property
+    def first_outside(self) -> int:
+        """The first value outside value 0's fiber (-1 when there is one image)."""
+        outside = np.flatnonzero(self.image_ids != self.image_ids[0])
+        return int(outside[0]) if outside.size else -1
+
+    @functools.cached_property
+    def lexfirst_pos(self) -> np.ndarray:
+        """Each fiber's position of its least value."""
+        _, fib = self.fibers
+        n = len(self.values)
+        vrank = np.arange(n) if isinstance(self.values, range) else \
+            _inverse(np.array(sorted(range(n), key=self.values.__getitem__)))
+        return np.argmin(np.where(fib >= 0, vrank[fib], n), axis=1)
+
+
+def _inverse(order: np.ndarray) -> np.ndarray:
+    """The inverse permutation: each position's rank in ``order``."""
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return rank
 
 
 def dense_unique(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -205,14 +304,16 @@ class HashFamily:
     descriptor: dict = field(default_factory=dict)
     _last: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def table(self, key) -> DomainTable:
-        """The key's images, M-values and register indices over the domain.
+    def table(self, key, dist: Callable | None = None) -> DomainTable:
+        """The key's domain table, its values weighed by ``dist``.
 
-        Memoised for the last key only, by identity: keys can be unhashable
-        arrays, and callers that sample fresh keys must not grow a cache.
+        This is the family's one per-key cache: the last (key, dist) is
+        kept, matched by identity, since keys can be unhashable arrays and
+        callers that sample fresh keys must not grow a cache. Each family
+        keeps its own, so games that alternate families rebuild nothing.
         """
-        if self._last is not None and self._last[0] is key:
-            return self._last[1]
+        if self._last is not None and self._last[0] is key and self._last[1] is dist:
+            return self._last[2]
         if self.domain.size > ENUM_GUARD:
             raise ValueError(f"domain too large to enumerate "
                              f"({self.domain.size} > {ENUM_GUARD})")
@@ -225,8 +326,9 @@ class HashFamily:
                 np.array([self.measure(key, x) for x in values], dtype=np.int64)
         if mvals is None:
             mvals = np.arange(len(values))
-        table = DomainTable(values, np.asarray(images), mvals, reg_index)
-        self._last = (key, table)
+        table = DomainTable(values, np.asarray(images), mvals, reg_index,
+                            self.domain, self.measure is not None, dist)
+        self._last = (key, dist, table)
         return table
 
     def fiber(self, key, y) -> list:
@@ -235,29 +337,26 @@ class HashFamily:
         return [t.values[i] for i in np.flatnonzero(t.fiber_mask(y))]
 
 
-def superposition_invert(family: HashFamily, key, td, y,
-                         segment: str = "X") -> qsim.QState:
+def superposition_invert(family: HashFamily, key, td, y) -> qsim.QState:
     """Uniform superposition over the preimages of y, via the trapdoor."""
     if family.invert is None:
         raise ValueError(f"family {family.name} has no trapdoor inversion")
     pre = family.invert(key, td, y)
     if not pre:
         raise ValueError(f"empty preimage set for {y!r}")
-    layout = qsim.RegisterLayout([(segment, family.domain.register_dims())])
+    layout = qsim.RegisterLayout([("X", family.domain.register_dims())])
     w = {family.domain.to_register(x): 1.0 for x in pre}
-    return qsim.prepare_weighted(layout, segment, w)
+    return qsim.prepare_weighted(layout, "X", w)
 
 
-def fiber_state(family: HashFamily, key, y, weights: Callable | None = None,
-                signed_bit: int = 0, segment: str = "X") -> qsim.QState:
-    """Fiber superposition sum_x (+/-)^ (b*M(x)) sqrt(D(x)) |x> by enumeration."""
+def fiber_state(family: HashFamily, key, y, signed_bit: int = 0) -> qsim.QState:
+    """Fiber superposition sum_x (+/-)^(b*M(x)) |x> by enumeration."""
     t = family.table(key)
     pre = np.flatnonzero(t.fiber_mask(y))
     if not pre.size:
         raise ValueError(f"empty fiber for {y!r}")
-    layout = qsim.RegisterLayout([(segment, family.domain.register_dims())])
-    w = np.ones(pre.size) if weights is None else \
-        np.sqrt([weights(t.values[i]) for i in pre])
+    layout = qsim.RegisterLayout([("X", family.domain.register_dims())])
+    w = np.ones(pre.size)
     if signed_bit and family.measure is not None:
         w = np.where(t.mvals[pre] != 0, -w, w)
     amps = np.zeros(layout.dim, dtype=np.complex128)
@@ -429,8 +528,8 @@ def fdelta_family(base: HashFamily) -> HashFamily:
 
 def chor_goldreich_family(t: int, field_bits: int, out_bits: int) -> HashFamily:
     """t-universal hash: first out_bits of a degree-(t-1) polynomial over
-    GF(2^field_bits); superposition inversion enumerates the 2^(k-n)
-    field-element completions and root-finds each by brute force."""
+    GF(2^field_bits); inversion reads the fiber off the key's domain table,
+    a brute-force root search over the field."""
     if not 1 <= field_bits <= 16:
         raise ValueError("field_bits must be 1..16 at desk scale")
     if not 1 <= out_bits <= field_bits:
@@ -438,7 +537,6 @@ def chor_goldreich_family(t: int, field_bits: int, out_bits: int) -> HashFamily:
     gf = GF2k(field_bits)
     domain = BitDomain(field_bits)
     shift = field_bits - out_bits
-    last_values: list = [None, None]  # the last key's coefficients and value table
 
     def sample(rng: np.random.Generator):
         coeffs = tuple(int(c) for c in rng.integers(0, gf.size, size=t))
@@ -447,21 +545,12 @@ def chor_goldreich_family(t: int, field_bits: int, out_bits: int) -> HashFamily:
     def evalf(coeffs, x: int) -> int:
         return gf.poly_eval(coeffs, x) >> shift
 
-    def _values(coeffs) -> np.ndarray:
-        if last_values[0] != coeffs:
-            last_values[:] = [coeffs, np.array([gf.poly_eval(coeffs, x) for x in range(gf.size)],
-                                               dtype=np.int64)]
-        return last_values[1]
-
-    def roots(coeffs, w: int) -> list[int]:
-        tab = _values(coeffs)
-        return [int(x) for x in np.nonzero(tab == w)[0]]
+    def tabulate(coeffs):
+        values = np.array([gf.poly_eval(coeffs, x) for x in range(gf.size)], dtype=np.int64)
+        return values >> shift, None
 
     def invert(coeffs, td, y: int) -> list[int]:
-        pre: list[int] = []
-        for rem in range(1 << shift):
-            pre.extend(roots(coeffs, (y << shift) | rem))
-        return sorted(pre)
+        return fam.fiber(coeffs, y)
 
     fam = HashFamily(
         name="chor-goldreich",
@@ -470,7 +559,7 @@ def chor_goldreich_family(t: int, field_bits: int, out_bits: int) -> HashFamily:
         sample=sample,
         eval=evalf,
         invert=invert,
-        tabulate=lambda coeffs: (_values(coeffs) >> shift, None),
+        tabulate=tabulate,
         descriptor={"family": "chor-goldreich", "t": t,
                     "field_bits": field_bits, "out_bits": out_bits},
     )
@@ -511,7 +600,7 @@ def compose_balanced(owf: HashFamily, uhash: HashFamily) -> HashFamily:
 
     def tabulate(key):
         okey, ukey = key
-        return uhash.tabulate(ukey)[0][owf.tabulate(okey)[0]], None
+        return uhash.table(ukey).images[owf.tabulate(okey)[0]], None
 
     invertible = owf.invert is not None and uhash.invert is not None
     tabulated = owf.tabulate is not None and uhash.tabulate is not None
@@ -550,6 +639,8 @@ def balance_estimate(family: HashFamily, delta: float | None, trials: int,
     """
     if family.measure is None:
         raise ValueError(f"family {family.name} has no measurement predicate")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     ratios = []
     for _ in range(trials):
         key, _ = family.sample(rng)
@@ -609,10 +700,10 @@ class TCRTranscript:
 
 
 def tcr_game(family: HashFamily, adversary, rng: np.random.Generator,
-             dist: Callable | None = None, aux: Callable | None = None) -> TCRTranscript:
+             aux: Callable | None = None) -> TCRTranscript:
     """One run of the target-collision-resistance experiment.
 
-    The challenger prepares the D-weighted superposition, coherently hashes
+    The challenger prepares the uniform superposition, coherently hashes
     and measures the image y, measures the predicate value v (the whole
     register for identity-M families), and hands (h, y, X) to the adversary,
     who answers with x'. Win iff eval(h, x') = y and M[h](x') != v.
@@ -623,21 +714,14 @@ def tcr_game(family: HashFamily, adversary, rng: np.random.Generator,
     key, td = family.sample(rng)
     t = family.table(key)
     layout = qsim.RegisterLayout([("X", family.domain.register_dims())])
-    if dist is None:
-        weights = np.ones(layout.dim)
-    else:
-        weights = np.zeros(layout.dim)
-        weights[t.reg_index] = [math.sqrt(dist(x)) for x in t.values]
-    state = qsim.prepare_weighted(layout, "X", weights)
+    state = qsim.prepare_weighted(layout, "X", np.ones(layout.dim))
 
     # image measurement: branch by classical pushforward, identical to the
     # coherent compute-then-measure since eval is a basis function; images
-    # are weighed in domain order and drawn in repr order
+    # are weighed in domain order and drawn by row, in repr order
     probs = qsim.marginal_probs(state, "X")[t.reg_index]
-    py_all = np.bincount(t.image_ids, weights=probs, minlength=len(t.ys))
-    order = [j for j in t.repr_order if py_all[j] > 0]
-    py = py_all[order]
-    j = order[int(rng.choice(len(order), p=py / py.sum()))]
+    py = np.bincount(t.image_ids, weights=probs, minlength=len(t.ys))
+    j = int(rng.choice(len(py), p=py / py.sum()))
     y = t.ys[j]
 
     fiber = t.image_ids == j

@@ -57,10 +57,8 @@ def _sample_blocks(family: HashFamily, key, b: int, reps: int, rng: np.random.Ge
     register. Returns (images, blocks)."""
     # image measurement via classical pushforward of the uniform weights
     t = family.table(key)
-    order = t.repr_order
-    probs = np.bincount(t.image_ids, minlength=len(t.ys))[order].astype(float)
-    images = [t.ys[order[int(rng.choice(len(order), p=probs / probs.sum()))]]
-              for _ in range(reps)]
+    probs = np.bincount(t.image_ids).astype(float)  # by row, images in repr order
+    images = [t.ys[int(rng.choice(len(t.ys), p=probs / probs.sum()))] for _ in range(reps)]
     return images, [fiber_state(family, key, y, signed_bit=b % 2) for y in images]
 
 

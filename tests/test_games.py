@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import math
@@ -339,6 +340,31 @@ def test_tcr_exp_aux_plumbing():
     assert len(seen) == 1
 
 
+def test_interleaved_families_keep_their_tables(monkeypatch):
+    """Each family memoises its own last table, so ladders that alternate two
+    families tabulate and group each key once."""
+    builds = {"fibers": 0, "m_groups": 0}
+    for name in builds:
+        def counted(table, _build=vars(hashfam.DomainTable)[name].func, _name=name):
+            builds[_name] += 1
+            return _build(table)
+        prop = functools.cached_property(counted)
+        prop.__set_name__(hashfam.DomainTable, name)
+        monkeypatch.setattr(hashfam.DomainTable, name, prop)
+    fams = [two_to_one_family(5), two_to_one_family(6)]
+    tabulated = [0, 0]
+    for i, fam in enumerate(fams):
+        def tabulate(key, _fn=fam.tabulate, _i=i):
+            tabulated[_i] += 1
+            return _fn(key)
+        fam.tabulate = tabulate
+    runs = [[repr(hybrid_ladder_exact(f, adv)) for f in fams
+             for adv in (OVERLAP_PROJECTOR, HONEST_DELETER)] for _ in range(3)]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    assert tabulated == [1, 1]
+    assert builds == {"fibers": 2, "m_groups": 2}
+
+
 # --- pinned exact values ------------------------------------------------------
 
 PINNED_GOLDEN = "tests/golden/ladder_prob1.json"
@@ -383,16 +409,26 @@ def test_exact_values_match_pinned_golden():
 
 # --- the batched ladder against the scalar enumeration ------------------------
 
-class _RefDom(games._Dom):
+class _RefDom:
     """The per-y view of one key's domain table that the scalar references
-    enumerate: images by their position j in ``ys``, every state on the whole
-    domain."""
+    enumerate: images by their position j in the table's ``ys``, every state
+    on the whole domain. The D-weights and the repr order of y are computed
+    here, not read from the table."""
+
+    def __init__(self, family, key, dist):
+        self.family = family
+        self.table = family.table(key, dist)
+        self.values = self.table.values
+        self.mbits = self.table.mbits
+        self.sign = self.table.sign
+        d = np.array([1.0 if dist is None else dist(x) for x in self.values])
+        self.weights = d / d.sum()
 
     def y_distribution(self) -> list[tuple[int, float]]:
         """(position j of y in the table's ys, Pr[y]) in repr order of y."""
-        py = np.bincount(self.table.image_ids, weights=self.weights,
-                         minlength=len(self.table.ys))
-        return [(j, py[j]) for j in self.table.repr_order]
+        ys = self.table.ys
+        py = np.bincount(self.table.image_ids, weights=self.weights, minlength=len(ys))
+        return [(j, py[j]) for j in sorted(range(len(ys)), key=lambda j: repr(ys[j]))]
 
     def fiber(self, j: int) -> np.ndarray:
         return np.flatnonzero(self.table.image_ids == j)
@@ -621,8 +657,8 @@ def _per_z_ladder(family, adversary, dist=None):
                          "valid2", "proj3", "succ3", "valid3"), 0.0)
 
     for key, _ in keys:
-        dom = games._dom(family, key, dist)
-        _, _, fib = dom.fibers
+        dom = family.table(key, dist)
+        _, fib = dom.fibers
         py_all, psi_all = dom.fiber_states
         post_all, pv_all, i0_all = dom.m_groups
         z = np.arange(1 << dom.mbits)[None, :, None]
@@ -752,14 +788,14 @@ def _decoded_branches(ens, family, dist):
     """(weight, (key index, repr(y), repr(pi), valid), fiber-column state or
     None) per branch of an array-form EVTC ensemble, the label decoded from
     its code (key index * D + y's row) * (D + 1) + pi + 1."""
-    doms = [games._Dom(family, key, dist) for key, _ in games._keys_for_exact(family)]
+    doms = [family.table(key, dist) for key, _ in games._keys_for_exact(family)]
     n = len(doms[0].values)
     out = []
     for p, code, s in ens.branches.tolist():
         rest, pi = divmod(code, n + 1)
         ki, r = divmod(rest, n)
         dom, pi = doms[ki], pi - 1
-        valid = pi >= 0 and bool(dom.fibers[0][pi] == r)
+        valid = pi >= 0 and bool(dom.image_ids[pi] == r)
         label = (ki, repr(dom.ys[r]), repr(None if pi < 0 else dom.values[pi]), valid)
         out.append((p, label, None if s < 0 else ens.states[s]))
     return out
@@ -787,10 +823,10 @@ def _assert_ensemble_matches(got, want, family, dist, tol, case):
     assert [lb for _, lb, _ in got] == [lb for _, lb, _ in want], case
     fibers = {}
     for ki, (key, _) in enumerate(games._keys_for_exact(family)):
-        dom = games._Dom(family, key, dist)
-        fib = dom.fibers[2]
-        for r, j in enumerate(dom.table.repr_order):
-            fibers[(ki, repr(dom.table.ys[j]))] = dom.table.reg_index[fib[r][fib[r] >= 0]]
+        dom = family.table(key, dist)
+        fib = dom.fibers[1]
+        for r, y in enumerate(dom.ys):
+            fibers[(ki, repr(y))] = dom.reg_index[fib[r][fib[r] >= 0]]
     for (p, label, st), (q, _, ref) in zip(got, want):
         if tol == 0.0:
             assert repr(float(p)) == repr(float(q)), (case, label)

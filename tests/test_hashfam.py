@@ -302,6 +302,13 @@ def test_balance_requires_measurement():
         balance_estimate(toy_regular_owf(6, 2), 0.5, 5, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_balance_requires_a_trial(trials):
+    fam = fdelta_family(toy_regular_owf(6, 2))
+    with pytest.raises(ValueError, match="trials"):
+        balance_estimate(fam, None, trials, np.random.default_rng(0))
+
+
 # --- TCR game ----------------------------------------------------------
 
 def test_tcr_honest_adversary_never_wins():
@@ -443,8 +450,8 @@ def test_table_matches_eval_and_measure():
             t = fam.table(key)
             assert list(t.values) == list(fam.domain.values())
             assert [t.ys[i] for i in t.image_ids] == [fam.eval(key, x) for x in t.values]
-            assert t.ys == sorted(t.ys)
-            assert [t.ys[j] for j in t.repr_order] == sorted(t.ys, key=repr)
+            assert len(set(t.ys)) == len(t.ys)
+            assert t.ys == sorted(t.ys, key=repr)
             assert all(type(y) in (int, tuple) for y in t.ys)
             if fam.measure is not None:
                 assert t.mvals.tolist() == [fam.measure(key, x) for x in t.values]
@@ -455,11 +462,14 @@ def test_table_matches_eval_and_measure():
 
 
 def _ranked_reference(images):
-    """ys, image_ids and repr order the way tables ranked images when built:
-    one sort of the whole image array."""
+    """ys and image_ids by one sort of the whole image array, then with the
+    distinct images put in repr order and each value given its image's row."""
     uniq, inverse = np.unique(images, axis=0, return_inverse=True)
     ys = uniq.tolist() if uniq.ndim == 1 else [tuple(u) for u in uniq.tolist()]
-    return ys, inverse.reshape(-1), sorted(range(len(ys)), key=lambda j: repr(ys[j]))
+    order = sorted(range(len(ys)), key=lambda j: repr(ys[j]))
+    row = np.empty(len(order), dtype=np.int64)
+    row[order] = np.arange(len(order))
+    return [ys[j] for j in order], row[inverse.reshape(-1)]
 
 
 def _lazy_rank_tables():
@@ -472,7 +482,8 @@ def _lazy_rank_tables():
               "sparse": np.where(dense > 500, dense * 10**6, dense),
               "negative": dense - 100}
     tables = {name: hashfam.DomainTable(range(len(im)), im, np.zeros(len(im), dtype=np.int64),
-                                        np.arange(len(im))) for name, im in tables.items()}
+                                        np.arange(len(im)), None, True, None)
+              for name, im in tables.items()}
     for fam in (chor_goldreich_family(3, 10, 7), fdelta_family(toy_regular_owf(10, 2)),
                 ajtai_family(2, 3, 5, 2.0)):
         key, _ = fam.sample(np.random.default_rng(1))
@@ -483,10 +494,9 @@ def _lazy_rank_tables():
 @pytest.mark.parametrize("name", list(_lazy_rank_tables()))
 def test_lazy_ranks_match_a_sorted_reference(name):
     t = _lazy_rank_tables()[name]
-    ys, ids, order = _ranked_reference(t.images)
+    ys, ids = _ranked_reference(t.images)
     assert t.ys == ys and all(type(y) in (int, tuple) for y in t.ys)
     assert t.image_ids.tolist() == ids.tolist()
-    assert t.repr_order.tolist() == order
     present = ys[len(ys) // 2]
     assert t.fiber_mask(present).tolist() == (ids == len(ys) // 2).tolist()
     if isinstance(present, tuple):
@@ -549,6 +559,24 @@ def test_table_cache_keeps_the_last_key_by_identity():
     assert t2 is not t1 and t2.image_ids.tolist() == t1.image_ids.tolist()
     assert fam.table(k1) is not t1
     assert fam.fiber(k1, 99) == []
+
+
+def test_table_cache_keys_on_the_weights_by_identity():
+    fam = fdelta_family(toy_regular_owf(4, 1))
+    key, _ = fam.sample(np.random.default_rng(0))
+
+    def skewed(x):
+        return 1.0 + x % 3
+
+    t = fam.table(key, skewed)
+    assert fam.table(key, skewed) is t
+    assert t.weights.tolist() == [w / sum(map(skewed, range(16))) for w in map(skewed, range(16))]
+    again = fam.table(key, lambda x: 1.0 + x % 3)  # equal weights, a new object
+    assert again is not t and again.weights.tolist() == t.weights.tolist()
+    uniform = fam.table(key)
+    assert uniform is not again and uniform.dist is None
+    assert fam.table(key) is uniform and fam.table(key, None) is uniform
+    assert uniform.weights.tolist() == [1 / 16] * 16
 
 
 def test_balance_estimate_keeps_no_table_per_sampled_key():
