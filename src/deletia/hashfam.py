@@ -11,6 +11,7 @@ domain here is brute-forcible by design.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import qsim
 from .gf2k import GF2k
-from .zqcore import ENUM_GUARD, ZqMatrix, ZqVector, centered_array, zq_box
+from .zqcore import ENUM_GUARD, ZqMatrix, centered_array, matmul_mod, zq_box
 
 
 # ---------------------------------------------------------------------------
@@ -68,9 +69,11 @@ class ZqBallDomain:
         return self.q**self.m  # box size; the ball filter applies to contains()
 
     def values(self) -> Iterable[tuple[int, ...]]:
-        for x in map(tuple, zq_box(self.q, self.m).tolist()):
-            if self.contains(x):
-                yield x
+        box = zq_box(self.q, self.m)
+        if self.norm_bound_sq is not None:  # integer norms: compare with the floor
+            c = centered_array(box, self.q)
+            box = box[np.einsum("ij,ij->i", c, c) <= math.floor(self.norm_bound_sq)]
+        return map(tuple, box.tolist())
 
     def register_dims(self) -> tuple[int, ...]:
         return (self.q,) * self.m
@@ -82,11 +85,12 @@ class ZqBallDomain:
         return tuple(int(c) for c in reg)
 
     def contains(self, x) -> bool:
-        if len(x) != self.m:
+        a = np.asarray(x)
+        if a.shape != (self.m,) or a.dtype.kind not in "iu":
             return False
         if self.norm_bound_sq is None:
             return True
-        c = centered_array(np.asarray(x, dtype=np.int64), self.q)
+        c = centered_array(a.astype(np.int64), self.q)
         return Fraction(int(np.dot(c, c))) <= self.norm_bound_sq
 
 
@@ -285,22 +289,23 @@ class HashFamily:
     """A sampleable keyed function with optional measurement predicate M[h],
     optional trapdoor inversion, and optional exhaustive key enumeration.
 
-    ``invert(key, td, y)`` returns the full preimage list of y (used for
-    superposition inversion); ``measure`` is None for identity-measurement
-    families, where the challenger measures the whole input register.
-    ``tabulate(key)`` returns (images, M-values or None) as arrays over
-    ``domain.values()``; without it ``table`` calls eval per value.
+    ``tabulate(key)`` is the function: it returns (images, M-values or
+    None) as arrays over ``domain.values()``, M-values exactly when
+    ``measured``. An unmeasured family has the identity measurement: the
+    challenger measures the whole input register. ``eval`` and ``measure``
+    read single values off the key's table, so the first call on a fresh
+    key tabulates the whole domain. ``invert(key, td, y)`` returns the full
+    preimage list of y (used for superposition inversion).
     """
 
     name: str
     domain: object
     range_bits: int | None
     sample: Callable  # rng -> (key, td or None)
-    eval: Callable  # (key, x) -> y
-    measure: Callable | None = None  # (key, x) -> bit
+    tabulate: Callable  # key -> (images, M-values or None)
+    measured: bool = False
     invert: Callable | None = None  # (key, td, y) -> list of preimages
     keys: Callable | None = None  # () -> list[(key, td)], exact-mode only
-    tabulate: Callable | None = None  # key -> (images, M-values or None)
     descriptor: dict = field(default_factory=dict)
     _last: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -318,18 +323,40 @@ class HashFamily:
             raise ValueError(f"domain too large to enumerate "
                              f"({self.domain.size} > {ENUM_GUARD})")
         values, reg_index = _enumerate(self.domain)
-        if self.tabulate is not None:
-            images, mvals = self.tabulate(key)
-        else:
-            images = np.array([self.eval(key, x) for x in values])
-            mvals = None if self.measure is None else \
-                np.array([self.measure(key, x) for x in values], dtype=np.int64)
+        images, mvals = self.tabulate(key)
         if mvals is None:
             mvals = np.arange(len(values))
         table = DomainTable(values, np.asarray(images), mvals, reg_index,
-                            self.domain, self.measure is not None, dist)
+                            self.domain, self.measured, dist)
         self._last = (key, dist, table)
         return table
+
+    def _index(self, x) -> int | None:
+        """x's index in the domain's values, or None for x outside the domain."""
+        if not self.domain.contains(x):
+            return None
+        if isinstance(self.domain, BitDomain):
+            return int(x)
+        # a ball's values enumerate in register order
+        reg = np.ravel_multi_index(self.domain.to_register(x), self.domain.register_dims())
+        return int(np.searchsorted(_enumerate(self.domain)[1], reg))
+
+    def eval(self, key, x):
+        """h(x): an int, or a tuple of ints; None for x outside the domain."""
+        i = self._index(x)
+        if i is None:
+            return None
+        y = self.table(key).images[i].tolist()
+        return tuple(y) if isinstance(y, list) else y
+
+    def measure(self, key, x):
+        """M[h](x): the predicate bit, or for an unmeasured family x's own
+        value; None for x outside the domain."""
+        i = self._index(x)
+        if i is None:
+            return None
+        t = self.table(key)
+        return int(t.mvals[i]) if self.measured else t.values[i]
 
     def fiber(self, key, y) -> list:
         """All domain values mapping to y, by exhaustive enumeration."""
@@ -357,7 +384,7 @@ def fiber_state(family: HashFamily, key, y, signed_bit: int = 0) -> qsim.QState:
         raise ValueError(f"empty fiber for {y!r}")
     layout = qsim.RegisterLayout([("X", family.domain.register_dims())])
     w = np.ones(pre.size)
-    if signed_bit and family.measure is not None:
+    if signed_bit and family.measured:
         w = np.where(t.mvals[pre] != 0, -w, w)
     amps = np.zeros(layout.dim, dtype=np.complex128)
     amps[t.reg_index[pre]] = w
@@ -379,15 +406,15 @@ def ajtai_family(n: int, m: int, q: int, sigma: float) -> HashFamily:
         A = ZqMatrix(rng.integers(0, q, size=(n, m)), q)
         return A, None
 
-    def evalf(key: ZqMatrix, x) -> tuple[int, ...]:
-        return tuple((key @ ZqVector(np.asarray(x), q)).entries.tolist())
+    def tabulate(key: ZqMatrix):
+        return matmul_mod(np.array(_enumerate(domain)[0]), key.entries.T, q), None
 
     return HashFamily(
         name="ajtai",
         domain=domain,
         range_bits=None,
         sample=sample,
-        eval=evalf,
+        tabulate=tabulate,
         descriptor={"family": "ajtai", "n": n, "m": m, "q": q, "sigma": sigma},
     )
 
@@ -414,9 +441,6 @@ def toy_regular_owf(m: int, r: int, range_bits: int | None = None) -> HashFamily
         inverse[table] = np.arange(table.size)
         return table, inverse
 
-    def evalf(table, x: int) -> int:
-        return int(table[x >> r])
-
     def invert(table, inverse, y: int) -> list[int]:
         y = int(y)
         u = int(inverse[y]) if 0 <= y < inverse.size else -1
@@ -429,9 +453,8 @@ def toy_regular_owf(m: int, r: int, range_bits: int | None = None) -> HashFamily
         domain=domain,
         range_bits=ell,
         sample=sample,
-        eval=evalf,
-        invert=invert,
         tabulate=lambda table: (table[np.arange(1 << m) >> r], None),
+        invert=invert,
         descriptor={"family": "toy-regular-owf", "m": m, "r": r, "range_bits": ell},
     )
     return fam
@@ -444,9 +467,6 @@ def two_to_one_family(bits: int) -> HashFamily:
     def sample(rng):
         return "fixed", None
 
-    def evalf(key, x: int) -> int:
-        return x >> 1
-
     def invert(key, td, y: int) -> list[int]:
         return [2 * y, 2 * y + 1]
 
@@ -455,10 +475,9 @@ def two_to_one_family(bits: int) -> HashFamily:
         domain=domain,
         range_bits=bits - 1,
         sample=sample,
-        eval=evalf,
+        tabulate=lambda key: (np.arange(1 << bits) >> 1, None),
         invert=invert,
         keys=lambda: [("fixed", None)],
-        tabulate=lambda key: (np.arange(1 << bits) >> 1, None),
         descriptor={"family": "two-to-one", "bits": bits},
     )
 
@@ -477,16 +496,6 @@ def fdelta_family(base: HashFamily) -> HashFamily:
         bkey, btd = base.sample(rng)
         delta = int(rng.integers(1, 1 << n))  # Delta = 0 excluded
         return (bkey, delta), btd
-
-    def evalf(key, x: int) -> int:
-        bkey, delta = key
-        z = base.eval(bkey, x)
-        return min(z, z ^ delta)
-
-    def measure(key, x: int) -> int:
-        bkey, delta = key
-        z = base.eval(bkey, x)
-        return 1 if z > (z ^ delta) else 0
 
     def invert(key, td, y: int) -> list[int]:
         bkey, delta = key
@@ -515,11 +524,10 @@ def fdelta_family(base: HashFamily) -> HashFamily:
         domain=base.domain,
         range_bits=n,
         sample=sample,
-        eval=evalf,
-        measure=measure,
+        tabulate=tabulate,
+        measured=True,
         invert=invert if base.invert is not None else None,
         keys=keys,
-        tabulate=tabulate if base.tabulate is not None else None,
         descriptor={"family": "fdelta", "base": base.descriptor},
     )
 
@@ -542,9 +550,6 @@ def chor_goldreich_family(t: int, field_bits: int, out_bits: int) -> HashFamily:
         coeffs = tuple(int(c) for c in rng.integers(0, gf.size, size=t))
         return coeffs, None
 
-    def evalf(coeffs, x: int) -> int:
-        return gf.poly_eval(coeffs, x) >> shift
-
     def tabulate(coeffs):
         values = np.array([gf.poly_eval(coeffs, x) for x in range(gf.size)], dtype=np.int64)
         return values >> shift, None
@@ -557,9 +562,8 @@ def chor_goldreich_family(t: int, field_bits: int, out_bits: int) -> HashFamily:
         domain=domain,
         range_bits=out_bits,
         sample=sample,
-        eval=evalf,
-        invert=invert,
         tabulate=tabulate,
+        invert=invert,
         descriptor={"family": "chor-goldreich", "t": t,
                     "field_bits": field_bits, "out_bits": out_bits},
     )
@@ -585,10 +589,6 @@ def compose_balanced(owf: HashFamily, uhash: HashFamily) -> HashFamily:
         ukey, utd = uhash.sample(rng)
         return (okey, ukey), (otd, utd)
 
-    def evalf(key, x: int) -> int:
-        okey, ukey = key
-        return uhash.eval(ukey, owf.eval(okey, x))
-
     def invert(key, td, y: int) -> list[int]:
         if owf.invert is None or uhash.invert is None:
             raise ValueError("composition is not invertible")
@@ -603,15 +603,13 @@ def compose_balanced(owf: HashFamily, uhash: HashFamily) -> HashFamily:
         return uhash.table(ukey).images[owf.tabulate(okey)[0]], None
 
     invertible = owf.invert is not None and uhash.invert is not None
-    tabulated = owf.tabulate is not None and uhash.tabulate is not None
     return HashFamily(
         name=f"compose({owf.name},{uhash.name})",
         domain=owf.domain,
         range_bits=uhash.range_bits,
         sample=sample,
-        eval=evalf,
+        tabulate=tabulate,
         invert=invert if invertible else None,
-        tabulate=tabulate if tabulated else None,
         descriptor={"family": "compose", "owf": owf.descriptor,
                     "uhash": uhash.descriptor},
     )
@@ -637,17 +635,13 @@ def balance_estimate(family: HashFamily, delta: float | None, trials: int,
     delta=None evaluates the bound at the measured delta_hat, which is
     1 - (99.5th percentile of the observed ratios), clamped to [0, 1).
     """
-    if family.measure is None:
-        raise ValueError(f"family {family.name} has no measurement predicate")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     ratios = []
     for _ in range(trials):
         key, _ = family.sample(rng)
         t = family.table(key)
-        fiber = t.fiber_mask(t.images[int(rng.integers(0, len(t.values)))])
-        a1 = int(np.count_nonzero(t.mvals[fiber]))
-        a0 = int(np.count_nonzero(fiber)) - a1
+        a0, a1 = fiber_split(family, key, t.images[int(rng.integers(0, len(t.values)))])
         ratios.append(abs(a0 - a1) / (a0 + a1))
     delta_hat = min(max(1.0 - float(np.percentile(ratios, 99.5)), 0.0), 1.0 - 1e-12)
     d = delta_hat if delta is None else delta
@@ -678,8 +672,8 @@ def family_from_descriptor(desc: dict) -> HashFamily:
 
 def fiber_split(family: HashFamily, key, y) -> tuple[int, int]:
     """(A0, A1): exact counts of the fiber of y on each side of M[h]."""
-    if family.measure is None:
-        raise ValueError("family has no measurement predicate")
+    if not family.measured:
+        raise ValueError(f"family {family.name} has no measurement predicate")
     t = family.table(key)
     fiber = t.fiber_mask(y)
     a1 = int(np.count_nonzero(t.mvals[fiber]))
@@ -730,7 +724,7 @@ def tcr_game(family: HashFamily, adversary, rng: np.random.Generator,
     fiber_amps[idx] = state.amps[idx]
     state = qsim.QState(layout, fiber_amps).normalized()
 
-    if family.measure is None:
+    if not family.measured:
         out = qsim.measure(state, "X", rng)
         v = family.domain.from_register(out.value)
         state = out.post_state
@@ -745,11 +739,8 @@ def tcr_game(family: HashFamily, adversary, rng: np.random.Generator,
 
     aux_value = aux(td) if aux is not None else None
     answer = adversary(family, key, y, state, rng, aux_value)
-    if family.measure is None:
-        win = answer is not None and family.eval(key, answer) == y and answer != v
-    else:
-        win = (answer is not None and family.eval(key, answer) == y
-               and family.measure(key, answer) != v)
+    win = (answer is not None and family.eval(key, answer) == y
+           and family.measure(key, answer) != v)
     return TCRTranscript(y=y, v=v, answer=answer, win=win, key=key)
 
 
@@ -766,8 +757,7 @@ def honest_tcr_adversary(family, key, y, state, rng, aux=None):
 
 
 def garbage_tcr_adversary(family, key, y, state, rng, aux=None):
-    """Returns a fixed non-preimage when one exists."""
-    for x in family.domain.values():
-        if family.eval(key, x) != y:
-            return x
-    return None
+    """Returns the first domain value outside y's fiber, when there is one."""
+    t = family.table(key)
+    outside = np.flatnonzero(~t.fiber_mask(y))
+    return t.values[outside[0]] if outside.size else None

@@ -65,7 +65,7 @@ def _sample_blocks(family: HashFamily, key, b: int, reps: int, rng: np.random.Ge
 def commit(family: HashFamily, b: int, reps: int, rng: np.random.Generator
            ) -> CommitmentPair:
     """lambda independent signed-fiber blocks under one sampled h."""
-    if family.measure is None:
+    if not family.measured:
         raise ValueError("commitment needs a family with a measurement predicate")
     if not 1 <= reps <= MAX_REPS:
         raise ValueError(f"reps must be 1..{MAX_REPS}")
@@ -105,7 +105,7 @@ def block_overlap(family: HashFamily, key, y) -> float:
 
 
 def commit_ver(family: HashFamily, key, images: list, pis: list) -> bool:
-    """Ver: h(x_i) = y_i for every block."""
+    """Ver: h(x_i) = y_i for every block; an x_i outside the domain fails."""
     if len(pis) != len(images):
         return False
     return all(family.eval(key, x) == y for x, y in zip(pis, images))
@@ -135,7 +135,7 @@ def calibrate_recover(family: HashFamily, key) -> tuple[float, float, float]:
 def pvd_keygen(family: HashFamily, rng: np.random.Generator, reps: int = 8) -> PVDKeys:
     if family.invert is None:
         raise ValueError("PKE with PVD needs a trapdoor-invertible family")
-    if family.measure is None:
+    if not family.measured:
         raise ValueError("PKE with PVD needs a measurement predicate")
     key, td = family.sample(rng)
     p0, p1, c = calibrate_recover(family, key)

@@ -246,15 +246,10 @@ def apply_classical(state: QState, f: Callable, src: str, dst: str) -> QState:
     return QState(layout, np.take_along_axis(t, index, axis=d).reshape(-1))
 
 
-def apply_phase_fn(state: QState, segment: str, phase: Callable | np.ndarray) -> QState:
-    """|x> -> phase(x)|x> on one segment; phase values must be unit modulus.
-
-    ``phase`` is a function of the segment value or the vector of phases
-    over the segment's values in mixed-radix order.
-    """
+def apply_phase_fn(state: QState, segment: str, phase: np.ndarray) -> QState:
+    """|x> -> phase[x]|x> on one segment, ``phase`` the vector of unit-modulus
+    phases over the segment's values in mixed-radix order."""
     seg_dim = state.layout.seg_dim(segment)
-    if callable(phase):
-        phase = [phase(v if len(v) > 1 else v[0]) for v in state.layout.seg_values(segment)]
     ph = np.asarray(phase, dtype=np.complex128)
     if ph.shape != (seg_dim,):
         raise ValueError(f"phase vector shape {ph.shape} != ({seg_dim},)")
@@ -384,8 +379,8 @@ def controlled_phase_oracle(state: QState, control: str, segment: str, v: Sequen
 
 
 def controlled_phase_fn(state: QState, control: str, segment: str,
-                        phase: Callable | np.ndarray) -> QState:
-    """Apply |x> -> phase(x)|x> on ``segment`` only where control is |1>.
+                        phase: np.ndarray) -> QState:
+    """Apply |x> -> phase[x]|x> on ``segment`` only where control is |1>.
 
     Equivalent to coherently computing a classical function of the segment
     into an ancilla, phasing the ancilla controlled on ``control``, and

@@ -454,7 +454,7 @@ class _RefDom:
         """Outcomes of measuring M on psi_y, in repr order of the outcome:
         (index of a value with that outcome, prob, post vector)."""
         psi = self.psi_y(j)
-        identity = self.family.measure is None
+        identity = not self.family.measured
         groups: dict[object, list[int]] = {}
         for i in self.fiber(j):
             v = self.values[i] if identity else int(self.table.mvals[i])

@@ -10,6 +10,7 @@ import pytest
 from scipy import stats
 
 from deletia import hashfam, qsim
+from deletia.gf2k import GF2k
 from deletia.hashfam import (
     BitDomain,
     HashFamily,
@@ -36,9 +37,35 @@ def identity_bits_family(bits: int) -> HashFamily:
     return HashFamily(
         name="identity", domain=dom, range_bits=bits,
         sample=lambda rng: (None, None),
-        eval=lambda key, x: x,
+        tabulate=lambda key: (np.arange(dom.size), None),
         invert=lambda key, td, y: [y],
+        descriptor={"family": "identity"},
     )
+
+
+def reference(desc: dict, key, x) -> tuple:
+    """(h(x), M[h](x) or None) one value at a time, from the family's
+    definition rather than its table."""
+    kind = desc["family"]
+    if kind == "identity":
+        return x, None
+    if kind == "two-to-one":
+        return x >> 1, None
+    if kind == "toy-regular-owf":
+        return int(key[x >> desc["r"]]), None
+    if kind == "chor-goldreich":
+        shift = desc["field_bits"] - desc["out_bits"]
+        return GF2k(desc["field_bits"]).poly_eval(key, x) >> shift, None
+    if kind == "compose":
+        okey, ukey = key
+        return reference(desc["uhash"], ukey, reference(desc["owf"], okey, x)[0])
+    if kind == "fdelta":
+        bkey, delta = key
+        z = reference(desc["base"], bkey, x)[0]
+        return min(z, z ^ delta), int(z > z ^ delta)
+    if kind == "ajtai":
+        return tuple((key @ ZqVector(np.asarray(x), desc["q"])).entries.tolist()), None
+    raise ValueError(kind)
 
 
 # --- Ajtai -------------------------------------------------------------
@@ -66,6 +93,10 @@ def test_ajtai_domain_norm_filter():
     fam = ajtai_family(1, 2, 13, sigma=2.0)
     assert fam.domain.contains((1, 1))
     assert not fam.domain.contains((6, 6))  # centered norm 72 > sigma^2 m/2 = 4
+    for q, m, sigma in ((13, 2, 2.0), (5, 3, 1.5), (7, 3, 2.3)):
+        dom = ajtai_family(1, m, q, sigma).domain
+        box = itertools.product(range(q), repeat=m)
+        assert list(dom.values()) == [x for x in box if dom.contains(x)]
 
 
 def test_structured_ajtai_trapdoor():
@@ -192,15 +223,18 @@ def test_cg_degree_one_unique_preimage():
 
 
 def test_cg_t_universality_monte_carlo():
+    # the two points by the arithmetic of the family's tabulate, since
+    # eval would tabulate all 2^k values of each fresh key
     t, k, n = 2, 8, 4
     fam = chor_goldreich_family(t, k, n)
+    gf = GF2k(k)
     rng = np.random.default_rng(0)
     x1, x2, y1, y2 = 17, 200, 5, 11
     hits = 0
     trials = 100_000
     for _ in range(trials):
         key, _ = fam.sample(rng)
-        if fam.eval(key, x1) == y1 and fam.eval(key, x2) == y2:
+        if gf.poly_eval(key, x1) >> (k - n) == y1 and gf.poly_eval(key, x2) >> (k - n) == y2:
             hits += 1
     p = 2.0 ** (-n * t)
     sd = math.sqrt(p * (1 - p) * trials)
@@ -279,7 +313,7 @@ def test_balance_degenerate_constant_uhash():
     owf = toy_regular_owf(6, 2)
     const = HashFamily(
         name="const", domain=BitDomain(4), range_bits=2,
-        sample=lambda rng: (None, None), eval=lambda key, x: 0)
+        sample=lambda rng: (None, None), tabulate=lambda key: (np.zeros(16, dtype=int), None))
     comp = compose_balanced(owf, const)
     fam = fdelta_family(comp)
     rng = np.random.default_rng(2)
@@ -394,6 +428,32 @@ def test_tcr_game_reads_the_domain_table():
         assert calls == {"eval": 1, "measure": 1}
 
 
+def test_tcr_answers_outside_the_domain_never_win():
+    # x - 64 would index the toy table from its end, at x's own row
+    fam = fdelta_family(toy_regular_owf(6, 2))
+
+    def negative_alias(family, key, y, state, rng, aux=None):
+        pre = family.fiber(key, y)
+        return pre[int(rng.integers(0, len(pre)))] - 64
+
+    wins = [tcr_game(fam, negative_alias, np.random.default_rng(s)).win for s in range(20)]
+    assert not any(wins)
+
+
+def test_eval_and_measure_are_none_outside_the_domain():
+    cases = [(fdelta_family(toy_regular_owf(6, 2)), [-1, -64, 64, 2**70, 1.0, "1", None]),
+             (two_to_one_family(3), [-2, 8, np.int64(-1)]),
+             (ajtai_family(1, 2, 13, 2.0), [(6, 6), (1,), (1, 1, 1), 1, (0.5, 0), "ab"])]
+    for fam, outside in cases:
+        key, _ = fam.sample(np.random.default_rng(0))
+        for x in outside:
+            assert fam.eval(key, x) is None and fam.measure(key, x) is None, (fam.name, x)
+    # a ball value is read by its register, so every representative agrees
+    assert fam.eval(key, (-1, 0)) == fam.eval(key, (12, 0)) == reference(
+        fam.descriptor, key, (12, 0))[0]
+    assert fam.measure(key, (-1, 0)) == (12, 0)
+
+
 def test_tcr_without_aux_matches_plain_game():
     fam = fdelta_family(toy_regular_owf(6, 2))
     t1 = tcr_game(fam, brute_force_tcr_adversary, np.random.default_rng(9))
@@ -449,12 +509,17 @@ def test_table_matches_eval_and_measure():
             key, _ = fam.sample(np.random.default_rng(seed))
             t = fam.table(key)
             assert list(t.values) == list(fam.domain.values())
-            assert [t.ys[i] for i in t.image_ids] == [fam.eval(key, x) for x in t.values]
+            want = [reference(fam.descriptor, key, x) for x in t.values]
+            assert [t.ys[i] for i in t.image_ids] == [y for y, _ in want]
+            assert [fam.eval(key, x) for x in t.values] == [y for y, _ in want]
             assert len(set(t.ys)) == len(t.ys)
             assert t.ys == sorted(t.ys, key=repr)
             assert all(type(y) in (int, tuple) for y in t.ys)
-            if fam.measure is not None:
-                assert t.mvals.tolist() == [fam.measure(key, x) for x in t.values]
+            if fam.measured:
+                assert t.mvals.tolist() == [m for _, m in want]
+                assert [fam.measure(key, x) for x in t.values] == [m for _, m in want]
+            else:
+                assert [fam.measure(key, x) for x in t.values] == list(t.values)
             assert t.reg_index.tolist() == [
                 lay.value_index("X", fam.domain.to_register(x)) for x in t.values]
             y = t.ys[-1]
@@ -525,7 +590,8 @@ def _balance_reference(family, trials, rng):
 
 def test_balance_ratios_match_the_per_value_reference():
     const = HashFamily(name="const", domain=BitDomain(4), range_bits=2,
-                       sample=lambda rng: (None, None), eval=lambda key, x: 0)
+                       sample=lambda rng: (None, None),
+                       tabulate=lambda key: (np.zeros(16, dtype=int), None))
     for fam in (fdelta_family(toy_regular_owf(10, 2)),
                 fdelta_family(compose_balanced(toy_regular_owf(6, 2), const)),
                 fdelta_family(toy_regular_owf(6, 0, range_bits=7))):  # ratios 0 and 1
@@ -611,15 +677,17 @@ def test_bit_domain_enumeration_matches_the_per_value_path():
 
 def test_table_beyond_the_old_fiber_guard_matches_eval():
     """A 2^17-value domain, above the 2^16 bound that hashfam had of its own,
-    is tabulated under zqcore.ENUM_GUARD and agrees with per-value eval."""
+    is tabulated under zqcore.ENUM_GUARD and agrees with the per-value
+    reference."""
     fam = fdelta_family(toy_regular_owf(17, 2))
     key, _ = fam.sample(np.random.default_rng(3))
     t = fam.table(key)
     assert len(t.values) == 1 << 17
     for i in np.random.default_rng(4).integers(0, 1 << 17, size=300).tolist():
         x = t.values[i]
-        assert t.ys[t.image_ids[i]] == fam.eval(key, x)
-        assert t.mvals[i] == fam.measure(key, x)
+        y, m = reference(fam.descriptor, key, x)
+        assert t.ys[t.image_ids[i]] == y == fam.eval(key, x)
+        assert t.mvals[i] == m == fam.measure(key, x)
         assert t.reg_index[i] == x
 
 
@@ -629,7 +697,7 @@ def test_table_refuses_a_domain_over_the_enumeration_guard(monkeypatch):
 
     monkeypatch.setattr(hashfam, "_enumerate", untouched)
     fam = HashFamily(name="wide", domain=BitDomain(23), range_bits=1,
-                     sample=lambda rng: (0, None), eval=untouched, tabulate=untouched)
+                     sample=lambda rng: (0, None), tabulate=untouched)
     assert BitDomain(23).size == 2 * hashfam.ENUM_GUARD
     with pytest.raises(ValueError, match="domain too large to enumerate"):
         fam.table(0)

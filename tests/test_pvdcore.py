@@ -105,10 +105,10 @@ def test_tampered_block_changes_cross_behavior():
     rng = np.random.default_rng(5)
     fam = balanced_family()
     pair = commit(fam, 0, 3, rng)
-    flipped = qsim.apply_phase_fn(
-        pair.blocks[0], "X",
-        lambda xr: -1.0 if fam.measure(pair.key, fam.domain.from_register(
-            xr if isinstance(xr, tuple) else (xr,))) else 1.0)
+    t = fam.table(pair.key)
+    phase = np.ones(pair.blocks[0].layout.seg_dim("X"))
+    phase[t.reg_index] = np.where(t.mvals != 0, -1.0, 1.0)
+    flipped = qsim.apply_phase_fn(pair.blocks[0], "X", phase)
     pair.blocks[0] = flipped
     # block 0 now opens as bit 1: the honest-open product drops to 0,
     # recomputed exactly
@@ -137,6 +137,17 @@ def test_commit_ver_rejects_wrong_block():
                   if fam.eval(pair.key, x) != pair.images[1])
     assert not commit_ver(fam, pair.key, pair.images, bad)
     assert not commit_ver(fam, pair.key, pair.images, pis[:-1])
+
+
+def test_commit_ver_rejects_certificates_outside_the_domain():
+    fam = balanced_family()
+    pair = commit(fam, 0, 6, np.random.default_rng(3))
+    # each negative int would index the toy table from its end at a preimage's row
+    aliases = [-48, -60, -28, -60, -28, -56]
+    assert not commit_ver(fam, pair.key, pair.images, aliases)
+    assert not commit_ver(fam, pair.key, pair.images, [64] * 6)
+    assert not pvd_verify(fam, pair.key, pair.images, aliases)
+    assert commit_ver(fam, pair.key, pair.images, [x + 64 for x in aliases])
 
 
 def test_post_deletion_view_identical_across_bits():
@@ -259,8 +270,8 @@ def test_pvd_requires_trapdoor_and_measurement():
         pvd_keygen(toy_regular_owf(6, 2), np.random.default_rng(0))  # no M
     no_inv = hashfam.HashFamily(
         name="no-inv", domain=hashfam.BitDomain(4), range_bits=3,
-        sample=lambda rng: (None, None), eval=lambda k, x: x >> 1,
-        measure=lambda k, x: x & 1)
+        sample=lambda rng: (None, None),
+        tabulate=lambda k: (np.arange(16) >> 1, np.arange(16) & 1), measured=True)
     with pytest.raises(ValueError):
         pvd_keygen(no_inv, np.random.default_rng(0))
 

@@ -41,9 +41,10 @@ def test_phase_vector_matches_phase_function():
     lay = RegisterLayout([("C", (2,)), ("X", (3, 2))])
     st_ = rand_state(lay, rng)
     phases = np.exp(2j * np.pi * rng.random(6))
-    by_fn = qsim.controlled_phase_fn(st_, "C", "X", lambda x: phases[2 * x[0] + x[1]])
-    by_vec = qsim.controlled_phase_fn(st_, "C", "X", phases)
-    np.testing.assert_array_equal(by_fn.amps, by_vec.amps)
+    by_value = np.array([phases[2 * x[0] + x[1]] for x in lay.seg_values("X")])
+    out = qsim.controlled_phase_fn(st_, "C", "X", by_value)
+    want = st_.amps.reshape(2, 6) * np.stack([np.ones(6), phases])
+    np.testing.assert_array_equal(out.amps, want.reshape(-1))
     with pytest.raises(ValueError):
         qsim.apply_phase_fn(st_, "X", phases[:5])
 
