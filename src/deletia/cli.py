@@ -56,6 +56,8 @@ def _resolve(args) -> None:
         if getattr(args, key) is None:
             setattr(args, key, CONFIG_KEYS[key](given[key]) if key in given
                     else args.defaults.get(key))
+    if getattr(args, "trials", 0) < 0:
+        raise ValueError(f"trials must be >= 0, got {args.trials}")
     if "DELETIA_SEED" in os.environ:
         args.seed = int(os.environ["DELETIA_SEED"])
 
@@ -165,30 +167,43 @@ def cmd_pvd_roundtrip(args) -> int:
 # game run
 # ---------------------------------------------------------------------------
 
-def _ladder_family() -> hashfam.HashFamily:
-    return hashfam.two_to_one_family(3)
+def _play_bits(play, trials: int, seed: int, rows: list[dict],
+               stride: int = 2, base: int = 0) -> list[int]:
+    """Play a bit-output game ``trials`` times for each b in (0, 1) and
+    return the ones per b. Run (t, b) draws from a generator seeded with
+    ``seed + base + t*stride + b``; ``play(b, rng, run_seed)`` returns its
+    (guess, verdict), and each run appends one CSV row."""
+    ones = [0, 0]
+    for t in range(trials):
+        for b in (0, 1):
+            run_seed = seed + base + t * stride + b
+            guess, verdict = play(b, _rng(run_seed), run_seed)
+            ones[b] += guess
+            rows.append({"trial": t, "seed": run_seed, "b": b,
+                         "verdict": verdict, "guess": guess})
+    return ones
 
 
-def _advantage_ci(w0: int, w1: int, t: int) -> tuple[float, float]:
-    if t == 0:
-        return 0.0, 0.0
-    p0, p1 = w0 / t, w1 / t
-    ci = 1.96 * math.sqrt(p0 * (1 - p0) / t + p1 * (1 - p1) / t)
-    return abs(p0 - p1), ci
+def _bit_report(ones: list[int], trials: int) -> dict:
+    """The advantage |p0 - p1| with its normal-approximation ci, and the counts."""
+    p0, p1 = ones[0] / trials, ones[1] / trials
+    ci = 1.96 * math.sqrt(p0 * (1 - p0) / trials + p1 * (1 - p1) / trials)
+    return {"advantage": abs(p0 - p1), "ci": ci,
+            "counts": {"b0_ones": ones[0], "b1_ones": ones[1]}}
 
 
-def _exact_report(exp: str, adv: games.Adversary, seed: int) -> dict:
+def _exact_report(exp: str, fam, adv: games.Adversary, seed: int) -> dict:
     """The exact advantage with ci 0.0, and for the ladder every Exp's
     advantage and the projection success rates; no trials are played."""
     if exp == "ladder":
-        res = games.hybrid_ladder_exact(_ladder_family(), adv)
+        res = games.hybrid_ladder_exact(fam, adv)
         return {**{f"adv{i}": res.adv[i] for i in range(4)}, "advantage": res.adv[0],
                 "ci": 0.0, "proj_success": res.proj_success}
     if exp == "tc":
-        advantage = games.target_collapse_advantage_exact(_ladder_family(), None, adv)
+        advantage = games.target_collapse_advantage_exact(fam, None, adv)
     elif exp == "evtc":
         advantage = qsim.ensemble_trace_distance(
-            *games.ev_target_collapse_ensembles(_ladder_family(), None, adv))
+            *games.ev_target_collapse_ensembles(fam, None, adv))
     elif adv is not games.HONEST_DELETER:
         raise ValueError(f"experiment 'sgc' has an exact mode only for "
                          f"{games.HONEST_DELETER.name!r}, not {adv.name!r}")
@@ -198,133 +213,87 @@ def _exact_report(exp: str, adv: games.Adversary, seed: int) -> dict:
     return {"advantage": advantage, "ci": 0.0}
 
 
+def _transcript_bits(tr: games.GameTranscript) -> tuple[int, bool]:
+    return tr.verdict, tr.outputs["valid"]
+
+
 def cmd_game_run(args) -> int:
-    seed, trials = args.seed, args.trials
-    if args.exact and args.exp in ("tcr", "fact35"):
-        raise ValueError(f"experiment {args.exp!r} has no exact mode; drop --exact")
+    exp, seed, trials = args.exp, args.seed, args.trials
+    if args.exact and exp in ("tcr", "fact35"):
+        raise ValueError(f"experiment {exp!r} has no exact mode; drop --exact")
     adv = games.ADVERSARIES.get(args.adv)
-    if adv is None and args.exp != "fact35":
+    if adv is None and exp != "fact35":
         raise ValueError(f"unknown adversary {args.adv!r}; "
                          f"known: {sorted(games.ADVERSARIES)}")
-    report = {"exp": args.exp, "adv": args.adv, "seed": seed,
+    if exp == "tcr" and args.adv not in hashfam.TCR_ADVERSARIES:
+        raise ValueError(f"experiment 'tcr' plays only {sorted(hashfam.TCR_ADVERSARIES)}, "
+                         f"not {args.adv!r}")
+    # the hash family each experiment plays on; sgc and fact35 use none
+    fam = (_default_bbm_family() if exp == "tcr" else
+           hashfam.two_to_one_family(3) if exp in ("tc", "evtc", "ladder") else None)
+    report = {"exp": exp, "adv": args.adv, "seed": seed,
               "trials": trials, "exact": bool(args.exact)}
-    rows = []
+    rows, code = [], 0
     if args.exact:
-        report.update(_exact_report(args.exp, adv, seed))
-        _finish_game(report, rows, args)
-        return 0
-    if trials == 0 and args.exp != "fact35":
+        report.update(_exact_report(exp, fam, adv, seed))
+    elif trials == 0:
         report.update({"advantage": None, "ci": 0.0, "counts": {}})
-        _finish_game(report, rows, args)
-        return 0
-
-    if args.exp == "ladder":
-        fam = _ladder_family()
-        advs = []
-        for exp in range(4):
-            wins = {0: 0, 1: 0}
-            for t in range(trials):
-                for b in (0, 1):
-                    offset = t * 8 + exp * 2 + b
-                    out = games.hybrid_ladder_mc(fam, adv, exp, b, _rng(seed, offset))
-                    wins[b] += out
-                    rows.append({"trial": t, "seed": seed + offset,
-                                 "b": b, "verdict": "", "guess": out})
-            a, ci = _advantage_ci(wins[0], wins[1], trials)
-            advs.append((a, ci, wins[0], wins[1]))
-        report.update({f"adv{i}": advs[i][0] for i in range(4)})
-        report.update({"advantage": advs[0][0], "ci": advs[0][1],
-                       "counts": {f"exp{i}": {"b0_ones": advs[i][2],
-                                              "b1_ones": advs[i][3]}
-                                  for i in range(4)}})
-    elif args.exp in ("tc", "tcr", "evtc"):
-        fam = _ladder_family() if args.exp != "tcr" else _default_bbm_family()
-        wins = {0: 0, 1: 0}
-        win_count = 0
+    elif exp == "tc":
+        ones = _play_bits(lambda b, rng, _: (
+            games.target_collapse_exp(fam, None, adv, b, rng), ""), trials, seed, rows)
+        report.update(_bit_report(ones, trials))
+    elif exp == "evtc":
+        ones = _play_bits(lambda b, rng, run_seed: _transcript_bits(
+            games.ev_target_collapse_exp(fam, None, adv, b, rng, seed=run_seed)),
+            trials, seed, rows)
+        report.update(_bit_report(ones, trials))
+    elif exp == "sgc":
+        ones = _play_bits(lambda b, rng, run_seed: _transcript_bits(
+            games.strong_gauss_collapse_exp(configs.SGC_DESK, adv, b, rng, seed=run_seed)),
+            trials, seed, rows)
+        report.update(_bit_report(ones, trials))
+        valid = sum(row["verdict"] for row in rows)
+        report["counts"]["valid"] = valid
+        report["valid_rate"] = valid / (2 * trials)
+    elif exp == "ladder":
+        exps = []
+        for e in range(4):
+            ones = _play_bits(lambda b, rng, _: (games.hybrid_ladder_mc(fam, adv, e, b, rng), ""),
+                              trials, seed, rows, stride=8, base=2 * e)
+            exps.append(_bit_report(ones, trials))
+        report.update({f"adv{e}": r["advantage"] for e, r in enumerate(exps)})
+        report.update({"advantage": exps[0]["advantage"], "ci": exps[0]["ci"],
+                       "counts": {f"exp{e}": r["counts"] for e, r in enumerate(exps)}})
+    elif exp == "tcr":
+        wins = 0
         for t in range(trials):
-            rng = _rng(seed, t)
-            if args.exp == "tc":
-                for b in (0, 1):
-                    out = games.target_collapse_exp(fam, None, adv, b, _rng(seed, t * 2 + b))
-                    wins[b] += out
-                    rows.append({"trial": t, "seed": seed + t * 2 + b, "b": b,
-                                 "verdict": "", "guess": out})
-            elif args.exp == "tcr":
-                adv_fn = {"brute-force-inverter": hashfam.brute_force_tcr_adversary,
-                          "honest-deleter": hashfam.honest_tcr_adversary,
-                          "garbage-certifier": hashfam.garbage_tcr_adversary}.get(
-                              args.adv, hashfam.honest_tcr_adversary)
-                tr = hashfam.tcr_game(fam, adv_fn, rng)
-                win_count += tr.win
-                rows.append({"trial": t, "seed": seed + t, "b": "",
-                             "verdict": tr.win, "guess": repr(tr.answer)})
-            else:
-                for b in (0, 1):
-                    tr = games.ev_target_collapse_exp(fam, None, adv, b,
-                                                      _rng(seed, t * 2 + b),
-                                                      seed=seed + t * 2 + b)
-                    wins[b] += tr.verdict
-                    rows.append({"trial": t, "seed": tr.seed, "b": b,
-                                 "verdict": tr.outputs["valid"], "guess": tr.verdict})
-        if args.exp == "tcr":
-            report.update({"win_rate": win_count / max(1, trials), "ci": 0.0,
-                           "advantage": win_count / max(1, trials),
-                           "counts": {"wins": win_count,
-                                      "losses": trials - win_count}})
-        else:
-            a, ci = _advantage_ci(wins[0], wins[1], trials)
-            report.update({"advantage": a, "ci": ci,
-                           "counts": {"b0_ones": wins[0], "b1_ones": wins[1]}})
-    elif args.exp == "sgc":
-        params = configs.SGC_DESK
-        wins, valid_count = {0: 0, 1: 0}, 0
-        for t in range(trials):
-            for b in (0, 1):
-                tr = games.strong_gauss_collapse_exp(
-                    params, adv, b, _rng(seed, t * 2 + b), seed=seed + t * 2 + b)
-                wins[b] += tr.verdict
-                valid_count += tr.outputs["valid"]
-                rows.append({"trial": t, "seed": tr.seed, "b": b,
-                             "verdict": tr.outputs["valid"], "guess": tr.verdict})
-        a, ci = _advantage_ci(wins[0], wins[1], trials)
-        report.update({"advantage": a, "ci": ci,
-                       "counts": {"b0_ones": wins[0], "b1_ones": wins[1],
-                                  "valid": valid_count},
-                       "valid_rate": valid_count / max(1, 2 * trials)})
-    elif args.exp == "fact35":
-        rng = _rng(seed)
-        worst = math.inf
-        holds = True
+            tr = hashfam.tcr_game(fam, hashfam.TCR_ADVERSARIES[args.adv], _rng(seed, t))
+            wins += tr.win
+            rows.append({"trial": t, "seed": seed + t, "b": "",
+                         "verdict": tr.win, "guess": repr(tr.answer)})
+        report.update({"win_rate": wins / trials, "ci": 0.0, "advantage": wins / trials,
+                       "counts": {"wins": wins, "losses": trials - wins}})
+    else:  # fact35
+        rng, worst, holds = _rng(seed), math.inf, True
         for t in range(trials):
             nproj = int(rng.integers(2, 5))
             dim = int(rng.integers(nproj + 1, 9))
-            D, pis, psi = games.random_fact35_instance(rng, dim, nproj)
-            res = games.fact35_check(D, pis, psi)
+            res = games.fact35_check(*games.random_fact35_instance(rng, dim, nproj))
             worst = min(worst, res.lhs - res.rhs)
             holds &= res.holds
             rows.append({"trial": t, "seed": seed, "b": "",
                          "verdict": res.holds, "guess": f"{res.lhs - res.rhs:.3e}"})
         report.update({"advantage": 0.0, "ci": 0.0, "all_hold": holds,
                        "worst_slack": worst})
-        if not holds:
-            _finish_game(report, rows, args)
-            return 1
-    else:
-        raise ValueError(f"unknown experiment {args.exp!r}")
-    _finish_game(report, rows, args)
-    return 0
-
-
-def _finish_game(report: dict, rows: list[dict], args) -> None:
+        code = 0 if holds else 1
     _emit(report)
-    adv = report.get("advantage")
-    _note(f"game {report['exp']}: advantage={adv} ci={report.get('ci')}")
+    _note(f"game {exp}: advantage={report['advantage']} ci={report['ci']}")
     if args.out:
         with open(args.out, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=["trial", "seed", "b", "verdict", "guess"])
             writer.writeheader()
-            for row in rows:
-                writer.writerow(row)
+            writer.writerows(rows)
+    return code
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Arithmetic in GF(2^k) for k <= 16, elements as ints in [0, 2^k).
 
 Multiplication is carry-less polynomial multiplication reduced modulo a
-fixed irreducible polynomial per k (verified irreducible by the test suite).
+fixed irreducible polynomial per k (verified irreducible by the test suite);
+``mul`` and ``poly_eval`` also act elementwise on int arrays.
 """
 
 from __future__ import annotations
@@ -37,19 +38,13 @@ class GF2k:
         self.size = 1 << k
         self.poly = IRREDUCIBLE[k]
 
-    def mul(self, a: int, b: int) -> int:
-        r = 0
+    def mul(self, a, b):
+        """a * b for ints, or elementwise for int arrays (broadcast): b's
+        bits from the top, doubling the running product mod poly."""
         k, poly = self.k, self.poly
-        top = 1 << (k - 1)
-        mask = self.size - 1
-        while b:
-            if b & 1:
-                r ^= a
-            b >>= 1
-            carry = a & top
-            a = (a << 1) & mask
-            if carry:
-                a ^= poly & mask
+        r = a & 0
+        for i in range(k - 1, -1, -1):
+            r = (r << 1) ^ poly * (r >> (k - 1)) ^ a * ((b >> i) & 1)
         return r
 
     def pow(self, a: int, e: int) -> int:
@@ -66,8 +61,9 @@ class GF2k:
             raise ZeroDivisionError("0 has no inverse in GF(2^k)")
         return self.pow(a, self.size - 2)
 
-    def poly_eval(self, coeffs: tuple[int, ...], x: int) -> int:
-        """Horner evaluation of coeffs[0] + coeffs[1] x + ... in the field."""
+    def poly_eval(self, coeffs: tuple[int, ...], x):
+        """Horner evaluation of coeffs[0] + coeffs[1] x + ... in the field,
+        at an int x or elementwise at an int array x."""
         acc = 0
         for c in reversed(coeffs):
             acc = self.mul(acc, x) ^ c

@@ -551,8 +551,7 @@ def chor_goldreich_family(t: int, field_bits: int, out_bits: int) -> HashFamily:
         return coeffs, None
 
     def tabulate(coeffs):
-        values = np.array([gf.poly_eval(coeffs, x) for x in range(gf.size)], dtype=np.int64)
-        return values >> shift, None
+        return gf.poly_eval(coeffs, np.arange(gf.size)) >> shift, None
 
     def invert(coeffs, td, y: int) -> list[int]:
         return fam.fiber(coeffs, y)
@@ -761,3 +760,9 @@ def garbage_tcr_adversary(family, key, y, state, rng, aux=None):
     t = family.table(key)
     outside = np.flatnonzero(~t.fiber_mask(y))
     return t.values[outside[0]] if outside.size else None
+
+
+# The TCR game's adversaries by name.
+TCR_ADVERSARIES = {"brute-force-inverter": brute_force_tcr_adversary,
+                   "honest-deleter": honest_tcr_adversary,
+                   "garbage-certifier": garbage_tcr_adversary}

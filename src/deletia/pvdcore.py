@@ -133,6 +133,8 @@ def calibrate_recover(family: HashFamily, key) -> tuple[float, float, float]:
 
 
 def pvd_keygen(family: HashFamily, rng: np.random.Generator, reps: int = 8) -> PVDKeys:
+    if not 1 <= reps <= MAX_REPS:
+        raise ValueError(f"reps must be 1..{MAX_REPS}, got {reps}")
     if family.invert is None:
         raise ValueError("PKE with PVD needs a trapdoor-invertible family")
     if not family.measured:

@@ -169,12 +169,33 @@ def test_exact_without_an_exact_mode_exits_2(capsys, exp):
     assert f"experiment {exp!r} has no exact mode" in err
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def test_game_zero_trials_empty_report(capsys):
-    code, out, _ = run_cli(capsys, [
-        "game", "run", "--exp", "tc", "--adv", "random-guesser", "--trials", "0"])
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["advantage"] is None and doc["trials"] == 0
+    """Every experiment reports the same empty report at --trials 0, and it
+    is strict JSON (no Infinity)."""
+    for exp, adv in [("tc", "random-guesser"), ("tcr", "honest-deleter"),
+                     ("evtc", "noop"), ("ladder", "honest-deleter"),
+                     ("sgc", "honest-deleter"), ("fact35", "honest-deleter")]:
+        code, out, _ = run_cli(capsys, [
+            "game", "run", "--exp", exp, "--adv", adv, "--trials", "0"])
+        assert code == 0
+        doc = json.loads(out, parse_constant=_no_constant)
+        assert doc == {"exp": exp, "adv": adv, "seed": 0, "trials": 0, "exact": False,
+                       "advantage": None, "ci": 0.0, "counts": {}}
+
+
+@pytest.mark.parametrize("adv", ["noop", "overlap-projector", "random-guesser"])
+def test_tcr_plays_only_its_adversaries(capsys, adv):
+    for trials in ("0", "1"):
+        code, out, err = run_cli(capsys, ["game", "run", "--exp", "tcr", "--adv", adv,
+                                          "--trials", trials])
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: experiment 'tcr' plays only ['brute-force-inverter', "
+                       f"'garbage-certifier', 'honest-deleter'], not {adv!r}\n")
 
 
 def test_game_csv_columns(tmp_path, capsys):
@@ -371,6 +392,12 @@ def test_delete_roundtrip_sigma_is_squared_into_the_quantum_set(capsys, monkeypa
     (["dr", "roundtrip", "--sigma", "nan"], "sigma"),
     (["fhe", "delete-roundtrip", "--q", "0"], "q"),
     (["fhe", "nand-tree", "--depth", "-1"], "depth"),
+    (["fhe", "nand-tree", "--trials", "-1"], "trials"),
+    (["game", "run", "--exp", "tcr", "--trials", "-3"], "trials"),
+    (["game", "run", "--exp", "fact35", "--trials", "-1"], "trials"),
+    (["pvd", "roundtrip", "--reps", "0"], "reps"),
+    (["pvd", "roundtrip", "--reps", "-2"], "reps"),
+    (["pvd", "roundtrip", "--reps", "9"], "reps"),
 ])
 def test_bad_parameters_exit_2_before_any_state(capsys, monkeypatch, argv, name):
     def no_keys(*_):

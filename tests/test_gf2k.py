@@ -77,6 +77,31 @@ def test_poly_eval_matches_naive():
         assert F.poly_eval(coeffs, x) == want
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+def test_mul_on_arrays_is_clmul_mod_poly_exhaustive(k):
+    F = GF2k(k)
+    a, b = np.divmod(np.arange(F.size * F.size), F.size)
+    want = [polydiv_gf2(clmul(int(x), int(y)), F.poly)[1] for x, y in zip(a, b)]
+    assert F.mul(a, b).tolist() == want
+    assert [F.mul(int(x), int(y)) for x, y in zip(a, b)] == want
+
+
+@pytest.mark.parametrize("k", range(7, 17))
+def test_mul_on_arrays_is_clmul_mod_poly_random(k):
+    F = GF2k(k)
+    a, b = np.random.default_rng(k).integers(0, F.size, size=(2, 500))
+    want = [polydiv_gf2(clmul(int(x), int(y)), F.poly)[1] for x, y in zip(a, b)]
+    assert F.mul(a, b).tolist() == want
+    assert F.mul(int(a[0]), b).tolist() == [F.mul(int(a[0]), int(y)) for y in b]
+
+
+def test_poly_eval_on_an_array_is_elementwise():
+    for k, coeffs in [(4, (3, 0, 9, 1, 15, 6)), (9, (400, 17)), (16, (1, 65535, 2, 40000))]:
+        F = GF2k(k)
+        xs = np.arange(F.size)
+        assert F.poly_eval(coeffs, xs).tolist() == [F.poly_eval(coeffs, int(x)) for x in xs]
+
+
 def test_clmul_and_gcd():
     # (x+1)(x+1) = x^2+1 over GF(2)
     assert clmul(0b11, 0b11) == 0b101

@@ -276,6 +276,14 @@ def test_pvd_requires_trapdoor_and_measurement():
         pvd_keygen(no_inv, np.random.default_rng(0))
 
 
+
+@pytest.mark.parametrize("reps", [0, -2, pvdcore.MAX_REPS + 1])
+def test_pvd_keygen_rejects_reps_outside_1_to_max(reps):
+    # commit makes the same check; zero blocks would divide by zero in
+    # pvd_decrypt, and a negative count would verify an empty ciphertext
+    with pytest.raises(ValueError, match=f"reps must be 1..{pvdcore.MAX_REPS}, got {reps}"):
+        pvd_keygen(trapdoor_family(), np.random.default_rng(0), reps=reps)
+
 # --- hybrid compiler -----------------------------------------------------
 
 def test_hybrid_roundtrip_100_trials():
