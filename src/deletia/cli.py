@@ -222,7 +222,7 @@ def cmd_game_run(args) -> int:
     if args.exact and exp in ("tcr", "fact35"):
         raise ValueError(f"experiment {exp!r} has no exact mode; drop --exact")
     adv = games.ADVERSARIES.get(args.adv)
-    if adv is None and exp != "fact35":
+    if adv is None:
         raise ValueError(f"unknown adversary {args.adv!r}; "
                          f"known: {sorted(games.ADVERSARIES)}")
     if exp == "tcr" and args.adv not in hashfam.TCR_ADVERSARIES:

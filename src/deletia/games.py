@@ -116,18 +116,23 @@ def _guess_p1(adv: Adversary, target: np.ndarray, xvec, dot=np.matmul):
 def _fold(totals: np.ndarray, terms: list) -> np.ndarray:
     """Each totals[i] plus every entry of terms[i], strictly left to right in
     C order, as a scalar loop adds them: one cumsum along the rows of a
-    stack whose first column is the totals and whose short rows are padded
-    with +0.0, which adds nothing. A term is an array, or a pair (table,
-    index) that stands for table[index] and is gathered into the stack."""
+    stack per distinct term size, whose first column is the totals. A term
+    is an array, or a pair (table, index) that stands for table[index] and
+    is gathered into the stack."""
     terms = [t if isinstance(t, tuple) else (t[None], np.zeros(1, dtype=np.int64))
              for t in terms]
     sizes = [len(index) * table[0].size for table, index in terms]
-    stack = np.zeros((len(terms), 1 + max(sizes)))
-    stack[:, 0] = totals
-    for row, n, (table, index) in zip(stack, sizes, terms):
-        np.take(table.reshape(len(table), -1), index, axis=0, mode="clip",
-                out=row[1:1 + n].reshape(len(index), -1))
-    return np.cumsum(stack, axis=1, out=stack)[:, -1].copy()  # not a view that keeps the stack
+    out = np.empty(len(terms))
+    for n in set(sizes):
+        at = [i for i, size in enumerate(sizes) if size == n]
+        stack = np.empty((len(at), 1 + n))
+        stack[:, 0] = totals[at]
+        for row, i in zip(stack, at):
+            table, index = terms[i]
+            np.take(table.reshape(len(table), -1), index, axis=0, mode="clip",
+                    out=row[1:].reshape(len(index), -1))
+        out[at] = np.cumsum(stack, axis=1, out=stack)[:, -1]
+    return out
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -139,23 +144,22 @@ def _ladder_branches(adv: Adversary, dom: DomainTable, rows: np.ndarray, mass: n
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The first stage's certificate branches on states whose X marginal on
     the fiber columns is ``mass`` (Y, V, F), for the image rows ``rows``:
-    (pc, pi, fpos, valid), each (Y, V, K), with pi's value index (-1 for
-    none) and its position in the fiber where it is valid. A measured
-    certificate has one branch per fiber column, pc = 0.0 where the column's
-    mass is at most 1e-15; the other modes leave the state untouched."""
+    (pc, pi, fpos, valid), pc (Y, V, K) and the others three-axis arrays
+    that broadcast to it, with pi's value index (-1 for none) and its
+    position in the fiber where it is valid. A measured certificate has one
+    branch per fiber column, pc = 0.0 where the column's mass is at most
+    1e-15; the other modes leave the state untouched."""
     row = dom.image_ids
     pos, fib = dom.fibers
     shape = mass.shape[:2] + (1,)
     if adv.cert == "measure":
         valid = mass > 1e-15
-        return np.where(valid, mass, 0.0), np.broadcast_to(fib[rows][:, None, :], mass.shape), \
-            np.broadcast_to(np.arange(mass.shape[2]), mass.shape), valid
+        return np.where(valid, mass, 0.0), fib[rows][:, None, :], \
+            np.arange(mass.shape[2]).reshape(1, 1, -1), valid
     if adv.cert == "uniform-domain":
         n = len(row)
-        shape = shape[:2] + (n,)
-        valid = row == rows[:, None, None]
-        return np.full(shape, 1.0 / n), np.broadcast_to(np.arange(n), shape), \
-            np.broadcast_to(pos, shape), np.broadcast_to(valid, shape)
+        return np.full(shape[:2] + (n,), 1.0 / n), np.arange(n).reshape(1, 1, -1), \
+            pos.reshape(1, 1, -1), row == rows[:, None, None]
     if adv.cert == "lexfirst":
         fpos, valid = dom.lexfirst_pos[rows], True
         pi = fib[rows, fpos]
@@ -168,8 +172,7 @@ def _ladder_branches(adv: Adversary, dom: DomainTable, rows: np.ndarray, mass: n
         pi, fpos, valid = 0, pos[0], row[0] == rows
     else:
         raise ValueError(f"unknown cert mode {adv.cert}")
-    return np.ones(shape), *(np.broadcast_to(np.reshape(a, (-1, 1, 1)), shape)
-                             for a in (pi, fpos, valid))
+    return np.ones(shape), *(np.reshape(a, (-1, 1, 1)) for a in (pi, fpos, valid))
 
 
 def _pick(p: np.ndarray, rng: np.random.Generator) -> int:
@@ -200,8 +203,8 @@ def _sample_certificate(adv: Adversary, dom: DomainTable, r: int, mass: np.ndarr
     left untouched) and whether pi is valid."""
     full = np.zeros(dom.fibers[1].shape[1])
     full[:len(mass)] = mass
-    pc, pi, fpos, valid = (a.ravel() for a in
-                           _ladder_branches(adv, dom, np.array([r]), full[None, None]))
+    pc, pi, fpos, valid = (a.ravel() for a in np.broadcast_arrays(
+        *_ladder_branches(adv, dom, np.array([r]), full[None, None])))
     k = _pick(pc, rng)
     return int(pi[k]), int(fpos[k]) if adv.cert == "measure" else None, bool(valid[k])
 
@@ -294,14 +297,15 @@ def ev_target_collapse_ensembles(family: HashFamily, dist: Callable | None,
             # absent M outcomes and measured columns without mass are no branch
             keep = np.broadcast_to((px > 0)[..., None] & (valid | (not measured)), w.shape)
             r, v, _ = np.nonzero(keep)
+            pi, fpos, valid = (np.broadcast_to(a, w.shape)[keep] for a in (pi, fpos, valid))
             if measured:
-                at = fpos[keep]
+                at = fpos
             else:
                 at = base + r * x.shape[1] + v
                 blocks.append(x.reshape(-1, x.shape[2]))
                 base += len(blocks[-1])
-            cols[side].append((w[keep], (ki * n + r) * (n + 1) + pi[keep] + 1,
-                               np.where(valid[keep], at, -1)))
+            cols[side].append((w[keep], (ki * n + r) * (n + 1) + pi + 1,
+                               np.where(valid, at, -1)))
     states = np.eye(width, dtype=np.complex128) if measured else np.concatenate(
         [np.pad(x, ((0, 0), (0, width - x.shape[1]))) for x in blocks], dtype=np.complex128)
     return tuple(qsim.Ensemble.from_columns(*map(np.concatenate, zip(*c)), states)
@@ -319,9 +323,10 @@ class LadderResult:
     proj_success: dict = field(default_factory=dict)  # exp -> P(projection ok | valid)
 
 
-# A chunk of y rows spans about this many (y, z, v, branch) cells, or one row
-# where a row has more: it bounds the exact ladder's working set.
-_LADDER_CELLS = 1 << 13
+# A chunk of y rows spans about this many (y, z, v, branch, fiber column)
+# cells, or one row where a row has more: it bounds the exact ladder's
+# working set.
+_LADDER_CELLS = 1 << 17
 
 
 def _safe_sqrt(p: np.ndarray, ok: np.ndarray) -> np.ndarray:
@@ -341,25 +346,25 @@ def _exp0_terms(adv: Adversary, dom: DomainTable, rows: np.ndarray, py: np.ndarr
 
 
 def _c_register_terms(adv: Adversary, dom: DomainTable, rows: np.ndarray, x: np.ndarray,
-                      s1: np.ndarray, spi: np.ndarray, psi: np.ndarray,
+                      s1: np.ndarray, z: np.ndarray, psi: np.ndarray,
                       w0: np.ndarray, wk: float) -> dict[str, np.ndarray]:
     """(Y, Z, V, K) Pr[out=1] terms after the first stage acts on the C-by-X
     states (|0> x + |1> s1 x)/sqrt2, x (Y, V, F) and s1 broadcasting to
     (Y, Z, V, F), each weighted w0 (Y, V): the projected experiment (Exp2
     or Exp3: project C onto phi_pi^z, then measure it) with its success and
     valid masses, and Exp1 (measure C, require c' = b) for b = 0 and 1 on
-    the first state along v only, as (Y, Z, 1, K). ``spi`` (Y, Z, F) is the
-    phase sign of the value at each fiber position: a certificate pi enters
-    the projection only through it."""
+    the first state along v only, as (Y, Z, 1, K). A certificate pi enters
+    the projection only through the sign that z (broadcasting to (Y, Z, 1,
+    1)) puts on it. Axes of length 1 are left to broadcast: the valid mass
+    and, for an unmeasured certificate, Exp1 do not depend on z."""
     s2 = math.sqrt(2)
     r0 = (x / s2)[:, None]
     r1 = (s1 * x[:, None]) / s2
-    pc, _, fpos, valid = _ladder_branches(adv, dom, rows, np.abs(r0[:, 0]) ** 2
-                                       + np.abs(r1[:, 0]) ** 2)
+    pc, pi, _, valid = _ladder_branches(adv, dom, rows, np.abs(r0[:, 0]) ** 2
+                                        + np.abs(r1[:, 0]) ** 2)
     w = ((w0[..., None] * pc) * wk)[:, None]
-    full = w.shape[:1] + r1.shape[1:3] + w.shape[3:]
     t = psi[:, None, None, :]
-    spi = spi[:, :, None, :]
+    spi = dom.sign(z, pi[:, None])
     if adv.cert == "measure":
         # a measured certificate leaves only its column, renormalised: every
         # sum and overlap over X is that one entry, and K runs over columns
@@ -367,8 +372,8 @@ def _c_register_terms(adv: Adversary, dom: DomainTable, rows: np.ndarray, x: np.
         res, dot = (r0 / sp, r1 / sp), np.multiply
         merged, tm = (res[0] + spi * res[1]) / s2, t
     else:
-        # the state is untouched: project for pi at every fiber position f
-        # along a new axis before F, and pick each branch's f below
+        # the state is untouched: project for each branch's pi along a new
+        # axis before F
         res, dot = (r0, r1), _dot
         merged, tm = (r0[..., None, :] + spi[..., None] * r1[..., None, :]) / s2, t[..., None, :]
     valid = valid[:, None]
@@ -386,13 +391,11 @@ def _c_register_terms(adv: Adversary, dom: DomainTable, rows: np.ndarray, x: np.
     succ = np.where(ok, ps * (0.5 * guess + 0.25), 0.0)
     proj = succ + (1 - ps) * 0.5
     if adv.cert != "measure":
-        at = np.broadcast_to(fpos[:, None], full)
-        proj, ps = (np.take_along_axis(a[..., 0], at, axis=-1) for a in (proj, ps))
+        proj, ps = proj[..., 0], ps[..., 0]
     terms["proj"] = np.where(valid, w * proj, w * 0.5)
     terms["succ"] = np.where(valid, w * ps, 0.0)
     terms["valid"] = np.where(valid, w, 0.0)
-    return {name: np.broadcast_to(a, full[:2] + a.shape[2:3] + full[3:])
-            for name, a in terms.items()}
+    return terms
 
 
 def _z_classes(spi: np.ndarray, real: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -437,25 +440,24 @@ def hybrid_ladder_exact(family: HashFamily, adversary: Adversary,
         ny, nf = fib.shape
         nv = pv_all.shape[1]
         nk = len(dom.values) if adversary.cert == "uniform-domain" else 1
-        step = max(1, _LADDER_CELLS // (nz * nv * max(nk, nf * nf)))
+        step = max(1, _LADDER_CELLS // (nz * (1 + nv) * nk * nf))
         for lo in range(0, ny, step):
             rows = np.arange(lo, min(lo + step, ny))
-            py, psi = py_all[rows], psi_all[rows]
+            py, psi, fr = py_all[rows], psi_all[rows], fib[rows]
             # along v: psi, then each M outcome's post state, reached with pv
             x = np.concatenate([psi[:, None], post_all[rows]], axis=1)  # (Y, 1 + V, F)
-            pv = np.pad(pv_all[rows], ((0, 0), (1, 0)), constant_values=1.0)
+            pv = np.concatenate([np.ones((len(rows), 1)), pv_all[rows]], axis=1)
             e0 = _exp0_terms(adversary, dom, rows, py, x, pv, psi, wk)
             # One (y, z) cell per class, as a row u of its own. The phase Z_z
             # puts the signs of the fiber positions on psi (Exp1 and Exp2) and
             # the sign of its outcome on each post state (Exp3).
-            cls, rep = _z_classes(dom.sign(np.arange(nz)[None, :, None], fib[rows][:, None, :]),
-                                  fib[rows] >= 0)
+            cls, rep = _z_classes(dom.sign(np.arange(nz)[None, :, None], fr[:, None, :]),
+                                  fr >= 0)
             u, z = rep // nz, (rep % nz)[:, None, None, None]
-            at = np.concatenate([fib[rows][:, None],
-                                 np.repeat(i0_all[rows][..., None], nf, axis=2)], axis=1)
-            s1 = dom.sign(z, at[u][:, None])  # (U, 1, 1 + V, F)
-            t = _c_register_terms(adversary, dom, rows[u], x[u], s1, s1[:, :, 0], psi[u],
-                                  (py[u] * wz)[:, None] * pv[u], wk)
+            at = np.concatenate([fr[:, None], np.repeat(i0_all[rows][..., None], nf, axis=2)],
+                                axis=1)
+            t = _c_register_terms(adversary, dom, rows[u], x[u], dom.sign(z, at[u][:, None]), z,
+                                  psi[u], (py[u] * wz)[:, None] * pv[u], wk)
             names = ("exp1b0", "exp1b1", "proj", "succ", "valid")
             acc = _fold(acc, [e0[:, :1], e0[:, 1:], *((t[n][:, :, 0], cls) for n in names),
                               *((t[n][:, :, 1:], cls) for n in names[2:])])

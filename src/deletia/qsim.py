@@ -559,7 +559,7 @@ def ensemble_trace_distance(a: Ensemble, b: Ensemble) -> float:
     w, label, state = w[state >= 0], label[state >= 0], state[state >= 0]
     # pairs are sorted by label: each label's surviving states are one run
     _, start, k = np.unique(label, return_index=True, return_counts=True)
-    for kk in np.unique(k):
+    for kk in set(k.tolist()):  # not np.unique(k): its first call imports numpy.ma
         first = start[k == kk]
         if kk == 1:
             v = a.states[state[first]]

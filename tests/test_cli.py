@@ -398,6 +398,7 @@ def test_delete_roundtrip_sigma_is_squared_into_the_quantum_set(capsys, monkeypa
     (["pvd", "roundtrip", "--reps", "0"], "reps"),
     (["pvd", "roundtrip", "--reps", "-2"], "reps"),
     (["pvd", "roundtrip", "--reps", "9"], "reps"),
+    (["game", "run", "--exp", "fact35", "--adv", "who"], "unknown adversary"),
 ])
 def test_bad_parameters_exit_2_before_any_state(capsys, monkeypatch, argv, name):
     def no_keys(*_):

@@ -636,6 +636,47 @@ def test_ladder_relations_at_scale():
             assert abs(adv1 - adv0 / 2) <= 1e-12, (fname, adv.name)
 
 
+def test_ladder_does_not_depend_on_the_chunk_bound(monkeypatch):
+    fams = {"two-to-one-5": two_to_one_family(5), "two-to-one-6": two_to_one_family(6),
+            "fdelta-toy-8-2": _sampled_keys(fdelta_family(toy_regular_owf(8, 2)), n=1)}
+    # one row per chunk, the bound's old value, its value, one chunk per key
+    bounds = [1, 1 << 13, games._LADDER_CELLS, 1 << 40]
+    for fname, fam in fams.items():
+        for aname, adv in sorted(ADVERSARIES.items()):
+            got = []
+            for cells in bounds:
+                monkeypatch.setattr(games, "_LADDER_CELLS", cells)
+                res = hybrid_ladder_exact(fam, adv)
+                got.append((repr(res.adv), repr(res.prob1), repr(res.proj_success)))
+            assert got == got[:1] * len(bounds), (fname, aname)
+
+
+def _padded_fold(totals, terms):
+    """The fold with every row padded with +0.0 to the longest term."""
+    flat = [t[0][t[1]].ravel() if isinstance(t, tuple) else t.ravel() for t in terms]
+    stack = np.zeros((len(terms), 1 + max(len(f) for f in flat)))
+    stack[:, 0] = totals
+    for row, f in zip(stack, flat):
+        row[1:1 + len(f)] = f
+    return np.cumsum(stack, axis=1)[:, -1]
+
+
+def test_fold_per_term_size_is_the_padded_fold():
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        terms = []
+        for _ in range(int(rng.integers(1, 9))):
+            shape = tuple(int(n) for n in rng.integers(1, 5, size=int(rng.integers(1, 4))))
+            a = rng.standard_normal(shape) * 10.0 ** rng.integers(-17, 3, size=shape)
+            if rng.random() < 0.5:
+                terms.append((a, rng.integers(0, len(a), size=int(rng.integers(1, 9)))))
+            else:
+                terms.append(a)
+        totals = rng.standard_normal(len(terms))
+        got, want = games._fold(totals, terms), _padded_fold(totals, terms)
+        assert got.tobytes() == want.tobytes()
+
+
 # --- the z-class ladder against the per-z ladder -------------------------------
 
 def _scalar_fold(total: float, terms: np.ndarray) -> float:
@@ -677,16 +718,20 @@ def _per_z_ladder(family, adversary, dist=None):
                 adversary, dom, rows, py, post, pv, psi, wk))
             # Exp1 and Exp2 share the joint state (|0>psi + |1>Z_z psi)/sqrt2
             t12 = games._c_register_terms(adversary, dom, rows, psi[:, None], spi[:, :, None],
-                                          spi, psi, (py * wz)[:, None], wk)
+                                          z[..., None], psi, (py * wz)[:, None], wk)
             # Exp3: measure M first, then the same C machinery
             s3 = dom.sign(z, i0_all[rows][:, None, :])[..., None]
-            t3 = games._c_register_terms(adversary, dom, rows, post, s3, spi, psi,
+            t3 = games._c_register_terms(adversary, dom, rows, post, s3, z[..., None], psi,
                                          (py * wz)[:, None] * pv, wk)
+
+            def every_z(a):  # terms that do not depend on z come with one
+                return np.broadcast_to(a, (len(rows), z.size) + a.shape[2:])
+
             for name in ("exp1b0", "exp1b1"):
-                acc[name] = _scalar_fold(acc[name], t12[name])
+                acc[name] = _scalar_fold(acc[name], every_z(t12[name]))
             for e, t in ((2, t12), (3, t3)):
                 for name in ("proj", "succ", "valid"):
-                    acc[f"{name}{e}"] = _scalar_fold(acc[f"{name}{e}"], t[name])
+                    acc[f"{name}{e}"] = _scalar_fold(acc[f"{name}{e}"], every_z(t[name]))
 
     p1 = {(e, b): acc[f"exp{e}b{b}"] if e < 2 else acc[f"proj{e}"]
           for e in range(4) for b in (0, 1)}
@@ -876,7 +921,7 @@ def test_evtc_at_scale_on_fiber_columns():
     closed = 0.0
     for key, _ in fam.keys():
         for y in sorted({fam.eval(key, x) for x in fam.domain.values()}):
-            a0, a1 = hashfam.fiber_split(fam, key, y)
+            a0, a1 = hashfam.fiber_split(*fam.tabulate(key), y)
             closed += math.sqrt(a0 * a1) / fam.domain.size
     closed /= len(fam.keys())
     assert closed == 0.5

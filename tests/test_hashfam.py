@@ -297,7 +297,7 @@ def test_balance_exactly_regular_plus_bijective_uhash():
     assert all(r == 0.0 for r in report.ratios)
     key, _ = fam.sample(rng)
     y = fam.eval(key, 0)
-    a0, a1 = fiber_split(fam, key, y)
+    a0, a1 = fiber_split(*fam.tabulate(key), y)
     assert a0 == a1 == 8  # both merged images carry 2^r preimages
 
 
@@ -576,6 +576,39 @@ def test_lazy_ranks_match_a_sorted_reference(name):
         assert not t.fiber_mask(y).any(), y
 
 
+def _fibers_by_argsort(row, ny):
+    """(pos, fib) with the values ordered by an int64 stable argsort."""
+    counts = np.bincount(row, minlength=ny)
+    by_row = np.argsort(row, kind="stable")
+    pos = np.empty_like(row)
+    pos[by_row] = np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)
+    fib = np.full((ny, counts.max()), -1)
+    fib[row, pos] = np.arange(len(row))
+    return pos, fib
+
+
+@pytest.mark.parametrize("n", [1, 5, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 1 << 17, 1 << 22])
+def test_stable_argsort_by_16_bit_digits_is_argsort(n):
+    rng = np.random.default_rng(n)
+    for ids in (rng.integers(0, n, size=3000), np.full(7, n - 1), rng.permutation(min(n, 1 << 18))):
+        assert hashfam._stable_argsort(ids, n).tolist() == \
+            np.argsort(ids, kind="stable").tolist()
+
+
+def test_fibers_match_the_argsort_order():
+    rng = np.random.default_rng(11)
+    images = {"one-element fibers": rng.permutation(1 << 17),  # more than 2^16 rows
+              "mixed": rng.integers(0, 1 << 17, size=1 << 18),
+              "few rows": rng.integers(0, 300, size=5000)}
+    for name, im in images.items():
+        t = hashfam.DomainTable(range(len(im)), im, np.zeros(len(im), dtype=np.int64),
+                                np.arange(len(im)), None, True, None)
+        pos, fib = t.fibers
+        want_pos, want_fib = _fibers_by_argsort(t.image_ids, len(t.ys))
+        assert np.array_equal(pos, want_pos) and np.array_equal(fib, want_fib), name
+    assert len(t.ys) <= 300 and fib.shape[1] > 1
+
+
 def _balance_reference(family, trials, rng):
     """The fiber ratios of balance_estimate by per-value eval and measure."""
     ratios = []
@@ -586,6 +619,15 @@ def _balance_reference(family, trials, rng):
         sides = [family.measure(key, x) for x in values if family.eval(key, x) == y]
         ratios.append(abs(len(sides) - 2 * sum(sides)) / len(sides))
     return ratios
+
+
+def test_percentile_995_is_numpys_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for n in [*range(1, 260), 1000, 2001]:
+        for vals in (rng.random(n), rng.choice([0.0, 1 / 3, 0.5, 1.0], size=n),
+                     rng.random(n) * 10.0 ** rng.integers(-20, 1, size=n)):
+            got = hashfam._percentile_995(vals.tolist())
+            assert repr(got) == repr(float(np.percentile(vals, 99.5))), n
 
 
 def test_balance_ratios_match_the_per_value_reference():
