@@ -82,7 +82,7 @@ def cmd_dr_roundtrip(args) -> int:
     params = _params(configs.DR_ROUNDTRIP, args)
     rng = _rng(args.seed)
     keys = dualregev.dr_keygen(params, rng)
-    b = int(rng.integers(0, 2)) if args.bit is None else args.bit % 2
+    b = int(rng.integers(0, 2)) if args.bit is None else args.bit
     decrypted = dualregev.dr_decrypt(keys, dualregev.dr_encrypt(keys, b, rng), rng)
     ct = dualregev.dr_encrypt(keys, b, rng)
     pi = dualregev.dr_delete(ct, rng)
@@ -115,7 +115,7 @@ def cmd_fhe_delete_roundtrip(args) -> int:
     params = _params(configs.FHE_QUANTUM, args)
     rng = _rng(args.seed)
     keys = dualfhe.fhe_keygen(params, rng)
-    x = int(rng.integers(0, 2)) if args.bit is None else args.bit % 2
+    x = int(rng.integers(0, 2)) if args.bit is None else args.bit
     measured = dualfhe.fhe_measure_q(dualfhe.fhe_encrypt_q(keys, x, rng), rng)
     decrypted = dualfhe.fhe_decrypt(keys, measured)
     ct = dualfhe.fhe_encrypt_q(keys, x, rng)
@@ -134,7 +134,7 @@ def _default_bbm_family() -> hashfam.HashFamily:
 def cmd_commit_demo(args) -> int:
     rng = _rng(args.seed)
     fam = _default_bbm_family()
-    b = int(rng.integers(0, 2)) if args.bit is None else args.bit % 2
+    b = int(rng.integers(0, 2)) if args.bit is None else args.bit
     pair = pvdcore.commit(fam, b, configs.COMMIT_REPS, rng)
     honest = pvdcore.open_accept_prob(pair, b)
     cross = pvdcore.open_accept_prob(pair, 1 - b)
@@ -152,7 +152,7 @@ def cmd_pvd_roundtrip(args) -> int:
         hashfam.toy_regular_owf(6, 2), hashfam.chor_goldreich_family(6, 4, 3))
     fam = hashfam.fdelta_family(comp)
     keys = pvdcore.pvd_keygen(fam, rng, reps=args.reps)
-    b = int(rng.integers(0, 2)) if args.bit is None else args.bit % 2
+    b = int(rng.integers(0, 2)) if args.bit is None else args.bit
     decrypted = pvdcore.pvd_decrypt(keys, pvdcore.pvd_encrypt(keys, b, rng), rng)
     ct = pvdcore.pvd_encrypt(keys, b, rng)
     pis = pvdcore.pvd_delete(ct, fam, rng)
@@ -286,13 +286,13 @@ def cmd_game_run(args) -> int:
         report.update({"advantage": 0.0, "ci": 0.0, "all_hold": holds,
                        "worst_slack": worst})
         code = 0 if holds else 1
-    _emit(report)
-    _note(f"game {exp}: advantage={report['advantage']} ci={report['ci']}")
-    if args.out:
+    if args.out:  # before the report, so a run that cannot write prints none
         with open(args.out, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=["trial", "seed", "b", "verdict", "guess"])
             writer.writeheader()
             writer.writerows(rows)
+    _emit(report)
+    _note(f"game {exp}: advantage={report['advantage']} ci={report['ci']}")
     return code
 
 
@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         for key in keys:
             p.add_argument(f"--{key}", type=CONFIG_KEYS[key], default=None)
         if bit:
-            p.add_argument("--bit", type=int, default=None)
+            p.add_argument("--bit", type=int, choices=(0, 1), default=None)
         p.set_defaults(fn=fn, keys=keys, defaults=defaults)
         return p
 

@@ -51,9 +51,6 @@ class FHEParams(DRParams):
     def ncols(self) -> int:
         return self.width * gadget_width(self.q)  # N = (m+1) ceil(log2 q)
 
-    def column_dim(self) -> int:
-        return self.q**self.width
-
 
 def fhe_params(n: int, m: int, q: int, sigma=None, depth: int = 1,
                *, sigma_sq=None) -> FHEParams:

@@ -23,11 +23,8 @@ from .zqcore import (
     ZqMatrix,
     ZqVector,
     centered,
-    centered_array,
     gaussian_box_weights,
     isis_verify,
-    parse_zq,
-    serialize_zq,
     structured_ajtai_keygen,
     zq_box,
     zq_image_codes,
@@ -205,35 +202,3 @@ def dual_ciphertext_sum(A: ZqMatrix, y: ZqVector, g: np.ndarray, sigma: float
         amps[target] += phase * rho_e
     return qsim.QState(layout, amps).normalized()
 
-
-def serialize_vk(vk: tuple[ZqMatrix, ZqVector]) -> str:
-    """vk = (A, y) in the zqcore wire format, matrix then vector."""
-    A, y = vk
-    return serialize_zq(A) + serialize_zq(y)
-
-
-def parse_vk(text: str) -> tuple[ZqMatrix, ZqVector]:
-    lines = text.strip().splitlines()
-    header = lines[0].split()
-    rows = int(header[2])
-    a_text = "\n".join(lines[: rows + 1])
-    y_text = "\n".join(lines[rows + 1:])
-    return parse_zq(a_text), parse_zq(y_text)
-
-
-def deletion_certificate_distribution(params: DRParams, A: ZqMatrix,
-                                      y: ZqVector, b: int) -> dict[tuple, float]:
-    """Exact outcome distribution of Del on Enc(b), by construction the
-    squared Gaussian mass on the coset (independent of b)."""
-    q, w = params.q, params.width
-    sigma = params.sigma
-    ycode = np.ravel_multi_index(tuple(y.entries), (q,) * A.rows)
-    coset = np.flatnonzero(zq_image_codes(A) == ycode)
-    weights = {}
-    total = 0.0
-    for xv in np.stack(np.unravel_index(coset, (q,) * w), axis=1):
-        c = centered_array(xv, q)
-        p = math.exp(-2 * math.pi * float(np.dot(c, c)) / sigma**2)
-        weights[tuple(xv.tolist())] = p
-        total += p
-    return {x: p / total for x, p in weights.items()}

@@ -79,16 +79,6 @@ class GameTranscript:
     outputs: dict
     verdict: object
 
-    def to_json(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "b": self.b,
-            "adversary": self.adversary,
-            "outputs": self.outputs,
-            "verdict": self.verdict,
-        }
-
 
 # ---------------------------------------------------------------------------
 # Shared by the sampled and the exact games
@@ -616,6 +606,9 @@ def sgc_honest_ensembles(params: SGCParams, rng: np.random.Generator
 # Projector inequality checker
 # ---------------------------------------------------------------------------
 
+FACT35_SLACK = 1e-9  # float room the inequality may miss by and still hold
+
+
 @dataclass
 class Fact35Result:
     lhs: float
@@ -623,8 +616,7 @@ class Fact35Result:
     holds: bool
 
 
-def fact35_check(D: np.ndarray, Pis: list[np.ndarray], psi: np.ndarray,
-                 slack: float = 1e-9) -> Fact35Result:
+def fact35_check(D: np.ndarray, Pis: list[np.ndarray], psi: np.ndarray) -> Fact35Result:
     """Check sum_i ||(sum_{j!=i} Pi_j) D Pi_i psi||^2 >=
     (1/N) (||D psi||^2 - sum_i ||D Pi_i psi||^2)^2 for pairwise orthogonal
     projectors and psi in the image of their sum."""
@@ -643,7 +635,7 @@ def fact35_check(D: np.ndarray, Pis: list[np.ndarray], psi: np.ndarray,
         lhs += float(np.linalg.norm(rest @ (D @ (Pis[i] @ psi))) ** 2)
         inner -= float(np.linalg.norm(D @ (Pis[i] @ psi)) ** 2)
     rhs = inner**2 / N
-    return Fact35Result(lhs=lhs, rhs=rhs, holds=lhs >= rhs - slack)
+    return Fact35Result(lhs=lhs, rhs=rhs, holds=lhs >= rhs - FACT35_SLACK)
 
 
 def random_fact35_instance(rng: np.random.Generator, dim: int, nproj: int

@@ -47,20 +47,6 @@ class GF2k:
             r = (r << 1) ^ poly * (r >> (k - 1)) ^ a * ((b >> i) & 1)
         return r
 
-    def pow(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse in GF(2^k)")
-        return self.pow(a, self.size - 2)
-
     def poly_eval(self, coeffs: tuple[int, ...], x):
         """Horner evaluation of coeffs[0] + coeffs[1] x + ... in the field,
         at an int x or elementwise at an int array x."""
@@ -69,65 +55,3 @@ class GF2k:
             acc = self.mul(acc, x) ^ c
         return acc
 
-
-def clmul(a: int, b: int) -> int:
-    """Carry-less product of two binary polynomials."""
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        b >>= 1
-    return r
-
-
-def polydiv_gf2(a: int, b: int) -> tuple[int, int]:
-    """(quotient, remainder) of binary polynomial division."""
-    if b == 0:
-        raise ZeroDivisionError
-    q = 0
-    db = b.bit_length()
-    while a.bit_length() >= db:
-        shift = a.bit_length() - db
-        q ^= 1 << shift
-        a ^= b << shift
-    return q, a
-
-
-def poly_gcd_gf2(a: int, b: int) -> int:
-    while b:
-        a, b = b, polydiv_gf2(a, b)[1]
-    return a
-
-
-def poly_is_irreducible(f: int) -> bool:
-    """Rabin test over GF(2): f of degree d is irreducible iff x^(2^d) = x
-    (mod f) and gcd(x^(2^(d/p)) - x, f) = 1 for every prime p | d."""
-    d = f.bit_length() - 1
-    if d < 1:
-        return False
-
-    def xpow2e(e: int) -> int:
-        # x^(2^e) mod f by repeated squaring of polynomials
-        r = polydiv_gf2(0b10, f)[1]
-        for _ in range(e):
-            r = polydiv_gf2(clmul(r, r), f)[1]
-        return r
-
-    x_mod_f = polydiv_gf2(0b10, f)[1]
-    if xpow2e(d) != x_mod_f:
-        return False
-    p, rem, primes = 2, d, []
-    while p * p <= rem:
-        if rem % p == 0:
-            primes.append(p)
-            while rem % p == 0:
-                rem //= p
-        p += 1
-    if rem > 1:
-        primes.append(rem)
-    for p in primes:
-        h = xpow2e(d // p) ^ x_mod_f
-        if poly_gcd_gf2(h, f) != 1:
-            return False
-    return True

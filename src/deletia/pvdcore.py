@@ -1,6 +1,5 @@
-"""Canonical quantum bit commitments with publicly-verifiable deletion,
-PKE with PVD from trapdoor phase-recoverability, and the generic hybrid
-compiler that encrypts the trapdoor under any auxiliary encryptor.
+"""Canonical quantum bit commitments with publicly-verifiable deletion, and
+PKE with PVD from trapdoor phase-recoverability.
 
 A commitment or ciphertext is a list of independent fiber blocks
 
@@ -12,9 +11,7 @@ metadata, not qudits, since every execution path measures them first.
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -82,19 +79,6 @@ def open_accept_prob(pair: CommitmentPair, claim_b: int) -> float:
         target = fiber_state(pair.family, pair.key, y, signed_bit=claim_b % 2)
         p *= abs(np.vdot(target.amps, block.amps)) ** 2
     return p
-
-
-def open_verify(pair: CommitmentPair, claim_b: int | None,
-                rng: np.random.Generator) -> bool:
-    """Sampled opening: project every block onto the claimed fiber state
-    (claim_b None claims the committed bit)."""
-    claim = pair.bit if claim_b is None else claim_b % 2
-    for y, block in zip(pair.images, pair.blocks):
-        target = fiber_state(pair.family, pair.key, y, signed_bit=claim)
-        p = qsim.project_prob(block, "X", target)
-        if rng.random() >= p:
-            return False
-    return True
 
 
 def block_overlap(family: HashFamily, key, y) -> float:
@@ -189,61 +173,3 @@ def pvd_delete(ct: PVDCiphertext | CommitmentPair, family: HashFamily,
 
 def pvd_verify(family: HashFamily, key, images: list, pis: list) -> bool:
     return commit_ver(family, key, images, pis)
-
-
-# ---------------------------------------------------------------------------
-# Generic hybrid compiler: ciphertext carries aux_encrypt(td)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class HybridCiphertext:
-    images: list
-    blocks: list[qsim.QState]
-    aux_ct: bytes
-
-
-@dataclass
-class HybridScheme:
-    """PKE with PVD whose public artifacts include an encryption of the
-    trapdoor under a pluggable classical encryptor (ABE/FHE/WE stand-ins)."""
-
-    base: PVDKeys
-    aux_encrypt: Callable[[bytes], bytes]
-    aux_decrypt: Callable[[bytes], bytes]
-
-    def encrypt(self, b: int, rng: np.random.Generator) -> HybridCiphertext:
-        ct = pvd_encrypt(self.base, b, rng)
-        aux_ct = self.aux_encrypt(pickle.dumps(self.base.trapdoor))
-        return HybridCiphertext(images=ct.images, blocks=ct.blocks, aux_ct=aux_ct)
-
-    def decrypt(self, ct: HybridCiphertext, rng: np.random.Generator) -> int:
-        td = pickle.loads(self.aux_decrypt(ct.aux_ct))
-        keys = PVDKeys(family=self.base.family, key=self.base.key, trapdoor=td,
-                       recover_threshold=self.base.recover_threshold,
-                       recover_gap=self.base.recover_gap, reps=self.base.reps)
-        return pvd_decrypt(keys, PVDCiphertext(ct.images, ct.blocks), rng)
-
-    def delete(self, ct: HybridCiphertext, rng: np.random.Generator) -> list:
-        return pvd_delete(PVDCiphertext(ct.images, ct.blocks), self.base.family, rng)
-
-    def verify(self, images: list, pis: list) -> bool:
-        return pvd_verify(self.base.family, self.base.key, images, pis)
-
-
-def hybrid_compile(base: PVDKeys, aux_encrypt: Callable[[bytes], bytes],
-                   aux_decrypt: Callable[[bytes], bytes]) -> HybridScheme:
-    """Wrap a PVD scheme so its trapdoor ships under the given encryptor.
-
-    The deletion path never touches the aux component.
-    """
-    return HybridScheme(base=base, aux_encrypt=aux_encrypt, aux_decrypt=aux_decrypt)
-
-
-def stream_cipher(seed: int) -> tuple[Callable[[bytes], bytes], Callable[[bytes], bytes]]:
-    """Toy seeded stream cipher (XOR keystream); the shipped aux encryptor."""
-
-    def xor(data: bytes) -> bytes:
-        ks = np.random.default_rng(seed).integers(0, 256, size=len(data), dtype=np.uint8)
-        return bytes(np.frombuffer(data, dtype=np.uint8) ^ ks)
-
-    return xor, xor

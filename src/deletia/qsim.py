@@ -135,15 +135,6 @@ class QState:
     def copy(self) -> "QState":
         return QState(self.layout, self.amps.copy())
 
-    def dump(self, eps: float = 1e-12) -> str:
-        """Debug dump: lines "index-tuple  re  im" for |amp| > eps, index order."""
-        lines = []
-        for flat in np.nonzero(np.abs(self.amps) > eps)[0]:
-            tup = ",".join(str(i) for i in np.unravel_index(flat, self.layout.all_dims))
-            a = self.amps[flat]
-            lines.append(f"{tup}  {a.real:+.12e}  {a.imag:+.12e}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
 
 @dataclass
 class MeasureOutcome:
@@ -163,16 +154,6 @@ class MeasureOutcome:
         if not isinstance(self._post_state, QState):
             self._post_state = self._post_state()
         return self._post_state
-
-
-def basis_state(layout: RegisterLayout, assignment: dict[str, Sequence[int]] | None = None) -> QState:
-    """Computational basis state; unassigned segments sit at |0>."""
-    assignment = assignment or {}
-    digits = [v for name, dims in layout.segments
-              for v in _as_tuple(assignment.get(name, (0,) * len(dims)))]
-    amps = np.zeros(layout.dim, dtype=np.complex128)
-    amps[np.ravel_multi_index(digits, layout.all_dims, mode="wrap")] = 1.0
-    return QState(layout, amps)
 
 
 def _view(state: QState, segment: str) -> np.ndarray:
@@ -373,11 +354,6 @@ def _on_control_one(state: QState, control: str, op: Callable[[QState], QState])
     return out
 
 
-def controlled_phase_oracle(state: QState, control: str, segment: str, v: Sequence[int]) -> QState:
-    """CZ^v: applies the phase oracle on ``segment`` only where control is |1>."""
-    return _on_control_one(state, control, lambda branch: phase_oracle(branch, segment, v))
-
-
 def controlled_phase_fn(state: QState, control: str, segment: str,
                         phase: np.ndarray) -> QState:
     """Apply |x> -> phase[x]|x> on ``segment`` only where control is |1>.
@@ -448,15 +424,6 @@ class DensityOp:
         m = sum(p * np.outer(s.amps, s.amps.conj()) for p, s in pairs)
         return cls(layout, m)
 
-    def check(self, tol: float = 1e-9):
-        m = self.matrix
-        if np.max(np.abs(m - m.conj().T)) > tol:
-            raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(m) - 1) > tol:
-            raise ValueError(f"trace is {np.trace(m)}, expected 1")
-        if np.min(np.linalg.eigvalsh(m)) < -1e-9:
-            raise ValueError("density matrix has a significantly negative eigenvalue")
-
 
 def pauli_twirl_channel(rho: DensityOp, segment: str) -> DensityOp:
     """Exact average of Z^z rho Z^z over all z in {0,1}^m on a qubit segment."""
@@ -488,22 +455,6 @@ def trace_norm(m: np.ndarray) -> float:
     if np.max(np.abs(off)) < 1e-15:
         return float(np.sum(np.abs(np.diag(m).real)))
     return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
-
-
-def partial_trace(rho: DensityOp, keep: Sequence[str]) -> DensityOp:
-    """Trace out every segment not named in ``keep``."""
-    layout = rho.layout
-    dims = layout.all_dims
-    keep_axes = [ax for name in layout.names() if name in keep for ax in layout.axes(name)]
-    drop_axes = [i for i in range(len(dims)) if i not in keep_axes]
-    n = len(dims)
-    t = rho.matrix.reshape(dims + dims)
-    for ax in sorted(drop_axes, reverse=True):
-        t = np.trace(t, axis1=ax, axis2=ax + n)
-        n -= 1
-    d = math.prod(dims[i] for i in keep_axes)
-    new_layout = RegisterLayout([(name, layout.seg_dims(name)) for name in layout.names() if name in keep])
-    return DensityOp(new_layout, t.reshape(d, d))
 
 
 # ---------------------------------------------------------------------------

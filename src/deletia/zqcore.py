@@ -8,7 +8,7 @@ weights) is computed on centered representatives in (-q/2, q/2].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -74,17 +74,6 @@ class ZqVector:
         c = self.centered()
         return int(np.dot(c, c))
 
-    def __add__(self, other: "ZqVector") -> "ZqVector":
-        self._check(other)
-        return ZqVector((self.entries + other.entries) % self.q, self.q)
-
-    def __sub__(self, other: "ZqVector") -> "ZqVector":
-        self._check(other)
-        return ZqVector((self.entries - other.entries) % self.q, self.q)
-
-    def __neg__(self) -> "ZqVector":
-        return ZqVector((-self.entries) % self.q, self.q)
-
     def dot(self, other: "ZqVector") -> int:
         self._check(other)
         return int(np.dot(self.entries, other.entries) % self.q)
@@ -127,11 +116,6 @@ class ZqMatrix:
     def transpose(self) -> "ZqMatrix":
         return ZqMatrix(self.entries.T.copy(), self.q)
 
-    def __add__(self, other: "ZqMatrix") -> "ZqMatrix":
-        if self.q != other.q or self.entries.shape != other.entries.shape:
-            raise DimensionMismatch("matrix shape/modulus mismatch")
-        return ZqMatrix((self.entries + other.entries) % self.q, self.q)
-
     def __matmul__(self, other):
         if isinstance(other, ZqVector):
             if other.q != self.q or self.cols != len(other):
@@ -171,40 +155,6 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Gaussian weights
 # ---------------------------------------------------------------------------
-
-@dataclass
-class GaussianParams:
-    """Width sigma, modulus q, and dimension m for Gaussian weight tables.
-
-    ``interval_ok`` records whether sigma lies in (sqrt(8m), q/sqrt(8m)); the
-    looser (sqrt(2m), q/sqrt(2m)) variant is recorded separately since both
-    appear as stated requirements in different places.
-    """
-
-    sigma: float
-    q: int
-    m: int
-    interval_ok: bool = field(init=False)
-    interval_ok_loose: bool = field(init=False)
-
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        s, q, m = float(self.sigma), self.q, self.m
-        self.interval_ok = math.sqrt(8 * m) < s < q / math.sqrt(8 * m)
-        self.interval_ok_loose = math.sqrt(2 * m) < s < q / math.sqrt(2 * m)
-
-
-def rho_sigma(x, sigma: float, q: int | None = None) -> float:
-    """Gaussian weight exp(-pi * ||x||^2 / sigma^2) on centered representatives."""
-    if isinstance(x, ZqVector):
-        nsq = x.norm_sq()
-    else:
-        if q is None:
-            raise ValueError("q required when x is a bare sequence")
-        nsq = int(np.sum(centered_array(np.asarray(x, dtype=np.int64), q) ** 2))
-    return math.exp(-math.pi * nsq / float(sigma) ** 2)
-
 
 def zq_box(q: int, w: int) -> np.ndarray:
     """All of Z_q^w as a (q^w, w) int64 array in row-major (mixed-radix) order."""
@@ -258,27 +208,11 @@ def gaussian_box_weights(q: int, w: int, sigma: float) -> np.ndarray:
     return np.exp(-math.pi * np.arange(top + 1) / sigma**2).take(nsq)
 
 
-def truncated_gaussian_pmf(params: GaussianParams) -> np.ndarray:
-    """Probability table of D_{Z_q^m, sigma} over Z_q^m, row-major.
-
-    Support is the ball ||centered(x)|| <= sigma * sqrt(m); weights are
-    rho_sigma on centered representatives, normalized over the support.
-    """
-    q, m, sigma = params.q, params.m, float(params.sigma)
-    w = gaussian_box_weights(q, m, sigma)
-    c = centered_array(zq_box(q, m), q)
-    w[np.sum(c * c, axis=1) > sigma**2 * m] = 0.0
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("empty Gaussian support")
-    return w / total
-
-
 def gaussian_pmf_1d(sigma: float, q: int) -> tuple[np.ndarray, np.ndarray]:
     """(values, probs) of D_{Z_q, sigma}, windowed so large q stays cheap.
 
-    Support is |x| <= sigma (same truncation rule as truncated_gaussian_pmf
-    at m = 1); values are centered representatives.
+    Support is |x| <= sigma (the ball ||x|| <= sigma sqrt(m) at m = 1);
+    values are centered representatives.
     """
     half = min(q // 2, int(math.floor(sigma)))
     vals = np.arange(-half, half + 1, dtype=np.int64)
@@ -341,13 +275,12 @@ def gadget_inverse(v, q: int, d: int) -> np.ndarray:
     return out[:, 0] if vec else out
 
 
-def isis_verify(A: ZqMatrix, y: ZqVector, pi: ZqVector, norm_bound=None,
-                *, norm_bound_sq=None) -> bool:
-    """Check A @ pi == y (mod q) and ||centered(pi)||^2 <= norm_bound^2.
+def isis_verify(A: ZqMatrix, y: ZqVector, pi: ZqVector, *,
+                norm_bound_sq: Fraction) -> bool:
+    """Check A @ pi == y (mod q) and ||centered(pi)||^2 <= norm_bound_sq.
 
-    The norm comparison is exact on squared rationals so float ties cannot
-    flip a verdict; pass ``norm_bound_sq`` as an exact Fraction when the
-    bound itself is irrational.
+    The comparison is exact on squared rationals, so float ties cannot flip
+    a verdict and an irrational norm bound stays exact.
     """
     if A.q != y.q or A.q != pi.q:
         raise DimensionMismatch("modulus mismatch")
@@ -355,42 +288,7 @@ def isis_verify(A: ZqMatrix, y: ZqVector, pi: ZqVector, norm_bound=None,
         raise DimensionMismatch("shape mismatch in isis_verify")
     if (A @ pi) != y:
         return False
-    if norm_bound_sq is None:
-        if norm_bound is None:
-            raise ValueError("need norm_bound or norm_bound_sq")
-        norm_bound_sq = Fraction(norm_bound) ** 2
     return Fraction(pi.norm_sq()) <= Fraction(norm_bound_sq)
-
-
-# ---------------------------------------------------------------------------
-# Serialization (decimal, row-major, header "zq <q> <rows> <cols>")
-# ---------------------------------------------------------------------------
-
-def serialize_zq(obj) -> str:
-    if isinstance(obj, ZqVector):
-        rows, cols = len(obj), 1
-        body = "\n".join(str(int(e)) for e in obj.entries)
-    elif isinstance(obj, ZqMatrix):
-        rows, cols = obj.rows, obj.cols
-        body = "\n".join(" ".join(str(int(e)) for e in row) for row in obj.entries)
-    else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
-    return f"zq {obj.q} {rows} {cols}\n{body}\n"
-
-
-def parse_zq(text: str):
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    tag, q, rows, cols = lines[0].split()
-    if tag != "zq":
-        raise ValueError(f"bad header {lines[0]!r}")
-    q, rows, cols = int(q), int(rows), int(cols)
-    flat = [int(tok) for ln in lines[1:] for tok in ln.split()]
-    if len(flat) != rows * cols:
-        raise ValueError(f"expected {rows * cols} entries, got {len(flat)}")
-    arr = np.array(flat, dtype=np.int64).reshape(rows, cols)
-    if cols == 1:
-        return ZqVector(arr[:, 0], q)
-    return ZqMatrix(arr, q)
 
 
 def is_prime(n: int) -> bool:

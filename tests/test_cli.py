@@ -210,6 +210,15 @@ def test_game_csv_columns(tmp_path, capsys):
     assert len(rows) == 1 + 10  # both bits per trial
 
 
+def test_an_unwritable_out_file_exits_2_with_no_report(tmp_path, capsys):
+    code, out, err = run_cli(capsys, [
+        "game", "run", "--exp", "tc", "--adv", "noop", "--trials", "1",
+        "--out", str(tmp_path / "missing" / "x.csv")])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "x.csv" in err
+
+
 def test_commit_demo_golden(capsys):
     code, out, _ = run_cli(capsys, ["commit", "demo", "--seed", "3"])
     assert code == 0
@@ -309,6 +318,18 @@ def test_flag_a_command_does_not_read_exits_2(capsys, argv):
     out = capsys.readouterr()
     assert out.out == ""
     assert f"unrecognized arguments: {argv[-2]} 2" in out.err
+
+
+@pytest.mark.parametrize("cmd", [["dr", "roundtrip"], ["fhe", "delete-roundtrip"],
+                                 ["commit", "demo"], ["pvd", "roundtrip"]], ids=" ".join)
+@pytest.mark.parametrize("bit", ["2", "-1"])
+def test_a_bit_other_than_0_or_1_exits_2(capsys, cmd, bit):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*cmd, "--bit", bit])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"argument --bit: invalid choice: {bit}" in out.err
 
 
 @pytest.mark.parametrize("key", ["seed", "exact", "out", "scheme", "field_bits",
@@ -466,7 +487,7 @@ def test_readme_flag_table_is_the_parser():
     and its other flags, and the parser declares exactly those."""
     table = {}
     for row in README.read_text().splitlines():
-        cells = [c.strip() for c in row.strip("|").split("|")]
+        cells = [c.strip() for c in re.split(r"(?<!\\)\|", row.strip("|"))]  # \| is in a cell
         if row.startswith("| `") and len(cells) == 4 and "--seed" in cells[2]:
             table[cells[0].strip("`")] = (set(re.findall(r"--([a-z]+)", cells[1])),
                                           set(re.findall(r"--[a-z]+", cells[2])))

@@ -81,7 +81,7 @@ def test_joint_direct_sum_is_schmidt_rank_one():
     ct = fhe.fhe_encrypt_q(keys, 1, rng)
     A, Y = ct.vk
     joint = joint_literal_sum(TP, A, Y, 1, [0, 1])
-    d = TP.column_dim()
+    d = TP.q**TP.width  # one column register
     svals = np.linalg.svd(joint.amps.reshape(d, d), compute_uv=False)
     assert svals[0] == pytest.approx(1.0, abs=1e-9)
     assert svals[1] == pytest.approx(0.0, abs=1e-9)

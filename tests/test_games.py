@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import functools
 import io
 import json
@@ -124,7 +125,7 @@ def test_evtc_transcripts_replay_byte_identical():
                                np.random.default_rng(99), seed=99)
     b = ev_target_collapse_exp(FAM, None, HONEST_DELETER, 1,
                                np.random.default_rng(99), seed=99)
-    assert json.dumps(a.to_json()) == json.dumps(b.to_json())
+    assert json.dumps(dataclasses.asdict(a)) == json.dumps(dataclasses.asdict(b))
 
 
 # --- the hybrid ladder ------------------------------------------------------
@@ -965,7 +966,8 @@ def mc_values() -> dict:
                         tr = ev_target_collapse_exp(fam, dist, adv, b, rng, seed=seed)
                         bit = target_collapse_exp(fam, dist, adv, b,
                                                   np.random.default_rng(100 * seed + 2 + b))
-                        out[f"api/{fname}/{dname}/{adv.name}/{seed}/{b}"] = [tr.to_json(), bit]
+                        out[f"api/{fname}/{dname}/{adv.name}/{seed}/{b}"] = [
+                            dataclasses.asdict(tr), bit]
                     out[f"api/{fname}/ladder/{adv.name}/{seed}/{b}"] = [
                         hybrid_ladder_mc(fam, adv, e, b, np.random.default_rng(100 * seed + 10 * e + b))
                         for e in range(4)]

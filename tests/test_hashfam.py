@@ -217,9 +217,10 @@ def test_cg_degree_one_unique_preimage():
 
     F = GF2k(4)
     key = (5, 3)  # p(x) = 5 + 3x
+    inv3 = next(a for a in range(F.size) if F.mul(3, a) == 1)
     for y in range(16):
         pre = fam.invert(key, None, y)
-        assert pre == [F.mul(y ^ 5, F.inv(3))]
+        assert pre == [F.mul(y ^ 5, inv3)]
 
 
 def test_cg_t_universality_monte_carlo():

@@ -1,6 +1,5 @@
 import itertools
 import math
-import pickle
 from collections import Counter
 
 import numpy as np
@@ -20,16 +19,13 @@ from deletia.pvdcore import (
     calibrate_recover,
     commit,
     commit_ver,
-    hybrid_compile,
     open_accept_prob,
-    open_verify,
     pvd_decrypt,
     pvd_delete,
     pvd_encrypt,
     pvd_keygen,
     pvd_verify,
     recover,
-    stream_cipher,
 )
 
 
@@ -76,15 +72,6 @@ def test_open_honest_and_cross():
         for y in pair.images:
             want *= block_overlap(fam, pair.key, y) ** 2
         assert open_accept_prob(pair, 1 - b) == pytest.approx(want, abs=1e-9)
-        assert open_verify(pair, b, np.random.default_rng(3))
-
-
-def test_open_verify_needs_a_generator():
-    pair = commit(balanced_family(), 0, 2, np.random.default_rng(2))
-    with pytest.raises(TypeError):
-        open_verify(pair, 0)
-    runs = [open_verify(pair, 1, np.random.default_rng(9)) for _ in range(2)]
-    assert runs[0] == runs[1]
 
 
 def test_cross_open_bounded_by_balance():
@@ -283,64 +270,3 @@ def test_pvd_keygen_rejects_reps_outside_1_to_max(reps):
     # pvd_decrypt, and a negative count would verify an empty ciphertext
     with pytest.raises(ValueError, match=f"reps must be 1..{pvdcore.MAX_REPS}, got {reps}"):
         pvd_keygen(trapdoor_family(), np.random.default_rng(0), reps=reps)
-
-# --- hybrid compiler -----------------------------------------------------
-
-def test_hybrid_roundtrip_100_trials():
-    rng = np.random.default_rng(13)
-    fam = trapdoor_family()
-    base = pvd_keygen(fam, rng, reps=6)
-    enc, dec = stream_cipher(42)
-    scheme = hybrid_compile(base, enc, dec)
-    ok = 0
-    for t in range(100):
-        b = t % 2
-        ct = scheme.encrypt(b, rng)
-        ok += scheme.decrypt(ct, rng) == b
-    assert ok == 100
-
-
-def test_hybrid_deletion_ignores_aux():
-    rng = np.random.default_rng(14)
-    fam = trapdoor_family()
-    base = pvd_keygen(fam, rng, reps=4)
-    enc, dec = stream_cipher(7)
-    scheme = hybrid_compile(base, enc, dec)
-    ct = scheme.encrypt(1, rng)
-    ct.aux_ct = b"corrupted garbage"  # deletion path never touches it
-    pis = scheme.delete(ct, rng)
-    assert scheme.verify(ct.images, pis)
-
-
-def test_hybrid_aux_trapdoor_inverts_like_the_key_trapdoor():
-    rng = np.random.default_rng(16)
-    fam = trapdoor_family()
-    base = pvd_keygen(fam, rng, reps=2)
-    enc, dec = stream_cipher(3)
-    td = pickle.loads(dec(hybrid_compile(base, enc, dec).encrypt(0, rng).aux_ct))
-    inverted = 0
-    for y in range(1 << fam.range_bits):
-        pre = fam.invert(base.key, td, y)
-        assert pre == fam.invert(base.key, base.trapdoor, y)
-        inverted += bool(pre)
-    assert inverted > 0
-
-
-def test_hybrid_accepts_external_encryptor_callbacks():
-    rng = np.random.default_rng(15)
-    fam = trapdoor_family()
-    base = pvd_keygen(fam, rng, reps=4)
-    log = []
-
-    def enc(data: bytes) -> bytes:
-        log.append("enc")
-        return bytes(reversed(data))
-
-    def dec(data: bytes) -> bytes:
-        log.append("dec")
-        return bytes(reversed(data))
-
-    scheme = hybrid_compile(base, enc, dec)
-    ct = scheme.encrypt(0, rng)
-    assert scheme.decrypt(ct, rng) == 0
-    assert log == ["enc", "dec"]
