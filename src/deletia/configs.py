@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from .dualfhe import FHEParams, fhe_params, validate_noise_window
 from .dualregev import DRParams, dr_params
-from .games import SGCParams
 from .zqcore import ENUM_GUARD, is_prime
 
 # Dual-Regev PKE: quantum-exact runs (duality checks) and tuned roundtrips.
@@ -33,8 +32,8 @@ FHE_CLASSICAL = fhe_params(n=2, m=8, q=260000011, sigma=260000011 / 140.0, depth
 FHE_QUANTUM = fhe_params(n=1, m=1, q=7, sigma_sq=Fraction(14))
 FHE_TENSOR = fhe_params(n=1, m=1, q=5, sigma_sq=Fraction(5))
 
-# Strong Gaussian-collapsing experiment desk instance.
-SGC_DESK = SGCParams(n=1, m=3, q=7, sigma_sq=Fraction(4))
+# Strong Gaussian-collapsing experiment desk instance (width 3, bound 6).
+SGC_DESK = dr_params(n=1, m=2, q=7, sigma=2)
 
 # Commitments / PKE-with-PVD defaults.
 COMMIT_REPS = 6

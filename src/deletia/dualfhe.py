@@ -27,6 +27,7 @@ from .dualregev import (
 from .zqcore import (
     ZqMatrix,
     ZqVector,
+    check_bit,
     gadget_inverse,
     gadget_matrix,
     gadget_width,
@@ -90,11 +91,11 @@ def fhe_encrypt_q(keys: FHEKeys, x: int, rng: np.random.Generator) -> FHECiphert
     built by the PKE's coset_encrypt.
     """
     params = keys.params
+    offset = check_bit(x, "x") * gadget_matrix(params.q, params.width).entries
     At = keys.pk.transpose()  # n x (m+1)
-    G = gadget_matrix(params.q, params.width)
     cols, ys = [], []
     for j in range(params.ncols):
-        state, yj = coset_encrypt(At, params.sigma, (x % 2) * G.entries[:, j], rng)
+        state, yj = coset_encrypt(At, params.sigma, offset[:, j], rng)
         cols.append(state)
         ys.append(yj.entries)
     Y = ZqMatrix(np.stack(ys, axis=1), params.q)
@@ -105,12 +106,13 @@ def fhe_encrypt_c(keys: FHEKeys, x: int, rng: np.random.Generator) -> FHECiphert
     """Classical sample C = A S + E + x G with E ~ D_{Z_q, q/(sqrt(2) sigma)}
     per entry, the computational-basis distribution of fhe_encrypt_q."""
     params = keys.params
+    x = check_bit(x, "x")
     q, w, N, n = params.q, params.width, params.ncols, params.n
     S = rng.integers(0, q, size=(n, N))
     vals, probs = gaussian_pmf_1d(params.q / (math.sqrt(2) * params.sigma), q)
     E = vals[rng.choice(len(vals), p=probs, size=(w, N))]
     G = gadget_matrix(q, w)
-    C = (matmul_mod(keys.pk.entries, S, q) + E + (x % 2) * G.entries) % q
+    C = (matmul_mod(keys.pk.entries, S, q) + E + x * G.entries) % q
     return FHECiphertextC(matrix=ZqMatrix(C, q))
 
 
@@ -128,7 +130,8 @@ def fhe_eval_nand(c0: FHECiphertextC, c1: FHECiphertextC) -> FHECiphertextC:
 
 def fhe_decrypt(keys: FHEKeys, ct: FHECiphertextC) -> int:
     """sk . (last column), centered, thresholded at q/4 (tie decides 1)."""
-    return decide_decryption(ct.matrix.column(ct.matrix.cols - 1), keys.sk, keys.params.q)
+    last = ct.matrix.column(ct.matrix.cols - 1)
+    return int(decide_decryption(last.dot(keys.sk), keys.params.q))
 
 
 def fhe_measure_q(ct: FHECiphertextQ, rng: np.random.Generator) -> FHECiphertextC:

@@ -22,7 +22,8 @@ from . import qsim
 from .zqcore import (
     ZqMatrix,
     ZqVector,
-    centered,
+    centered_array,
+    check_bit,
     gaussian_box_weights,
     isis_verify,
     structured_ajtai_keygen,
@@ -121,7 +122,7 @@ def gen_gauss(A: ZqMatrix, sigma: float, rng: np.random.Generator
 
 def plaintext_offset(params: DRParams, b: int) -> np.ndarray:
     g = np.zeros(params.width, dtype=np.int64)
-    g[-1] = (b % 2) * (params.q // 2)
+    g[-1] = check_bit(b) * (params.q // 2)
     return g
 
 
@@ -154,12 +155,13 @@ def dr_decrypt(keys: DRKeys, ct: DRCiphertext, rng: np.random.Generator) -> int:
     """Dec: measure, form centered(c . sk), decide against q/4 (tie -> 1)."""
     out = qsim.measure(ct.state, "X", rng)
     c = ZqVector(np.asarray(out.value), keys.params.q)
-    return decide_decryption(c, keys.sk, keys.params.q)
+    return int(decide_decryption(c.dot(keys.sk), keys.params.q))
 
 
-def decide_decryption(c: ZqVector, sk: ZqVector, q: int) -> int:
-    v = centered(c.dot(sk), q)
-    return 0 if 4 * abs(v) < q else 1
+def decide_decryption(v, q: int) -> np.ndarray:
+    """The decoder's rule on v = c . sk mod q, one value or an array: 0 where
+    |centered(v)| < q/4, else 1 (a tie decides 1)."""
+    return (4 * np.abs(centered_array(v, q)) >= q).astype(np.int64)
 
 
 def dr_delete(ct: DRCiphertext, rng: np.random.Generator) -> ZqVector:

@@ -13,19 +13,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
 from . import qsim
-from .dualregev import gen_gauss
+from .dualregev import DRParams, dr_keygen, dr_verify, gen_gauss
 from .hashfam import DomainTable, HashFamily
 from .zqcore import (
     ZqVector,
-    centered_array,
+    check_bit,
     gaussian_box_weights,
-    structured_ajtai_keygen,
+    is_short,
     zq_box,
     zq_image_codes,
 )
@@ -49,20 +48,16 @@ class Adversary:
     """
 
     name: str
-    kind: str
     cert: str = "measure"
     guess: str = "random"
 
 
-HONEST_DELETER = Adversary("honest-deleter", "scripted-honest", "measure", "random")
-RANDOM_GUESSER = Adversary("random-guesser", "scripted-honest", "lexfirst", "random")
-BRUTE_FORCE_INVERTER = Adversary(
-    "brute-force-inverter", "brute-force", "uniform-domain", "random")
-OVERLAP_PROJECTOR = Adversary(
-    "overlap-projector", "brute-force", "lexfirst", "project0")
-GARBAGE_CERTIFIER = Adversary(
-    "garbage-certifier", "scripted-cheating", "garbage", "random")
-NOOP_CERTIFIER = Adversary("noop", "scripted-cheating", "zero", "random")
+HONEST_DELETER = Adversary("honest-deleter", "measure", "random")
+RANDOM_GUESSER = Adversary("random-guesser", "lexfirst", "random")
+BRUTE_FORCE_INVERTER = Adversary("brute-force-inverter", "uniform-domain", "random")
+OVERLAP_PROJECTOR = Adversary("overlap-projector", "lexfirst", "project0")
+GARBAGE_CERTIFIER = Adversary("garbage-certifier", "garbage", "random")
+NOOP_CERTIFIER = Adversary("noop", "zero", "random")
 
 ADVERSARIES = {a.name: a for a in [
     HONEST_DELETER, RANDOM_GUESSER, BRUTE_FORCE_INVERTER, OVERLAP_PROJECTOR,
@@ -179,7 +174,7 @@ def _sample_challenge(family: HashFamily, dist: Callable | None, b: int,
     dom = family.table(key, dist)
     py, psi = dom.fiber_states
     r = int(rng.choice(len(py), p=py))
-    if b % 2:
+    if check_bit(b):
         post, pv, _ = dom.m_groups
         return dom, r, post[r, _pick(pv[r], rng)]
     return dom, r, psi[r]
@@ -469,6 +464,7 @@ def hybrid_ladder_mc(family: HashFamily, adversary: Adversary, exp: int,
                      b: int, rng: np.random.Generator) -> int:
     """One sampled run of Exp_exp(b); returns the experiment output bit.
     Exp0 is the certified-everlasting experiment."""
+    b = check_bit(b)
     if exp == 0:
         return ev_target_collapse_exp(family, None, adversary, b, rng).verdict
 
@@ -513,7 +509,7 @@ def hybrid_ladder_mc(family: HashFamily, adversary: Adversary, exp: int,
         _, state = qsim.project(state, "C", phi)
 
     out = qsim.measure(state, "C", rng)
-    if out.value[0] != b % 2:
+    if out.value[0] != b:
         return int(rng.integers(0, 2))
     xvec = qsim.drop_segment(out.post_state, "C", out.value).amps[reg]
     return int(rng.random() < _guess_p1(adversary, target, xvec))
@@ -523,58 +519,39 @@ def hybrid_ladder_mc(family: HashFamily, adversary: Adversary, exp: int,
 # Strong Gaussian-collapsing experiment
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SGCParams:
-    n: int
-    m: int
-    q: int
-    sigma_sq: Fraction
-
-    @property
-    def sigma(self) -> float:
-        return math.sqrt(float(self.sigma_sq))
-
-    def witness_bound_sq(self) -> Fraction:
-        return self.sigma_sq * Fraction(self.m, 2)  # ||w|| <= sigma sqrt(m/2)
-
-
-def strong_gauss_collapse_exp(params: SGCParams, adversary: Adversary, b: int,
+def strong_gauss_collapse_exp(params: DRParams, adversary: Adversary, b: int,
                               rng: np.random.Generator, seed: int = 0
                               ) -> GameTranscript:
-    """One sampled run of the strong Gaussian-collapsing experiment.
+    """One sampled run of the strong Gaussian-collapsing experiment on the
+    Dual-Regev scheme's own coset.
 
-    The challenger builds the structured Ajtai instance, hands over the
-    (possibly measured) coset register, checks the witness exactly, and
-    releases the trapdoor (xbar, -1) only on a valid witness; an invalid
-    witness ends the game with a uniformly random output bit.
+    The challenger draws a key with dr_keygen and a coset with gen_gauss,
+    measures it in the computational basis when b = 1, takes the witness w
+    from the adversary, checks it with dr_verify, and releases the trapdoor
+    -sk = (xbar, -1) only on a valid witness; an invalid witness ends the
+    game with a uniformly random output bit.
     """
-    n, m, q = params.n, params.m, params.q
-    A, t_keygen = structured_ajtai_keygen(n, m, q, rng)
-    state, y = gen_gauss(A, params.sigma, rng)
-    if b % 2:
-        out = qsim.measure(state, "X", rng)
-        state = out.post_state
+    b = check_bit(b)
+    keys = dr_keygen(params, rng)
+    state, y = gen_gauss(keys.pk, params.sigma, rng)
+    if b:
+        state = qsim.measure(state, "X", rng).post_state
 
     if adversary.cert == "measure":
-        wout = qsim.measure(state, "X", rng)
-        w = ZqVector(np.asarray(wout.value), q)
+        w = ZqVector(np.asarray(qsim.measure(state, "X", rng).value), params.q)
     elif adversary.cert == "zero":
-        w = ZqVector(np.zeros(m, dtype=np.int64), q)
+        w = ZqVector(np.zeros(params.width, dtype=np.int64), params.q)
     else:
         raise ValueError(f"adversary {adversary.name} not scripted for this game")
 
-    ok_image = (A @ w).entries.tolist() == y.entries.tolist()
-    ok_norm = Fraction(w.norm_sq()) <= params.witness_bound_sq()
-    valid = ok_image and ok_norm
-    trapdoor = None
-    if valid:
-        trapdoor = ZqVector((-t_keygen.entries) % q, q)  # (xbar, -1)
+    valid = dr_verify((keys.pk, y), w, params)
+    trapdoor = ZqVector(-keys.sk.entries, params.q) if valid else None
     bprime = int(rng.integers(0, 2))  # the honest deleter guesses blindly
     return GameTranscript(
         experiment="sgc", seed=seed, b=b, adversary=adversary.name,
         outputs={
             "y": y.entries.tolist(), "w": w.entries.tolist(),
-            "valid": bool(valid),
+            "valid": valid,
             "trapdoor": trapdoor.entries.tolist() if trapdoor is not None else None,
             "b_prime": bprime,
         },
@@ -582,20 +559,18 @@ def strong_gauss_collapse_exp(params: SGCParams, adversary: Adversary, b: int,
     )
 
 
-def sgc_honest_ensembles(params: SGCParams, rng: np.random.Generator
+def sgc_honest_ensembles(params: DRParams, rng: np.random.Generator
                          ) -> tuple[qsim.Ensemble, qsim.Ensemble]:
     """Exact adversary-view ensembles (y, w, trapdoor released) of the
     honest computational-basis deleter for b = 0 versus b = 1, at one
-    sampled structured key. The views are classical after deletion. The
-    label of the box value w at index i (zq_box order) is (image code of y
-    * q^m + i) * 2 + [w is a valid witness]."""
-    n, m, q = params.n, params.m, params.q
-    A, _ = structured_ajtai_keygen(n, m, q, rng)
-    rho2 = gaussian_box_weights(q, m, params.sigma) ** 2
-    c = centered_array(zq_box(q, m), q)
-    bound = params.witness_bound_sq()
-    valid = np.einsum("ij,ij->i", c, c) * bound.denominator <= bound.numerator
-    label = (zq_image_codes(A) * len(c) + np.arange(len(c))) * 2 + valid
+    dr_keygen key. The views are classical after deletion. The label of the
+    box value w at index i (zq_box order) is (image code of y * q^width + i)
+    * 2 + [w is short, i.e. a valid witness]."""
+    q, w = params.q, params.width
+    A = dr_keygen(params, rng).pk
+    rho2 = gaussian_box_weights(q, w, params.sigma) ** 2
+    valid = is_short(zq_box(q, w), q, params.cert_bound_sq())
+    label = (zq_image_codes(A) * len(valid) + np.arange(len(valid))) * 2 + valid
     states = np.zeros((0, 0), dtype=np.complex128)
     e0 = qsim.Ensemble.from_columns(rho2 / rho2.sum(), label, -1, states)
     # measuring first (b=1) and then deleting produces the same joint law

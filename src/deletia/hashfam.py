@@ -20,7 +20,7 @@ import numpy as np
 
 from . import qsim
 from .gf2k import GF2k
-from .zqcore import ENUM_GUARD, ZqMatrix, centered_array, matmul_mod, zq_box
+from .zqcore import ENUM_GUARD, ZqMatrix, check_bit, is_short, matmul_mod, zq_box
 
 
 # ---------------------------------------------------------------------------
@@ -70,9 +70,8 @@ class ZqBallDomain:
 
     def values(self) -> Iterable[tuple[int, ...]]:
         box = zq_box(self.q, self.m)
-        if self.norm_bound_sq is not None:  # integer norms: compare with the floor
-            c = centered_array(box, self.q)
-            box = box[np.einsum("ij,ij->i", c, c) <= math.floor(self.norm_bound_sq)]
+        if self.norm_bound_sq is not None:
+            box = box[is_short(box, self.q, self.norm_bound_sq)]
         return map(tuple, box.tolist())
 
     def register_dims(self) -> tuple[int, ...]:
@@ -88,10 +87,7 @@ class ZqBallDomain:
         a = np.asarray(x)
         if a.shape != (self.m,) or a.dtype.kind not in "iu":
             return False
-        if self.norm_bound_sq is None:
-            return True
-        c = centered_array(a.astype(np.int64), self.q)
-        return Fraction(int(np.dot(c, c))) <= self.norm_bound_sq
+        return self.norm_bound_sq is None or bool(is_short(a, self.q, self.norm_bound_sq))
 
 
 @functools.lru_cache(maxsize=8)
@@ -401,7 +397,7 @@ def fiber_state(family: HashFamily, key, y, signed_bit: int = 0) -> qsim.QState:
         raise ValueError(f"empty fiber for {y!r}")
     layout = qsim.RegisterLayout([("X", family.domain.register_dims())])
     w = np.ones(pre.size)
-    if signed_bit and family.measured:
+    if check_bit(signed_bit, "signed_bit") and family.measured:
         w = np.where(t.mvals[pre] != 0, -w, w)
     amps = np.zeros(layout.dim, dtype=np.complex128)
     amps[t.reg_index[pre]] = w

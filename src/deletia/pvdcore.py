@@ -17,6 +17,7 @@ import numpy as np
 
 from . import qsim
 from .hashfam import HashFamily, fiber_state, superposition_invert
+from .zqcore import check_bit
 
 MAX_REPS = 8
 
@@ -56,7 +57,7 @@ def _sample_blocks(family: HashFamily, key, b: int, reps: int, rng: np.random.Ge
     t = family.table(key)
     probs = np.bincount(t.image_ids).astype(float)  # by row, images in repr order
     images = [t.ys[int(rng.choice(len(t.ys), p=probs / probs.sum()))] for _ in range(reps)]
-    return images, [fiber_state(family, key, y, signed_bit=b % 2) for y in images]
+    return images, [fiber_state(family, key, y, signed_bit=b) for y in images]
 
 
 def commit(family: HashFamily, b: int, reps: int, rng: np.random.Generator
@@ -66,17 +67,19 @@ def commit(family: HashFamily, b: int, reps: int, rng: np.random.Generator
         raise ValueError("commitment needs a family with a measurement predicate")
     if not 1 <= reps <= MAX_REPS:
         raise ValueError(f"reps must be 1..{MAX_REPS}")
+    b = check_bit(b)
     key, _ = family.sample(rng)
     images, blocks = _sample_blocks(family, key, b, reps, rng)
-    return CommitmentPair(family=family, key=key, images=images, blocks=blocks, bit=b % 2)
+    return CommitmentPair(family=family, key=key, images=images, blocks=blocks, bit=b)
 
 
 def open_accept_prob(pair: CommitmentPair, claim_b: int) -> float:
     """Exact acceptance probability of opening as claim_b: the product of
     squared overlaps with the claimed blocks."""
+    claim_b = check_bit(claim_b, "claim_b")
     p = 1.0
     for y, block in zip(pair.images, pair.blocks):
-        target = fiber_state(pair.family, pair.key, y, signed_bit=claim_b % 2)
+        target = fiber_state(pair.family, pair.key, y, signed_bit=claim_b)
         p *= abs(np.vdot(target.amps, block.amps)) ** 2
     return p
 
@@ -130,7 +133,7 @@ def pvd_keygen(family: HashFamily, rng: np.random.Generator, reps: int = 8) -> P
 
 
 def pvd_encrypt(keys: PVDKeys, b: int, rng: np.random.Generator) -> PVDCiphertext:
-    images, blocks = _sample_blocks(keys.family, keys.key, b, keys.reps, rng)
+    images, blocks = _sample_blocks(keys.family, keys.key, check_bit(b), keys.reps, rng)
     return PVDCiphertext(images=images, blocks=blocks)
 
 

@@ -1,5 +1,6 @@
-"""Exact arithmetic over Z_q: vectors, matrices, centered norms, Gaussian
-weight tables, gadget matrices, and ISIS certificate verification.
+"""Exact arithmetic over Z_q: vectors, matrices, the short-vector rule,
+Gaussian weight tables, gadget matrices, ISIS certificate verification, and
+the 0/1 check for plaintext and challenge bits.
 
 Entries are stored canonically in [0, q); all geometry (norms, Gaussian
 weights) is computed on centered representatives in (-q/2, q/2].
@@ -65,14 +66,6 @@ class ZqVector:
             and self.q == other.q
             and np.array_equal(self.entries, other.entries)
         )
-
-    def centered(self) -> np.ndarray:
-        return centered_array(self.entries, self.q)
-
-    def norm_sq(self) -> int:
-        """Exact squared Euclidean norm of the centered representative."""
-        c = self.centered()
-        return int(np.dot(c, c))
 
     def dot(self, other: "ZqVector") -> int:
         self._check(other)
@@ -275,20 +268,33 @@ def gadget_inverse(v, q: int, d: int) -> np.ndarray:
     return out[:, 0] if vec else out
 
 
+def is_short(x, q: int, norm_bound_sq) -> np.ndarray:
+    """||centered(x)||^2 <= norm_bound_sq along the last axis of x: one bool
+    for a vector, one per row for a batch.
+
+    The squared norms are integers, so they are compared with the floor of
+    the (rational) bound: exact, with no float tie to flip a verdict.
+    """
+    c = centered_array(np.asarray(x, dtype=np.int64), q)
+    return np.vecdot(c, c) <= math.floor(norm_bound_sq)
+
+
 def isis_verify(A: ZqMatrix, y: ZqVector, pi: ZqVector, *,
                 norm_bound_sq: Fraction) -> bool:
-    """Check A @ pi == y (mod q) and ||centered(pi)||^2 <= norm_bound_sq.
-
-    The comparison is exact on squared rationals, so float ties cannot flip
-    a verdict and an irrational norm bound stays exact.
-    """
+    """Check A @ pi == y (mod q) and that pi is short (is_short)."""
     if A.q != y.q or A.q != pi.q:
         raise DimensionMismatch("modulus mismatch")
     if A.cols != len(pi) or A.rows != len(y):
         raise DimensionMismatch("shape mismatch in isis_verify")
-    if (A @ pi) != y:
-        return False
-    return Fraction(pi.norm_sq()) <= Fraction(norm_bound_sq)
+    return (A @ pi) == y and bool(is_short(pi.entries, A.q, norm_bound_sq))
+
+
+def check_bit(b, name: str = "b") -> int:
+    """A plaintext or challenge bit as an int; anything but 0 or 1 raises
+    ValueError naming it, rather than being wrapped mod 2."""
+    if b not in (0, 1):
+        raise ValueError(f"bit {name} must be 0 or 1, got {b!r}")
+    return int(b)
 
 
 def is_prime(n: int) -> bool:

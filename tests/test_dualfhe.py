@@ -41,6 +41,14 @@ def test_encrypt_q_x0_columns_are_pke_states():
         assert qsim.trace_distance(col, direct) <= 0.05
 
 
+@pytest.mark.parametrize("x", [2, -1])
+def test_out_of_range_plaintext_bit_raises(x):
+    keys = fhe.fhe_keygen(QP, np.random.default_rng(0))
+    for encrypt in (fhe.fhe_encrypt_q, fhe.fhe_encrypt_c):
+        with pytest.raises(ValueError, match=f"bit x must be 0 or 1, got {x}"):
+            encrypt(keys, x, np.random.default_rng(0))
+
+
 def test_encrypt_q_guard():
     too_big = fhe.fhe_params(1, 6, 13, 3)  # 13^7 column dimension
     keys = fhe.fhe_keygen(too_big, np.random.default_rng(0))

@@ -25,6 +25,11 @@ from deletia.zqcore import (
 PARAMS = configs.DR_EXACT  # (n=1, m=2, q=13, sigma=3)
 
 
+def _norm_sq(x, q: int) -> int:
+    """Reference: squared norm of the centered representative, one entry at a time."""
+    return sum(centered(int(c), q) ** 2 for c in x)
+
+
 def manual_coset_state(A: ZqMatrix, y: ZqVector, sigma: float, b: int,
                        params) -> qsim.QState:
     """Oracle: the phased Gaussian coset state, built by direct enumeration."""
@@ -37,7 +42,7 @@ def manual_coset_state(A: ZqMatrix, y: ZqVector, sigma: float, b: int,
         xv = np.asarray(x, dtype=np.int64)
         if np.array_equal((A.entries @ xv) % q, y.entries):
             ph = omega ** (int(np.dot(xv, (-g) % q)) % q)
-            amps[i] = math.exp(-math.pi * ZqVector(xv, q).norm_sq() / sigma**2) * ph
+            amps[i] = math.exp(-math.pi * _norm_sq(xv, q) / sigma**2) * ph
     return qsim.QState(layout, amps).normalized()
 
 
@@ -167,14 +172,24 @@ def test_decrypt_noiseless_plant():
         s = rng.integers(0, q, size=params.n)
         c = (s @ keys.pk.entries) % q
         c[-1] = (c[-1] + b * (q // 2)) % q
-        assert dr.decide_decryption(ZqVector(c, q), keys.sk, q) == b
+        assert dr.decide_decryption(ZqVector(c, q).dot(keys.sk), q) == b
+
+
+@pytest.mark.parametrize("b", [2, -1])
+def test_out_of_range_plaintext_bit_raises(b):
+    # dr_decrypt(dr_encrypt(k, 2)) used to return 0: b was taken mod 2
+    keys = dr.dr_keygen(PARAMS, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=f"bit b must be 0 or 1, got {b}"):
+        dr.plaintext_offset(PARAMS, b)
+    with pytest.raises(ValueError, match=f"bit b must be 0 or 1, got {b}"):
+        dr.dr_encrypt(keys, b, np.random.default_rng(0))
 
 
 def test_decide_decryption_tie_is_one():
     # only even q can hit |centered| = q/4 exactly; the rule says output 1
-    sk = ZqVector([1], 12)
-    assert dr.decide_decryption(ZqVector([3], 12), sk, 12) == 1
-    assert dr.decide_decryption(ZqVector([2], 12), sk, 12) == 0
+    assert dr.decide_decryption(3, 12) == 1
+    assert dr.decide_decryption(2, 12) == 0
+    assert dr.decide_decryption(np.array([9, 10, 2, 3]), 12).tolist() == [1, 0, 0, 1]
 
 
 def test_roundtrip_correctness_at_tuned_params():
@@ -266,7 +281,7 @@ def test_verify_rejects_long_certificate_with_correct_product():
     for c in range(1, 13):
         shifted = ZqVector((pi.entries + c * keys.sk.entries) % 13, 13)
         assert (A @ shifted).entries.tolist() == y.entries.tolist()
-        if Fraction(shifted.norm_sq()) > PARAMS.cert_bound_sq():
+        if Fraction(_norm_sq(shifted.entries, 13)) > PARAMS.cert_bound_sq():
             assert not dr.dr_verify((A, y), shifted, PARAMS)
             break
     else:

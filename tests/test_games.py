@@ -11,6 +11,7 @@ import pytest
 from scipy import stats
 
 from deletia import cli, configs, games, hashfam, qsim
+from deletia.dualregev import dr_keygen, dr_params
 from deletia.games import (
     ADVERSARIES,
     BRUTE_FORCE_INVERTER,
@@ -18,7 +19,6 @@ from deletia.games import (
     HONEST_DELETER,
     NOOP_CERTIFIER,
     OVERLAP_PROJECTOR,
-    SGCParams,
     ev_target_collapse_ensembles,
     ev_target_collapse_exp,
     fact35_check,
@@ -38,7 +38,7 @@ from deletia.hashfam import (
     two_to_one_family,
 )
 from deletia.qsim import ensemble_trace_distance
-from deletia.zqcore import ZqVector, centered_array, structured_ajtai_keygen, zq_box
+from deletia.zqcore import ZqVector, centered_array, zq_box
 
 
 FAM = two_to_one_family(3)
@@ -195,8 +195,8 @@ def test_sgc_labels_code_image_witness_and_validity():
     params = configs.SGC_DESK
     q = params.q
     e0, e1 = sgc_honest_ensembles(params, np.random.default_rng(5))
-    A, _ = structured_ajtai_keygen(params.n, params.m, q, np.random.default_rng(5))
-    box = zq_box(q, params.m)
+    A = dr_keygen(params, np.random.default_rng(5)).pk
+    box = zq_box(q, params.width)
     assert np.array_equal(e0.branches, e1.branches)
     for i, (_, code, state) in enumerate(e0.branches.tolist()):
         rest, valid = divmod(code, 2)
@@ -204,7 +204,7 @@ def test_sgc_labels_code_image_witness_and_validity():
         c = centered_array(box[i], q)
         assert (idx, state) == (i, -1)
         assert image == int(np.polyval((A.entries @ box[i]) % q, q))  # digits, first row high
-        assert valid == (Fraction(int(c @ c)) <= params.witness_bound_sq())
+        assert valid == (Fraction(int(c @ c)) <= params.cert_bound_sq())
     assert abs(e0.branches["p"].sum() - 1.0) <= 1e-12
 
 
@@ -226,26 +226,44 @@ def test_sgc_noop_certifier_gets_random_bit():
     assert abs(outs[0] - invalid / 2) <= 4 * sd
 
 
+@pytest.mark.parametrize("b", [2, -1])
+def test_out_of_range_challenge_bit_raises(b):
+    # the games' bit b is the challenger's, not one to reduce mod 2
+    match = f"bit b must be 0 or 1, got {b}"
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=match):
+        target_collapse_exp(FAM, None, HONEST_DELETER, b, rng)
+    with pytest.raises(ValueError, match=match):
+        ev_target_collapse_exp(FAM, None, HONEST_DELETER, b, rng)
+    for exp in range(4):
+        with pytest.raises(ValueError, match=match):
+            hybrid_ladder_mc(FAM, OVERLAP_PROJECTOR, exp, b, rng)
+    with pytest.raises(ValueError, match=match):
+        strong_gauss_collapse_exp(configs.SGC_DESK, HONEST_DELETER, b, rng)
+
+
 def test_sgc_trapdoor_annihilates_matrix():
     params = configs.SGC_DESK
+    released = 0
     for t in range(30):
-        tr = strong_gauss_collapse_exp(params, HONEST_DELETER, 0,
+        tr = strong_gauss_collapse_exp(params, HONEST_DELETER, t % 2,
                                        np.random.default_rng(t))
         if tr.outputs["trapdoor"] is None:
             continue
-        # re-derive A from the transcript is not possible; check via keygen
-    from deletia.zqcore import structured_ajtai_keygen
-    for seed in range(30):
-        A, t_vec = structured_ajtai_keygen(params.n, params.m, params.q,
-                                           np.random.default_rng(seed))
-        flipped = ZqVector((-t_vec.entries) % params.q, params.q)  # (xbar, -1)
-        assert not (A @ flipped).entries.any()
+        released += 1
+        # the run draws its key first, so its seed rebuilds A
+        A = dr_keygen(params, np.random.default_rng(t)).pk
+        trapdoor = ZqVector(tr.outputs["trapdoor"], params.q)
+        assert trapdoor.entries[-1] == params.q - 1  # (xbar, -1)
+        assert not (A @ trapdoor).entries.any()
+    assert released >= 25
 
 
 def test_sgc_witness_norm_bound_enforced():
-    params = SGCParams(n=1, m=3, q=7, sigma_sq=configs.SGC_DESK.sigma_sq)
-    # direct check of the exact-rational bound: ||w||^2 <= sigma^2 m / 2 = 6
-    assert params.witness_bound_sq() == 6
+    params = dr_params(n=1, m=2, q=7, sigma=2)
+    # the desk instance: width 3, ||w||^2 <= sigma^2 (m + 1) / 2 = 6, exactly
+    assert params == configs.SGC_DESK
+    assert params.width == 3 and params.cert_bound_sq() == 6
     tr = strong_gauss_collapse_exp(params, HONEST_DELETER, 0,
                                    np.random.default_rng(0))
     w = np.asarray(tr.outputs["w"])
@@ -937,7 +955,7 @@ MC_GOLDEN = "tests/golden/mc_games.json"
 
 # a measured certificate with a projecting second stage: the one pairing in
 # which a sampled run's bit depends on the measured residual
-MEASURING_PROJECTOR = games.Adversary("measuring-projector", "test", "measure", "project0")
+MEASURING_PROJECTOR = games.Adversary("measuring-projector", "measure", "project0")
 
 
 def mc_values() -> dict:

@@ -270,3 +270,19 @@ def test_pvd_keygen_rejects_reps_outside_1_to_max(reps):
     # pvd_decrypt, and a negative count would verify an empty ciphertext
     with pytest.raises(ValueError, match=f"reps must be 1..{pvdcore.MAX_REPS}, got {reps}"):
         pvd_keygen(trapdoor_family(), np.random.default_rng(0), reps=reps)
+
+
+@pytest.mark.parametrize("b", [2, -1])
+def test_out_of_range_bits_raise_by_name(b):
+    # a bit outside {0, 1} is an error, not a bit mod 2
+    fam = balanced_family()
+    with pytest.raises(ValueError, match=f"bit b must be 0 or 1, got {b}"):
+        commit(fam, b, 2, np.random.default_rng(0))
+    pair = commit(fam, 1, 2, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=f"bit claim_b must be 0 or 1, got {b}"):
+        open_accept_prob(pair, b)
+    with pytest.raises(ValueError, match=f"bit signed_bit must be 0 or 1, got {b}"):
+        hashfam.fiber_state(fam, pair.key, pair.images[0], signed_bit=b)
+    keys = pvd_keygen(trapdoor_family(), np.random.default_rng(0), reps=2)
+    with pytest.raises(ValueError, match=f"bit b must be 0 or 1, got {b}"):
+        pvd_encrypt(keys, b, np.random.default_rng(0))

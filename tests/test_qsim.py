@@ -142,7 +142,7 @@ def test_prepare_weighted_gaussian_matches_pmf():
     # amplitudes prop. to rho_sigma measure as the rho_{sigma/sqrt(2)} table
     q, m, sigma = 5, 2, 20.0
     lay = RegisterLayout([("X", (q,) * m)])
-    w = np.array([math.exp(-math.pi * zqcore.ZqVector(list(x), q).norm_sq() / sigma**2)
+    w = np.array([math.exp(-math.pi * sum(zqcore.centered(c, q) ** 2 for c in x) / sigma**2)
                   for x in itertools.product(range(q), repeat=m)])
     st_ = prepare_weighted(lay, "X", w)
     table = zqcore.gaussian_box_weights(q, m, sigma / math.sqrt(2))

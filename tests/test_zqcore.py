@@ -18,6 +18,7 @@ from deletia.zqcore import (
     gadget_matrix,
     gaussian_box_weights,
     gaussian_pmf_1d,
+    is_short,
     isis_verify,
     matmul_mod,
     zq_box,
@@ -53,7 +54,8 @@ def test_centered_roundtrip_random(q, x):
 def rho_sigma(x: ZqVector, sigma: float) -> float:
     """Reference: the Gaussian weight exp(-pi ||x||^2 / sigma^2) on centered
     representatives, one vector at a time."""
-    return math.exp(-math.pi * x.norm_sq() / float(sigma) ** 2)
+    return math.exp(-math.pi * sum(centered(int(c), x.q) ** 2 for c in x.entries)
+                    / float(sigma) ** 2)
 
 
 def truncated_gaussian_pmf(sigma: float, q: int, m: int) -> np.ndarray:
@@ -230,6 +232,17 @@ def test_isis_verify_cases():
     y = A @ pi
     assert isis_verify(A, y, pi, norm_bound_sq=Fraction(4))
     assert not isis_verify(A, y, pi, norm_bound_sq=Fraction(19, 10) ** 2)  # bound 1.9 < 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=10**6), st.integers(1, 4),
+       st.fractions(min_value=-1, max_value=10**12), st.data())
+def test_is_short_matches_the_rational_rule_per_vector_and_batch(q, w, bound, data):
+    rows = data.draw(st.lists(st.lists(st.integers(-3 * q, 3 * q), min_size=w, max_size=w),
+                              min_size=1, max_size=5))
+    want = [Fraction(sum(centered(x, q) ** 2 for x in r)) <= bound for r in rows]
+    assert is_short(rows, q, bound).tolist() == want
+    assert [bool(is_short(r, q, bound)) for r in rows] == want
 
 
 def test_isis_verify_exact_tie():
