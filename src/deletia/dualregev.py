@@ -1,9 +1,11 @@
 """Dual-Regev public-key encryption with publicly-verifiable deletion,
 simulated exactly on the state-vector core.
 
-Encryption prepares the Gaussian coset state over {x : A x = y}, applies
-the plaintext phase, and applies the forward q-ary Fourier transform;
-deletion applies the inverse transform and measures, so the certificate
+The ciphertext register is the forward q-ary Fourier transform of the
+phased Gaussian coset state over {x : A x = y}. Encryption evaluates it as
+the exact dual sum over s of Z_q^n (Poisson summation over Z_q, with the
+exact DFT of the one-slot Gaussian), which equals that transform; deletion
+still runs the literal inverse transform and measures, so the certificate
 lands in the coset exactly (A pi = y with probability 1). Under the
 forward-transform convention the matching literal ciphertext sum carries
 phase w^{+<s,y>} and plaintext offset +b*(0,..,0,floor(q/2)), with the
@@ -22,6 +24,7 @@ from . import qsim
 from .zqcore import (
     ZqMatrix,
     ZqVector,
+    _check_box,
     centered_array,
     check_bit,
     gaussian_box_weights,
@@ -94,30 +97,56 @@ def dr_keygen(params: DRParams, rng: np.random.Generator) -> DRKeys:
     return DRKeys(pk=A, sk=sk, params=params)
 
 
+def image_masses(A: ZqMatrix, sigma: float) -> np.ndarray:
+    """The rho_sigma^2 mass of {x : A x = y} for every y of Z_q^n, flat in
+    mixed-radix order: the pushforward of rho_sigma^2 under x -> A x.
+
+    It is a cyclic convolution over Z_q^n, one slot at a time: slot i moves
+    mass from y to y + x_i a_i with weight rho_sigma(x_i)^2. No q^w table
+    is built, and only positive terms are added.
+    """
+    n, q = A.rows, A.q
+    codes = zq_box(q, n)
+    radix = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    sq = gaussian_box_weights(q, 1, sigma) ** 2
+    x = np.arange(q, dtype=np.int64)
+    mass = np.zeros(q**n)
+    mass[0] = 1.0
+    for col in A.entries.T:
+        # row x_i holds the code of y - x_i a_i for every y
+        source = ((codes[None, :, :] - x[:, None, None] * col) % q) @ radix
+        mass = sq @ mass[source]
+    return mass
+
+
+def _draw_image(A: ZqMatrix, sigma: float, rng: np.random.Generator
+                ) -> tuple[int, float, ZqVector]:
+    """Measure the image register: y with probability mass(y) / total.
+    Returns y's mixed-radix code, its mass and y."""
+    mass = image_masses(A, sigma)
+    code = int(rng.choice(len(mass), p=mass / mass.sum()))
+    y = ZqVector(np.asarray(np.unravel_index(code, (A.q,) * A.rows)), A.q)
+    return code, float(mass[code]), y
+
+
 def gen_gauss(A: ZqMatrix, sigma: float, rng: np.random.Generator
               ) -> tuple[qsim.QState, ZqVector]:
     """GenGauss: Gaussian superposition, coherent A.x into Y, measure Y.
 
     Returns the residual Gaussian coset state on segment "X" and the image.
-    The image register is measured immediately, so y is drawn from the
-    pushforward of rho_sigma^2 under x -> A x (read off the image codes, no
-    box is built) and the normalised coset amplitudes
+    The image register is measured immediately, so y is drawn from
+    image_masses and the normalised coset amplitudes
     rho_sigma(x) / sqrt(mass(y)) are written directly: the same channel as
     preparing the Gaussian on X, computing A x into Y and measuring Y.
     """
-    n, w, q = A.rows, A.cols, A.q
-    weights = gaussian_box_weights(q, w, sigma)
-    ycodes = zq_image_codes(A)
-    mass = np.bincount(ycodes, weights=weights**2, minlength=q**n)
-    code = int(rng.choice(len(mass), p=mass / mass.sum()))
-    members = np.flatnonzero(ycodes == code)
-    values = weights[members] / math.sqrt(mass[code])
-    # free the box-sized tables first, so the state can take their place
-    del weights, ycodes
+    q, w = A.q, A.cols
+    _check_box(q, w)
+    code, mass, y = _draw_image(A, sigma, rng)
+    members = np.flatnonzero(zq_image_codes(A) == code)
+    values = gaussian_box_weights(q, w, sigma)[members] / math.sqrt(mass)
     amps = np.zeros(q**w, dtype=np.complex128)
     amps[members] = values
-    coset = qsim.QState(qsim.RegisterLayout([("X", (q,) * w)]), amps)
-    return coset, ZqVector(np.asarray(np.unravel_index(code, (q,) * n)), q)
+    return qsim.QState(qsim.RegisterLayout([("X", (q,) * w)]), amps), y
 
 
 def plaintext_offset(params: DRParams, b: int) -> np.ndarray:
@@ -126,15 +155,55 @@ def plaintext_offset(params: DRParams, b: int) -> np.ndarray:
     return g
 
 
+def _dual_sum(A: ZqMatrix, y: ZqVector, g: np.ndarray, table: np.ndarray,
+              scale: float = 1.0) -> np.ndarray:
+    """scale * sum_s w^{-<s,y>} prod_i table[k_i - g_i + (A^T s)_i] over s of
+    Z_q^n, for every k of Z_q^w flat in zq_box order.
+
+    One complex GEMM of inner dimension q^n: for each s the product over
+    the first half of the slots (times the phase) and over the last half
+    are rows of two Khatri-Rao factors, and k = (k_first, k_last).
+    """
+    q, w = A.q, A.cols
+    s = zq_box(q, A.rows)
+    shift = (s @ A.entries - np.asarray(g, dtype=np.int64)) % q
+    # slot factors: factors[s, i, k_i] = table[k_i - g_i + (A^T s)_i]
+    factors = table[(shift[:, :, None] + np.arange(q)) % q]
+    phase = scale * np.exp(-2j * np.pi * ((s @ y.entries) % q) / q)
+    half = w // 2
+    first = _khatri_rao(phase[:, None], factors[:, :half])
+    last = _khatri_rao(np.ones((len(s), 1)), factors[:, half:])
+    return (first.T @ last).reshape(-1)
+
+
+def _khatri_rao(start: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """Row-wise Kronecker product of start with factors[:, i] for each i."""
+    out = start
+    for i in range(factors.shape[1]):
+        out = (out[:, :, None] * factors[:, i, None, :]).reshape(len(out), -1)
+    return out
+
+
 def coset_encrypt(A: ZqMatrix, sigma: float, g: np.ndarray, rng: np.random.Generator
                   ) -> tuple[qsim.QState, ZqVector]:
-    """One ciphertext register: the GenGauss coset over {x : A x = y}, the
-    plaintext phase w^{<x, -g>} when g != 0, then the forward Fourier
-    transform. Returns the state and the image y."""
-    coset, y = gen_gauss(A, sigma, rng)
-    if np.any(g % A.q):
-        coset = qsim.phase_oracle(coset, "X", tuple((-g) % A.q))
-    return qsim.qft(coset, "X"), y
+    """One ciphertext register: the forward Fourier transform of the GenGauss
+    coset over {x : A x = y} with the plaintext phase w^{<x, -g>}. Returns
+    the state and the image y.
+
+    The register is evaluated as the exact dual sum
+
+        q^{-n} mass(y)^{-1/2} sum_s w^{-<s,y>} prod_i R(k_i - g_i + (A^T s)_i)
+
+    with R the DFT of the one-slot Gaussian (real, as rho_sigma is even),
+    and y is drawn as gen_gauss draws it, so the channel is the same.
+    """
+    q, n, w = A.q, A.rows, A.cols
+    _check_box(q, w)
+    _check_box(q, n)
+    _, mass, y = _draw_image(A, sigma, rng)
+    slot = (qsim._dft_matrix(q) @ gaussian_box_weights(q, 1, sigma)).real
+    amps = _dual_sum(A, y, g, slot, scale=1 / (q**n * math.sqrt(mass)))
+    return qsim.QState(qsim.RegisterLayout([("X", (q,) * w)]), amps), y
 
 
 def coset_delete(state: qsim.QState, q: int, rng: np.random.Generator) -> ZqVector:
@@ -189,18 +258,9 @@ def dual_ciphertext_sum(A: ZqMatrix, y: ZqVector, g: np.ndarray, sigma: float
     g = x.g_j). The phase sign is pinned to +<s,y> to match the forward
     Fourier transform; the opposite sign is the same state with negated
     coordinates. Several FHE columns jointly are the Kronecker product.
+    The sum over e at k is rho_{q/sigma}(k - s^T A - g), so with s -> -s
+    it is the dual sum with the slot table rho_{q/sigma}.
     """
     q, w = A.q, A.cols
-    layout = qsim.RegisterLayout([("X", (q,) * w)])
-    rho_e = gaussian_box_weights(q, w, q / sigma)
-    digits = zq_box(q, w)
-    radix = q ** np.arange(w - 1, -1, -1, dtype=np.int64)
-    amps = np.zeros(q**w, dtype=np.complex128)
-    omega = np.exp(2j * np.pi / q)
-    for s in zq_box(q, A.rows):
-        sA = (s @ A.entries) % q
-        phase = omega ** (int(np.dot(s, y.entries)) % q)
-        target = ((digits + sA[None, :] + g[None, :]) % q) @ radix
-        amps[target] += phase * rho_e
-    return qsim.QState(layout, amps).normalized()
-
+    amps = _dual_sum(A, y, g, gaussian_box_weights(q, 1, q / sigma))
+    return qsim.QState(qsim.RegisterLayout([("X", (q,) * w)]), amps).normalized()

@@ -2,6 +2,7 @@ import inspect
 import itertools
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from deletia import configs, dualfhe as fhe, dualregev as dr, qsim
 from deletia.zqcore import (
+    EnumerationTooLarge,
     ZqMatrix,
     ZqVector,
     centered,
@@ -151,6 +153,36 @@ def test_lemma16_duality_small_td():
         ref = dr.dual_ciphertext_sum(ct.vk[0], ct.vk[1],
                                      dr.plaintext_offset(PARAMS, b), PARAMS.sigma)
         assert qsim.trace_distance(ct.state, ref) <= 0.05
+
+
+def _dual_ciphertext_sum_loop(A, y, g, sigma):
+    """Reference: the double Gaussian sum added up one s at a time over the
+    whole box of e, with phase w^{+<s,y>}."""
+    q, w = A.q, A.cols
+    rho_e = gaussian_box_weights(q, w, q / sigma)
+    digits = zq_box(q, w)
+    radix = q ** np.arange(w - 1, -1, -1, dtype=np.int64)
+    amps = np.zeros(q**w, dtype=np.complex128)
+    omega = np.exp(2j * np.pi / q)
+    for s in zq_box(q, A.rows):
+        phase = omega ** (int(np.dot(s, y.entries)) % q)
+        target = ((digits + (s @ A.entries) % q + g) % q) @ radix
+        amps[target] += phase * rho_e
+    return amps / np.linalg.norm(amps)
+
+
+@pytest.mark.parametrize("n,w,q,sigma", [(1, 3, 13, 3.0), (2, 3, 5, 2.0), (1, 4, 6, 1.5),
+                                         (2, 2, 4, 3.0), (3, 2, 7, 2.5), (1, 1, 2, 0.8)])
+def test_dual_ciphertext_sum_matches_the_double_sum_loop(n, w, q, sigma):
+    rng = np.random.default_rng(n * 1000 + w * 100 + q)
+    for _ in range(3):
+        A = ZqMatrix(rng.integers(0, q, size=(n, w)), q)
+        # an image of A: for any other y the sum is zero
+        y = A @ ZqVector(rng.integers(0, q, size=w), q)
+        g = rng.integers(0, q, size=w)
+        got = dr.dual_ciphertext_sum(A, y, g, sigma)
+        np.testing.assert_allclose(got.amps, _dual_ciphertext_sum_loop(A, y, g, sigma),
+                                   rtol=0, atol=1e-12)
 
 
 def test_fourier_domain_outcome_distribution_independent_of_bit():
@@ -359,11 +391,12 @@ def test_fhe_column_certificate_lands_in_coset(nmqs, x, data):
 
 def _gen_gauss_where_reference(A, sigma, rng):
     """GenGauss written as a whole-box np.where over the image codes, with
-    QState converting the real amplitudes to complex."""
+    QState converting the real amplitudes to complex. The image masses are
+    image_masses' (checked against the box's bincount on their own)."""
     n, w, q = A.rows, A.cols, A.q
     weights = gaussian_box_weights(q, w, sigma)
     ycodes = zq_image_codes(A)
-    mass = np.bincount(ycodes, weights=weights**2, minlength=q**n)
+    mass = dr.image_masses(A, sigma)
     code = int(rng.choice(len(mass), p=mass / mass.sum()))
     amps = np.where(ycodes == code, weights / math.sqrt(mass[code]), 0.0)
     coset = qsim.QState(qsim.RegisterLayout([("X", (q,) * w)]), amps)
@@ -381,6 +414,70 @@ def test_gen_gauss_matches_the_where_reference(nmqs, seed):
     assert y == want_y
     assert np.array_equal(state.amps, want.amps)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@st.composite
+def dual_sum_cases(draw):
+    """A random n x w matrix over Z_q with q^w <= 4096, sigma and a seed."""
+    n = draw(st.sampled_from([1, 2]))
+    q = draw(st.integers(min_value=2, max_value=13))
+    w = draw(st.integers(min_value=1, max_value=int(math.log(4096, q) + 1e-9)))
+    sigma = draw(st.floats(min_value=0.5, max_value=float(q)))
+    return n, w, q, sigma, draw(st.integers(0, 2**32 - 1))
+
+
+@given(dual_sum_cases())
+@settings(max_examples=80, deadline=None)
+def test_coset_encrypt_matches_the_literal_protocol(case):
+    # the dual sum against Fourier(phase(GenGauss)) on the same seed, with
+    # an offset on every slot as FHE columns carry
+    n, w, q, sigma, seed = case
+    rng = np.random.default_rng(seed)
+    A = ZqMatrix(rng.integers(0, q, size=(n, w)), q)
+    g = rng.integers(0, q, size=w)
+    state, y = dr.coset_encrypt(A, sigma, g, np.random.default_rng(seed + 1))
+    coset, want_y = dr.gen_gauss(A, sigma, np.random.default_rng(seed + 1))
+    want = qsim.qft(qsim.phase_oracle(coset, "X", tuple((-g) % q)), "X")
+    assert y == want_y
+    np.testing.assert_allclose(state.amps, want.amps, rtol=0, atol=1e-12)
+    weights = gaussian_box_weights(q, w, sigma)
+    masses = np.bincount(zq_image_codes(A), weights=weights**2, minlength=q**n)
+    np.testing.assert_allclose(dr.image_masses(A, sigma), masses, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("shape", [(1, 23), (23, 1)])
+def test_coset_encrypt_rejects_an_oversized_sum_before_allocating(shape):
+    # (1, 23): 2^23 amplitudes; (23, 1): an inner dimension of 2^23 images
+    A = ZqMatrix(np.ones(shape, dtype=np.int64), 2)
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    tracemalloc.start()
+    with pytest.raises(EnumerationTooLarge, match=re.escape("q^23")):
+        dr.coset_encrypt(A, 1.0, np.zeros(shape[1], dtype=np.int64), rng)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1 << 16
+    assert rng.bit_generator.state == before
+
+
+def test_coset_encrypt_runs_no_transform_and_builds_no_box_table(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("encryption ran a dense transform or built a box table")
+
+    monkeypatch.setattr(qsim, "qft", forbidden)
+    monkeypatch.setattr(qsim, "phase_oracle", forbidden)
+    monkeypatch.setattr(dr, "zq_image_codes", forbidden)
+    # one slot (the slot table) or n = 1 slot (the images) at most
+    for name in ("gaussian_box_weights", "zq_box"):
+        real = getattr(dr, name)
+        monkeypatch.setattr(dr, name, lambda q, w, *rest, real=real:
+                            real(q, w, *rest) if w == 1 else forbidden())
+    params = dr.dr_params(1, 3, 7, 2)
+    rng = np.random.default_rng(12)
+    keys = dr.dr_keygen(params, rng)
+    ct = dr.dr_encrypt(keys, 1, rng)
+    A, y = ct.vk
+    assert A @ dr.dr_delete(ct, rng) == y
 
 
 def test_delete_and_decrypt_build_no_collapsed_state(monkeypatch):
