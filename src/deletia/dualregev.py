@@ -259,8 +259,11 @@ def dual_ciphertext_sum(A: ZqMatrix, y: ZqVector, g: np.ndarray, sigma: float
     Fourier transform; the opposite sign is the same state with negated
     coordinates. Several FHE columns jointly are the Kronecker product.
     The sum over e at k is rho_{q/sigma}(k - s^T A - g), so with s -> -s
-    it is the dual sum with the slot table rho_{q/sigma}.
+    it is the dual sum with the slot table rho_{q/sigma}. For y outside the
+    image of A the sum is zero and there is no state: raises ValueError.
     """
     q, w = A.q, A.cols
+    if not np.any(zq_image_codes(A) == np.ravel_multi_index(tuple(y.entries), (q,) * A.rows)):
+        raise ValueError(f"y = {y.entries.tolist()} is outside the image of A")
     amps = _dual_sum(A, y, g, gaussian_box_weights(q, 1, q / sigma))
     return qsim.QState(qsim.RegisterLayout([("X", (q,) * w)]), amps).normalized()

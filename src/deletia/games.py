@@ -130,10 +130,10 @@ def _ladder_branches(adv: Adversary, dom: DomainTable, rows: np.ndarray, mass: n
     """The first stage's certificate branches on states whose X marginal on
     the fiber columns is ``mass`` (Y, V, F), for the image rows ``rows``:
     (pc, pi, fpos, valid), pc (Y, V, K) and the others three-axis arrays
-    that broadcast to it, with pi's value index (-1 for none) and its
-    position in the fiber where it is valid. A measured certificate has one
-    branch per fiber column, pc = 0.0 where the column's mass is at most
-    1e-15; the other modes leave the state untouched."""
+    that broadcast to it, with pi's value (-1 for none) and its position in
+    the fiber where it is valid. A measured certificate has one branch per
+    fiber column, pc = 0.0 where the column's mass is at most 1e-15; the
+    other modes leave the state untouched."""
     row = dom.image_ids
     pos, fib = dom.fibers
     shape = mass.shape[:2] + (1,)
@@ -145,9 +145,8 @@ def _ladder_branches(adv: Adversary, dom: DomainTable, rows: np.ndarray, mass: n
         n = len(row)
         return np.full(shape[:2] + (n,), 1.0 / n), np.arange(n).reshape(1, 1, -1), \
             pos.reshape(1, 1, -1), row == rows[:, None, None]
-    if adv.cert == "lexfirst":
-        fpos, valid = dom.lexfirst_pos[rows], True
-        pi = fib[rows, fpos]
+    if adv.cert == "lexfirst":  # a fiber's least value is its first
+        pi, fpos, valid = fib[rows, 0], 0, True
     elif adv.cert == "garbage":
         # the first value outside the fiber: 0, or in value 0's own fiber the
         # first value of another one
@@ -184,7 +183,7 @@ def _sample_certificate(adv: Adversary, dom: DomainTable, r: int, mass: np.ndarr
                         rng: np.random.Generator) -> tuple[int, int | None, bool]:
     """The first stage on a state of image row r whose X marginal on the
     row's fiber columns is ``mass`` (its padding may be left off): pi's value
-    index (-1 for none), the measured fiber position (None when the state is
+    (-1 for none), the measured fiber position (None when the state is
     left untouched) and whether pi is valid."""
     full = np.zeros(dom.fibers[1].shape[1])
     full[:len(mass)] = mass
@@ -242,7 +241,7 @@ def ev_target_collapse_exp(family: HashFamily, dist: Callable | None,
         bprime = int(rng.integers(0, 2))
     return GameTranscript(
         experiment="evtc", seed=seed, b=b, adversary=adv_pair.name,
-        outputs={"y": repr(dom.ys[r]), "pi": repr(None if pi < 0 else dom.values[pi]),
+        outputs={"y": repr(dom.ys[r]), "pi": repr(None if pi < 0 else pi),
                  "valid": bool(valid), "b_prime": bprime},
         verdict=bprime,
     )
@@ -257,7 +256,7 @@ def ev_target_collapse_ensembles(family: HashFamily, dist: Callable | None,
     second stage's advantage.
 
     A label fixes y, so each residual is given on its fiber's columns, in
-    ascending value index and padded to the widest fiber: an isometric image
+    ascending order of value, padded to the widest fiber: an isometric image
     of the state on the whole X register, with the same trace distance. The
     shared table holds the identity (a measured certificate leaves its
     column's basis state) or every key's psi_y and M post states (the start
@@ -272,7 +271,7 @@ def ev_target_collapse_ensembles(family: HashFamily, dist: Callable | None,
     blocks, base, width = [], 0, 0
     for ki, (key, _) in enumerate(keys):
         dom = family.table(key, dist)
-        n = len(dom.values)
+        n = len(dom.images)
         py, psi = dom.fiber_states
         post, pv, _ = dom.m_groups
         ny, width = len(psi), max(width, psi.shape[1])
@@ -424,7 +423,7 @@ def hybrid_ladder_exact(family: HashFamily, adversary: Adversary,
         wz = 1.0 / nz
         ny, nf = fib.shape
         nv = pv_all.shape[1]
-        nk = len(dom.values) if adversary.cert == "uniform-domain" else 1
+        nk = len(dom.images) if adversary.cert == "uniform-domain" else 1
         step = max(1, _LADDER_CELLS // (nz * (1 + nv) * nk * nf))
         for lo in range(0, ny, step):
             rows = np.arange(lo, min(lo + step, ny))
@@ -470,7 +469,7 @@ def hybrid_ladder_mc(family: HashFamily, adversary: Adversary, exp: int,
 
     dom, r, psi = _sample_challenge(family, None, 0, rng)
     fib = dom.fibers[1][r]
-    reg = dom.reg_index[fib[fib >= 0]]  # the row's fiber columns (padding is last)
+    reg = fib[fib >= 0]  # the row's fiber columns (padding is last)
     target = psi = psi[:len(reg)]
     layout = qsim.RegisterLayout([("C", (2,)), ("X", family.domain.register_dims())])
 
@@ -485,8 +484,7 @@ def hybrid_ladder_mc(family: HashFamily, adversary: Adversary, exp: int,
         psi = post[r, _pick(pv[r], rng), :len(reg)]
 
     # C in |+>, controlled phase (-1)^{<M(x), z>}
-    phase = np.ones(layout.dim // 2)
-    phase[dom.reg_index] = dom.sign(z)
+    phase = dom.sign(z)
     state = qsim.controlled_phase_fn(c_state(np.stack([psi, psi]) / math.sqrt(2)),
                                      "C", "X", phase)
 

@@ -1,11 +1,12 @@
-"""Keyed hash families: Ajtai, the f_Delta binary-measurement family over
-toy regular one-way functions, Chor-Goldreich universal hashing with
-superposition inversion, plus balance estimation and the TCR game.
+"""Keyed hash families on bit strings: the f_Delta binary-measurement
+family over toy regular one-way functions, Chor-Goldreich universal hashing
+with superposition inversion, plus balance estimation and the TCR game.
 
 Bit strings are ints; qsim registers use big-endian bit order (bit 0 is the
-most significant slot), which also fixes the lexicographic order used by
-f_Delta. One-wayness of the toy functions is stipulated, not real: every
-domain here is brute-forcible by design.
+most significant slot), so each value is its own index in the register and
+the lexicographic order used by f_Delta is the order of the ints.
+One-wayness of the toy functions is stipulated, not real: every domain here
+is brute-forcible by design.
 """
 
 from __future__ import annotations
@@ -13,14 +14,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import qsim
 from .gf2k import GF2k
-from .zqcore import ENUM_GUARD, ZqMatrix, check_bit, is_short, matmul_mod, zq_box
+from .zqcore import ENUM_GUARD, check_bit
 
 
 # ---------------------------------------------------------------------------
@@ -29,7 +29,8 @@ from .zqcore import ENUM_GUARD, ZqMatrix, check_bit, is_short, matmul_mod, zq_bo
 
 @dataclass(frozen=True)
 class BitDomain:
-    """Domain {0,1}^bits, values as ints, registers as big-endian qubits."""
+    """Domain {0,1}^bits, values as ints, registers as big-endian qubits:
+    each value is its own index in the register."""
 
     bits: int
 
@@ -37,14 +38,8 @@ class BitDomain:
     def size(self) -> int:
         return 1 << self.bits
 
-    def values(self) -> Iterable[int]:
-        return range(self.size)
-
     def register_dims(self) -> tuple[int, ...]:
         return (2,) * self.bits
-
-    def to_register(self, x: int) -> tuple[int, ...]:
-        return tuple((x >> (self.bits - 1 - i)) & 1 for i in range(self.bits))
 
     def from_register(self, reg: Sequence[int]) -> int:
         v = 0
@@ -56,95 +51,35 @@ class BitDomain:
         return isinstance(x, (int, np.integer)) and 0 <= x < self.size
 
 
-@dataclass(frozen=True)
-class ZqBallDomain:
-    """{x in Z_q^m : ||centered(x)||^2 <= norm_bound_sq}, values as tuples."""
-
-    q: int
-    m: int
-    norm_bound_sq: Fraction | None = None
-
-    @property
-    def size(self) -> int:
-        return self.q**self.m  # box size; the ball filter applies to contains()
-
-    def values(self) -> Iterable[tuple[int, ...]]:
-        box = zq_box(self.q, self.m)
-        if self.norm_bound_sq is not None:
-            box = box[is_short(box, self.q, self.norm_bound_sq)]
-        return map(tuple, box.tolist())
-
-    def register_dims(self) -> tuple[int, ...]:
-        return (self.q,) * self.m
-
-    def to_register(self, x) -> tuple[int, ...]:
-        return tuple(int(c) % self.q for c in x)
-
-    def from_register(self, reg: Sequence[int]) -> tuple[int, ...]:
-        return tuple(int(c) for c in reg)
-
-    def contains(self, x) -> bool:
-        a = np.asarray(x)
-        if a.shape != (self.m,) or a.dtype.kind not in "iu":
-            return False
-        return self.norm_bound_sq is None or bool(is_short(a, self.q, self.norm_bound_sq))
-
-
-@functools.lru_cache(maxsize=8)
-def _enumerate(domain) -> tuple[Sequence, np.ndarray]:
-    """The domain's values and each value's flat index in its register.
-
-    A bit domain's qubits are big-endian, so each value is its own index,
-    and its values are a ``range``, not a Python int object per value.
-    """
-    if isinstance(domain, BitDomain):
-        return range(domain.size), np.arange(domain.size, dtype=np.int64)
-    values = tuple(domain.values())
-    layout = qsim.RegisterLayout([("X", domain.register_dims())])
-    index = [layout.value_index("X", domain.to_register(x)) for x in values]
-    return values, np.array(index, dtype=np.int64)
-
-
 @dataclass(eq=False)
 class DomainTable:
-    """One key's function tabulated over ``domain.values()``, in that order,
-    with everything the games and samplers derive from it.
+    """One key's function tabulated over the domain's values 0, 1, ..., in
+    that order, with everything the games and samplers derive from it.
 
-    ``images`` holds each value's image (one row per value for tuple
-    images). ``mvals`` holds M[h] per value, or for identity-measurement
-    families (``measured`` false) the value's index (its bits, on a bit
-    domain). ``reg_index`` is each value's flat index in the domain's
-    register. ``domain`` is the domain tabulated, and ``dist`` weighs its
+    A value is its own index, in the table and in the domain's register.
+    ``images`` holds each value's image. ``mvals`` holds M[h] per value, or
+    for identity-measurement families (``measured`` false) the value
+    itself. ``domain`` is the domain tabulated, and ``dist`` weighs its
     values, D(x), uniform when None.
 
     Everything else is built when first read. The images are ranked once:
     ``ys`` holds the distinct images in repr order, the order in which the
-    games and samplers enumerate them, and ``image_ids[i]`` is value i's
-    row, the position of its image in ``ys``. Certificates pi are indices
-    into ``values``.
+    games and samplers enumerate them, and ``image_ids[x]`` is value x's
+    row, the position of its image in ``ys``. Certificates pi are values.
     """
 
-    values: Sequence
     images: np.ndarray
     mvals: np.ndarray
-    reg_index: np.ndarray
-    domain: object
+    domain: BitDomain
     measured: bool
     dist: Callable | None
 
     @functools.cached_property
     def _ranked(self) -> tuple[list, np.ndarray]:
         """(the distinct images in repr order, each value's row among them)."""
-        if self.images.ndim == 1:
-            uniq, inverse = dense_unique(self.images)
-            order = repr_argsort(uniq)
-            ys = uniq[order].tolist()
-        else:
-            uniq, inverse = np.unique(self.images, axis=0, return_inverse=True)
-            ys = [tuple(u) for u in uniq.tolist()]
-            order = repr_argsort(ys)
-            ys = [ys[j] for j in order]
-        return ys, _inverse(order)[inverse.reshape(-1)]
+        uniq, inverse = dense_unique(self.images)
+        order = repr_argsort(uniq)
+        return uniq[order].tolist(), _inverse(order)[inverse]
 
     @property
     def ys(self) -> list:
@@ -155,38 +90,32 @@ class DomainTable:
         return self._ranked[1]
 
     def fiber_mask(self, y) -> np.ndarray:
-        """Which values map to y; none when y is not an image of this shape."""
-        y = np.asarray(y)
-        if y.shape != self.images.shape[1:]:
+        """Which values map to y; none when y is not a single image."""
+        if np.shape(y):
             return np.zeros(len(self.images), dtype=bool)
-        same = self.images == y
-        return same if same.ndim == 1 else same.all(axis=1)
+        return self.images == y
 
     @functools.cached_property
     def weights(self) -> np.ndarray:
         """D(x) per value, normalised."""
-        d = np.ones(len(self.values)) if self.dist is None else \
-            np.array([self.dist(x) for x in self.values])
+        n = len(self.images)
+        d = np.ones(n) if self.dist is None else np.array([self.dist(x) for x in range(n)])
         return d / d.sum()
 
     @property
     def mbits(self) -> int:
         """The bits of an M outcome z: 1, or the domain's for identity M."""
-        if self.measured:
-            return 1
-        bits = getattr(self.domain, "bits", None)
-        if bits is None:
-            raise ValueError("identity-M exact mode needs a bit domain")
-        return bits
+        return 1 if self.measured else self.domain.bits
 
     def sign(self, z, idx=slice(None)) -> np.ndarray:
-        """(-1)^{<M(x), z>} for z packed as an int, at the value indices idx."""
+        """(-1)^{<M(x), z>} for z packed as an int, at the values idx."""
         return 1.0 - 2.0 * (np.bitwise_count(z & self.mvals[idx]) & 1)
 
     @functools.cached_property
     def fibers(self) -> tuple[np.ndarray, np.ndarray]:
         """(pos, fib): each value's position in its fiber, and the (ny, F)
-        matrix of every fiber's value indices, ascending, padded with -1."""
+        matrix of every fiber's values, ascending, padded with -1: a
+        fiber's least value is at position 0."""
         row = self.image_ids
         counts = np.bincount(row, minlength=len(self.ys))
         by_row = _stable_argsort(row, len(counts))
@@ -208,13 +137,11 @@ class DomainTable:
     def m_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(post, pv, i0): measuring M on psi_y, outcomes in repr order of
         the outcome along axis 1 (padded with pv = 0): the (ny, V, F) post
-        vectors, their probabilities and each outcome's first value index."""
+        vectors, their probabilities and each outcome's first value."""
         row = self.image_ids
         pos, fib = self.fibers
         _, psi = self.fiber_states
         labels, label = dense_unique(self.mvals)
-        if not self.measured and not isinstance(self.values, range):
-            labels = [self.values[m] for m in labels]  # a range's values are their indices
         rank = _inverse(repr_argsort(labels))
         # one cell per (y, outcome), sorted by y and then by the outcome's repr
         cell, inv = dense_unique(row * len(rank) + rank[label])
@@ -237,15 +164,6 @@ class DomainTable:
         """The first value outside value 0's fiber (-1 when there is one image)."""
         outside = np.flatnonzero(self.image_ids != self.image_ids[0])
         return int(outside[0]) if outside.size else -1
-
-    @functools.cached_property
-    def lexfirst_pos(self) -> np.ndarray:
-        """Each fiber's position of its least value."""
-        _, fib = self.fibers
-        n = len(self.values)
-        vrank = np.arange(n) if isinstance(self.values, range) else \
-            _inverse(np.array(sorted(range(n), key=self.values.__getitem__)))
-        return np.argmin(np.where(fib >= 0, vrank[fib], n), axis=1)
 
 
 def _stable_argsort(ids: np.ndarray, n: int) -> np.ndarray:
@@ -279,13 +197,10 @@ def dense_unique(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return uniq, inverse.reshape(-1)
 
 
-def repr_argsort(items) -> np.ndarray:
-    """Indices that put ``items`` in repr order, the order in which images
-    and M outcomes are enumerated: an int array sorts its decimal strings,
-    anything else one repr per item."""
-    if isinstance(items, np.ndarray) and items.ndim == 1 and items.dtype.kind in "iu":
-        return np.argsort(items.astype(str))
-    return np.argsort([repr(x) for x in items])
+def repr_argsort(items: np.ndarray) -> np.ndarray:
+    """Indices that put the distinct ints ``items`` in repr order, the order
+    in which images and M outcomes are enumerated: their decimal strings'."""
+    return np.argsort(items.astype(str))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +213,7 @@ class HashFamily:
     optional trapdoor inversion, and optional exhaustive key enumeration.
 
     ``tabulate(key)`` is the function: it returns (images, M-values or
-    None) as arrays over ``domain.values()``, M-values exactly when
+    None) as int arrays over the domain's values, M-values exactly when
     ``measured``. An unmeasured family has the identity measurement: the
     challenger measures the whole input register. ``eval`` and ``measure``
     read single values off the key's table, so the first call on a fresh
@@ -307,8 +222,8 @@ class HashFamily:
     """
 
     name: str
-    domain: object
-    range_bits: int | None
+    domain: BitDomain
+    range_bits: int
     sample: Callable  # rng -> (key, td or None)
     tabulate: Callable  # key -> (images, M-values or None)
     measured: bool = False
@@ -328,13 +243,12 @@ class HashFamily:
         if self._last is not None and self._last[0] is key and self._last[1] is dist:
             return self._last[2]
         images, mvals = self._tabulated(key)
-        values, reg_index = _enumerate(self.domain)
-        table = DomainTable(values, images, mvals, reg_index, self.domain, self.measured, dist)
+        table = DomainTable(images, mvals, self.domain, self.measured, dist)
         self._last = (key, dist, table)
         return table
 
     def _tabulated(self, key) -> tuple[np.ndarray, np.ndarray]:
-        """``tabulate(key)`` as arrays, with each value's index as the
+        """``tabulate(key)`` as arrays, with each value itself as the
         M-values of an unmeasured family; refuses a domain too large to
         enumerate."""
         if self.domain.size > ENUM_GUARD:
@@ -344,37 +258,22 @@ class HashFamily:
         images = np.asarray(images)
         return images, np.arange(len(images)) if mvals is None else mvals
 
-    def _index(self, x) -> int | None:
-        """x's index in the domain's values, or None for x outside the domain."""
+    def eval(self, key, x) -> int | None:
+        """h(x); None for x outside the domain."""
         if not self.domain.contains(x):
             return None
-        if isinstance(self.domain, BitDomain):
-            return int(x)
-        # a ball's values enumerate in register order
-        reg = np.ravel_multi_index(self.domain.to_register(x), self.domain.register_dims())
-        return int(np.searchsorted(_enumerate(self.domain)[1], reg))
+        return self.table(key).images[int(x)].tolist()
 
-    def eval(self, key, x):
-        """h(x): an int, or a tuple of ints; None for x outside the domain."""
-        i = self._index(x)
-        if i is None:
+    def measure(self, key, x) -> int | None:
+        """M[h](x): the predicate bit, or for an unmeasured family x itself;
+        None for x outside the domain."""
+        if not self.domain.contains(x):
             return None
-        y = self.table(key).images[i].tolist()
-        return tuple(y) if isinstance(y, list) else y
+        return int(self.table(key).mvals[int(x)]) if self.measured else int(x)
 
-    def measure(self, key, x):
-        """M[h](x): the predicate bit, or for an unmeasured family x's own
-        value; None for x outside the domain."""
-        i = self._index(x)
-        if i is None:
-            return None
-        t = self.table(key)
-        return int(t.mvals[i]) if self.measured else t.values[i]
-
-    def fiber(self, key, y) -> list:
+    def fiber(self, key, y) -> list[int]:
         """All domain values mapping to y, by exhaustive enumeration."""
-        t = self.table(key)
-        return [t.values[i] for i in np.flatnonzero(t.fiber_mask(y))]
+        return np.flatnonzero(self.table(key).fiber_mask(y)).tolist()
 
 
 def superposition_invert(family: HashFamily, key, td, y) -> qsim.QState:
@@ -385,7 +284,8 @@ def superposition_invert(family: HashFamily, key, td, y) -> qsim.QState:
     if not pre:
         raise ValueError(f"empty preimage set for {y!r}")
     layout = qsim.RegisterLayout([("X", family.domain.register_dims())])
-    w = {family.domain.to_register(x): 1.0 for x in pre}
+    w = np.zeros(layout.dim)
+    w[pre] = 1.0
     return qsim.prepare_weighted(layout, "X", w)
 
 
@@ -400,36 +300,8 @@ def fiber_state(family: HashFamily, key, y, signed_bit: int = 0) -> qsim.QState:
     if check_bit(signed_bit, "signed_bit") and family.measured:
         w = np.where(t.mvals[pre] != 0, -w, w)
     amps = np.zeros(layout.dim, dtype=np.complex128)
-    amps[t.reg_index[pre]] = w
+    amps[pre] = w
     return qsim.QState(layout, amps).normalized()
-
-
-# --- Ajtai -----------------------------------------------------------------
-
-def ajtai_family(n: int, m: int, q: int, sigma: float) -> HashFamily:
-    """h_A(x) = A x mod q over the ball ||x|| <= sigma * sqrt(m/2)."""
-    from .zqcore import is_prime
-
-    if not is_prime(q):
-        raise ValueError(f"q must be prime, got {q}")
-    bound_sq = Fraction(sigma).limit_denominator(10**9) ** 2 * Fraction(m, 2)
-    domain = ZqBallDomain(q, m, bound_sq)
-
-    def sample(rng: np.random.Generator):
-        A = ZqMatrix(rng.integers(0, q, size=(n, m)), q)
-        return A, None
-
-    def tabulate(key: ZqMatrix):
-        return matmul_mod(np.array(_enumerate(domain)[0]), key.entries.T, q), None
-
-    return HashFamily(
-        name="ajtai",
-        domain=domain,
-        range_bits=None,
-        sample=sample,
-        tabulate=tabulate,
-        descriptor={"family": "ajtai", "n": n, "m": m, "q": q, "sigma": sigma},
-    )
 
 
 # --- toy regular OWFs ------------------------------------------------------
@@ -502,8 +374,6 @@ def fdelta_family(base: HashFamily) -> HashFamily:
     """h_Delta = f_Delta o f: merge image pairs {z, z xor Delta}, with the
     one-bit predicate M[h](x) = [f(x) > f(x) xor Delta] (lexicographic on
     big-endian bit strings)."""
-    if base.range_bits is None:
-        raise ValueError("fdelta needs a base family with a bit-string range")
     n = base.range_bits
 
     def sample(rng: np.random.Generator):
@@ -589,9 +459,7 @@ def compose_balanced(owf: HashFamily, uhash: HashFamily) -> HashFamily:
     The balance of the result is measured by balance_estimate (on the
     f_Delta wrap), never assumed.
     """
-    if owf.range_bits is None or uhash.range_bits is None:
-        raise ValueError("both families need bit-string ranges")
-    if not isinstance(uhash.domain, BitDomain) or uhash.domain.bits != owf.range_bits:
+    if uhash.domain.bits != owf.range_bits:
         raise ValueError(
             f"uhash domain ({uhash.domain}) must match owf range ({owf.range_bits} bits)")
     if uhash.range_bits >= owf.range_bits:
@@ -682,8 +550,6 @@ def family_from_descriptor(desc: dict) -> HashFamily:
     """Rebuild a family from its JSON-able descriptor, so experiments are
     replayable from config files (same descriptor + same seed = same keys)."""
     kind = desc["family"]
-    if kind == "ajtai":
-        return ajtai_family(desc["n"], desc["m"], desc["q"], desc["sigma"])
     if kind == "toy-regular-owf":
         return toy_regular_owf(desc["m"], desc["r"], desc.get("range_bits"))
     if kind == "two-to-one":
@@ -701,8 +567,7 @@ def family_from_descriptor(desc: dict) -> HashFamily:
 def fiber_split(images: np.ndarray, mvals: np.ndarray, y) -> tuple[int, int]:
     """(A0, A1): exact counts of the fiber of y on each side of M[h], from a
     key's images and M-values, one per domain value."""
-    same = images == y
-    fiber = same if same.ndim == 1 else same.all(axis=1)
+    fiber = images == y
     a1 = int(np.count_nonzero(mvals[fiber]))
     return int(np.count_nonzero(fiber)) - a1, a1
 
@@ -740,14 +605,13 @@ def tcr_game(family: HashFamily, adversary, rng: np.random.Generator,
     # image measurement: branch by classical pushforward, identical to the
     # coherent compute-then-measure since eval is a basis function; images
     # are weighed in domain order and drawn by row, in repr order
-    probs = qsim.marginal_probs(state, "X")[t.reg_index]
+    probs = qsim.marginal_probs(state, "X")
     py = np.bincount(t.image_ids, weights=probs, minlength=len(t.ys))
     j = int(rng.choice(len(py), p=py / py.sum()))
     y = t.ys[j]
 
-    fiber = t.image_ids == j
+    idx = np.flatnonzero(t.image_ids == j)
     fiber_amps = np.zeros(layout.dim, dtype=np.complex128)
-    idx = t.reg_index[fiber]
     fiber_amps[idx] = state.amps[idx]
     state = qsim.QState(layout, fiber_amps).normalized()
 
@@ -756,7 +620,7 @@ def tcr_game(family: HashFamily, adversary, rng: np.random.Generator,
         v = family.domain.from_register(out.value)
         state = out.post_state
     else:
-        mvals = t.mvals[fiber]
+        mvals = t.mvals[idx]
         sides = np.bincount(mvals, weights=np.abs(state.amps[idx]) ** 2, minlength=2)
         v = int(rng.random() < sides[1] / (sides[0] + sides[1]))
         kept = np.zeros(layout.dim, dtype=np.complex128)
@@ -785,9 +649,8 @@ def honest_tcr_adversary(family, key, y, state, rng, aux=None):
 
 def garbage_tcr_adversary(family, key, y, state, rng, aux=None):
     """Returns the first domain value outside y's fiber, when there is one."""
-    t = family.table(key)
-    outside = np.flatnonzero(~t.fiber_mask(y))
-    return t.values[outside[0]] if outside.size else None
+    outside = np.flatnonzero(~family.table(key).fiber_mask(y))
+    return int(outside[0]) if outside.size else None
 
 
 # The TCR game's adversaries by name.

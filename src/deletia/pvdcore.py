@@ -110,7 +110,7 @@ def calibrate_recover(family: HashFamily, key) -> tuple[float, float, float]:
     """
     t = family.table(key)
     counts = np.bincount(t.image_ids)
-    total = len(t.values)
+    total = len(t.images)
     _, first = np.unique(t.image_ids, return_index=True)
     p1 = 0.0
     for j in np.argsort(first):  # images in order of first appearance

@@ -171,22 +171,16 @@ def _rows(state: QState, segment: str) -> np.ndarray:
     return v.swapaxes(1, 2).reshape(-1, v.shape[1])
 
 
-def prepare_weighted(layout: RegisterLayout, segment: str, weights) -> QState:
+def prepare_weighted(layout: RegisterLayout, segment: str, weights: np.ndarray) -> QState:
     """State with amplitude(x) proportional to weights[x] on one segment.
 
-    ``weights`` is a mapping from segment value to nonnegative weight, or an
-    array over the segment in mixed-radix order. Other segments start at |0>.
+    ``weights`` is an array of nonnegative weights over the segment in
+    mixed-radix order. Other segments start at |0>.
     """
     seg_dim = layout.seg_dim(segment)
-    w = np.zeros(seg_dim, dtype=np.complex128)
-    if isinstance(weights, dict):
-        for val, wt in weights.items():
-            w[layout.value_index(segment, _as_tuple(val))] = wt
-    else:
-        arr = np.asarray(weights, dtype=np.complex128).reshape(-1)
-        if arr.size != seg_dim:
-            raise ValueError(f"weight table size {arr.size} != segment dim {seg_dim}")
-        w = arr
+    w = np.asarray(weights, dtype=np.complex128).reshape(-1)
+    if w.size != seg_dim:
+        raise ValueError(f"weight table size {w.size} != segment dim {seg_dim}")
     if np.any(w.real < -1e-15) or np.any(np.abs(w.imag) > 1e-15):
         raise ValueError("weights must be nonnegative reals")
     n = np.linalg.norm(w)
@@ -257,7 +251,10 @@ def measure(state: QState, segment: str, rng: np.random.Generator) -> MeasureOut
     if abs(total - 1.0) > NORM_TOL:
         raise ValueError(f"cannot measure a state of squared norm {total!r}")
     probs /= total
-    k = int(rng.choice(len(probs), p=probs))
+    # what rng.choice(len(probs), p=probs) draws, without its checks on p
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    k = int(cdf.searchsorted(rng.random(), side="right"))
     prob = float(probs[k])
     value = tuple(int(v) for v in np.unravel_index(k, state.layout.seg_dims(segment)))
     return MeasureOutcome(value, prob, lambda: _collapse(state, segment, k, prob).post_state)

@@ -231,11 +231,22 @@ def test_commit_demo_golden(capsys):
     ("game_sgc_seed2", ["game", "run", "--exp", "sgc", "--adv", "honest-deleter",
                         "--trials", "20", "--seed", "2"]),
     ("game_tcr_seed1", ["game", "run", "--exp", "tcr", "--trials", "10", "--seed", "1"]),
+    ("game_tcr_brute_seed1", ["game", "run", "--exp", "tcr", "--adv", "brute-force-inverter",
+                              "--trials", "10", "--seed", "1"]),
+    ("game_tcr_garbage_seed1", ["game", "run", "--exp", "tcr", "--adv", "garbage-certifier",
+                                "--trials", "10", "--seed", "1"]),
 ])
-def test_command_matches_golden(capsys, golden, argv):
+def test_command_matches_golden(capsys, tmp_path, golden, argv):
+    """stdout, and the --out CSV where one is pinned next to it."""
+    csv_golden = GOLDEN / f"{golden}.csv"
+    out_csv = tmp_path / "out.csv"
+    if csv_golden.exists():
+        argv = [*argv, "--out", str(out_csv)]
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
     assert out == (GOLDEN / f"{golden}.json").read_text()
+    if csv_golden.exists():
+        assert out_csv.read_text() == csv_golden.read_text()
 
 
 def test_fhe_nand_tree_small(capsys):

@@ -185,6 +185,26 @@ def test_dual_ciphertext_sum_matches_the_double_sum_loop(n, w, q, sigma):
                                    rtol=0, atol=1e-12)
 
 
+def test_dual_ciphertext_sum_rejects_a_y_outside_the_image():
+    # outside the image the sum is zero: there is no state to normalise
+    A = ZqMatrix([[0]], 2)
+    with pytest.raises(ValueError, match="outside the image of A"):
+        dr.dual_ciphertext_sum(A, ZqVector([1], 2), np.zeros(1, dtype=np.int64), 1.0)
+    A = ZqMatrix([[2, 4]], 6)  # image {0, 2, 4}
+    for y in range(6):
+        args = (A, ZqVector([y], 6), np.zeros(2, dtype=np.int64), 2.0)
+        if y % 2:
+            with pytest.raises(ValueError, match="outside the image of A"):
+                dr.dual_ciphertext_sum(*args)
+        else:
+            assert dr.dual_ciphertext_sum(*args).norm() == pytest.approx(1.0)
+    # an image whose rho_sigma^2 mass underflows to 0.0 is still an image
+    A = ZqMatrix([[1]], 13)
+    assert dr.image_masses(A, 0.1)[2] == 0.0
+    state = dr.dual_ciphertext_sum(A, ZqVector([2], 13), np.zeros(1, dtype=np.int64), 0.1)
+    assert state.norm() == pytest.approx(1.0)
+
+
 def test_fourier_domain_outcome_distribution_independent_of_bit():
     keys = dr.dr_keygen(PARAMS, np.random.default_rng(8))
     ct0 = dr.dr_encrypt(keys, 0, np.random.default_rng(21))

@@ -107,7 +107,7 @@ def test_evtc_brute_force_validity_rate_matches_counting():
     dom_size = FAM.domain.size
     key = FAM.keys()[0][0]
     fibers = {}
-    for x in FAM.domain.values():
+    for x in range(dom_size):
         fibers.setdefault(FAM.eval(key, x), []).append(x)
     expect = sum((len(f) / dom_size) * (len(f) / dom_size) for f in fibers.values())
     valid = 0
@@ -169,8 +169,8 @@ def test_ladder_monte_carlo_agrees_with_exact():
 
 
 def test_ladder_needs_enumerable_keys():
-    fam = hashfam.ajtai_family(1, 2, 5, 3.0)
-    with pytest.raises(ValueError):
+    fam = toy_regular_owf(4, 1)
+    with pytest.raises(ValueError, match="no enumerable key space"):
         hybrid_ladder_exact(fam, HONEST_DELETER)
 
 
@@ -437,7 +437,7 @@ class _RefDom:
     def __init__(self, family, key, dist):
         self.family = family
         self.table = family.table(key, dist)
-        self.values = self.table.values
+        self.values = range(len(self.table.images))
         self.mbits = self.table.mbits
         self.sign = self.table.sign
         d = np.array([1.0 if dist is None else dist(x) for x in self.values])
@@ -725,7 +725,7 @@ def _per_z_ladder(family, adversary, dist=None):
         wz = 1.0 / z.size
         ny, nf = fib.shape
         nv = pv_all.shape[1]
-        nk = len(dom.values) if adversary.cert == "uniform-domain" else 1
+        nk = len(dom.images) if adversary.cert == "uniform-domain" else 1
         step = max(1, (1 << 13) // (z.size * nv * max(nk, nf * nf)))
         for lo in range(0, ny, step):
             rows = np.arange(lo, min(lo + step, ny))
@@ -812,10 +812,8 @@ def _evtc_reference(family, dist, adv):
     wk = 1.0 / len(keys)
     layout = qsim.RegisterLayout([("X", family.domain.register_dims())])
 
-    def residual_state(vec, dom):
-        amps = np.zeros(layout.dim, dtype=np.complex128)
-        amps[dom.table.reg_index] = vec
-        return qsim.QState(layout, amps)
+    def residual_state(vec, dom):  # a bit domain's values are their register indices
+        return qsim.QState(layout, np.asarray(vec, dtype=np.complex128))
 
     for ki, (key, _) in enumerate(keys):
         dom = _RefDom(family, key, dist)
@@ -853,14 +851,14 @@ def _decoded_branches(ens, family, dist):
     None) per branch of an array-form EVTC ensemble, the label decoded from
     its code (key index * D + y's row) * (D + 1) + pi + 1."""
     doms = [family.table(key, dist) for key, _ in games._keys_for_exact(family)]
-    n = len(doms[0].values)
+    n = len(doms[0].images)
     out = []
     for p, code, s in ens.branches.tolist():
         rest, pi = divmod(code, n + 1)
         ki, r = divmod(rest, n)
         dom, pi = doms[ki], pi - 1
         valid = pi >= 0 and bool(dom.image_ids[pi] == r)
-        label = (ki, repr(dom.ys[r]), repr(None if pi < 0 else dom.values[pi]), valid)
+        label = (ki, repr(dom.ys[r]), repr(None if pi < 0 else pi), valid)
         out.append((p, label, None if s < 0 else ens.states[s]))
     return out
 
@@ -890,7 +888,7 @@ def _assert_ensemble_matches(got, want, family, dist, tol, case):
         dom = family.table(key, dist)
         fib = dom.fibers[1]
         for r, y in enumerate(dom.ys):
-            fibers[(ki, repr(y))] = dom.reg_index[fib[r][fib[r] >= 0]]
+            fibers[(ki, repr(y))] = fib[r][fib[r] >= 0]
     for (p, label, st), (q, _, ref) in zip(got, want):
         if tol == 0.0:
             assert repr(float(p)) == repr(float(q)), (case, label)
@@ -939,7 +937,7 @@ def test_evtc_at_scale_on_fiber_columns():
     # TD is sum_y Pr[y] sqrt(p0 p1) = sum_y sqrt(A0 A1) / |domain|, per key
     closed = 0.0
     for key, _ in fam.keys():
-        for y in sorted({fam.eval(key, x) for x in fam.domain.values()}):
+        for y in sorted({fam.eval(key, x) for x in range(fam.domain.size)}):
             a0, a1 = hashfam.fiber_split(*fam.tabulate(key), y)
             closed += math.sqrt(a0 * a1) / fam.domain.size
     closed /= len(fam.keys())

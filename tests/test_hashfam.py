@@ -1,12 +1,12 @@
-import itertools
 import math
 import pickle
 import tracemalloc
 from collections import Counter
-from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from deletia import hashfam, qsim
@@ -14,7 +14,6 @@ from deletia.gf2k import GF2k
 from deletia.hashfam import (
     BitDomain,
     HashFamily,
-    ajtai_family,
     balance_estimate,
     brute_force_tcr_adversary,
     chor_goldreich_family,
@@ -28,7 +27,7 @@ from deletia.hashfam import (
     toy_regular_owf,
     two_to_one_family,
 )
-from deletia.zqcore import ZqMatrix, ZqVector, centered_array, structured_ajtai_keygen
+from deletia.zqcore import structured_ajtai_keygen
 
 
 def identity_bits_family(bits: int) -> HashFamily:
@@ -63,41 +62,15 @@ def reference(desc: dict, key, x) -> tuple:
         bkey, delta = key
         z = reference(desc["base"], bkey, x)[0]
         return min(z, z ^ delta), int(z > z ^ delta)
-    if kind == "ajtai":
-        return tuple((key @ ZqVector(np.asarray(x), desc["q"])).entries.tolist()), None
     raise ValueError(kind)
 
 
-# --- Ajtai -------------------------------------------------------------
-
-def test_ajtai_zero_matrix_evaluates_to_zero():
-    fam = ajtai_family(1, 2, 5, sigma=3.0)
-    A = ZqMatrix([[0, 0]], 5)
-    for x in itertools.product(range(5), repeat=2):
-        assert fam.eval(A, x) == (0,)
+def big_endian(x: int, bits: int) -> tuple[int, ...]:
+    """The register digits of bit string x, most significant first."""
+    return tuple((x >> (bits - 1 - i)) & 1 for i in range(bits))
 
 
-def test_ajtai_collision_structure_is_the_kernel():
-    fam = ajtai_family(1, 2, 5, sigma=10.0)
-    rng = np.random.default_rng(0)
-    A, _ = fam.sample(rng)
-    for x in itertools.product(range(5), repeat=2):
-        for xp in itertools.product(range(5), repeat=2):
-            diff = ZqVector([(a - b) % 5 for a, b in zip(x, xp)], 5)
-            collide = fam.eval(A, x) == fam.eval(A, xp)
-            in_kernel = (A @ diff).entries.tolist() == [0]
-            assert collide == in_kernel
-
-
-def test_ajtai_domain_norm_filter():
-    fam = ajtai_family(1, 2, 13, sigma=2.0)
-    assert fam.domain.contains((1, 1))
-    assert not fam.domain.contains((6, 6))  # centered norm 72 > sigma^2 m/2 = 4
-    for q, m, sigma in ((13, 2, 2.0), (5, 3, 1.5), (7, 3, 2.3)):
-        dom = ajtai_family(1, m, q, sigma).domain
-        box = itertools.product(range(q), repeat=m)
-        assert list(dom.values()) == [x for x in box if dom.contains(x)]
-
+# --- structured Ajtai keygen (zqcore) -----------------------------------
 
 def test_structured_ajtai_trapdoor():
     for seed in range(100):
@@ -124,7 +97,7 @@ def test_toy_regular_owf_exact_regularity():
     fam = toy_regular_owf(8, 2)
     rng = np.random.default_rng(0)
     key, td = fam.sample(rng)
-    hist = Counter(fam.eval(key, x) for x in fam.domain.values())
+    hist = Counter(fam.eval(key, x) for x in range(fam.domain.size))
     assert set(hist.values()) == {4}  # point mass at 2^r
     for y in hist:
         pre = fam.invert(key, td, y)
@@ -254,7 +227,7 @@ def test_cg_superposition_invert_support_exhaustive():
     probs = qsim.marginal_probs(state, "X")
     lay = state.layout
     for x in range(256):
-        p = probs[lay.value_index("X", fam.domain.to_register(x))]
+        p = probs[lay.value_index("X", big_endian(x, 8))]
         if x in pre:
             assert p == pytest.approx(1 / len(pre), abs=1e-10)
         else:
@@ -442,17 +415,13 @@ def test_tcr_answers_outside_the_domain_never_win():
 
 
 def test_eval_and_measure_are_none_outside_the_domain():
-    cases = [(fdelta_family(toy_regular_owf(6, 2)), [-1, -64, 64, 2**70, 1.0, "1", None]),
-             (two_to_one_family(3), [-2, 8, np.int64(-1)]),
-             (ajtai_family(1, 2, 13, 2.0), [(6, 6), (1,), (1, 1, 1), 1, (0.5, 0), "ab"])]
+    cases = [(fdelta_family(toy_regular_owf(6, 2)),
+              [-1, -64, 64, 2**70, 1.0, "1", None, (1,), (0, 1)]),
+             (two_to_one_family(3), [-2, 8, np.int64(-1), np.float64(1), [1]])]
     for fam, outside in cases:
         key, _ = fam.sample(np.random.default_rng(0))
         for x in outside:
             assert fam.eval(key, x) is None and fam.measure(key, x) is None, (fam.name, x)
-    # a ball value is read by its register, so every representative agrees
-    assert fam.eval(key, (-1, 0)) == fam.eval(key, (12, 0)) == reference(
-        fam.descriptor, key, (12, 0))[0]
-    assert fam.measure(key, (-1, 0)) == (12, 0)
 
 
 def test_tcr_without_aux_matches_plain_game():
@@ -478,7 +447,6 @@ def test_family_descriptor_replay():
         chor_goldreich_family(4, 6, 4),
         fdelta_family(toy_regular_owf(6, 2)),
         compose_balanced(toy_regular_owf(8, 2), chor_goldreich_family(4, 6, 4)),
-        ajtai_family(1, 2, 13, 3.0),
     ]
     for fam in fams:
         rebuilt = family_from_descriptor(fam.descriptor)
@@ -486,13 +454,8 @@ def test_family_descriptor_replay():
         assert rebuilt.domain.size == fam.domain.size
         k1, _ = fam.sample(np.random.default_rng(11))
         k2, _ = rebuilt.sample(np.random.default_rng(11))
-        xs = list(fam.domain.values())[:16]
+        xs = range(min(16, fam.domain.size))
         assert [fam.eval(k1, x) for x in xs] == [rebuilt.eval(k2, x) for x in xs]
-
-
-def test_ajtai_requires_prime_modulus():
-    with pytest.raises(ValueError):
-        ajtai_family(1, 2, 15, 3.0)
 
 
 def test_table_matches_eval_and_measure():
@@ -502,36 +465,66 @@ def test_table_matches_eval_and_measure():
         fdelta_family(toy_regular_owf(6, 1)), fdelta_family(identity_bits_family(3)),
         compose_balanced(toy_regular_owf(6, 1, 5), uhash),
         fdelta_family(compose_balanced(toy_regular_owf(6, 1, 5), uhash)),
-        ajtai_family(1, 3, 5, 2.0),
     ]
     for fam in families:
-        lay = qsim.RegisterLayout([("X", fam.domain.register_dims())])
+        values = range(fam.domain.size)
         for seed in range(3):
             key, _ = fam.sample(np.random.default_rng(seed))
             t = fam.table(key)
-            assert list(t.values) == list(fam.domain.values())
-            want = [reference(fam.descriptor, key, x) for x in t.values]
+            assert len(t.images) == len(t.mvals) == fam.domain.size
+            want = [reference(fam.descriptor, key, x) for x in values]
             assert [t.ys[i] for i in t.image_ids] == [y for y, _ in want]
-            assert [fam.eval(key, x) for x in t.values] == [y for y, _ in want]
+            assert [fam.eval(key, x) for x in values] == [y for y, _ in want]
             assert len(set(t.ys)) == len(t.ys)
             assert t.ys == sorted(t.ys, key=repr)
-            assert all(type(y) in (int, tuple) for y in t.ys)
+            assert all(type(y) is int for y in t.ys)
             if fam.measured:
                 assert t.mvals.tolist() == [m for _, m in want]
-                assert [fam.measure(key, x) for x in t.values] == [m for _, m in want]
+                assert [fam.measure(key, x) for x in values] == [m for _, m in want]
             else:
-                assert [fam.measure(key, x) for x in t.values] == list(t.values)
-            assert t.reg_index.tolist() == [
-                lay.value_index("X", fam.domain.to_register(x)) for x in t.values]
+                assert [fam.measure(key, x) for x in values] == list(values)
             y = t.ys[-1]
-            assert fam.fiber(key, y) == [x for x in t.values if fam.eval(key, x) == y]
+            assert fam.fiber(key, y) == [x for x in values if fam.eval(key, x) == y]
+
+
+@given(st.integers(1, 7), st.sampled_from([1, 2, 64, 256, 10**9]), st.booleans(),
+       st.integers(0, 10**6))
+@settings(max_examples=80, deadline=None)
+def test_a_value_is_its_own_index_in_a_bit_table(bits, spread, measured, seed):
+    """On random images and M-values: a fiber's least value heads its row,
+    eval, measure and fiber read the arrays at the value itself, fiber_split
+    agrees with bincounts over the image rows (for a measured family), and
+    nothing outside the domain has an image or an M-value."""
+    rng = np.random.default_rng(seed)
+    n = 1 << bits
+    images = rng.integers(0, spread, size=n)
+    mvals = rng.integers(0, 2, size=n) if measured else None
+    fam = HashFamily(name="random-table", domain=BitDomain(bits), range_bits=bits,
+                     sample=lambda rng: ("k", None), tabulate=lambda key: (images, mvals),
+                     measured=measured)
+    t = fam.table("k")
+    _, fib = t.fibers
+    fiber_of = [np.flatnonzero(images == y).tolist() for y in t.ys]
+    assert fib[:, 0].tolist() == [min(f) for f in fiber_of]
+    assert [r[r >= 0].tolist() for r in fib] == fiber_of
+    assert [fam.fiber("k", y) for y in t.ys] == fiber_of
+    assert [fam.eval("k", x) for x in range(n)] == images.tolist()
+    want_m = mvals.tolist() if measured else list(range(n))
+    assert [fam.measure("k", x) for x in range(n)] == want_m
+    if measured:
+        a1 = np.bincount(t.image_ids, weights=mvals, minlength=len(t.ys))
+        a = np.bincount(t.image_ids, minlength=len(t.ys))
+        assert [fiber_split(images, mvals, y) for y in t.ys] == \
+            [(int(c - b), int(b)) for c, b in zip(a, a1)]
+    for x in (-1, -n, n, np.int64(-1), 0.0, 1.5, np.float64(0), (0,), (0, 1), None):
+        assert fam.eval("k", x) is None and fam.measure("k", x) is None, x
 
 
 def _ranked_reference(images):
     """ys and image_ids by one sort of the whole image array, then with the
     distinct images put in repr order and each value given its image's row."""
-    uniq, inverse = np.unique(images, axis=0, return_inverse=True)
-    ys = uniq.tolist() if uniq.ndim == 1 else [tuple(u) for u in uniq.tolist()]
+    uniq, inverse = np.unique(images, return_inverse=True)
+    ys = uniq.tolist()
     order = sorted(range(len(ys)), key=lambda j: repr(ys[j]))
     row = np.empty(len(order), dtype=np.int64)
     row[order] = np.arange(len(order))
@@ -541,17 +534,15 @@ def _ranked_reference(images):
 def _lazy_rank_tables():
     """Tables of int images that cross digit counts (9/10, 99/100, 999/1000),
     ranked densely and, with a sparse or negative image, by sorting; and the
-    int and tuple images of the shipped families."""
+    images of the shipped families."""
     rng = np.random.default_rng(7)
     dense = rng.choice([0, 3, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 1100], size=600)
     tables = {"dense": dense, "dense-all": np.arange(1024)[::-1] % 1001,
               "sparse": np.where(dense > 500, dense * 10**6, dense),
               "negative": dense - 100}
-    tables = {name: hashfam.DomainTable(range(len(im)), im, np.zeros(len(im), dtype=np.int64),
-                                        np.arange(len(im)), None, True, None)
+    tables = {name: hashfam.DomainTable(im, np.zeros(len(im), dtype=np.int64), None, True, None)
               for name, im in tables.items()}
-    for fam in (chor_goldreich_family(3, 10, 7), fdelta_family(toy_regular_owf(10, 2)),
-                ajtai_family(2, 3, 5, 2.0)):
+    for fam in (chor_goldreich_family(3, 10, 7), fdelta_family(toy_regular_owf(10, 2))):
         key, _ = fam.sample(np.random.default_rng(1))
         tables[fam.name] = fam.table(key)
     return tables
@@ -561,17 +552,12 @@ def _lazy_rank_tables():
 def test_lazy_ranks_match_a_sorted_reference(name):
     t = _lazy_rank_tables()[name]
     ys, ids = _ranked_reference(t.images)
-    assert t.ys == ys and all(type(y) in (int, tuple) for y in t.ys)
+    assert t.ys == ys and all(type(y) is int for y in t.ys)
     assert t.image_ids.tolist() == ids.tolist()
     present = ys[len(ys) // 2]
     assert t.fiber_mask(present).tolist() == (ids == len(ys) // 2).tolist()
-    if isinstance(present, tuple):
-        candidates = itertools.product(range(5), repeat=len(present))
-        outside = [present[:1], (10**30,) * len(present), 3]
-    else:
-        candidates = range(min(ys), max(ys))
-        outside = [max(ys) + 1, min(ys) - 1, 10**30, (present,) * 2, None]
-    absent = next((y for y in candidates if y not in ys), None)
+    outside = [max(ys) + 1, min(ys) - 1, 10**30, (present,) * 2, None]
+    absent = next((y for y in range(min(ys), max(ys)) if y not in ys), None)
     assert absent is not None or name not in ("dense", "sparse", "negative")  # the others are onto
     for y in [absent, *outside] if absent is not None else outside:
         assert not t.fiber_mask(y).any(), y
@@ -602,8 +588,7 @@ def test_fibers_match_the_argsort_order():
               "mixed": rng.integers(0, 1 << 17, size=1 << 18),
               "few rows": rng.integers(0, 300, size=5000)}
     for name, im in images.items():
-        t = hashfam.DomainTable(range(len(im)), im, np.zeros(len(im), dtype=np.int64),
-                                np.arange(len(im)), None, True, None)
+        t = hashfam.DomainTable(im, np.zeros(len(im), dtype=np.int64), None, True, None)
         pos, fib = t.fibers
         want_pos, want_fib = _fibers_by_argsort(t.image_ids, len(t.ys))
         assert np.array_equal(pos, want_pos) and np.array_equal(fib, want_fib), name
@@ -615,7 +600,7 @@ def _balance_reference(family, trials, rng):
     ratios = []
     for _ in range(trials):
         key, _ = family.sample(rng)
-        values = list(family.domain.values())
+        values = range(family.domain.size)
         y = family.eval(key, values[int(rng.integers(0, len(values)))])
         sides = [family.measure(key, x) for x in values if family.eval(key, x) == y]
         ratios.append(abs(len(sides) - 2 * sum(sides)) / len(sides))
@@ -647,7 +632,7 @@ def test_balance_estimate_matches_fiber_enumeration():
                                          chor_goldreich_family(2, 5, 3)))
     report = balance_estimate(fam, None, 30, np.random.default_rng(5))
     rng = np.random.default_rng(5)
-    dom = list(fam.domain.values())
+    dom = range(fam.domain.size)
     want = []
     for _ in range(30):
         key, _ = fam.sample(rng)
@@ -702,20 +687,15 @@ def test_balance_estimate_keeps_no_table_per_sampled_key():
     assert grown < 60_000  # one 4 KiB value table per key would be 120 KB
 
 
-def _enumerate_per_value(domain):
-    """Each value's register index through value_index, one call per value."""
-    values = tuple(domain.values())
-    layout = qsim.RegisterLayout([("X", domain.register_dims())])
-    index = [layout.value_index("X", domain.to_register(x)) for x in values]
-    return values, np.array(index, dtype=np.int64)
-
-
 def test_bit_domain_enumeration_matches_the_per_value_path():
+    # the tables enumerate the values 0, 1, ...: each is its own register
+    # index, through value_index on its big-endian digits one value at a time
     for bits in range(1, 13):
-        values, index = hashfam._enumerate(BitDomain(bits))
-        want_values, want_index = _enumerate_per_value(BitDomain(bits))
-        assert tuple(values) == want_values and all(type(v) is int for v in values)
-        assert index.dtype == np.int64 and np.array_equal(index, want_index)
+        dom = BitDomain(bits)
+        layout = qsim.RegisterLayout([("X", dom.register_dims())])
+        digits = [big_endian(x, bits) for x in range(dom.size)]
+        assert [layout.value_index("X", d) for d in digits] == list(range(dom.size))
+        assert [dom.from_register(d) for d in digits] == list(range(dom.size))
 
 
 def test_table_beyond_the_old_fiber_guard_matches_eval():
@@ -725,20 +705,17 @@ def test_table_beyond_the_old_fiber_guard_matches_eval():
     fam = fdelta_family(toy_regular_owf(17, 2))
     key, _ = fam.sample(np.random.default_rng(3))
     t = fam.table(key)
-    assert len(t.values) == 1 << 17
-    for i in np.random.default_rng(4).integers(0, 1 << 17, size=300).tolist():
-        x = t.values[i]
+    assert len(t.images) == 1 << 17
+    for x in np.random.default_rng(4).integers(0, 1 << 17, size=300).tolist():
         y, m = reference(fam.descriptor, key, x)
-        assert t.ys[t.image_ids[i]] == y == fam.eval(key, x)
-        assert t.mvals[i] == m == fam.measure(key, x)
-        assert t.reg_index[i] == x
+        assert t.ys[t.image_ids[x]] == y == fam.eval(key, x)
+        assert t.mvals[x] == m == fam.measure(key, x)
 
 
-def test_table_refuses_a_domain_over_the_enumeration_guard(monkeypatch):
+def test_table_refuses_a_domain_over_the_enumeration_guard():
     def untouched(*_):
         raise AssertionError("enumerated a domain over the guard")
 
-    monkeypatch.setattr(hashfam, "_enumerate", untouched)
     fam = HashFamily(name="wide", domain=BitDomain(23), range_bits=1,
                      sample=lambda rng: (0, None), tabulate=untouched)
     assert BitDomain(23).size == 2 * hashfam.ENUM_GUARD

@@ -133,7 +133,9 @@ def test_prepare_weighted_uniform():
 
 def test_prepare_weighted_singleton():
     lay = RegisterLayout([("X", (3, 3))])
-    st_ = prepare_weighted(lay, "X", {(2, 1): 1.0})
+    w = np.zeros(9)
+    w[lay.value_index("X", (2, 1))] = 1.0
+    st_ = prepare_weighted(lay, "X", w)
     want = basis_state(lay, {"X": (2, 1)})
     np.testing.assert_allclose(st_.amps, want.amps)
 
@@ -152,7 +154,7 @@ def test_prepare_weighted_gaussian_matches_pmf():
 def test_prepare_weighted_rejects_all_zero():
     lay = RegisterLayout([("X", (2,))])
     with pytest.raises(ValueError):
-        prepare_weighted(lay, "X", {0: 0.0})
+        prepare_weighted(lay, "X", np.zeros(2))
 
 
 def test_apply_classical_identity():
@@ -345,6 +347,25 @@ def test_measure_and_phase_kernels_match_their_reference_forms(data, d, k, seed)
         shape[ax] = d
         t = t * (np.exp(2j * np.pi / d) ** ((np.arange(d) * vi) % d)).reshape(shape)
     assert np.array_equal(phase_oracle(state, "S", v).amps, t.reshape(-1))
+
+
+def test_measure_draws_what_rng_choice_draws():
+    """measure's cumsum draw is Generator.choice's after its checks on p: the
+    same index, and the generator left in the same state."""
+    rng = np.random.default_rng(3)
+    for trial in range(300):
+        d = int(rng.integers(1, 3000))
+        amps = rng.normal(size=d) + 1j * rng.normal(size=d)
+        amps[rng.random(d) < rng.random()] = 0.0  # runs of zero-probability values
+        amps[-1] = amps[-1] if trial % 3 else 0.0
+        if not amps.any():
+            amps[0] = 1.0
+        state = QState(RegisterLayout([("X", (d,))]), amps / np.linalg.norm(amps))
+        probs = marginal_probs(state, "X")
+        probs = probs / probs.sum()
+        a, b = np.random.default_rng(trial), np.random.default_rng(trial)
+        assert measure(state, "X", a).value == (int(b.choice(d, p=probs)),)
+        assert a.random() == b.random()
 
 
 def test_measure_builds_the_collapsed_state_once_on_read(monkeypatch):
