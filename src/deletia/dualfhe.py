@@ -137,15 +137,12 @@ def fhe_decrypt(keys: FHEKeys, ct: FHECiphertextC) -> int:
 def fhe_measure_q(ct: FHECiphertextQ, rng: np.random.Generator) -> FHECiphertextC:
     """Computational-basis measurement of all columns."""
     A, _ = ct.vk
-    cols = []
-    for st in ct.columns:
-        out = qsim.measure(st, "X", rng)
-        cols.append(np.asarray(out.value, dtype=np.int64))
+    cols = [np.asarray(qsim.measure_register(st, rng), dtype=np.int64) for st in ct.columns]
     return FHECiphertextC(matrix=ZqMatrix(np.stack(cols, axis=1), A.q))
 
 
 def fhe_delete(ct: FHECiphertextQ, rng: np.random.Generator) -> list[ZqVector]:
-    """Per-column inverse Fourier transform and measurement."""
+    """Per-column Fourier-basis measurement (see coset_delete)."""
     return [coset_delete(st, ct.vk[0].q, rng) for st in ct.columns]
 
 

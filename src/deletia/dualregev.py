@@ -4,9 +4,11 @@ simulated exactly on the state-vector core.
 The ciphertext register is the forward q-ary Fourier transform of the
 phased Gaussian coset state over {x : A x = y}. Encryption evaluates it as
 the exact dual sum over s of Z_q^n (Poisson summation over Z_q, with the
-exact DFT of the one-slot Gaussian), which equals that transform; deletion
-still runs the literal inverse transform and measures, so the certificate
-lands in the coset exactly (A pi = y with probability 1). Under the
+exact DFT of the one-slot Gaussian), which equals that transform. Deletion
+measures the register in the Fourier basis, slot by slot
+(qsim.measure_register with the inverse DFT's rows), which draws what
+measuring the inverse transform draws, so the certificate lands in the
+coset exactly (A pi = y with probability 1). Under the
 forward-transform convention the matching literal ciphertext sum carries
 phase w^{+<s,y>} and plaintext offset +b*(0,..,0,floor(q/2)), with the
 coset-side phase negated; see dual_ciphertext_sum.
@@ -207,10 +209,12 @@ def coset_encrypt(A: ZqMatrix, sigma: float, g: np.ndarray, rng: np.random.Gener
 
 
 def coset_delete(state: qsim.QState, q: int, rng: np.random.Generator) -> ZqVector:
-    """Deletion of one ciphertext register: inverse Fourier transform, then
-    measure all slots; the outcome lies in the register's coset."""
-    out = qsim.measure(qsim.qft_inverse(state, "X"), "X", rng)
-    return ZqVector(np.asarray(out.value), q)
+    """Deletion of one ciphertext register: measure every slot in the Fourier
+    basis, the rows of the inverse DFT, one slot at a time. The outcome is
+    what measuring qsim.qft_inverse(state) draws from the same generator,
+    with no state-sized transform, and it lies in the register's coset."""
+    value = qsim.measure_register(state, rng, qsim._dft_matrix(q).conj().T)
+    return ZqVector(np.asarray(value), q)
 
 
 def dr_encrypt(keys: DRKeys, b: int, rng: np.random.Generator) -> DRCiphertext:
@@ -222,8 +226,7 @@ def dr_encrypt(keys: DRKeys, b: int, rng: np.random.Generator) -> DRCiphertext:
 
 def dr_decrypt(keys: DRKeys, ct: DRCiphertext, rng: np.random.Generator) -> int:
     """Dec: measure, form centered(c . sk), decide against q/4 (tie -> 1)."""
-    out = qsim.measure(ct.state, "X", rng)
-    c = ZqVector(np.asarray(out.value), keys.params.q)
+    c = ZqVector(np.asarray(qsim.measure_register(ct.state, rng)), keys.params.q)
     return int(decide_decryption(c.dot(keys.sk), keys.params.q))
 
 
@@ -234,7 +237,7 @@ def decide_decryption(v, q: int) -> np.ndarray:
 
 
 def dr_delete(ct: DRCiphertext, rng: np.random.Generator) -> ZqVector:
-    """Del: inverse Fourier transform, measure all slots."""
+    """Del: measure all slots in the Fourier basis (see coset_delete)."""
     return coset_delete(ct.state, ct.vk[0].q, rng)
 
 

@@ -321,18 +321,13 @@ def toy_regular_owf(m: int, r: int, range_bits: int | None = None) -> HashFamily
     point = np.arange(1 << m) >> r  # each value's argument of g
 
     def sample(rng: np.random.Generator):
-        # the trapdoor holds each range point's preimage under g, or -1
-        table = np.asarray(rng.permutation(1 << ell)[: 1 << (m - r)], dtype=np.int64)
-        inverse = np.full(1 << ell, -1, dtype=np.int64)
-        inverse[table] = np.arange(table.size)
-        return table, inverse
+        # g's table is its own trapdoor: only inversion reads it backwards,
+        # so balance estimation and the games build no inverse table
+        return np.asarray(rng.permutation(1 << ell)[: 1 << (m - r)], dtype=np.int64), None
 
-    def invert(table, inverse, y: int) -> list[int]:
-        y = int(y)
-        u = int(inverse[y]) if 0 <= y < inverse.size else -1
-        if u < 0:
-            return []
-        return [(u << r) | j for j in range(1 << r)]
+    def invert(table, td, y: int) -> list[int]:
+        u = np.flatnonzero(table == int(y))  # g is injective: one preimage or none
+        return [(int(u[0]) << r) | j for j in range(1 << r)] if u.size else []
 
     fam = HashFamily(
         name="toy-regular-owf",

@@ -248,16 +248,76 @@ def measure(state: QState, segment: str, rng: np.random.Generator) -> MeasureOut
     """
     probs = marginal_probs(state, segment)
     total = probs.sum()
-    if abs(total - 1.0) > NORM_TOL:
-        raise ValueError(f"cannot measure a state of squared norm {total!r}")
+    _check_norm(total)
     probs /= total
-    # what rng.choice(len(probs), p=probs) draws, without its checks on p
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-    k = int(cdf.searchsorted(rng.random(), side="right"))
+    k, _ = _draw(probs, rng.random())
     prob = float(probs[k])
     value = tuple(int(v) for v in np.unravel_index(k, state.layout.seg_dims(segment)))
     return MeasureOutcome(value, prob, lambda: _collapse(state, segment, k, prob).post_state)
+
+
+def measure_register(state: QState, rng: np.random.Generator,
+                     u: np.ndarray | None = None) -> tuple[int, ...]:
+    """Measure every slot of a one-segment register in the basis of ``u``'s
+    rows (the computational basis without ``u``), one slot at a time: the
+    value that measure(<u on every slot>(state)) draws from the same
+    generator (in exact arithmetic; rounding can differ only where the
+    uniform number lies within rounding of an interval's edge), and the
+    generator is left in the same state.
+
+    Each slot's outcome weights come from the remaining amplitudes as a
+    (d, rest) matrix m: diag(u m m^H u^H), or m's row norms without u. The
+    drawn row, u[k] @ m or m[k], is what the next slot measures. That is
+    O(N d) for the first slot with u and O(N) after it, with no state-sized
+    transform or cumulative sum. One uniform number is drawn, after the norm
+    check, and used in a nested inverse CDF. Raises ValueError when the
+    state's norm is off by more than NORM_TOL.
+    """
+    if len(state.layout.segments) != 1:
+        raise ValueError(f"measure_register needs one segment, got {state.layout.names()}")
+    dims = state.layout.all_dims
+    if u is not None and any(u.shape != (d, d) for d in dims):
+        raise ValueError(f"a {u.shape} basis does not fit slots {dims}")
+    rest, r, value = np.ascontiguousarray(state.amps), None, []
+    for d in dims:
+        m = rest.reshape(d, -1)
+        if u is None:
+            v = m.view(np.float64)
+            weights = np.einsum("ij,ij->i", v, v)
+        else:
+            weights = np.einsum("ij,jk,ik->i", u, m @ m.conj().T, u.conj()).real
+        if r is None:
+            _check_norm(weights.sum())
+            r = rng.random()
+        k, r = _draw(weights, r)
+        value.append(k)
+        rest = m[k] if u is None else u[k] @ m
+    return tuple(value)
+
+
+def _check_norm(total: float) -> None:
+    if abs(total - 1.0) > NORM_TOL:
+        raise ValueError(f"cannot measure a state of squared norm {total!r}")
+
+
+def _draw(weights: np.ndarray, r: float) -> tuple[int, float]:
+    """The index that the uniform number r picks from ``weights`` by inverse
+    CDF, as rng.choice(len(p), p=weights / sum) picks it without its checks
+    on p, and where r falls in that index's interval, rescaled to [0, 1].
+
+    Passing that second number to a draw over the chosen index's sub-weights
+    picks, in exact arithmetic, the index that one flat inverse CDF over
+    all the levels picks. Tiny negative weights count as 0, and the index
+    always has nonzero weight: when rounding puts r past the last interval,
+    it is the last entry of nonzero weight.
+    """
+    cdf = np.maximum(weights, 0.0).cumsum()
+    cdf /= cdf[-1]
+    k = int(cdf.searchsorted(r, side="right"))
+    if k == len(cdf):
+        k = int(cdf.searchsorted(1.0))
+    low = cdf[k - 1] if k else 0.0
+    return k, float((r - low) / (cdf[k] - low))
 
 
 def _collapse(state: QState, segment: str, k: int, prob: float) -> MeasureOutcome:

@@ -515,6 +515,32 @@ def test_delete_and_decrypt_build_no_collapsed_state(monkeypatch):
     assert dr.dr_decrypt(keys, ct, rng) in (0, 1)
 
 
+def test_measurements_run_no_state_sized_transform(monkeypatch):
+    """Deletion, decryption and the FHE measurements measure the register
+    slot by slot: qft_inverse and the per-slot matmul never run. 200
+    deletions at each of the benchmark's two sizes (19^4 and 13^5
+    amplitudes) and at n = 2 land in their cosets."""
+    def refuse(*args):
+        raise AssertionError("a state-sized transform ran")
+
+    monkeypatch.setattr(qsim, "qft_inverse", refuse)
+    monkeypatch.setattr(qsim, "_apply_along_axes", refuse)
+    for params in (dr.dr_params(1, 3, 19, 5), dr.dr_params(1, 4, 13, 5), dr.dr_params(2, 3, 7, 3)):
+        rng = np.random.default_rng(params.q)
+        for t in range(200):
+            keys = dr.dr_keygen(params, rng)
+            ct = dr.dr_encrypt(keys, t % 2, rng)
+            A, y = ct.vk
+            assert A @ dr.dr_delete(ct, rng) == y, (params, t)
+        assert dr.dr_decrypt(keys, ct, rng) in (0, 1)
+    params, rng = configs.FHE_QUANTUM, np.random.default_rng(5)
+    keys = fhe.fhe_keygen(params, rng)
+    ct = fhe.fhe_encrypt_q(keys, 1, rng)
+    At, Y = keys.pk.transpose(), ct.vk[1]
+    assert [At @ pi for pi in fhe.fhe_delete(ct, rng)] == [Y.column(i) for i in range(Y.cols)]
+    assert fhe.fhe_measure_q(ct, rng).matrix.entries.shape == (params.width, params.ncols)
+
+
 @pytest.mark.parametrize("field,value,message", [
     ("n", 0, "n must be >= 1, got 0"), ("m", 0, "m must be >= 1, got 0"),
     ("q", 1, "q must be >= 2, got 1"), ("sigma_sq", Fraction(0), "sigma^2 must be > 0"),

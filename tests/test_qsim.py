@@ -368,6 +368,53 @@ def test_measure_draws_what_rng_choice_draws():
         assert a.random() == b.random()
 
 
+@given(st.data(), st.sampled_from([2, 3, 4, 6, 7, 9, 12, 13]), st.integers(0, 10**6))
+@settings(max_examples=80, deadline=None)
+def test_measure_register_draws_what_measure_draws_after_the_slot_unitary(data, d, seed):
+    """measure_register(state, rng, U) draws the value, and leaves the
+    generator in the state, of measure(<U on every slot>(state)); no entry
+    of zero weight is drawn, and an unnormalised state raises before any
+    draw."""
+    k = data.draw(st.integers(1, max(1, int(math.log(3000, d)))))
+    lay = RegisterLayout([("X", (d,) * k)])
+    rng = np.random.default_rng(seed)
+    # the amplitudes in the measured basis, with runs of zero weight
+    target = rand_state(lay, rng).amps
+    target[rng.random(lay.dim) < data.draw(st.sampled_from([0.0, 0.5, 0.95]))] = 0.0
+    if not target.any():
+        target[-1] = 1.0
+    target /= np.linalg.norm(target)
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    bases = {"none": None, "identity": np.eye(d), "inverse-dft": qsim._dft_matrix(d).conj().T,
+             "random": np.linalg.qr(z)[0]}
+    for name, u in bases.items():
+        back = np.eye(d) if u is None else u.conj().T
+        state = qsim._apply_along_axes(QState(lay, target), "X", back)
+        measured = qsim._apply_along_axes(state, "X", np.eye(d) if u is None else u)
+        a, b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        got = qsim.measure_register(state, a, u)
+        assert got == measure(measured, "X", b).value, name
+        assert a.random() == b.random(), name
+        assert target[lay.value_index("X", got)] != 0, name
+        for scale in (1 + 1e-9, 1 - 1e-9):
+            a = np.random.default_rng(seed)
+            with pytest.raises(ValueError, match="squared norm"):
+                qsim.measure_register(QState(lay, state.amps * scale), a, u)
+            assert a.random() == np.random.default_rng(seed).random(), name
+
+
+def test_draw_never_picks_an_entry_of_zero_weight():
+    """The one draw rule clamps a negative weight to 0, and a uniform number
+    that rounding put at or past 1 picks the last entry of nonzero weight."""
+    weights = np.array([-1e-18, 0.25, 0.0, 0.75, 0.0, -1e-17])
+    assert qsim._draw(weights, 0.0) == (1, 0.0)
+    assert qsim._draw(weights, 0.25) == (3, 0.0)
+    assert qsim._draw(weights, 0.625) == (3, 0.5)
+    for r in (1.0, 1.0 + 2**-52):
+        k, rest = qsim._draw(weights, r)
+        assert k == 3 and rest >= 1.0
+
+
 def test_measure_builds_the_collapsed_state_once_on_read(monkeypatch):
     state = rand_state(RegisterLayout([("X", (3, 2)), ("Y", (2,))]), np.random.default_rng(5))
     calls = []
