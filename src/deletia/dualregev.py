@@ -126,7 +126,7 @@ def _draw_image(A: ZqMatrix, sigma: float, rng: np.random.Generator
     """Measure the image register: y with probability mass(y) / total.
     Returns y's mixed-radix code, its mass and y."""
     mass = image_masses(A, sigma)
-    code = int(rng.choice(len(mass), p=mass / mass.sum()))
+    code = qsim.draw_index(mass / mass.sum(), rng)
     y = ZqVector(np.asarray(np.unravel_index(code, (A.q,) * A.rows)), A.q)
     return code, float(mass[code]), y
 

@@ -162,7 +162,7 @@ def _ladder_branches(adv: Adversary, dom: DomainTable, rows: np.ndarray, mass: n
 def _pick(p: np.ndarray, rng: np.random.Generator) -> int:
     """The index of one nonzero entry of ``p``, drawn in proportion to it."""
     k = np.flatnonzero(p)
-    return int(k[rng.choice(len(k), p=p[k] / p[k].sum())])
+    return int(k[qsim.draw_index(p[k] / p[k].sum(), rng)])
 
 
 def _sample_challenge(family: HashFamily, dist: Callable | None, b: int,
@@ -172,7 +172,7 @@ def _sample_challenge(family: HashFamily, dist: Callable | None, b: int,
     key, _ = family.sample(rng)
     dom = family.table(key, dist)
     py, psi = dom.fiber_states
-    r = int(rng.choice(len(py), p=py))
+    r = qsim.draw_index(py, rng)
     if check_bit(b):
         post, pv, _ = dom.m_groups
         return dom, r, post[r, _pick(pv[r], rng)]

@@ -1,11 +1,17 @@
 """Arithmetic in GF(2^k) for k <= 16, elements as ints in [0, 2^k).
 
 Multiplication is carry-less polynomial multiplication reduced modulo a
-fixed irreducible polynomial per k (verified irreducible by the test suite);
-``mul`` and ``poly_eval`` also act elementwise on int arrays.
+fixed irreducible polynomial per k. Each polynomial is also primitive, so x
+generates the unit group (the test suite verifies both), and a product is
+two lookups in the field's log/antilog tables; ``mul`` and ``poly_eval``
+also act elementwise on int arrays.
 """
 
 from __future__ import annotations
+
+import functools
+
+import numpy as np
 
 # modulus polynomials, bit i = coefficient of x^i
 IRREDUCIBLE = {
@@ -39,13 +45,12 @@ class GF2k:
         self.poly = IRREDUCIBLE[k]
 
     def mul(self, a, b):
-        """a * b for ints, or elementwise for int arrays (broadcast): b's
-        bits from the top, doubling the running product mod poly."""
-        k, poly = self.k, self.poly
-        r = a & 0
-        for i in range(k - 1, -1, -1):
-            r = (r << 1) ^ poly * (r >> (k - 1)) ^ a * ((b >> i) & 1)
-        return r
+        """a * b for ints, or elementwise for int arrays (broadcast): the
+        antilog of log a + log b, where log 0 points past the powers of x
+        into zeros."""
+        exp, log = _log_tables(self.k)
+        r = exp[log[a] + log[b]]
+        return int(r) if isinstance(r, np.integer) else r
 
     def poly_eval(self, coeffs: tuple[int, ...], x):
         """Horner evaluation of coeffs[0] + coeffs[1] x + ... in the field,
@@ -55,3 +60,26 @@ class GF2k:
             acc = self.mul(acc, x) ^ c
         return acc
 
+
+@functools.cache
+def _log_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(exp, log) of GF(2^k) to the base x, built on a field's first product.
+
+    With L = 2^k - 1, exp[i] = x^(i mod L) for i < 2L - 1 and 0 after, up to
+    index 4L - 2; log[a] is a's exponent for a != 0 and log[0] = 2L - 1, so
+    exp[log a + log b] is a * b with no branch for a zero factor. Both are
+    read-only, as every caller shares them.
+    """
+    poly, order = IRREDUCIBLE[k], (1 << k) - 1
+    powers = [1]
+    for _ in range(order - 1):
+        p = powers[-1] << 1
+        powers.append(p ^ poly if p >> k else p)
+    exp = np.zeros(4 * order - 1, dtype=np.int64)
+    exp[:order] = powers
+    exp[order:2 * order - 1] = powers[:-1]
+    log = np.empty(order + 1, dtype=np.int64)
+    log[0] = 2 * order - 1
+    log[powers] = np.arange(order)
+    exp.flags.writeable = log.flags.writeable = False
+    return exp, log

@@ -602,7 +602,7 @@ def tcr_game(family: HashFamily, adversary, rng: np.random.Generator,
     # are weighed in domain order and drawn by row, in repr order
     probs = qsim.marginal_probs(state, "X")
     py = np.bincount(t.image_ids, weights=probs, minlength=len(t.ys))
-    j = int(rng.choice(len(py), p=py / py.sum()))
+    j = qsim.draw_index(py / py.sum(), rng)
     y = t.ys[j]
 
     idx = np.flatnonzero(t.image_ids == j)

@@ -56,7 +56,8 @@ def _sample_blocks(family: HashFamily, key, b: int, reps: int, rng: np.random.Ge
     # image measurement via classical pushforward of the uniform weights
     t = family.table(key)
     probs = np.bincount(t.image_ids).astype(float)  # by row, images in repr order
-    images = [t.ys[int(rng.choice(len(t.ys), p=probs / probs.sum()))] for _ in range(reps)]
+    probs /= probs.sum()
+    images = [t.ys[qsim.draw_index(probs, rng)] for _ in range(reps)]
     return images, [fiber_state(family, key, y, signed_bit=b) for y in images]
 
 

@@ -23,6 +23,7 @@ from .zqcore import ENUM_GUARD
 
 NORM_TOL = 1e-10
 PROJECT_EPS = 1e-14
+_SUM_TOL = math.sqrt(np.finfo(np.float64).eps)  # Generator.choice's tolerance on sum(p)
 
 
 class ZeroProbabilityProjection(ValueError):
@@ -31,29 +32,37 @@ class ZeroProbabilityProjection(ValueError):
 
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Ordered named segments; total dimension is the product of all dims."""
+    """Ordered named segments; total dimension is the product of all dims.
+
+    The layout is frozen, so ``dim``, ``all_dims`` and each segment's
+    ``split`` are computed once, when it is built; equality compares the
+    segments only."""
 
     segments: tuple[tuple[str, tuple[int, ...]], ...]
+    dim: int = field(init=False, repr=False, compare=False)
+    all_dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _splits: dict[str, tuple[int, int, int]] = field(init=False, repr=False, compare=False)
 
     def __init__(self, segments: Iterable[tuple[str, Sequence[int]]]):
-        segs = tuple((name, tuple(int(d) for d in dims)) for name, dims in segments)
+        segs = tuple([(name, tuple(map(int, dims))) for name, dims in segments])
         names = [s[0] for s in segs]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate segment names in {names}")
         for name, dims in segs:
-            if not dims or any(d < 2 for d in dims):
+            if not dims or min(dims) < 2:
                 raise ValueError(f"segment {name!r} needs dims >= 2, got {dims}")
+        sizes = [math.prod(dims) for _, dims in segs]
+        dim = math.prod(sizes)
+        if dim > ENUM_GUARD:
+            raise ValueError(f"total dimension {dim} exceeds {ENUM_GUARD}")
+        splits, before = {}, 1
+        for name, size in zip(names, sizes):
+            splits[name] = (before, size, dim // (before * size))
+            before *= size
         object.__setattr__(self, "segments", segs)
-        if self.dim > ENUM_GUARD:
-            raise ValueError(f"total dimension {self.dim} exceeds {ENUM_GUARD}")
-
-    @property
-    def dim(self) -> int:
-        return math.prod(d for _, dims in self.segments for d in dims)
-
-    @property
-    def all_dims(self) -> tuple[int, ...]:
-        return tuple(d for _, dims in self.segments for d in dims)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "all_dims", tuple(d for _, dims in segs for d in dims))
+        object.__setattr__(self, "_splits", splits)
 
     def names(self) -> list[str]:
         return [name for name, _ in self.segments]
@@ -65,17 +74,14 @@ class RegisterLayout:
         raise KeyError(f"no segment named {name!r}")
 
     def seg_dim(self, name: str) -> int:
-        return math.prod(self.seg_dims(name))
+        return self.split(name)[1]
 
     def split(self, name: str) -> tuple[int, int, int]:
         """(before, d, after): the dimensions of the slots before the segment,
         of the segment and of the slots after it."""
-        names = self.names()
-        if name not in names:
+        if name not in self._splits:
             raise KeyError(f"no segment named {name!r}")
-        sizes = [math.prod(dims) for _, dims in self.segments]
-        i = names.index(name)
-        return math.prod(sizes[:i]), sizes[i], math.prod(sizes[i + 1:])
+        return self._splits[name]
 
     def axes(self, name: str) -> list[int]:
         """Indices of this segment's slots within the full tensor shape."""
@@ -295,15 +301,41 @@ def measure_register(state: QState, rng: np.random.Generator,
     return tuple(value)
 
 
+def draw_index(p, rng: np.random.Generator) -> int:
+    """One index drawn with probabilities ``p``: the index that
+    rng.choice(len(p), p=p) returns, leaving the generator in the same state.
+
+    It keeps choice's checks on p, raising ValueError where choice does: p
+    must be 1-d and nonempty, hold no NaN and no negative entry, and sum to 1
+    within sqrt(eps) (a float16 or float32 p within its own sqrt(eps)). Then
+    one uniform number picks the index by ``_search``, choice's own rule.
+    """
+    tol = _SUM_TOL
+    if isinstance(p, np.ndarray) and p.dtype.kind == "f" and p.dtype.itemsize < 8:
+        tol = max(tol, math.sqrt(np.finfo(p.dtype).eps))
+    p = np.asarray(p).astype(np.float64, casting="safe", copy=False)
+    if p.ndim != 1 or not p.size:
+        raise ValueError(f"probabilities must be a nonempty 1-d array, got shape {p.shape}")
+    cdf = p.cumsum()
+    total = float(cdf[-1])
+    if math.isnan(total):
+        raise ValueError("probabilities contain NaN")
+    if p.min() < 0:
+        raise ValueError("probabilities are not non-negative")
+    if abs(total - 1.0) > tol:
+        raise ValueError(f"probabilities sum to {total!r}, not 1")
+    return _search(cdf, rng.random())
+
+
 def _check_norm(total: float) -> None:
     if abs(total - 1.0) > NORM_TOL:
         raise ValueError(f"cannot measure a state of squared norm {total!r}")
 
 
 def _draw(weights: np.ndarray, r: float) -> tuple[int, float]:
-    """The index that the uniform number r picks from ``weights`` by inverse
-    CDF, as rng.choice(len(p), p=weights / sum) picks it without its checks
-    on p, and where r falls in that index's interval, rescaled to [0, 1].
+    """The index that the uniform number r picks from ``weights`` by
+    ``_search``, and where r falls in that index's interval, rescaled to
+    [0, 1].
 
     Passing that second number to a draw over the chosen index's sub-weights
     picks, in exact arithmetic, the index that one flat inverse CDF over
@@ -312,12 +344,19 @@ def _draw(weights: np.ndarray, r: float) -> tuple[int, float]:
     it is the last entry of nonzero weight.
     """
     cdf = np.maximum(weights, 0.0).cumsum()
-    cdf /= cdf[-1]
-    k = int(cdf.searchsorted(r, side="right"))
+    k = _search(cdf, r)
     if k == len(cdf):
         k = int(cdf.searchsorted(1.0))
     low = cdf[k - 1] if k else 0.0
     return k, float((r - low) / (cdf[k] - low))
+
+
+def _search(cdf: np.ndarray, r: float) -> int:
+    """The one draw rule, rng.choice's: divide the cumulative sum ``cdf`` (in
+    place) by its last entry and return the first index whose entry exceeds
+    the uniform number r."""
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(r, side="right"))
 
 
 def _collapse(state: QState, segment: str, k: int, prob: float) -> MeasureOutcome:

@@ -8,6 +8,7 @@ weights) is computed on centered representatives in (-q/2, q/2].
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,7 +70,7 @@ class ZqVector:
 
     def dot(self, other: "ZqVector") -> int:
         self._check(other)
-        return int(np.dot(self.entries, other.entries) % self.q)
+        return int(matmul_mod(self.entries, other.entries, self.q))
 
     def _check(self, other: "ZqVector"):
         if self.q != other.q or len(self) != len(other):
@@ -129,20 +130,47 @@ class ZqMatrix:
         return ZqVector(self.entries[:, j].copy(), self.q)
 
 
+_INT64_MAX = (1 << 63) - 1
+
+
 def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """a @ b mod q without int64 overflow, chunking the inner dimension."""
-    a = np.asarray(a, dtype=np.int64) % q
-    b = np.asarray(b, dtype=np.int64) % q
-    inner = a.shape[1]
-    # products are < q^2; keep chunk * q^2 below 2^62
-    chunk = max(1, (1 << 62) // max(1, (q - 1) ** 2))
-    if inner <= chunk:
-        return (a @ b) % q
-    acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for lo in range(0, inner, chunk):
-        hi = min(inner, lo + chunk)
-        acc = (acc + a[:, lo:hi] @ b[lo:hi, :]) % q
+    """a @ b mod q, exact at every modulus, as int64 entries in [0, q).
+
+    An operand is reduced mod q only when some entry lies outside [0, q).
+    The product is then the cheapest exact one for the operands' actual
+    largest entries ma, mb and inner dimension n:
+    - float64 (BLAS) when n ma mb < 2^53: every partial sum is an integer
+      below 2^53, so it is exact in any summation order;
+    - int64 in chunks of the inner dimension, reduced after each chunk, when
+      one product plus a residue fits in int64;
+    - Python ints otherwise (from q = 3037000501 on, (q - 1)^2 passes 2^63).
+    """
+    a, ma = _reduced(a, q)
+    b, mb = _reduced(b, q)
+    inner, top = a.shape[-1], ma * mb
+    if inner * top < 1 << 53:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % q
+    room = _INT64_MAX - (int(q) - 1)
+    if top > room:
+        return np.asarray((a.astype(object) @ b.astype(object)) % q, dtype=np.int64)
+    chunk = room // top  # residue + chunk products stay within int64
+    acc = (a[..., :chunk] @ b[:chunk]) % q
+    for lo in range(chunk, inner, chunk):
+        acc = (acc + a[..., lo:lo + chunk] @ b[lo:lo + chunk]) % q
     return acc
+
+
+def _reduced(x, q: int) -> tuple[np.ndarray, int]:
+    """x as int64 entries in [0, q), reduced only when some entry lies
+    outside, and its largest entry (0 when empty)."""
+    x = np.asarray(x, dtype=np.int64)
+    if not x.size:
+        return x, 0
+    top = int(x.max())
+    if top >= q or x.min() < 0:
+        x = x % q
+        top = int(x.max())
+    return x, top
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +256,7 @@ def structured_ajtai_keygen(n: int, m: int, q: int, rng: np.random.Generator
     """
     abar = rng.integers(0, q, size=(n, m - 1))
     xbar = rng.integers(0, 2, size=m - 1)
-    last = (abar @ xbar) % q
+    last = matmul_mod(abar, xbar, q)
     A = ZqMatrix(np.concatenate([abar, last[:, None]], axis=1), q)
     t = ZqVector(np.concatenate([(-xbar) % q, [1]]), q)
     return A, t
@@ -242,11 +270,16 @@ def gadget_width(q: int) -> int:
     return max(1, math.ceil(math.log2(q)))
 
 
+@functools.lru_cache(maxsize=64)
 def gadget_matrix(q: int, d: int) -> ZqMatrix:
-    """G = [I | 2I | ... | 2^(K-1) I] with K = ceil(log2 q), shape d x dK."""
-    k = gadget_width(q)
-    blocks = [np.eye(d, dtype=np.int64) * (1 << j) for j in range(k)]
-    return ZqMatrix(np.concatenate(blocks, axis=1) % q, q)
+    """G = [I | 2I | ... | 2^(K-1) I] with K = ceil(log2 q), shape d x dK.
+
+    Built once per (q, d); every caller shares it, so its entries are
+    read-only."""
+    powers = np.array([1 << j for j in range(gadget_width(q))], dtype=np.int64)
+    G = ZqMatrix(np.kron(powers, np.eye(d, dtype=np.int64)), q)
+    G.entries.flags.writeable = False
+    return G
 
 
 def gadget_inverse(v, q: int, d: int) -> np.ndarray:
@@ -262,9 +295,9 @@ def gadget_inverse(v, q: int, d: int) -> np.ndarray:
         a = a[:, None]
     if a.shape[0] != d:
         raise DimensionMismatch(f"expected {d} rows, got {a.shape[0]}")
-    out = np.zeros((d * k, a.shape[1]), dtype=np.int64)
-    for j in range(k):
-        out[j * d : (j + 1) * d, :] = (a >> j) & 1
+    out = a >> np.arange(k)[:, None, None]
+    out &= 1
+    out = out.reshape(d * k, -1)
     return out[:, 0] if vec else out
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -151,7 +153,7 @@ def test_poly_eval_matches_naive():
         assert F.poly_eval(coeffs, x) == want
 
 
-@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("k", range(1, 9))
 def test_mul_on_arrays_is_clmul_mod_poly_exhaustive(k):
     F = GF2k(k)
     a, b = np.divmod(np.arange(F.size * F.size), F.size)
@@ -160,13 +162,42 @@ def test_mul_on_arrays_is_clmul_mod_poly_exhaustive(k):
     assert [F.mul(int(x), int(y)) for x, y in zip(a, b)] == want
 
 
-@pytest.mark.parametrize("k", range(7, 17))
+@pytest.mark.parametrize("k", range(1, 17))
 def test_mul_on_arrays_is_clmul_mod_poly_random(k):
     F = GF2k(k)
     a, b = np.random.default_rng(k).integers(0, F.size, size=(2, 500))
     want = [polydiv_gf2(clmul(int(x), int(y)), F.poly)[1] for x, y in zip(a, b)]
     assert F.mul(a, b).tolist() == want
     assert F.mul(int(a[0]), b).tolist() == [F.mul(int(a[0]), int(y)) for y in b]
+
+
+@pytest.mark.parametrize("k", sorted(IRREDUCIBLE))
+def test_table_entries_are_primitive(k):
+    """x has order 2^k - 1 modulo each polynomial, so its powers are every
+    nonzero element and the log/antilog tables cover the field."""
+    f, order = IRREDUCIBLE[k], (1 << k) - 1
+
+    def x_pow(e: int) -> int:
+        r, a = 1, polydiv_gf2(0b10, f)[1]
+        while e:
+            if e & 1:
+                r = polydiv_gf2(clmul(r, a), f)[1]
+            a = polydiv_gf2(clmul(a, a), f)[1]
+            e >>= 1
+        return r
+
+    assert x_pow(order) == 1
+    assert all(x_pow(order // p) != 1 for p in range(2, order + 1)
+               if order % p == 0 and all(p % d for d in range(2, math.isqrt(p) + 1)))
+
+
+def test_products_are_python_ints_on_ints():
+    F = GF2k(8)
+    for a, b in ((0, 0), (0, 7), (255, 1), (np.int64(3), 200)):
+        got = F.mul(a, b)
+        assert type(got) is int and got == polydiv_gf2(clmul(int(a), int(b)), F.poly)[1]
+    assert type(F.poly_eval((1, 2, 3), 5)) is int
+    assert F.mul(np.arange(4), 3).dtype == np.int64
 
 
 def test_poly_eval_on_an_array_is_elementwise():

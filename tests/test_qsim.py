@@ -94,7 +94,12 @@ def test_value_index_rejects_out_of_range_digits():
 
 def test_layout_basics():
     lay = RegisterLayout([("X", (5, 5)), ("Y", (3,))])
-    assert lay.dim == 75
+    assert lay.dim == 75 and lay.all_dims == (5, 5, 3)
+    # dims and splits are computed once; equality and repr see the segments only
+    same = RegisterLayout([("X", [5, 5]), ("Y", [3])])
+    assert same == lay and hash(same) == hash(lay)
+    assert lay != RegisterLayout([("X", (5, 5)), ("Z", (3,))])
+    assert repr(lay) == "RegisterLayout(segments=(('X', (5, 5)), ('Y', (3,))))"
     assert lay.axes("Y") == [2]
     assert lay.seg_dim("X") == 25
     with pytest.raises(KeyError):
@@ -413,6 +418,50 @@ def test_draw_never_picks_an_entry_of_zero_weight():
     for r in (1.0, 1.0 + 2**-52):
         k, rest = qsim._draw(weights, r)
         assert k == 3 and rest >= 1.0
+
+
+def _choice_outcome(draw, rng):
+    """(index, None) or (None, exception type), and the generator's state after."""
+    try:
+        out = (int(draw(rng)), None)
+    except (ValueError, TypeError) as exc:
+        out = (None, type(exc))
+    return out, rng.bit_generator.state
+
+
+@given(st.data(), st.integers(0, 2**32))
+@settings(max_examples=300, deadline=None)
+def test_draw_index_is_generator_choice(data, seed):
+    """draw_index(p, rng) returns rng.choice(len(p), p=p)'s index and leaves
+    the generator in the same state, and raises wherever choice raises (no
+    draw made): a NaN, a negative entry, a sum off by more than sqrt(eps), a
+    2-d or an empty p; a float32 p gets float32's tolerance."""
+    size = data.draw(st.integers(1, 70))
+    rng = np.random.default_rng(seed)
+    p = rng.random(size) * (rng.random(size) < data.draw(st.sampled_from([0.3, 0.9, 1.0])))
+    p[rng.integers(size)] += 1e-3
+    p /= p.sum()
+    kind = data.draw(st.sampled_from(["ok", "ok", "ok", "float32", "list", "scaled",
+                                      "nan", "negative", "tiny-negative", "2d", "empty", "inf"]))
+    if kind == "float32":
+        p = p.astype(np.float32)
+    elif kind == "list":
+        p = p.tolist()
+    elif kind == "scaled":
+        p = p * (1 + data.draw(st.sampled_from([1e-10, -1e-10, 1e-7, -1e-7, 0.5, -0.5])))
+    elif kind == "nan":
+        p[rng.integers(size)] = np.nan
+    elif kind in ("negative", "tiny-negative"):
+        p[rng.integers(size)] = -0.5 if kind == "negative" else -1e-300
+    elif kind == "2d":
+        p = np.stack([p, p]) / 2
+    elif kind == "empty":
+        p = p[:0]
+    elif kind == "inf":
+        p[rng.integers(size)] = np.inf
+    want = _choice_outcome(lambda g: g.choice(len(p), p=p), np.random.default_rng(seed + 1))
+    got = _choice_outcome(lambda g: qsim.draw_index(p, g), np.random.default_rng(seed + 1))
+    assert got == want, kind
 
 
 def test_measure_builds_the_collapsed_state_once_on_read(monkeypatch):

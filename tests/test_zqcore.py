@@ -285,3 +285,71 @@ def test_matmul_mod_large_modulus_no_overflow():
 def test_is_prime():
     assert zqcore.is_prime(2) and zqcore.is_prime(13) and zqcore.is_prime(260000011)
     assert not zqcore.is_prime(1) and not zqcore.is_prime(4097)
+
+
+def _int_product(a, b, q):
+    """a @ b mod q in Python ints: the reference every Z_q product must equal."""
+    return (np.asarray(a, dtype=object) @ np.asarray(b, dtype=object)) % q
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.integers(2, 2**62), st.sampled_from([2, 3, 2**26 + 1, 2**27 + 1, 94906267,
+                                                         3037000500, 3037000501, 2**31 - 1,
+                                                         4294967311, 2**62])),
+       st.integers(1, 3), st.integers(1, 300), st.integers(1, 3),
+       st.sampled_from(["canonical", "top", "bits", "signed"]), st.integers(0, 2**32))
+def test_matmul_mod_equals_the_python_int_product(q, rows, inner, cols, entries, seed):
+    """At every modulus up to 2^62 and inner dimension up to 300, for
+    canonical entries, entries at q - 1, bit matrices and entries outside
+    [0, q) (negative ones included), the product is the Python-int one."""
+    rng = np.random.default_rng(seed)
+    lo, hi = {"canonical": (0, q), "top": (max(0, q - 3), q), "bits": (0, 2),
+              "signed": (max(-3 * q, -2**63), min(3 * q, 2**63 - 1))}[entries]
+    a = rng.integers(lo, hi, size=(rows, inner), dtype=np.int64, endpoint=False)
+    b = rng.integers(lo, hi, size=(inner, cols), dtype=np.int64, endpoint=False)
+    got = matmul_mod(a, b, q)
+    assert got.dtype == np.int64
+    assert got.tolist() == _int_product(a, b, q).tolist()
+    assert matmul_mod(a[0], b[:, 0], q) == _int_product(a[0], b[:, 0], q)
+
+
+def test_matmul_mod_at_the_float_and_int64_bounds():
+    # one product of 2^53 + 1, which float64 rounds to 2^53: past the float bound
+    x, y = 321, 28059810762433  # x y = 2^53 + 1
+    q = y + 2
+    assert matmul_mod([[x]], [[y]], q).tolist() == [[(2**53 + 1) % q]]
+    assert matmul_mod([[x, 1]], [[y - 1], [x]], q).tolist() == [[(x * (y - 1) + x) % q]]
+    # 2^53 - 1 = 3 * 7^2 * 73 * 127 * 337 * 92737 * 649657: within the float bound
+    assert matmul_mod([[6361]], [[1416003655831]], 2**53).tolist() == [[2**53 - 1]]
+    # (q - 1)^2 + (q - 1) fits int64 at q = 3037000500, and no product does one above
+    for q in (3037000500, 3037000501):
+        a = np.full((2, 5), q - 1)
+        assert matmul_mod(a, a.T, q).tolist() == _int_product(a, a.T, q).tolist()
+
+
+def test_matmul_mod_reduces_only_what_lies_outside_and_keeps_its_inputs():
+    q = 13
+    a = np.array([[-1, 14, 3]])
+    b = np.array([[1], [2], [27]])
+    assert matmul_mod(a, b, q).tolist() == [[(-1 + 28 + 81) % q]]
+    assert a.tolist() == [[-1, 14, 3]] and b.tolist() == [[1], [2], [27]]
+
+
+def test_vector_dot_is_exact_where_one_int64_sum_wraps():
+    """w (q - 1)^2 passes 2^63 at q = 2^31 - 1 with w = 9, and one product
+    does at q = 4294967311; the dot product stays the Python-int one."""
+    for q, w in ((2**31 - 1, 9), (4294967311, 3)):
+        top = ZqVector(np.full(w, q - 1), q)
+        assert top.dot(top) == w * (q - 1) ** 2 % q
+        rng = np.random.default_rng(q)
+        for _ in range(20):
+            u, v = (ZqVector(rng.integers(q - 2**20, q, size=w), q) for _ in range(2))
+            assert u.dot(v) == sum(int(x) * int(y) for x, y in zip(u.entries, v.entries)) % q
+
+
+def test_gadget_matrix_is_built_once_and_read_only():
+    G = gadget_matrix(260000011, 9)
+    assert gadget_matrix(260000011, 9) is G
+    assert G.entries.shape == (9, 9 * 28) and not G.entries.flags.writeable
+    with pytest.raises(ValueError):
+        G.entries[0, 0] = 2
