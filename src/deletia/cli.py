@@ -167,17 +167,25 @@ def cmd_pvd_roundtrip(args) -> int:
 # game run
 # ---------------------------------------------------------------------------
 
+# A sampled game plays at most this many runs at once. Each run holds its
+# own generator (about 1 KB), so a batch of them bounds the memory of any
+# --trials.
+_BATCH_RUNS = 1024
+
+
 def _play_bits(play, trials: int, seed: int, rows: list[dict],
                stride: int = 2, base: int = 0) -> list[int]:
     """Play a bit-output game ``trials`` times for each b in (0, 1) and
     return the ones per b. Run (t, b) draws from a generator seeded with
-    ``seed + base + t*stride + b``; ``play(b, rng, run_seed)`` returns its
-    (guess, verdict), and each run appends one CSV row."""
+    ``seed + base + t*stride + b``. The runs, in (t, b) order, go to
+    ``play(bs, rngs, run_seeds)`` in batches of at most ``_BATCH_RUNS``; it
+    returns each run's (guess, verdict), and each run appends one CSV row."""
     ones = [0, 0]
-    for t in range(trials):
-        for b in (0, 1):
-            run_seed = seed + base + t * stride + b
-            guess, verdict = play(b, _rng(run_seed), run_seed)
+    for lo in range(0, 2 * trials, _BATCH_RUNS):
+        runs = [divmod(i, 2) for i in range(lo, min(lo + _BATCH_RUNS, 2 * trials))]
+        seeds = [seed + base + t * stride + b for t, b in runs]
+        played = play([b for _, b in runs], [_rng(s) for s in seeds], seeds)
+        for (t, b), run_seed, (guess, verdict) in zip(runs, seeds, played):
             ones[b] += guess
             rows.append({"trial": t, "seed": run_seed, "b": b,
                          "verdict": verdict, "guess": guess})
@@ -239,18 +247,20 @@ def cmd_game_run(args) -> int:
     elif trials == 0:
         report.update({"advantage": None, "ci": 0.0, "counts": {}})
     elif exp == "tc":
-        ones = _play_bits(lambda b, rng, _: (
-            games.target_collapse_exp(fam, None, adv, b, rng), ""), trials, seed, rows)
+        ones = _play_bits(lambda bs, rngs, _: [
+            (bit, "") for bit in games.target_collapse_exp(fam, None, adv, bs, rngs)],
+            trials, seed, rows)
         report.update(_bit_report(ones, trials))
     elif exp == "evtc":
-        ones = _play_bits(lambda b, rng, run_seed: _transcript_bits(
-            games.ev_target_collapse_exp(fam, None, adv, b, rng, seed=run_seed)),
+        ones = _play_bits(lambda bs, rngs, seeds: [
+            _transcript_bits(tr) for tr in games.ev_target_collapse_exp(fam, None, adv, bs, rngs,
+                                                                        seeds=seeds)],
             trials, seed, rows)
         report.update(_bit_report(ones, trials))
     elif exp == "sgc":
-        ones = _play_bits(lambda b, rng, run_seed: _transcript_bits(
-            games.strong_gauss_collapse_exp(configs.SGC_DESK, adv, b, rng, seed=run_seed)),
-            trials, seed, rows)
+        ones = _play_bits(lambda bs, rngs, seeds: [
+            _transcript_bits(games.strong_gauss_collapse_exp(configs.SGC_DESK, adv, b, rng, seed=s))
+            for b, rng, s in zip(bs, rngs, seeds)], trials, seed, rows)
         report.update(_bit_report(ones, trials))
         valid = sum(row["verdict"] for row in rows)
         report["counts"]["valid"] = valid
@@ -258,8 +268,9 @@ def cmd_game_run(args) -> int:
     elif exp == "ladder":
         exps = []
         for e in range(4):
-            ones = _play_bits(lambda b, rng, _: (games.hybrid_ladder_mc(fam, adv, e, b, rng), ""),
-                              trials, seed, rows, stride=8, base=2 * e)
+            ones = _play_bits(lambda bs, rngs, _: [
+                (bit, "") for bit in games.hybrid_ladder_mc(fam, adv, e, bs, rngs)],
+                trials, seed, rows, stride=8, base=2 * e)
             exps.append(_bit_report(ones, trials))
         report.update({f"adv{e}": r["advantage"] for e, r in enumerate(exps)})
         report.update({"advantage": exps[0]["advantage"], "ci": exps[0]["ci"],

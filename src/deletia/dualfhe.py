@@ -27,6 +27,7 @@ from .dualregev import (
 from .zqcore import (
     ZqMatrix,
     ZqVector,
+    centered,
     check_bit,
     gadget_inverse,
     gadget_matrix,
@@ -129,9 +130,14 @@ def fhe_eval_nand(c0: FHECiphertextC, c1: FHECiphertextC) -> FHECiphertextC:
 
 
 def fhe_decrypt(keys: FHEKeys, ct: FHECiphertextC) -> int:
-    """sk . (last column), centered, thresholded at q/4 (tie decides 1)."""
-    last = ct.matrix.column(ct.matrix.cols - 1)
-    return int(decide_decryption(last.dot(keys.sk), keys.params.q))
+    """sk . c, centered, thresholded at q/4 (tie decides 1), for c the last
+    row's gadget column whose entry 2^j has the largest centered size:
+    2^(K-1), or 2^(K-2) where 2^(K-1) centers smaller (q below 1.5 2^(K-1)).
+    That size is at least q/3, so x 2^j stands clear of the noise at every q."""
+    q, rows = keys.params.q, ct.matrix.rows
+    k = gadget_width(q)
+    j = k - 1 if k == 1 or abs(centered(1 << (k - 1), q)) >= 1 << (k - 2) else k - 2
+    return int(decide_decryption(ct.matrix.column(j * rows + rows - 1).dot(keys.sk), q))
 
 
 def fhe_measure_q(ct: FHECiphertextQ, rng: np.random.Generator) -> FHECiphertextC:

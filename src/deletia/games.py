@@ -1,19 +1,23 @@
 """Executable security experiments with pluggable scripted adversaries.
 
-Every experiment runs in two modes: Monte Carlo (one sampled transcript per
-call, driven by the state-vector core) and exact (advantages computed by
-enumerating challenger randomness and evolving branch states, feasible
-because desk-scale registers are enumerable). Adversaries are channels
-described by a certificate behavior and a guess behavior, not arbitrary
-programs; "computationally unbounded" here means brute force over the
-enumerable domain.
+Every experiment runs in two modes. A sampled target-collapsing,
+certified-everlasting or ladder game takes a batch of runs, each a
+challenge bit with its own generator: the runs that share a key's table
+play each protocol step as one array step on their images' fiber columns,
+and each run draws in the protocol's order, so it gives the bits it would
+give alone. Exact mode computes advantages by enumerating challenger
+randomness and evolving branch states, feasible because desk-scale
+registers are enumerable. Adversaries are channels described by a
+certificate behavior and a guess behavior, not arbitrary programs;
+"computationally unbounded" here means brute force over the enumerable
+domain.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -159,38 +163,78 @@ def _ladder_branches(adv: Adversary, dom: DomainTable, rows: np.ndarray, mass: n
     return np.ones(shape), *(np.reshape(a, (-1, 1, 1)) for a in (pi, fpos, valid))
 
 
-def _pick(p: np.ndarray, rng: np.random.Generator) -> int:
-    """The index of one nonzero entry of ``p``, drawn in proportion to it."""
-    k = np.flatnonzero(p)
-    return int(k[qsim.draw_index(p[k] / p[k].sum(), rng)])
+# ---------------------------------------------------------------------------
+# Sampled runs, in batches: the runs on one domain table take each protocol
+# step together, each drawing from its own generator in the protocol's order;
+# a run that ends early draws nothing more
+# ---------------------------------------------------------------------------
+
+def _pick(p: np.ndarray, rngs: list) -> np.ndarray:
+    """For each row of ``p``, the index of one of its nonzero entries, drawn
+    in proportion to them from the row's generator. A row is divided by the
+    sum of its nonzero entries, added as a 1-d sum over them adds (one pass
+    per count of nonzero entries); its zeros add nothing to the draw."""
+    nonzero = p != 0
+    count = nonzero.sum(axis=1)
+    total = np.zeros(len(p))
+    for n in set(count.tolist()):
+        rows = count == n
+        total[rows] = p[rows][nonzero[rows]].reshape(-1, n).sum(axis=1)
+    return qsim.draw_rows(p / total[:, None], rngs)
 
 
-def _sample_challenge(family: HashFamily, dist: Callable | None, b: int,
-                      rng: np.random.Generator) -> tuple[DomainTable, int, np.ndarray]:
-    """Sample h and y, and for odd b measure M: (the key's table, image row, X state
-    on the row's fiber columns)."""
-    key, _ = family.sample(rng)
-    dom = family.table(key, dist)
+def _groups(family: HashFamily, dist: Callable | None, bs: Sequence[int],
+            rngs: Sequence[np.random.Generator]):
+    """Check every run's bit, then sample the runs' keys in turn and yield
+    each stretch of consecutive runs whose keys give the same table: (table,
+    the runs' positions in the batch, their bits, their generators). A
+    family keeps only its last table, so runs share a table object only
+    within such a stretch, and a table is dropped once its runs are played."""
+    bs = np.array([check_bit(b) for b in bs], dtype=np.int64)
+    dom, at = None, []
+    for i, rng in enumerate(rngs):
+        table = family.table(family.sample(rng)[0], dist)
+        if table is not dom and at:
+            yield dom, np.array(at), bs[at], [rngs[j] for j in at]
+            at = []
+        dom = table
+        at.append(i)
+    if at:
+        yield dom, np.array(at), bs[at], [rngs[j] for j in at]
+
+
+def _sample_challenge(dom: DomainTable, b: np.ndarray, rngs: list
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Draw each run's image row, and for odd b measure M: (rows, X states
+    (runs, F) on the rows' fiber columns)."""
     py, psi = dom.fiber_states
-    r = qsim.draw_index(py, rng)
-    if check_bit(b):
+    r = qsim.draw_rows(np.broadcast_to(py, (len(rngs), len(py))), rngs)
+    x = psi[r]
+    odd = np.flatnonzero(b)
+    if odd.size:
         post, pv, _ = dom.m_groups
-        return dom, r, post[r, _pick(pv[r], rng)]
-    return dom, r, psi[r]
+        x[odd] = post[r[odd], _pick(pv[r[odd]], [rngs[i] for i in odd])]
+    return r, x
 
 
-def _sample_certificate(adv: Adversary, dom: DomainTable, r: int, mass: np.ndarray,
-                        rng: np.random.Generator) -> tuple[int, int | None, bool]:
-    """The first stage on a state of image row r whose X marginal on the
-    row's fiber columns is ``mass`` (its padding may be left off): pi's value
-    (-1 for none), the measured fiber position (None when the state is
-    left untouched) and whether pi is valid."""
-    full = np.zeros(dom.fibers[1].shape[1])
-    full[:len(mass)] = mass
-    pc, pi, fpos, valid = (a.ravel() for a in np.broadcast_arrays(
-        *_ladder_branches(adv, dom, np.array([r]), full[None, None])))
-    k = _pick(pc, rng)
-    return int(pi[k]), int(fpos[k]) if adv.cert == "measure" else None, bool(valid[k])
+def _sample_certificate(adv: Adversary, dom: DomainTable, r: np.ndarray, mass: np.ndarray,
+                        rngs: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first stage on states of the image rows r whose X marginals on
+    the fiber columns are ``mass`` (runs, F): per run pi's value (-1 for
+    none), the measured fiber position (for a measured certificate; the
+    other modes leave the state untouched) and whether pi is valid."""
+    pc, pi, fpos, valid = (a.reshape(len(r), -1) for a in np.broadcast_arrays(
+        *_ladder_branches(adv, dom, r, mass[:, None])))
+    at = np.arange(len(r)), _pick(pc, rngs)
+    return pi[at], fpos[at], valid[at]
+
+
+def _output_bits(rngs: list, p1, ok) -> list[int]:
+    """Each run's output bit: [random() < p1] where ``ok``, else the
+    uniform fallback bit; p1 and ok broadcast to the runs."""
+    p1, ok = np.broadcast_to(p1, len(rngs)), np.broadcast_to(ok, len(rngs))
+    return [int(rng.random() < p) if o else int(rng.integers(0, 2))
+            for rng, p, o in zip(rngs, p1.tolist(), ok.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +242,14 @@ def _sample_certificate(adv: Adversary, dom: DomainTable, r: int, mass: np.ndarr
 # ---------------------------------------------------------------------------
 
 def target_collapse_exp(family: HashFamily, dist: Callable | None,
-                        adversary: Adversary, b: int,
-                        rng: np.random.Generator) -> int:
-    """One sampled run; returns the adversary's guess bit."""
-    dom, r, xvec = _sample_challenge(family, dist, b, rng)
-    return int(rng.random() < _guess_p1(adversary, dom.fiber_states[1][r], xvec))
+                        adversary: Adversary, bs: Sequence[int],
+                        rngs: Sequence[np.random.Generator]) -> list[int]:
+    """Sampled runs, one per (b, generator); returns each run's guess bit."""
+    out = np.zeros(len(rngs), dtype=np.int64)
+    for dom, at, b, g in _groups(family, dist, bs, rngs):
+        r, x = _sample_challenge(dom, b, g)
+        out[at] = _output_bits(g, _guess_p1(adversary, dom.fiber_states[1][r], x, np.vecdot), True)
+    return out.tolist()
 
 
 def target_collapse_advantage_exact(family: HashFamily, dist: Callable | None,
@@ -227,24 +274,30 @@ def target_collapse_advantage_exact(family: HashFamily, dist: Callable | None,
 # ---------------------------------------------------------------------------
 
 def ev_target_collapse_exp(family: HashFamily, dist: Callable | None,
-                           adv_pair: Adversary, b: int,
-                           rng: np.random.Generator, seed: int = 0
-                           ) -> GameTranscript:
-    """One sampled run of the certified-everlasting experiment; the verdict
-    records the fallback: an invalid certificate draws b' uniformly."""
-    dom, r, xvec = _sample_challenge(family, dist, b, rng)
-    pi, col, valid = _sample_certificate(adv_pair, dom, r, np.abs(xvec) ** 2, rng)
-    if valid:  # measuring X leaves the basis state of the column
-        residual = xvec if col is None else np.eye(len(xvec))[col]
-        bprime = int(rng.random() < _guess_p1(adv_pair, dom.fiber_states[1][r], residual))
-    else:
-        bprime = int(rng.integers(0, 2))
-    return GameTranscript(
-        experiment="evtc", seed=seed, b=b, adversary=adv_pair.name,
-        outputs={"y": repr(dom.ys[r]), "pi": repr(None if pi < 0 else pi),
-                 "valid": bool(valid), "b_prime": bprime},
-        verdict=bprime,
-    )
+                           adv_pair: Adversary, bs: Sequence[int],
+                           rngs: Sequence[np.random.Generator],
+                           seeds: Sequence[int] | None = None) -> list[GameTranscript]:
+    """Sampled runs of the certified-everlasting experiment, one per (b,
+    generator), with each transcript's seed from ``seeds`` (0 without);
+    each verdict records the fallback: an invalid certificate draws b'
+    uniformly."""
+    seeds = [0] * len(rngs) if seeds is None else seeds
+    out: list = [None] * len(rngs)
+    for dom, at, b, g in _groups(family, dist, bs, rngs):
+        r, x = _sample_challenge(dom, b, g)
+        pi, col, valid = _sample_certificate(adv_pair, dom, r, x ** 2, g)
+        psi = dom.fiber_states[1][r]
+        if adv_pair.cert == "measure":  # measuring X leaves the basis state of the column
+            p1 = _guess_p1(adv_pair, psi[np.arange(len(r)), col], 1.0, np.multiply)
+        else:
+            p1 = _guess_p1(adv_pair, psi, x, np.vecdot)
+        for j, (i, bprime) in enumerate(zip(at, _output_bits(g, p1, valid))):
+            out[i] = GameTranscript(
+                experiment="evtc", seed=seeds[i], b=int(b[j]), adversary=adv_pair.name,
+                outputs={"y": repr(dom.ys[r[j]]), "pi": repr(None if pi[j] < 0 else int(pi[j])),
+                         "valid": bool(valid[j]), "b_prime": bprime},
+                verdict=bprime)
+    return out
 
 
 def ev_target_collapse_ensembles(family: HashFamily, dist: Callable | None,
@@ -456,61 +509,65 @@ def hybrid_ladder_exact(family: HashFamily, adversary: Adversary,
 
 
 # ---------------------------------------------------------------------------
-# The hybrid ladder, Monte Carlo mode (verbatim protocol on qsim states)
+# The hybrid ladder, Monte Carlo mode (on the runs' fiber columns)
 # ---------------------------------------------------------------------------
 
 def hybrid_ladder_mc(family: HashFamily, adversary: Adversary, exp: int,
-                     b: int, rng: np.random.Generator) -> int:
-    """One sampled run of Exp_exp(b); returns the experiment output bit.
-    Exp0 is the certified-everlasting experiment."""
-    b = check_bit(b)
+                     bs: Sequence[int], rngs: Sequence[np.random.Generator]) -> list[int]:
+    """Sampled runs of Exp_exp(b), one per (b, generator); returns each
+    run's output bit. Exp0 is the certified-everlasting experiment."""
     if exp == 0:
-        return ev_target_collapse_exp(family, None, adversary, b, rng).verdict
+        return [t.verdict for t in ev_target_collapse_exp(family, None, adversary, bs, rngs)]
+    out = np.zeros(len(rngs), dtype=np.int64)
+    for dom, at, b, g in _groups(family, None, bs, rngs):
+        out[at] = _ladder_runs(adversary, exp, dom, b, g)
+    return out.tolist()
 
-    dom, r, psi = _sample_challenge(family, None, 0, rng)
-    fib = dom.fibers[1][r]
-    reg = fib[fib >= 0]  # the row's fiber columns (padding is last)
-    target = psi = psi[:len(reg)]
-    layout = qsim.RegisterLayout([("C", (2,)), ("X", family.domain.register_dims())])
 
-    def c_state(rows: np.ndarray) -> qsim.QState:
-        amps = np.zeros((2, layout.dim // 2), dtype=np.complex128)
-        amps[:, reg] = rows
-        return qsim.QState(layout, amps)
-
-    z = int(rng.integers(0, 1 << dom.mbits))
+def _ladder_runs(adv: Adversary, exp: int, dom: DomainTable, b: np.ndarray, rngs: list
+                 ) -> list[int]:
+    """Exp1-Exp3 for runs on one table, on C-by-X rows (runs, 2, F) over
+    each run's fiber columns: C in |+>, z's controlled phase on the C = 1
+    row, the certificate (a measured one keeps its column, renormalised),
+    for Exp2 and Exp3 the projection of C onto phi_pi^z, the measurement of
+    C, which must give b, and the guess. The runs that leave ``live`` end
+    with the uniform fallback bit."""
+    n, s2 = len(rngs), math.sqrt(2)
+    r, psi = _sample_challenge(dom, np.zeros(n, dtype=np.int64), rngs)
+    z = np.array([rng.integers(0, 1 << dom.mbits) for rng in rngs], dtype=np.int64)
+    x = psi
     if exp == 3:
         post, pv, _ = dom.m_groups
-        psi = post[r, _pick(pv[r], rng), :len(reg)]
-
-    # C in |+>, controlled phase (-1)^{<M(x), z>}
-    phase = dom.sign(z)
-    state = qsim.controlled_phase_fn(c_state(np.stack([psi, psi]) / math.sqrt(2)),
-                                     "C", "X", phase)
-
-    rows = state.amps.reshape(2, -1)[:, reg]
-    mass = np.sum(np.abs(rows) ** 2, axis=0)
-    pi, col, valid = _sample_certificate(adversary, dom, r, mass, rng)
-    if not valid:
-        return int(rng.integers(0, 2))
-    if col is not None:  # measuring X keeps the column's C amplitudes, renormalised
-        kept = np.zeros_like(rows)
-        kept[:, col] = rows[:, col] / math.sqrt(mass[col])
-        rows = kept
-    state = c_state(rows)
-
+        x = post[r, _pick(pv[r], rngs)]
+    c = np.stack([x, dom.sign(z[:, None], dom.fibers[1][r]) * x], axis=1) / s2
+    mass = np.einsum("ncf,ncf->nf", c, c)
+    pi, col, ok = _sample_certificate(adv, dom, r, mass, rngs)
+    live = np.flatnonzero(ok)
+    c = c[live]
+    if adv.cert == "measure":  # only the measured column is left, renormalised
+        at = np.arange(len(live)), col[live]
+        column = np.zeros_like(c)
+        column[at[0], :, at[1]] = c[at[0], :, at[1]] / np.sqrt(mass[live][at])[:, None]
+        c = column
     if exp >= 2:
-        phi = np.array([1.0, dom.sign(z, pi)]) / math.sqrt(2)
-        p_succ = qsim.project_prob(state, "C", phi)
-        if rng.random() >= p_succ:
-            return int(rng.integers(0, 2))
-        _, state = qsim.project(state, "C", phi)
-
-    out = qsim.measure(state, "C", rng)
-    if out.value[0] != b:
-        return int(rng.integers(0, 2))
-    xvec = qsim.drop_segment(out.post_state, "C", out.value).amps[reg]
-    return int(rng.random() < _guess_p1(adversary, target, xvec))
+        phi = np.stack([np.ones(len(live)), dom.sign(z[live], pi[live])], axis=1) / s2
+        phi /= np.sqrt(np.einsum("nc,nc->n", phi, phi))[:, None]  # as qsim.project does
+        ov = np.einsum("ncf,nc->nf", c, phi)
+        p = np.einsum("nf,nf->n", ov, ov)
+        kept = np.array([rngs[i].random() for i in live]) < p
+        live, ov, phi, p = live[kept], ov[kept], phi[kept], p[kept]
+        c = ov[:, None, :] * phi[..., None] / np.sqrt(p)[:, None, None]
+    pc = np.einsum("ncf,ncf->nc", c, c)
+    total = pc.sum(axis=1)
+    if not np.all(np.abs(total - 1.0) <= qsim.NORM_TOL):  # NaN fails too
+        raise ValueError(f"cannot measure C of squared norm {total.tolist()!r}")
+    k = qsim.draw_rows(pc / total[:, None], [rngs[i] for i in live])
+    kept = k == b[live]
+    live, at = live[kept], (np.flatnonzero(kept), k[kept])
+    xvec = c[at] / np.sqrt(pc[at])[:, None]
+    p1 = np.full(n, 0.5)
+    p1[live] = _guess_p1(adv, psi[live], xvec, np.vecdot)
+    return _output_bits(rngs, p1, np.isin(np.arange(n), live))
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ class PVDKeys:
     key: object  # pk = h
     trapdoor: object  # sk = td
     recover_threshold: float  # c
-    recover_gap: float  # eps
     reps: int
 
 
@@ -128,9 +127,8 @@ def pvd_keygen(family: HashFamily, rng: np.random.Generator, reps: int = 8) -> P
     if not family.measured:
         raise ValueError("PKE with PVD needs a measurement predicate")
     key, td = family.sample(rng)
-    p0, p1, c = calibrate_recover(family, key)
-    return PVDKeys(family=family, key=key, trapdoor=td,
-                   recover_threshold=c, recover_gap=(p0 - p1) / 2, reps=reps)
+    _, _, c = calibrate_recover(family, key)
+    return PVDKeys(family=family, key=key, trapdoor=td, recover_threshold=c, reps=reps)
 
 
 def pvd_encrypt(keys: PVDKeys, b: int, rng: np.random.Generator) -> PVDCiphertext:

@@ -95,17 +95,6 @@ class RegisterLayout:
     def seg_values(self, name: str) -> Iterable[tuple[int, ...]]:
         return itertools.product(*(range(d) for d in self.seg_dims(name)))
 
-    def value_index(self, name: str, value: Sequence[int]) -> int:
-        dims = self.seg_dims(name)
-        if len(value) != len(dims):
-            raise ValueError(f"value {value} does not fit dims {dims}")
-        idx = 0
-        for v, d in zip(value, dims):
-            if not 0 <= v < d:
-                raise ValueError(f"digit {v} out of range for dims {dims}")
-            idx = idx * d + v
-        return idx
-
 
 def _as_tuple(value) -> tuple[int, ...]:
     if isinstance(value, (int, np.integer)):
@@ -227,18 +216,6 @@ def apply_classical(state: QState, f: Callable, src: str, dst: str) -> QState:
     return QState(layout, np.take_along_axis(t, index, axis=d).reshape(-1))
 
 
-def apply_phase_fn(state: QState, segment: str, phase: np.ndarray) -> QState:
-    """|x> -> phase[x]|x> on one segment, ``phase`` the vector of unit-modulus
-    phases over the segment's values in mixed-radix order."""
-    seg_dim = state.layout.seg_dim(segment)
-    ph = np.asarray(phase, dtype=np.complex128)
-    if ph.shape != (seg_dim,):
-        raise ValueError(f"phase vector shape {ph.shape} != ({seg_dim},)")
-    if np.any(np.abs(np.abs(ph) - 1.0) > 1e-9):
-        raise ValueError("phase function must return unit-modulus values")
-    return QState(state.layout, (_view(state, segment) * ph[:, None]).reshape(-1))
-
-
 def marginal_probs(state: QState, segment: str) -> np.ndarray:
     probs = np.abs(_rows(state, segment))
     np.square(probs, out=probs)
@@ -271,13 +248,14 @@ def measure_register(state: QState, rng: np.random.Generator,
     uniform number lies within rounding of an interval's edge), and the
     generator is left in the same state.
 
-    Each slot's outcome weights come from the remaining amplitudes as a
-    (d, rest) matrix m: diag(u m m^H u^H), or m's row norms without u. The
-    drawn row, u[k] @ m or m[k], is what the next slot measures. That is
-    O(N d) for the first slot with u and O(N) after it, with no state-sized
-    transform or cumulative sum. One uniform number is drawn, after the norm
-    check, and used in a nested inverse CDF. Raises ValueError when the
-    state's norm is off by more than NORM_TOL.
+    Each slot's outcome weights are the row norms of the remaining
+    amplitudes as a (d, rest) matrix m, taken in the basis first: t = u @ m
+    (t = m without u). The drawn row t[k] is what the next slot measures.
+    That is O(N d) for the first slot with u and O(N) after it, with no
+    transform of the whole register, conjugate copy or cumulative sum. One
+    uniform number is drawn, after the norm check, and used in a nested
+    inverse CDF. Raises ValueError when the state's norm is off by more
+    than NORM_TOL.
     """
     if len(state.layout.segments) != 1:
         raise ValueError(f"measure_register needs one segment, got {state.layout.names()}")
@@ -286,45 +264,60 @@ def measure_register(state: QState, rng: np.random.Generator,
         raise ValueError(f"a {u.shape} basis does not fit slots {dims}")
     rest, r, value = np.ascontiguousarray(state.amps), None, []
     for d in dims:
-        m = rest.reshape(d, -1)
-        if u is None:
-            v = m.view(np.float64)
-            weights = np.einsum("ij,ij->i", v, v)
-        else:
-            weights = np.einsum("ij,jk,ik->i", u, m @ m.conj().T, u.conj()).real
+        t = rest.reshape(d, -1) if u is None else u @ rest.reshape(d, -1)
+        v = t.view(np.float64)
+        weights = np.einsum("ij,ij->i", v, v)
         if r is None:
             _check_norm(weights.sum())
             r = rng.random()
         k, r = _draw(weights, r)
         value.append(k)
-        rest = m[k] if u is None else u[k] @ m
+        rest = t[k]
     return tuple(value)
 
 
-def draw_index(p, rng: np.random.Generator) -> int:
-    """One index drawn with probabilities ``p``: the index that
-    rng.choice(len(p), p=p) returns, leaving the generator in the same state.
+def draw_rows(p, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """One index per row of ``p``, each drawn with its row's probabilities
+    from its own generator: row i gives the index that
+    rngs[i].choice(p.shape[1], p=p[i]) returns, and leaves rngs[i] in the
+    same state.
 
-    It keeps choice's checks on p, raising ValueError where choice does: p
-    must be 1-d and nonempty, hold no NaN and no negative entry, and sum to 1
-    within sqrt(eps) (a float16 or float32 p within its own sqrt(eps)). Then
-    one uniform number picks the index by ``_search``, choice's own rule.
+    Every row gets choice's checks before any generator draws, and
+    ValueError is raised where choice raises: p must be 2-d with one
+    nonempty row per generator, hold no NaN and no negative entry, and each
+    row must sum to 1 within sqrt(eps) (a float16 or float32 p within its
+    own sqrt(eps)). Then each row's uniform number picks its index by
+    ``_search``, choice's own rule.
     """
     tol = _SUM_TOL
     if isinstance(p, np.ndarray) and p.dtype.kind == "f" and p.dtype.itemsize < 8:
         tol = max(tol, math.sqrt(np.finfo(p.dtype).eps))
     p = np.asarray(p).astype(np.float64, casting="safe", copy=False)
-    if p.ndim != 1 or not p.size:
-        raise ValueError(f"probabilities must be a nonempty 1-d array, got shape {p.shape}")
-    cdf = p.cumsum()
-    total = float(cdf[-1])
-    if math.isnan(total):
-        raise ValueError("probabilities contain NaN")
-    if p.min() < 0:
-        raise ValueError("probabilities are not non-negative")
-    if abs(total - 1.0) > tol:
-        raise ValueError(f"probabilities sum to {total!r}, not 1")
-    return _search(cdf, rng.random())
+    if p.ndim != 2 or not p.shape[1] or len(p) != len(rngs):
+        raise ValueError(f"probabilities must be {len(rngs)} nonempty rows, got shape {p.shape}")
+    if not len(p):
+        return np.zeros(0, dtype=np.int64)
+    cdf = p.cumsum(axis=1)
+    total = cdf[:, -1]
+    low = p.min()
+    if not (low >= 0 and np.abs(total - 1.0).max() <= tol):  # NaN fails both
+        if np.isnan(total).any():
+            raise ValueError("probabilities contain NaN")
+        if low < 0:
+            raise ValueError("probabilities are not non-negative")
+        off = ~(np.abs(total - 1.0) <= tol)
+        raise ValueError(f"probabilities sum to {float(total[off][0])!r}, not 1")
+    r = rngs[0].random() if len(rngs) == 1 else np.array([rng.random() for rng in rngs])
+    return _search(cdf, r)
+
+
+def draw_index(p, rng: np.random.Generator) -> int:
+    """One index drawn with probabilities ``p``: the index that
+    rng.choice(len(p), p=p) returns, leaving the generator in the same
+    state. It is ``draw_rows``' one-row case; p must be 1-d."""
+    if np.ndim(p) != 1:
+        raise ValueError(f"probabilities must be a 1-d array, got shape {np.shape(p)}")
+    return int(draw_rows(p[None] if isinstance(p, np.ndarray) else [p], [rng])[0])
 
 
 def _check_norm(total: float) -> None:
@@ -344,19 +337,21 @@ def _draw(weights: np.ndarray, r: float) -> tuple[int, float]:
     it is the last entry of nonzero weight.
     """
     cdf = np.maximum(weights, 0.0).cumsum()
-    k = _search(cdf, r)
+    k = int(_search(cdf, r))
     if k == len(cdf):
         k = int(cdf.searchsorted(1.0))
     low = cdf[k - 1] if k else 0.0
     return k, float((r - low) / (cdf[k] - low))
 
 
-def _search(cdf: np.ndarray, r: float) -> int:
-    """The one draw rule, rng.choice's: divide the cumulative sum ``cdf`` (in
-    place) by its last entry and return the first index whose entry exceeds
-    the uniform number r."""
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(r, side="right"))
+def _search(cdf: np.ndarray, r):
+    """The one draw rule, rng.choice's: divide the cumulative sums ``cdf``
+    (in place, along the last axis) by their last entry and return the first
+    index whose entry exceeds the uniform number r, that is the count of
+    entries at most r, as they ascend. A 2-d cdf takes one r per row (or
+    one r for all rows) and gives one index per row."""
+    cdf /= cdf[..., -1:]
+    return (cdf <= np.asarray(r)[..., None]).sum(axis=-1)
 
 
 def _collapse(state: QState, segment: str, k: int, prob: float) -> MeasureOutcome:
@@ -368,18 +363,6 @@ def _collapse(state: QState, segment: str, k: int, prob: float) -> MeasureOutcom
     # the rest is zeros, and 0 / x is 0.0: divide only the kept slice
     out[:, k] /= np.linalg.norm(out.reshape(-1))
     return MeasureOutcome(value, prob, QState(state.layout, out.reshape(-1)))
-
-
-def drop_segment(state: QState, segment: str, value) -> QState:
-    """Remove a segment that was just measured, keeping the slice at value."""
-    dims = state.layout.seg_dims(segment)
-    k = state.layout.value_index(segment, [v % d for v, d in zip(_as_tuple(value), dims)])
-    rest = RegisterLayout([(n, d) for n, d in state.layout.segments if n != segment])
-    out = QState(rest, _view(state, segment)[:, k].reshape(-1))
-    nrm = out.norm()
-    if nrm < 1e-12:
-        raise ZeroProbabilityProjection(f"segment {segment} is not {value} with any amplitude")
-    return QState(rest, out.amps / nrm)
 
 
 def _dft_matrix(q: int) -> np.ndarray:
@@ -436,29 +419,6 @@ def phase_oracle(state: QState, segment: str, v: Sequence[int]) -> QState:
         shape[ax] = d
         t *= ph.reshape(shape)
     return QState(state.layout, t.reshape(-1))
-
-
-def _on_control_one(state: QState, control: str, op: Callable[[QState], QState]) -> QState:
-    """Apply ``op`` to the slice of the state where the qubit ``control`` is |1>."""
-    cdims = state.layout.seg_dims(control)
-    if cdims != (2,):
-        raise ValueError(f"control segment must be a single qubit, got {cdims}")
-    out = state.copy()
-    one = _view(out, control)[:, 1]
-    rest = RegisterLayout([(n, d) for n, d in state.layout.segments if n != control])
-    one[...] = op(QState(rest, one.reshape(-1))).amps.reshape(one.shape)
-    return out
-
-
-def controlled_phase_fn(state: QState, control: str, segment: str,
-                        phase: np.ndarray) -> QState:
-    """Apply |x> -> phase[x]|x> on ``segment`` only where control is |1>.
-
-    Equivalent to coherently computing a classical function of the segment
-    into an ancilla, phasing the ancilla controlled on ``control``, and
-    uncomputing.
-    """
-    return _on_control_one(state, control, lambda branch: apply_phase_fn(branch, segment, phase))
 
 
 def project(state: QState, segment: str, target: QState | np.ndarray) -> tuple[float, QState]:

@@ -210,6 +210,23 @@ def test_game_csv_columns(tmp_path, capsys):
     assert len(rows) == 1 + 10  # both bits per trial
 
 
+@pytest.mark.parametrize("exp", ["tc", "evtc", "ladder", "sgc"])
+def test_sampled_games_print_the_same_bytes_in_batches_of_any_size(tmp_path, capsys,
+                                                                 monkeypatch, exp):
+    """Runs are played in batches of at most cli._BATCH_RUNS; one run at a
+    time, three at a time (batches that split a trial's two runs) and all
+    at once give the same report and CSV."""
+    got = []
+    for size in (1, 3, cli._BATCH_RUNS):
+        monkeypatch.setattr(cli, "_BATCH_RUNS", size)
+        out_csv = tmp_path / f"{size}.csv"
+        code, out, err = run_cli(capsys, [
+            "game", "run", "--exp", exp, "--adv", "brute-force-inverter" if exp != "sgc"
+            else "honest-deleter", "--trials", "7", "--seed", "2", "--out", str(out_csv)])
+        got.append((code, out, err, out_csv.read_text()))
+    assert got[1] == got[0] and got[2] == got[0]
+
+
 def test_an_unwritable_out_file_exits_2_with_no_report(tmp_path, capsys):
     code, out, err = run_cli(capsys, [
         "game", "run", "--exp", "tc", "--adv", "noop", "--trials", "1",

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy import stats
 
 from deletia import configs, dualfhe as fhe, dualregev as dr, qsim
 from deletia.zqcore import ZqMatrix, ZqVector, gadget_inverse, gadget_matrix, gadget_width
+from qsim_ref import value_index
 
 QP = configs.FHE_QUANTUM      # (n=1, m=1, q=7, sigma^2=14)
 TP = configs.FHE_TENSOR       # (n=1, m=1, q=5, sigma^2=5)
@@ -284,7 +286,7 @@ def test_eval_then_decrypt_commutes_with_measuring_first():
     # coherent: permute basis states, then read the joint distribution
     perm_amps = np.zeros(lay.dim, dtype=np.complex128)
     for i, xyz in enumerate(itertools.product(range(q), repeat=3)):
-        j = lay.value_index("X", (nand_map(xyz)[0],)) * 4 \
+        j = value_index(lay, "X", (nand_map(xyz)[0],)) * 4 \
             + nand_map(xyz)[1] * 2 + nand_map(xyz)[2]
         perm_amps[j] += state.amps[i]
     coherent = np.abs(perm_amps) ** 2
@@ -295,3 +297,33 @@ def test_eval_then_decrypt_commutes_with_measuring_first():
         x, y, z = nand_map(xyz)
         pushed[x * 4 + y * 2 + z] += measured[i]
     np.testing.assert_allclose(coherent, pushed, atol=1e-12)
+
+
+def test_decrypt_plants_at_every_modulus():
+    """Noiseless plants x G decrypt to x at every q from 2 to 300 and around
+    every power of two up to 2^32: the decoded gadget column's entry 2^j
+    has the largest centered size, at least q/3, where the last column's
+    2^(K-1) centers below q/4 for q in (2^(K-1), (4/3) 2^(K-1))."""
+    moduli = [*range(2, 301), *(2**k + d for k in range(9, 33) for d in (-1, 1, 2**k // 3))]
+    for q in moduli:
+        params = fhe.fhe_params(1, 1, q, sigma_sq=1)
+        keys = fhe.fhe_keygen(params, np.random.default_rng(q))
+        G = gadget_matrix(q, params.width)
+        S = np.random.default_rng(q + 1).integers(0, q, size=(1, params.ncols))
+        for x in (0, 1):
+            C = ZqMatrix((keys.pk.entries @ S + x * G.entries) % q, q)
+            assert fhe.fhe_decrypt(keys, fhe.FHECiphertextC(C)) == x, (q, x)
+
+
+@pytest.mark.parametrize("q", [65537, 4294967311])
+def test_nand_trees_decrypt_just_above_a_power_of_two(q):
+    """`fhe nand-tree --q Q --trials 30 --seed 1`'s trees: at q = 2^16 + 1
+    and 2^32 + 15 the last gadget column's plaintext term centers to -1 and
+    -15, so deciding from it read x = 1 as noise."""
+    params = replace(CP, q=q)
+    rng = np.random.default_rng(1)
+    keys = fhe.fhe_keygen(params, rng)
+    for t in range(30):
+        leaves = [int(v) for v in rng.integers(0, 2, size=1 << params.depth)]
+        dec, exp = fhe.nand_tree_eval(keys, leaves, rng)
+        assert dec == exp, (t, leaves)

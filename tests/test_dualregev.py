@@ -23,6 +23,7 @@ from deletia.zqcore import (
     zq_box,
     zq_image_codes,
 )
+from qsim_ref import drop_segment, value_index
 
 PARAMS = configs.DR_EXACT  # (n=1, m=2, q=13, sigma=3)
 
@@ -98,7 +99,7 @@ def _gen_gauss_verbatim(A, sigma, rng):
 
     state = qsim.apply_classical(state, f, "X", "Y")
     out = qsim.measure(state, "Y", rng)
-    coset = qsim.drop_segment(out.post_state, "Y", out.value)
+    coset = drop_segment(out.post_state, "Y", out.value)
     return coset, ZqVector(np.asarray(out.value), q)
 
 
@@ -279,7 +280,7 @@ def test_certificate_distribution_identical_across_bits():
     ref = deletion_certificate_distribution(PARAMS, A, y)
     lay = ct0.state.layout
     for x, p in ref.items():
-        assert d0[lay.value_index("X", x)] == pytest.approx(p, abs=1e-10)
+        assert d0[value_index(lay, "X", x)] == pytest.approx(p, abs=1e-10)
 
 
 def test_certificate_norm_tail():

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from deletia import cli, configs, games, hashfam, qsim
@@ -31,6 +33,8 @@ from deletia.games import (
     target_collapse_exp,
 )
 from deletia.hashfam import (
+    BitDomain,
+    HashFamily,
     chor_goldreich_family,
     compose_balanced,
     fdelta_family,
@@ -38,7 +42,8 @@ from deletia.hashfam import (
     two_to_one_family,
 )
 from deletia.qsim import ensemble_trace_distance
-from deletia.zqcore import ZqVector, centered_array, zq_box
+from deletia.zqcore import ZqVector, centered_array, check_bit, zq_box
+from qsim_ref import controlled_phase_fn, drop_segment
 
 
 FAM = two_to_one_family(3)
@@ -46,13 +51,22 @@ FAM = two_to_one_family(3)
 
 # --- target collapsing ----------------------------------------------------
 
+def _runs(trials: int, offset: int = 0, stride: int = 2) -> tuple[list[int], list]:
+    """Runs (t, b) for t < trials and b in (0, 1), in that order: their bits
+    and generators, run (t, b) seeded offset + t * stride + b."""
+    bs = [b for _ in range(trials) for b in (0, 1)]
+    return bs, [np.random.default_rng(offset + t * stride + b)
+                for t in range(trials) for b in (0, 1)]
+
+
+def _ones(bs, bits) -> dict:
+    return {b: sum(bit for c, bit in zip(bs, bits) if c == b) for b in (0, 1)}
+
+
 def test_tc_random_guesser_has_no_advantage():
-    wins = {0: 0, 1: 0}
     trials = 2000
-    for t in range(trials):
-        for b in (0, 1):
-            rng = np.random.default_rng(t * 2 + b)
-            wins[b] += target_collapse_exp(FAM, None, games.RANDOM_GUESSER, b, rng)
+    bs, rngs = _runs(trials)
+    wins = _ones(bs, target_collapse_exp(FAM, None, games.RANDOM_GUESSER, bs, rngs))
     adv = abs(wins[0] - wins[1]) / trials
     sd = math.sqrt(2 * 0.25 / trials)
     assert adv <= 3 * sd
@@ -62,11 +76,8 @@ def test_tc_overlap_projector_exact_matches_monte_carlo():
     exact = target_collapse_advantage_exact(FAM, None, OVERLAP_PROJECTOR)
     assert exact == pytest.approx(0.5, abs=1e-12)  # 2-to-1 fibers, identity M
     trials = 2000
-    wins = {0: 0, 1: 0}
-    for t in range(trials):
-        for b in (0, 1):
-            rng = np.random.default_rng(10_000 + t * 2 + b)
-            wins[b] += target_collapse_exp(FAM, None, OVERLAP_PROJECTOR, b, rng)
+    bs, rngs = _runs(trials, 10_000)
+    wins = _ones(bs, target_collapse_exp(FAM, None, OVERLAP_PROJECTOR, bs, rngs))
     mc = abs(wins[0] - wins[1]) / trials
     sd = math.sqrt(2 * 0.25 / trials)
     assert abs(mc - exact) <= 3 * sd
@@ -92,11 +103,8 @@ def test_evtc_garbage_certifier_fallback_masks_bit():
     assert ensemble_trace_distance(e0, e1) <= 1e-10
     # chi^2: with the uniform fallback, b' is independent of b
     counts = {(b, bp): 0 for b in (0, 1) for bp in (0, 1)}
-    for t in range(2500):
-        for b in (0, 1):
-            tr = ev_target_collapse_exp(FAM, None, GARBAGE_CERTIFIER, b,
-                                        np.random.default_rng(t * 2 + b))
-            counts[(b, tr.verdict)] += 1
+    for tr in ev_target_collapse_exp(FAM, None, GARBAGE_CERTIFIER, *_runs(2500)):
+        counts[(tr.b, tr.verdict)] += 1
     table = np.array([[counts[(0, 0)], counts[(0, 1)]],
                       [counts[(1, 0)], counts[(1, 1)]]])
     assert stats.chi2_contingency(table).pvalue > 1e-3
@@ -110,21 +118,19 @@ def test_evtc_brute_force_validity_rate_matches_counting():
     for x in range(dom_size):
         fibers.setdefault(FAM.eval(key, x), []).append(x)
     expect = sum((len(f) / dom_size) * (len(f) / dom_size) for f in fibers.values())
-    valid = 0
     trials = 3000
-    for t in range(trials):
-        tr = ev_target_collapse_exp(FAM, None, BRUTE_FORCE_INVERTER, t % 2,
-                                    np.random.default_rng(t))
-        valid += tr.outputs["valid"]
+    valid = sum(tr.outputs["valid"] for tr in ev_target_collapse_exp(
+        FAM, None, BRUTE_FORCE_INVERTER, [t % 2 for t in range(trials)],
+        [np.random.default_rng(t) for t in range(trials)]))
     sd = math.sqrt(trials * expect * (1 - expect))
     assert abs(valid - expect * trials) <= 4 * sd
 
 
 def test_evtc_transcripts_replay_byte_identical():
-    a = ev_target_collapse_exp(FAM, None, HONEST_DELETER, 1,
-                               np.random.default_rng(99), seed=99)
-    b = ev_target_collapse_exp(FAM, None, HONEST_DELETER, 1,
-                               np.random.default_rng(99), seed=99)
+    a, = ev_target_collapse_exp(FAM, None, HONEST_DELETER, [1],
+                                [np.random.default_rng(99)], seeds=[99])
+    b, = ev_target_collapse_exp(FAM, None, HONEST_DELETER, [1],
+                                [np.random.default_rng(99)], seeds=[99])
     assert json.dumps(dataclasses.asdict(a)) == json.dumps(dataclasses.asdict(b))
 
 
@@ -158,11 +164,8 @@ def test_ladder_monte_carlo_agrees_with_exact():
     res = hybrid_ladder_exact(FAM, OVERLAP_PROJECTOR)
     trials = 600
     for exp in (0, 1, 2):
-        wins = {0: 0, 1: 0}
-        for t in range(trials):
-            for b in (0, 1):
-                rng = np.random.default_rng(40_000 + t * 8 + exp * 2 + b)
-                wins[b] += hybrid_ladder_mc(FAM, OVERLAP_PROJECTOR, exp, b, rng)
+        bs, rngs = _runs(trials, 40_000 + exp * 2, stride=8)
+        wins = _ones(bs, hybrid_ladder_mc(FAM, OVERLAP_PROJECTOR, exp, bs, rngs))
         mc = abs(wins[0] - wins[1]) / trials
         sd = math.sqrt(2 * 0.25 / trials)
         assert abs(mc - res.adv[exp]) <= 4 * sd
@@ -231,13 +234,16 @@ def test_out_of_range_challenge_bit_raises(b):
     # the games' bit b is the challenger's, not one to reduce mod 2
     match = f"bit b must be 0 or 1, got {b}"
     rng = np.random.default_rng(0)
+    # in a batch, a bad bit raises before any run draws
+    bs, rngs = [0, b, 1], [np.random.default_rng(s) for s in range(3)]
     with pytest.raises(ValueError, match=match):
-        target_collapse_exp(FAM, None, HONEST_DELETER, b, rng)
+        target_collapse_exp(FAM, None, HONEST_DELETER, bs, rngs)
     with pytest.raises(ValueError, match=match):
-        ev_target_collapse_exp(FAM, None, HONEST_DELETER, b, rng)
+        ev_target_collapse_exp(FAM, None, HONEST_DELETER, bs, rngs)
     for exp in range(4):
         with pytest.raises(ValueError, match=match):
-            hybrid_ladder_mc(FAM, OVERLAP_PROJECTOR, exp, b, rng)
+            hybrid_ladder_mc(FAM, OVERLAP_PROJECTOR, exp, bs, rngs)
+    assert [g.random() for g in rngs] == [np.random.default_rng(s).random() for s in range(3)]
     with pytest.raises(ValueError, match=match):
         strong_gauss_collapse_exp(configs.SGC_DESK, HONEST_DELETER, b, rng)
 
@@ -331,11 +337,8 @@ def test_adversary_registry_names():
 def test_exact_and_mc_agree_for_honest_deleter_exp0():
     res = hybrid_ladder_exact(FAM, HONEST_DELETER)
     trials = 500
-    wins = {0: 0, 1: 0}
-    for t in range(trials):
-        for b in (0, 1):
-            rng = np.random.default_rng(70_000 + t * 2 + b)
-            wins[b] += hybrid_ladder_mc(FAM, HONEST_DELETER, 0, b, rng)
+    bs, rngs = _runs(trials, 70_000)
+    wins = _ones(bs, hybrid_ladder_mc(FAM, HONEST_DELETER, 0, bs, rngs))
     mc = abs(wins[0] - wins[1]) / trials
     assert abs(mc - res.adv[0]) <= 4 * math.sqrt(2 * 0.25 / trials)
 
@@ -979,13 +982,14 @@ def mc_values() -> dict:
                 for b in (0, 1):
                     for dname, dist in (("uniform", None), ("skewed", _skewed)):
                         rng = np.random.default_rng(100 * seed + b)
-                        tr = ev_target_collapse_exp(fam, dist, adv, b, rng, seed=seed)
-                        bit = target_collapse_exp(fam, dist, adv, b,
-                                                  np.random.default_rng(100 * seed + 2 + b))
+                        tr, = ev_target_collapse_exp(fam, dist, adv, [b], [rng], seeds=[seed])
+                        bit, = target_collapse_exp(fam, dist, adv, [b],
+                                                   [np.random.default_rng(100 * seed + 2 + b)])
                         out[f"api/{fname}/{dname}/{adv.name}/{seed}/{b}"] = [
                             dataclasses.asdict(tr), bit]
                     out[f"api/{fname}/ladder/{adv.name}/{seed}/{b}"] = [
-                        hybrid_ladder_mc(fam, adv, e, b, np.random.default_rng(100 * seed + 10 * e + b))
+                        hybrid_ladder_mc(fam, adv, e, [b],
+                                         [np.random.default_rng(100 * seed + 10 * e + b)])[0]
                         for e in range(4)]
     return out
 
@@ -997,3 +1001,229 @@ def test_monte_carlo_draws_match_pinned_golden():
     assert got.keys() == want.keys()
     for case, vals in want.items():
         assert got[case] == vals, case
+
+
+# --- the sampled games against the per-run protocol on qsim states -------------
+#
+# The verbatim reference: one run at a time, every state on the whole C-by-X
+# register, with the qsim operations the protocol names. The batched games
+# must give the same bits and transcripts and leave every generator in the
+# same state.
+
+def _ref_pick(p, rng):
+    k = np.flatnonzero(p)
+    return int(k[qsim.draw_index(p[k] / p[k].sum(), rng)])
+
+
+def _ref_sample_challenge(family, dist, b, rng):
+    key, _ = family.sample(rng)
+    dom = family.table(key, dist)
+    py, psi = dom.fiber_states
+    r = qsim.draw_index(py, rng)
+    if check_bit(b):
+        post, pv, _ = dom.m_groups
+        return dom, r, post[r, _ref_pick(pv[r], rng)]
+    return dom, r, psi[r]
+
+
+def _ref_sample_certificate(adv, dom, r, mass, rng):
+    full = np.zeros(dom.fibers[1].shape[1])
+    full[:len(mass)] = mass
+    pc, pi, fpos, valid = (a.ravel() for a in np.broadcast_arrays(
+        *games._ladder_branches(adv, dom, np.array([r]), full[None, None])))
+    k = _ref_pick(pc, rng)
+    return int(pi[k]), int(fpos[k]) if adv.cert == "measure" else None, bool(valid[k])
+
+
+def _ref_tc(family, dist, adversary, b, rng):
+    dom, r, xvec = _ref_sample_challenge(family, dist, b, rng)
+    return int(rng.random() < games._guess_p1(adversary, dom.fiber_states[1][r], xvec))
+
+
+def _ref_evtc(family, dist, adv_pair, b, rng, seed=0):
+    dom, r, xvec = _ref_sample_challenge(family, dist, b, rng)
+    pi, col, valid = _ref_sample_certificate(adv_pair, dom, r, np.abs(xvec) ** 2, rng)
+    if valid:
+        residual = xvec if col is None else np.eye(len(xvec))[col]
+        bprime = int(rng.random() < games._guess_p1(adv_pair, dom.fiber_states[1][r], residual))
+    else:
+        bprime = int(rng.integers(0, 2))
+    return games.GameTranscript(
+        experiment="evtc", seed=seed, b=b, adversary=adv_pair.name,
+        outputs={"y": repr(dom.ys[r]), "pi": repr(None if pi < 0 else pi),
+                 "valid": bool(valid), "b_prime": bprime},
+        verdict=bprime)
+
+
+def _ref_ladder(family, adversary, exp, b, rng):
+    b = check_bit(b)
+    if exp == 0:
+        return _ref_evtc(family, None, adversary, b, rng).verdict
+    dom, r, psi = _ref_sample_challenge(family, None, 0, rng)
+    fib = dom.fibers[1][r]
+    reg = fib[fib >= 0]
+    target = psi = psi[:len(reg)]
+    layout = qsim.RegisterLayout([("C", (2,)), ("X", family.domain.register_dims())])
+
+    def c_state(rows):
+        amps = np.zeros((2, layout.dim // 2), dtype=np.complex128)
+        amps[:, reg] = rows
+        return qsim.QState(layout, amps)
+
+    z = int(rng.integers(0, 1 << dom.mbits))
+    if exp == 3:
+        post, pv, _ = dom.m_groups
+        psi = post[r, _ref_pick(pv[r], rng), :len(reg)]
+    state = controlled_phase_fn(c_state(np.stack([psi, psi]) / math.sqrt(2)), "C", "X",
+                                dom.sign(z))
+    rows = state.amps.reshape(2, -1)[:, reg]
+    mass = np.sum(np.abs(rows) ** 2, axis=0)
+    pi, col, valid = _ref_sample_certificate(adversary, dom, r, mass, rng)
+    if not valid:
+        return int(rng.integers(0, 2))
+    if col is not None:
+        kept = np.zeros_like(rows)
+        kept[:, col] = rows[:, col] / math.sqrt(mass[col])
+        rows = kept
+    state = c_state(rows)
+    if exp >= 2:
+        phi = np.array([1.0, dom.sign(z, pi)]) / math.sqrt(2)
+        if rng.random() >= qsim.project_prob(state, "C", phi):
+            return int(rng.integers(0, 2))
+        _, state = qsim.project(state, "C", phi)
+    out = qsim.measure(state, "C", rng)
+    if out.value[0] != b:
+        return int(rng.integers(0, 2))
+    xvec = drop_segment(out.post_state, "C", out.value).amps[reg]
+    return int(rng.random() < games._guess_p1(adversary, target, xvec))
+
+
+def _kept_by_content(fam):
+    """An f_Delta family over a toy OWF that keeps each table by its key's
+    content: a batch and its per-run reference draw equal keys from equal
+    seeds, and so build each table once."""
+    tables, build = {}, fam.table
+
+    def table(key, dist=None):
+        at = (key[0].tobytes(), key[1], dist)
+        if at not in tables:
+            tables[at] = build(key, dist)
+        return tables[at]
+
+    fam.table = table
+    return fam
+
+
+def _batch_families():
+    """Two single-key families, whose runs form one group, and one that
+    samples a fresh key per run, whose runs form groups of one."""
+    return {"two-to-one-3": two_to_one_family(3), "two-to-one-5": two_to_one_family(5),
+            "fdelta-toy-6-2": _kept_by_content(fdelta_family(toy_regular_owf(6, 2)))}
+
+
+def _check_batch(play, reference, bs, seeds, case) -> list:
+    """The batch ``play(bs, rngs, seeds)`` against ``reference(b, rng,
+    seed)`` run by run: equal results, and every generator's next draw
+    equal. Returns the batch's results."""
+    rngs = [np.random.default_rng(s) for s in seeds]
+    got = play(bs, rngs, seeds)
+    for b, s, rng, res in zip(bs, seeds, rngs, got):
+        ref_rng = np.random.default_rng(s)
+        assert res == reference(b, ref_rng, s), (case, s, b)
+        assert rng.random() == ref_rng.random(), (case, s, b)
+    return got
+
+
+# every scripted adversary, and a measured certificate with a projecting second stage
+_BATCH_ADVERSARIES = sorted([*ADVERSARIES.values(), MEASURING_PROJECTOR], key=lambda a: a.name)
+_BATCH = [s % 2 for s in range(200)], list(range(200))  # (b, seed): 200 seeds, b = seed mod 2
+
+
+@pytest.mark.parametrize("dist", [None, _skewed], ids=["uniform", "skewed"])
+def test_batched_tc_and_evtc_match_the_per_run_protocol(dist):
+    for fname, fam in _batch_families().items():
+        for adv in _BATCH_ADVERSARIES:
+            case = (fname, adv.name)
+            _check_batch(lambda bs, rngs, _: target_collapse_exp(fam, dist, adv, bs, rngs),
+                         lambda b, rng, _: _ref_tc(fam, dist, adv, b, rng), *_BATCH, case)
+            got = _check_batch(
+                lambda bs, rngs, seeds: [dataclasses.asdict(t) for t in ev_target_collapse_exp(
+                    fam, dist, adv, bs, rngs, seeds=seeds)],
+                lambda b, rng, s: dataclasses.asdict(_ref_evtc(fam, dist, adv, b, rng, seed=s)),
+                *_BATCH, case)
+            if adv.cert in ("uniform-domain", "zero"):  # the batch mixes both kinds of run
+                assert {tr["outputs"]["valid"] for tr in got} == {False, True}, case
+            if dist is None:  # Exp0 is the experiment, and the per-run Exp0 its verdict
+                assert hybrid_ladder_mc(fam, adv, 0, _BATCH[0], [
+                    np.random.default_rng(s) for s in _BATCH[1]]) == [tr["verdict"] for tr in got]
+
+
+def test_pick_divides_each_row_by_the_sum_of_its_nonzero_entries(monkeypatch):
+    """_pick draws from each row divided by p[k].sum() over its nonzero
+    entries k, bit for bit, as the per-run pick does; a sum over the whole
+    row, zeros included, adds in another order from 8 entries on."""
+    rng = np.random.default_rng(5)
+    p = rng.random((300, 40)) * (rng.random((300, 40)) < rng.random((300, 1)))
+    p[:, 0] += 1e-3
+    seen = []
+    draw_rows = qsim.draw_rows
+    monkeypatch.setattr(qsim, "draw_rows", lambda w, rngs: seen.append(w) or draw_rows(w, rngs))
+    games._pick(p, [np.random.default_rng(s) for s in range(len(p))])
+    for row, got in zip(p, seen[0]):
+        k = np.flatnonzero(row)
+        want = np.zeros_like(row)
+        want[k] = row[k] / row[k].sum()
+        assert got.tobytes() == want.tobytes()
+
+
+def test_batched_ladder_matches_the_per_run_protocol():
+    for fname, fam in _batch_families().items():
+        for adv in _BATCH_ADVERSARIES:
+            for exp in (1, 2, 3):  # Exp0 with the EVTC runs above
+                _check_batch(lambda bs, rngs, _: hybrid_ladder_mc(fam, adv, exp, bs, rngs),
+                             lambda b, rng, _: _ref_ladder(fam, adv, exp, b, rng),
+                             *_BATCH, (fname, adv.name, exp))
+
+
+def table_family(images: np.ndarray, mvals: np.ndarray | None) -> HashFamily:
+    """A one-key family whose function is the table ``images`` over
+    {0,1}^bits (its length is 2^bits), measured by ``mvals`` or, without
+    them, by the identity M. Every run samples the one key, so a batch's
+    runs form one group."""
+    bits = len(images).bit_length() - 1
+    return HashFamily(name="table", domain=BitDomain(bits), range_bits=bits,
+                      sample=lambda rng: ("table", None),
+                      tabulate=lambda key: (images, mvals), measured=mvals is not None,
+                      keys=lambda: [("table", None)])
+
+
+@given(st.data(), st.integers(1, 5), st.integers(0, 2**32))
+@settings(max_examples=40, deadline=None)
+def test_batched_games_match_the_per_run_protocol_on_any_table(data, bits, seed):
+    """On arbitrary tables (fibers of any sizes, so padded fiber columns, and
+    any M partition) under uniform or arbitrary weights, one batch of 12
+    runs of a drawn adversary gives the per-run protocol's TC bits, EVTC
+    transcripts and Exp1-Exp3 bits, and leaves every generator in its
+    state."""
+    n = 1 << bits
+    ints = st.lists(st.integers(0, data.draw(st.integers(1, n))), min_size=n, max_size=n)
+    images = np.array(data.draw(ints))
+    mvals = np.array(data.draw(ints)) if data.draw(st.booleans()) else None
+    fam = table_family(images, mvals)
+    if data.draw(st.booleans()):
+        w = data.draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+        dist = w.__getitem__
+    else:
+        dist = None
+    adv = data.draw(st.sampled_from(_BATCH_ADVERSARIES))
+    bs = data.draw(st.lists(st.integers(0, 1), min_size=12, max_size=12))
+    seeds = [seed + i for i in range(12)]
+    _check_batch(lambda bs, rngs, _: target_collapse_exp(fam, dist, adv, bs, rngs),
+                 lambda b, rng, _: _ref_tc(fam, dist, adv, b, rng), bs, seeds, "tc")
+    _check_batch(lambda bs, rngs, seeds: [dataclasses.asdict(t) for t in ev_target_collapse_exp(
+        fam, dist, adv, bs, rngs, seeds=seeds)],
+        lambda b, rng, s: dataclasses.asdict(_ref_evtc(fam, dist, adv, b, rng, seed=s)),
+        bs, seeds, "evtc")
+    for exp in (1, 2, 3):
+        _check_batch(lambda bs, rngs, _: hybrid_ladder_mc(fam, adv, exp, bs, rngs),
+                     lambda b, rng, _: _ref_ladder(fam, adv, exp, b, rng), bs, seeds, exp)

@@ -27,6 +27,7 @@ from deletia.pvdcore import (
     pvd_verify,
     recover,
 )
+from qsim_ref import apply_phase_fn
 
 
 def balanced_family():
@@ -94,7 +95,7 @@ def test_tampered_block_changes_cross_behavior():
     pair = commit(fam, 0, 3, rng)
     t = fam.table(pair.key)
     phase = np.where(t.mvals != 0, -1.0, 1.0)
-    flipped = qsim.apply_phase_fn(pair.blocks[0], "X", phase)
+    flipped = apply_phase_fn(pair.blocks[0], "X", phase)
     pair.blocks[0] = flipped
     # block 0 now opens as bit 1: the honest-open product drops to 0,
     # recomputed exactly

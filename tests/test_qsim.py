@@ -14,7 +14,6 @@ from deletia.qsim import (
     QState,
     ZeroProbabilityProjection,
     apply_classical,
-    drop_segment,
     ensemble_trace_distance,
     marginal_probs,
     measure,
@@ -27,6 +26,7 @@ from deletia.qsim import (
     qft_inverse,
     trace_distance,
 )
+from qsim_ref import apply_phase_fn, controlled_phase_fn, drop_segment, value_index
 
 
 def rand_state(layout, rng):
@@ -77,19 +77,19 @@ def test_phase_vector_matches_phase_function():
     st_ = rand_state(lay, rng)
     phases = np.exp(2j * np.pi * rng.random(6))
     by_value = np.array([phases[2 * x[0] + x[1]] for x in lay.seg_values("X")])
-    out = qsim.controlled_phase_fn(st_, "C", "X", by_value)
+    out = controlled_phase_fn(st_, "C", "X", by_value)
     want = st_.amps.reshape(2, 6) * np.stack([np.ones(6), phases])
     np.testing.assert_array_equal(out.amps, want.reshape(-1))
     with pytest.raises(ValueError):
-        qsim.apply_phase_fn(st_, "X", phases[:5])
+        apply_phase_fn(st_, "X", phases[:5])
 
 
 def test_value_index_rejects_out_of_range_digits():
     lay = RegisterLayout([("X", (3, 3))])
-    assert lay.value_index("X", (2, 2)) == 8
+    assert value_index(lay, "X", (2, 2)) == 8
     for bad in [(5, -1), (3, 0), (0, -1)]:
         with pytest.raises(ValueError):
-            lay.value_index("X", bad)
+            value_index(lay, "X", bad)
 
 
 def test_layout_basics():
@@ -139,7 +139,7 @@ def test_prepare_weighted_uniform():
 def test_prepare_weighted_singleton():
     lay = RegisterLayout([("X", (3, 3))])
     w = np.zeros(9)
-    w[lay.value_index("X", (2, 1))] = 1.0
+    w[value_index(lay, "X", (2, 1))] = 1.0
     st_ = prepare_weighted(lay, "X", w)
     want = basis_state(lay, {"X": (2, 1)})
     np.testing.assert_allclose(st_.amps, want.amps)
@@ -400,7 +400,7 @@ def test_measure_register_draws_what_measure_draws_after_the_slot_unitary(data, 
         got = qsim.measure_register(state, a, u)
         assert got == measure(measured, "X", b).value, name
         assert a.random() == b.random(), name
-        assert target[lay.value_index("X", got)] != 0, name
+        assert target[value_index(lay, "X", got)] != 0, name
         for scale in (1 + 1e-9, 1 - 1e-9):
             a = np.random.default_rng(seed)
             with pytest.raises(ValueError, match="squared norm"):
@@ -462,6 +462,67 @@ def test_draw_index_is_generator_choice(data, seed):
     want = _choice_outcome(lambda g: g.choice(len(p), p=p), np.random.default_rng(seed + 1))
     got = _choice_outcome(lambda g: qsim.draw_index(p, g), np.random.default_rng(seed + 1))
     assert got == want, kind
+
+
+@given(st.data(), st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_draw_rows_is_each_rows_choice(data, seed):
+    """draw_rows(p, rngs) returns, for each row, rngs[i].choice's index and
+    leaves every generator in choice's state; one bad row (NaN, a negative
+    entry, a sum off by more than sqrt(eps)) raises before any generator
+    draws, as choice raises on that row."""
+    n, size = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 20))
+    rng = np.random.default_rng(seed)
+    p = rng.random((n, size)) * (rng.random((n, size)) < 0.6)
+    p[np.arange(n), rng.integers(size, size=n)] += 1e-3
+    p /= p.sum(axis=1, keepdims=True)
+    kind = data.draw(st.sampled_from(["ok", "ok", "float32", "nan", "negative", "scaled"]))
+    bad = int(rng.integers(n))
+    if kind == "float32":
+        p = p.astype(np.float32)
+    elif kind == "nan":
+        p[bad, rng.integers(size)] = np.nan
+    elif kind == "negative":
+        p[bad, rng.integers(size)] = -0.5
+    elif kind == "scaled":
+        p[bad] *= 1 + data.draw(st.sampled_from([1e-10, 1e-7, -0.5]))
+    want = [_choice_outcome(lambda g: g.choice(size, p=row), np.random.default_rng(seed + i))
+            for i, row in enumerate(p)]
+    rngs = [np.random.default_rng(seed + i) for i in range(n)]
+    if any(err for (_, err), _ in want):
+        with pytest.raises(ValueError):
+            qsim.draw_rows(p, rngs)
+        assert [g.bit_generator.state for g in rngs] == \
+            [np.random.default_rng(seed + i).bit_generator.state for i in range(n)]
+    else:
+        got = qsim.draw_rows(p, rngs).tolist()
+        assert [(k, None) for k in got] == [out for out, _ in want], kind
+        assert [g.bit_generator.state for g in rngs] == [state for _, state in want]
+        a = np.random.default_rng(seed)
+        assert qsim.draw_index(p[0], a) == got[0] and a.random() == rngs[0].random()
+
+
+def test_measure_register_weights_are_the_gram_formula(monkeypatch):
+    """Each slot's weights, the row norms of t = u @ m, equal
+    diag(u m m^H u^H) to 1e-12, where m is what is left of the state after
+    the slots drawn so far."""
+    seen = []
+    draw = qsim._draw
+    monkeypatch.setattr(qsim, "_draw", lambda w, r: seen.append(w.copy()) or draw(w, r))
+    for d, k, seed in ((2, 6, 0), (3, 4, 1), (7, 3, 2), (13, 2, 3)):
+        rng = np.random.default_rng(seed)
+        state = rand_state(RegisterLayout([("X", (d,) * k)]), rng)
+        z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        for u in (np.linalg.qr(z)[0], qsim._dft_matrix(d).conj().T):
+            seen.clear()
+            value = qsim.measure_register(state, np.random.default_rng(seed), u)
+            rest = state.amps
+            for slot, digit in enumerate(value):
+                m = rest.reshape(d, -1)
+                gram = np.einsum("ij,jk,ik->i", u, m @ m.conj().T, u.conj()).real
+                assert np.max(np.abs(seen[slot] - gram)) <= 1e-12, (d, k, slot)
+                rest = u[digit] @ m
+            assert len(seen) == k
 
 
 def test_measure_builds_the_collapsed_state_once_on_read(monkeypatch):
@@ -573,10 +634,10 @@ def test_controlled_phase_amplitudes():
     phase = np.array([(-1) ** (np.dot(x, z) % 2) for x in lay.seg_values("X")])
     for x in itertools.product((0, 1), repeat=2):
         amps = np.zeros(lay.dim, dtype=complex)
-        i0 = lay.value_index("X", x)
+        i0 = value_index(lay, "X", x)
         amps[i0] = 1 / math.sqrt(2)
         amps[4 + i0] = 1 / math.sqrt(2)
-        out = qsim.controlled_phase_fn(QState(lay, amps), "C", "X", phase)
+        out = controlled_phase_fn(QState(lay, amps), "C", "X", phase)
         sign = (-1) ** (sum(a * b for a, b in zip(x, z)) % 2)
         assert out.amps[i0] == pytest.approx(1 / math.sqrt(2))
         assert out.amps[4 + i0] == pytest.approx(sign / math.sqrt(2))
@@ -912,7 +973,7 @@ def test_segment_view_ops_match_their_transpose_forms(data, d, k, seed):
     assert np.array_equal(drop_segment(state, "S", value).amps,
                           _drop_segment_reference(state, "S", value))
     ph = np.exp(2j * np.pi * rng.random(d**k))
-    assert np.array_equal(qsim.apply_phase_fn(state, "S", ph).amps,
+    assert np.array_equal(apply_phase_fn(state, "S", ph).amps,
                           _apply_phase_fn_reference(state, "S", ph))
     target = rng.normal(size=d**k) + 1j * rng.normal(size=d**k)
     prob, post = project(state, "S", target)
@@ -933,7 +994,7 @@ def test_controlled_phase_fn_matches_its_slice_form(data, d, k, seed):
     rng = np.random.default_rng(seed)
     state = rand_state(lay, rng)
     ph = np.exp(2j * np.pi * rng.random(d**k))
-    assert np.array_equal(qsim.controlled_phase_fn(state, "C", "S", ph).amps,
+    assert np.array_equal(controlled_phase_fn(state, "C", "S", ph).amps,
                           _controlled_phase_fn_reference(state, "C", "S", ph))
 
 
