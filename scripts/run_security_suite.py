@@ -35,12 +35,10 @@ def main() -> None:
 
     print("== strong Gaussian collapsing ==")
     params = configs.SGC_DESK
-    valid = 0
-    for t in range(args.trials):
-        tr = games.strong_gauss_collapse_exp(
-            params, games.HONEST_DELETER, t % 2,
-            np.random.default_rng(args.seed + t))
-        valid += tr.outputs["valid"]
+    runs = games.strong_gauss_collapse_exp(
+        params, games.HONEST_DELETER, [t % 2 for t in range(args.trials)],
+        [np.random.default_rng(args.seed + t) for t in range(args.trials)])
+    valid = sum(tr.outputs["valid"] for tr in runs)
     print(f"  honest witness validity: {valid}/{args.trials}")
     s0, s1 = games.sgc_honest_ensembles(params, np.random.default_rng(args.seed))
     print(f"  view trace distance = {ensemble_trace_distance(s0, s1):.2e}")

@@ -259,8 +259,8 @@ def cmd_game_run(args) -> int:
         report.update(_bit_report(ones, trials))
     elif exp == "sgc":
         ones = _play_bits(lambda bs, rngs, seeds: [
-            _transcript_bits(games.strong_gauss_collapse_exp(configs.SGC_DESK, adv, b, rng, seed=s))
-            for b, rng, s in zip(bs, rngs, seeds)], trials, seed, rows)
+            _transcript_bits(tr) for tr in games.strong_gauss_collapse_exp(
+                configs.SGC_DESK, adv, bs, rngs, seeds)], trials, seed, rows)
         report.update(_bit_report(ones, trials))
         valid = sum(row["verdict"] for row in rows)
         report["counts"]["valid"] = valid

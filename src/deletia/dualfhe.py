@@ -22,9 +22,9 @@ from .dualregev import (
     coset_delete,
     coset_encrypt,
     decide_decryption,
-    dr_verify,
 )
 from .zqcore import (
+    DimensionMismatch,
     ZqMatrix,
     ZqVector,
     centered,
@@ -33,6 +33,7 @@ from .zqcore import (
     gadget_matrix,
     gadget_width,
     gaussian_pmf_1d,
+    is_short,
     matmul_mod,
     structured_ajtai_keygen,
 )
@@ -81,26 +82,22 @@ class FHECiphertextC:
 
 def fhe_keygen(params: FHEParams, rng: np.random.Generator) -> FHEKeys:
     """A = [Abar | Abar xbar mod q]^T in Z_q^{(m+1) x n}, sk = (-xbar, 1)."""
-    A, sk = structured_ajtai_keygen(params.n, params.width, params.q, rng)
-    return FHEKeys(pk=A.transpose(), sk=sk, params=params)
+    A, sk = structured_ajtai_keygen(params.n, params.width, params.q, [rng])
+    return FHEKeys(pk=ZqMatrix(A[0], params.q).transpose(), sk=ZqVector(sk[0], params.q),
+                   params=params)
 
 
 def fhe_encrypt_q(keys: FHEKeys, x: int, rng: np.random.Generator) -> FHECiphertextQ:
     """Per-column quantum encryption: column j carries plaintext offset x.g_j.
 
-    Column j is the dual-Regev state for the coset {v : A^T v = y_j},
-    built by the PKE's coset_encrypt.
+    Column j is the dual-Regev state for the coset {v : A^T v = y_j}. The
+    PKE's coset_encrypt builds all N columns at once, drawing y_j from the
+    generator in column order.
     """
     params = keys.params
     offset = check_bit(x, "x") * gadget_matrix(params.q, params.width).entries
-    At = keys.pk.transpose()  # n x (m+1)
-    cols, ys = [], []
-    for j in range(params.ncols):
-        state, yj = coset_encrypt(At, params.sigma, offset[:, j], rng)
-        cols.append(state)
-        ys.append(yj.entries)
-    Y = ZqMatrix(np.stack(ys, axis=1), params.q)
-    return FHECiphertextQ(vk=(keys.pk, Y), columns=cols)
+    cols, ys = coset_encrypt(keys.pk.transpose(), params.sigma, offset.T, rng)
+    return FHECiphertextQ(vk=(keys.pk, ZqMatrix(ys.T, params.q)), columns=cols)
 
 
 def fhe_encrypt_c(keys: FHEKeys, x: int, rng: np.random.Generator) -> FHECiphertextC:
@@ -141,25 +138,29 @@ def fhe_decrypt(keys: FHEKeys, ct: FHECiphertextC) -> int:
 
 
 def fhe_measure_q(ct: FHECiphertextQ, rng: np.random.Generator) -> FHECiphertextC:
-    """Computational-basis measurement of all columns."""
+    """Computational-basis measurement of all columns, in column order."""
     A, _ = ct.vk
-    cols = [np.asarray(qsim.measure_register(st, rng), dtype=np.int64) for st in ct.columns]
-    return FHECiphertextC(matrix=ZqMatrix(np.stack(cols, axis=1), A.q))
+    return FHECiphertextC(matrix=ZqMatrix(qsim.measure_register(ct.columns, rng).T, A.q))
 
 
 def fhe_delete(ct: FHECiphertextQ, rng: np.random.Generator) -> list[ZqVector]:
-    """Per-column Fourier-basis measurement (see coset_delete)."""
-    return [coset_delete(st, ct.vk[0].q, rng) for st in ct.columns]
+    """Per-column Fourier-basis measurement, in column order (see coset_delete)."""
+    return coset_delete(ct.columns, ct.vk[0].q, rng)
 
 
 def fhe_verify(vk: tuple[ZqMatrix, ZqMatrix], pis: list[ZqVector],
                params: FHEParams) -> bool:
-    """Accept iff A^T pi_i = y_i and ||pi_i|| is short, for every column."""
+    """Accept iff A^T pi_i = y_i and ||pi_i|| is short (is_short), for every
+    column, all checked at once. A certificate of another modulus or
+    length raises DimensionMismatch."""
     A, Y = vk
     if len(pis) != Y.cols:
         return False
-    At = A.transpose()
-    return all(dr_verify((At, Y.column(i)), pis[i], params) for i in range(Y.cols))
+    if any(pi.q != A.q or len(pi) != A.rows for pi in pis) or Y.q != A.q:
+        raise DimensionMismatch("certificate shape/modulus mismatch")
+    P = np.stack([pi.entries for pi in pis])
+    return bool(np.array_equal(matmul_mod(P, A.entries, A.q), Y.entries.T)
+                and is_short(P, A.q, params.cert_bound_sq()).all())
 
 
 def nand_tree_eval(keys: FHEKeys, leaves: list[int], rng: np.random.Generator

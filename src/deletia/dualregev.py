@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -95,60 +96,70 @@ def dr_keygen(params: DRParams, rng: np.random.Generator) -> DRKeys:
     Key generation is classical, so it works at any parameter size; the
     q^(m+1) enumeration guard applies when a ciphertext state is built.
     """
-    A, sk = structured_ajtai_keygen(params.n, params.width, params.q, rng)
-    return DRKeys(pk=A, sk=sk, params=params)
+    A, sk = structured_ajtai_keygen(params.n, params.width, params.q, [rng])
+    return DRKeys(pk=ZqMatrix(A[0], params.q), sk=ZqVector(sk[0], params.q), params=params)
 
 
-def image_masses(A: ZqMatrix, sigma: float) -> np.ndarray:
+def image_masses(A: np.ndarray, q: int, sigma: float) -> np.ndarray:
     """The rho_sigma^2 mass of {x : A x = y} for every y of Z_q^n, flat in
-    mixed-radix order: the pushforward of rho_sigma^2 under x -> A x.
+    mixed-radix order, for the n x w entries A or for each matrix of a
+    stack of them (leading axes): the pushforward of rho_sigma^2 under
+    x -> A x.
 
     It is a cyclic convolution over Z_q^n, one slot at a time: slot i moves
     mass from y to y + x_i a_i with weight rho_sigma(x_i)^2. No q^w table
     is built, and only positive terms are added.
     """
-    n, q = A.rows, A.q
+    A = np.asarray(A, dtype=np.int64)
+    *lead, n, w = A.shape
+    A = A.reshape(-1, n, w)
     codes = zq_box(q, n)
     radix = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
     sq = gaussian_box_weights(q, 1, sigma) ** 2
     x = np.arange(q, dtype=np.int64)
-    mass = np.zeros(q**n)
-    mass[0] = 1.0
-    for col in A.entries.T:
+    mass = np.zeros((len(A), q**n))
+    mass[:, 0] = 1.0
+    start = np.arange(0, mass.size, q**n)[:, None, None]  # each key's row in the flat masses
+    for i in range(w):
         # row x_i holds the code of y - x_i a_i for every y
-        source = ((codes[None, :, :] - x[:, None, None] * col) % q) @ radix
-        mass = sq @ mass[source]
-    return mass
+        source = ((codes - x[:, None, None] * A[:, None, None, :, i]) % q) @ radix
+        mass = sq @ mass.reshape(-1)[start + source]
+    return mass.reshape(*lead, q**n)
 
 
-def _draw_image(A: ZqMatrix, sigma: float, rng: np.random.Generator
-                ) -> tuple[int, float, ZqVector]:
-    """Measure the image register: y with probability mass(y) / total.
-    Returns y's mixed-radix code, its mass and y."""
-    mass = image_masses(A, sigma)
-    code = qsim.draw_index(mass / mass.sum(), rng)
-    y = ZqVector(np.asarray(np.unravel_index(code, (A.q,) * A.rows)), A.q)
-    return code, float(mass[code]), y
+def _digits(codes: np.ndarray, q: int, n: int) -> np.ndarray:
+    """The Z_q^n vectors of mixed-radix codes, one row per code."""
+    return codes[:, None] // q ** np.arange(n - 1, -1, -1) % q
 
 
-def gen_gauss(A: ZqMatrix, sigma: float, rng: np.random.Generator
-              ) -> tuple[qsim.QState, ZqVector]:
-    """GenGauss: Gaussian superposition, coherent A.x into Y, measure Y.
+def _registers(q: int, w: int, amps: np.ndarray) -> list[qsim.QState]:
+    """One register on w q-ary slots (segment "X") per row of ``amps``,
+    each a view of its row."""
+    layout = qsim.RegisterLayout([("X", (q,) * w)])
+    return [qsim.QState(layout, a) for a in amps.astype(np.complex128, copy=False)]
 
-    Returns the residual Gaussian coset state on segment "X" and the image.
-    The image register is measured immediately, so y is drawn from
-    image_masses and the normalised coset amplitudes
+
+def gen_gauss(A: np.ndarray, q: int, sigma: float, rngs: Sequence[np.random.Generator]
+              ) -> tuple[list[qsim.QState], np.ndarray]:
+    """GenGauss for each key of the stack A (keys, n, w) over Z_q, key i
+    drawing from rngs[i]: Gaussian superposition, coherent A.x into Y,
+    measure Y.
+
+    Returns the residual Gaussian coset states on segment "X" and the
+    images, one row per key. The image register is measured immediately,
+    so y is drawn from image_masses and the normalised coset amplitudes
     rho_sigma(x) / sqrt(mass(y)) are written directly: the same channel as
     preparing the Gaussian on X, computing A x into Y and measuring Y.
     """
-    q, w = A.q, A.cols
-    _check_box(q, w)
-    code, mass, y = _draw_image(A, sigma, rng)
-    members = np.flatnonzero(zq_image_codes(A) == code)
-    values = gaussian_box_weights(q, w, sigma)[members] / math.sqrt(mass)
-    amps = np.zeros(q**w, dtype=np.complex128)
-    amps[members] = values
-    return qsim.QState(qsim.RegisterLayout([("X", (q,) * w)]), amps), y
+    A = np.asarray(A, dtype=np.int64)
+    _check_box(q, A.shape[2])
+    mass = image_masses(A, q, sigma)
+    # measure each key's image register: y with probability mass(y) / total
+    codes = qsim.draw_rows(mass / mass.sum(axis=1, keepdims=True), rngs)
+    scale = np.sqrt(mass[np.arange(len(codes)), codes])
+    amps = np.where(zq_image_codes(A, q) == codes[:, None],
+                    gaussian_box_weights(q, A.shape[2], sigma) / scale[:, None], 0.0)
+    return _registers(q, A.shape[2], amps), _digits(codes, q, A.shape[1])
 
 
 def plaintext_offset(params: DRParams, b: int) -> np.ndarray:
@@ -157,76 +168,86 @@ def plaintext_offset(params: DRParams, b: int) -> np.ndarray:
     return g
 
 
-def _dual_sum(A: ZqMatrix, y: ZqVector, g: np.ndarray, table: np.ndarray,
-              scale: float = 1.0) -> np.ndarray:
+def _dual_sum(A: ZqMatrix, y: np.ndarray, g: np.ndarray, table: np.ndarray,
+              scale=1.0) -> np.ndarray:
     """scale * sum_s w^{-<s,y>} prod_i table[k_i - g_i + (A^T s)_i] over s of
-    Z_q^n, for every k of Z_q^w flat in zq_box order.
+    Z_q^n, for every k of Z_q^w flat in zq_box order, one row per row of y
+    (registers, n) and g (registers, w), and of scale where it is an array.
 
-    One complex GEMM of inner dimension q^n: for each s the product over
-    the first half of the slots (times the phase) and over the last half
-    are rows of two Khatri-Rao factors, and k = (k_first, k_last).
+    One complex GEMM per register, of inner dimension q^n, in one stacked
+    matmul: for each s the product over the first half of the slots (times
+    the phase) and over the last half are rows of two Khatri-Rao factors,
+    and k = (k_first, k_last).
     """
     q, w = A.q, A.cols
     s = zq_box(q, A.rows)
-    shift = (s @ A.entries - np.asarray(g, dtype=np.int64)) % q
-    # slot factors: factors[s, i, k_i] = table[k_i - g_i + (A^T s)_i]
-    factors = table[(shift[:, :, None] + np.arange(q)) % q]
-    phase = scale * np.exp(-2j * np.pi * ((s @ y.entries) % q) / q)
+    shift = (s @ A.entries - np.asarray(g, dtype=np.int64)[:, None, :]) % q
+    # slot factors: factors[r, s, i, k_i] = table[k_i - g_{r,i} + (A^T s)_i]
+    factors = table[(shift[..., None] + np.arange(q)) % q]
+    phase = np.asarray(scale)[..., None] * np.exp(-2j * np.pi * ((y @ s.T) % q) / q)
     half = w // 2
-    first = _khatri_rao(phase[:, None], factors[:, :half])
-    last = _khatri_rao(np.ones((len(s), 1)), factors[:, half:])
-    return (first.T @ last).reshape(-1)
+    first = _khatri_rao(phase[..., None], factors[..., :half, :])
+    last = _khatri_rao(np.ones((*phase.shape, 1)), factors[..., half:, :])
+    return (first.swapaxes(1, 2) @ last).reshape(len(phase), -1)
 
 
 def _khatri_rao(start: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """Row-wise Kronecker product of start with factors[:, i] for each i."""
+    """Row-wise Kronecker product of start with factors[..., i, :] for each
+    i, over the rows of the last axis but one."""
     out = start
-    for i in range(factors.shape[1]):
-        out = (out[:, :, None] * factors[:, i, None, :]).reshape(len(out), -1)
+    for i in range(factors.shape[-2]):
+        out = (out[..., :, None] * factors[..., i, None, :]).reshape(*out.shape[:-1], -1)
     return out
 
 
 def coset_encrypt(A: ZqMatrix, sigma: float, g: np.ndarray, rng: np.random.Generator
-                  ) -> tuple[qsim.QState, ZqVector]:
-    """One ciphertext register: the forward Fourier transform of the GenGauss
+                  ) -> tuple[list[qsim.QState], np.ndarray]:
+    """Ciphertext registers for one key, one per row of the plaintext
+    offsets g (registers, w): the forward Fourier transform of the GenGauss
     coset over {x : A x = y} with the plaintext phase w^{<x, -g>}. Returns
-    the state and the image y.
+    the states and the images y, one row per register, drawn from the one
+    generator in row order.
 
-    The register is evaluated as the exact dual sum
+    Each register is evaluated as the exact dual sum
 
         q^{-n} mass(y)^{-1/2} sum_s w^{-<s,y>} prod_i R(k_i - g_i + (A^T s)_i)
 
     with R the DFT of the one-slot Gaussian (real, as rho_sigma is even),
-    and y is drawn as gen_gauss draws it, so the channel is the same.
+    and y is drawn as gen_gauss draws it, so the channel is the same. The
+    image masses and the slot table are the key's, built once.
     """
     q, n, w = A.q, A.rows, A.cols
     _check_box(q, w)
     _check_box(q, n)
-    _, mass, y = _draw_image(A, sigma, rng)
+    mass = image_masses(A.entries, q, sigma)
+    codes = qsim.draw_rows((mass / mass.sum())[None].repeat(len(g), axis=0), [rng] * len(g))
+    y = _digits(codes, q, n)
     slot = (qsim._dft_matrix(q) @ gaussian_box_weights(q, 1, sigma)).real
-    amps = _dual_sum(A, y, g, slot, scale=1 / (q**n * math.sqrt(mass)))
-    return qsim.QState(qsim.RegisterLayout([("X", (q,) * w)]), amps), y
+    amps = _dual_sum(A, y, g, slot, scale=1 / (q**n * np.sqrt(mass[codes])))
+    return _registers(q, w, amps), y
 
 
-def coset_delete(state: qsim.QState, q: int, rng: np.random.Generator) -> ZqVector:
-    """Deletion of one ciphertext register: measure every slot in the Fourier
-    basis, the rows of the inverse DFT, one slot at a time. The outcome is
-    what measuring qsim.qft_inverse(state) draws from the same generator,
-    with no state-sized transform, and it lies in the register's coset."""
-    value = qsim.measure_register(state, rng, qsim._dft_matrix(q).conj().T)
-    return ZqVector(np.asarray(value), q)
+def coset_delete(states: Sequence[qsim.QState], q: int, rng: np.random.Generator
+                 ) -> list[ZqVector]:
+    """Deletion of ciphertext registers: measure every slot in the Fourier
+    basis, the rows of the inverse DFT, one slot at a time, the registers
+    in order from the one generator. Each outcome is what measuring
+    qsim.qft_inverse(state) draws, with no state-sized transform, and it
+    lies in the register's coset."""
+    values = qsim.measure_register(states, rng, qsim._dft_matrix(q).conj().T)
+    return [ZqVector(v, q) for v in values]
 
 
 def dr_encrypt(keys: DRKeys, b: int, rng: np.random.Generator) -> DRCiphertext:
     """Enc: GenGauss coset, plaintext phase, forward Fourier transform."""
     g = plaintext_offset(keys.params, b)
-    state, y = coset_encrypt(keys.pk, keys.params.sigma, g, rng)
-    return DRCiphertext(vk=(keys.pk, y), state=state)
+    (state,), y = coset_encrypt(keys.pk, keys.params.sigma, g[None], rng)
+    return DRCiphertext(vk=(keys.pk, ZqVector(y[0], keys.pk.q)), state=state)
 
 
 def dr_decrypt(keys: DRKeys, ct: DRCiphertext, rng: np.random.Generator) -> int:
     """Dec: measure, form centered(c . sk), decide against q/4 (tie -> 1)."""
-    c = ZqVector(np.asarray(qsim.measure_register(ct.state, rng)), keys.params.q)
+    c = ZqVector(qsim.measure_register([ct.state], rng)[0], keys.params.q)
     return int(decide_decryption(c.dot(keys.sk), keys.params.q))
 
 
@@ -238,7 +259,7 @@ def decide_decryption(v, q: int) -> np.ndarray:
 
 def dr_delete(ct: DRCiphertext, rng: np.random.Generator) -> ZqVector:
     """Del: measure all slots in the Fourier basis (see coset_delete)."""
-    return coset_delete(ct.state, ct.vk[0].q, rng)
+    return coset_delete([ct.state], ct.vk[0].q, rng)[0]
 
 
 def dr_verify(vk: tuple[ZqMatrix, ZqVector], pi: ZqVector, params: DRParams) -> bool:
@@ -266,7 +287,8 @@ def dual_ciphertext_sum(A: ZqMatrix, y: ZqVector, g: np.ndarray, sigma: float
     image of A the sum is zero and there is no state: raises ValueError.
     """
     q, w = A.q, A.cols
-    if not np.any(zq_image_codes(A) == np.ravel_multi_index(tuple(y.entries), (q,) * A.rows)):
+    if not np.any(zq_image_codes(A.entries, q) == np.ravel_multi_index(tuple(y.entries),
+                                                                        (q,) * A.rows)):
         raise ValueError(f"y = {y.entries.tolist()} is outside the image of A")
-    amps = _dual_sum(A, y, g, gaussian_box_weights(q, 1, q / sigma))
-    return qsim.QState(qsim.RegisterLayout([("X", (q,) * w)]), amps).normalized()
+    amps = _dual_sum(A, y.entries[None], np.asarray(g)[None], gaussian_box_weights(q, 1, q / sigma))
+    return _registers(q, w, amps)[0].normalized()

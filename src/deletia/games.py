@@ -1,16 +1,17 @@
 """Executable security experiments with pluggable scripted adversaries.
 
 Every experiment runs in two modes. A sampled target-collapsing,
-certified-everlasting or ladder game takes a batch of runs, each a
-challenge bit with its own generator: the runs that share a key's table
-play each protocol step as one array step on their images' fiber columns,
-and each run draws in the protocol's order, so it gives the bits it would
-give alone. Exact mode computes advantages by enumerating challenger
-randomness and evolving branch states, feasible because desk-scale
-registers are enumerable. Adversaries are channels described by a
-certificate behavior and a guess behavior, not arbitrary programs;
-"computationally unbounded" here means brute force over the enumerable
-domain.
+certified-everlasting, ladder or strong Gaussian-collapsing game takes a
+batch of runs, each a challenge bit with its own generator: the runs that
+share a key's table play each protocol step as one array step on their
+images' fiber columns (the Gaussian-collapsing runs on their stacked keys
+and coset rows), and each run draws in the protocol's order, so it gives
+the bits it would give alone. Exact mode computes advantages by
+enumerating challenger randomness and evolving branch states, feasible
+because desk-scale registers are enumerable. Adversaries are channels
+described by a certificate behavior and a guess behavior, not arbitrary
+programs; "computationally unbounded" here means brute force over the
+enumerable domain.
 """
 
 from __future__ import annotations
@@ -22,13 +23,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import qsim
-from .dualregev import DRParams, dr_keygen, dr_verify, gen_gauss
+from .dualregev import DRParams, dr_keygen, gen_gauss
 from .hashfam import DomainTable, HashFamily
 from .zqcore import (
-    ZqVector,
     check_bit,
     gaussian_box_weights,
     is_short,
+    matmul_mod,
+    structured_ajtai_keygen,
     zq_box,
     zq_image_codes,
 )
@@ -559,8 +561,7 @@ def _ladder_runs(adv: Adversary, exp: int, dom: DomainTable, b: np.ndarray, rngs
         c = ov[:, None, :] * phi[..., None] / np.sqrt(p)[:, None, None]
     pc = np.einsum("ncf,ncf->nc", c, c)
     total = pc.sum(axis=1)
-    if not np.all(np.abs(total - 1.0) <= qsim.NORM_TOL):  # NaN fails too
-        raise ValueError(f"cannot measure C of squared norm {total.tolist()!r}")
+    qsim._check_norm(total)
     k = qsim.draw_rows(pc / total[:, None], [rngs[i] for i in live])
     kept = k == b[live]
     live, at = live[kept], (np.flatnonzero(kept), k[kept])
@@ -574,44 +575,57 @@ def _ladder_runs(adv: Adversary, exp: int, dom: DomainTable, b: np.ndarray, rngs
 # Strong Gaussian-collapsing experiment
 # ---------------------------------------------------------------------------
 
-def strong_gauss_collapse_exp(params: DRParams, adversary: Adversary, b: int,
-                              rng: np.random.Generator, seed: int = 0
-                              ) -> GameTranscript:
-    """One sampled run of the strong Gaussian-collapsing experiment on the
-    Dual-Regev scheme's own coset.
+def strong_gauss_collapse_exp(params: DRParams, adversary: Adversary, bs: Sequence[int],
+                              rngs: Sequence[np.random.Generator],
+                              seeds: Sequence[int] | None = None) -> list[GameTranscript]:
+    """Sampled runs of the strong Gaussian-collapsing experiment on the
+    Dual-Regev scheme's own coset, one per (b, generator), with each
+    transcript's seed from ``seeds`` (0 without).
 
-    The challenger draws a key with dr_keygen and a coset with gen_gauss,
-    measures it in the computational basis when b = 1, takes the witness w
-    from the adversary, checks it with dr_verify, and releases the trapdoor
-    -sk = (xbar, -1) only on a valid witness; an invalid witness ends the
-    game with a uniformly random output bit.
+    Each run's challenger draws a key as dr_keygen does and a coset with
+    gen_gauss, measures it in the computational basis when b = 1, takes the
+    witness w from the adversary, checks it as dr_verify does, and releases
+    the trapdoor -sk = (xbar, -1) only on a valid witness; an invalid
+    witness ends the game with a uniformly random output bit. The runs play
+    each step as one array step over their stacked keys and coset rows,
+    and each run draws from its own generator in that order (a measurement
+    by qsim.measure's rule: the probabilities over their sum, drawn by
+    draw_rows), so it gives the transcript it would give alone. The bits
+    and the adversary are checked before any run draws.
     """
-    b = check_bit(b)
-    keys = dr_keygen(params, rng)
-    state, y = gen_gauss(keys.pk, params.sigma, rng)
-    if b:
-        state = qsim.measure(state, "X", rng).post_state
-
-    if adversary.cert == "measure":
-        w = ZqVector(np.asarray(qsim.measure(state, "X", rng).value), params.q)
-    elif adversary.cert == "zero":
-        w = ZqVector(np.zeros(params.width, dtype=np.int64), params.q)
-    else:
+    b = np.array([check_bit(x) for x in bs], dtype=np.int64)
+    if adversary.cert not in ("measure", "zero"):
         raise ValueError(f"adversary {adversary.name} not scripted for this game")
-
-    valid = dr_verify((keys.pk, y), w, params)
-    trapdoor = ZqVector(-keys.sk.entries, params.q) if valid else None
-    bprime = int(rng.integers(0, 2))  # the honest deleter guesses blindly
-    return GameTranscript(
-        experiment="sgc", seed=seed, b=b, adversary=adversary.name,
-        outputs={
-            "y": y.entries.tolist(), "w": w.entries.tolist(),
-            "valid": valid,
-            "trapdoor": trapdoor.entries.tolist() if trapdoor is not None else None,
-            "b_prime": bprime,
-        },
-        verdict=bprime,
-    )
+    if not len(rngs):
+        return []
+    seeds = [0] * len(rngs) if seeds is None else seeds
+    q, w = params.q, params.width
+    A, sk = structured_ajtai_keygen(params.n, w, q, rngs)
+    states, y = gen_gauss(A, q, params.sigma, rngs)
+    p = np.square(np.abs(np.stack([s.amps for s in states])))
+    total = p.sum(axis=1)
+    qsim._check_norm(total)
+    p /= total[:, None]
+    ones = np.flatnonzero(b)  # measured: only the drawn basis state is left
+    k = qsim.draw_rows(p[ones], [rngs[i] for i in ones])
+    p[ones] = 0.0
+    p[ones, k] = 1.0
+    if adversary.cert == "measure":
+        wit = np.stack(np.unravel_index(qsim.draw_rows(p, rngs), (q,) * w), axis=1)
+    else:
+        wit = np.zeros((len(rngs), w), dtype=np.int64)
+    valid = np.all(matmul_mod(A, wit[..., None], q)[..., 0] == y, axis=1) \
+        & is_short(wit, q, params.cert_bound_sq())
+    out = []
+    for i, rng in enumerate(rngs):
+        bprime = int(rng.integers(0, 2))  # the honest deleter guesses blindly
+        out.append(GameTranscript(
+            experiment="sgc", seed=seeds[i], b=int(b[i]), adversary=adversary.name,
+            outputs={"y": y[i].tolist(), "w": wit[i].tolist(), "valid": bool(valid[i]),
+                     "trapdoor": ((-sk[i]) % q).tolist() if valid[i] else None,
+                     "b_prime": bprime},
+            verdict=bprime))
+    return out
 
 
 def sgc_honest_ensembles(params: DRParams, rng: np.random.Generator
@@ -625,7 +639,7 @@ def sgc_honest_ensembles(params: DRParams, rng: np.random.Generator
     A = dr_keygen(params, rng).pk
     rho2 = gaussian_box_weights(q, w, params.sigma) ** 2
     valid = is_short(zq_box(q, w), q, params.cert_bound_sq())
-    label = (zq_image_codes(A) * len(valid) + np.arange(len(valid))) * 2 + valid
+    label = (zq_image_codes(A.entries, q) * len(valid) + np.arange(len(valid))) * 2 + valid
     states = np.zeros((0, 0), dtype=np.complex128)
     e0 = qsim.Ensemble.from_columns(rho2 / rho2.sum(), label, -1, states)
     # measuring first (b=1) and then deleting produces the same joint law

@@ -12,6 +12,8 @@ one-segment operation is an index or a product on axis 1 of that view.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -233,47 +235,59 @@ def measure(state: QState, segment: str, rng: np.random.Generator) -> MeasureOut
     total = probs.sum()
     _check_norm(total)
     probs /= total
-    k, _ = _draw(probs, rng.random())
+    k = int(_search(probs.cumsum(), rng.random()))
     prob = float(probs[k])
     value = tuple(int(v) for v in np.unravel_index(k, state.layout.seg_dims(segment)))
     return MeasureOutcome(value, prob, lambda: _collapse(state, segment, k, prob).post_state)
 
 
-def measure_register(state: QState, rng: np.random.Generator,
-                     u: np.ndarray | None = None) -> tuple[int, ...]:
-    """Measure every slot of a one-segment register in the basis of ``u``'s
-    rows (the computational basis without ``u``), one slot at a time: the
-    value that measure(<u on every slot>(state)) draws from the same
-    generator (in exact arithmetic; rounding can differ only where the
-    uniform number lies within rounding of an interval's edge), and the
-    generator is left in the same state.
+def measure_register(states: Sequence[QState], rng: np.random.Generator,
+                     u: np.ndarray | None = None) -> np.ndarray:
+    """Measure every slot of a stack of one-segment registers, all on one
+    layout, in the basis of ``u``'s rows (the computational basis without
+    ``u``), one slot at a time. Returns one row of slot values per register.
+
+    Row i is the value that measure(<u on every slot>(states[i])) draws
+    (in exact arithmetic; rounding can differ only where the uniform
+    number lies within rounding of an interval's edge), with the registers
+    drawing in order from the one generator, which is left in the state
+    those measurements leave it in: one uniform number per register.
 
     Each slot's outcome weights are the row norms of the remaining
-    amplitudes as a (d, rest) matrix m, taken in the basis first: t = u @ m
-    (t = m without u). The drawn row t[k] is what the next slot measures.
-    That is O(N d) for the first slot with u and O(N) after it, with no
-    transform of the whole register, conjugate copy or cumulative sum. One
-    uniform number is drawn, after the norm check, and used in a nested
-    inverse CDF. Raises ValueError when the state's norm is off by more
-    than NORM_TOL.
+    amplitudes as a (d, rest) matrix m per register, taken in the basis
+    first: t = u @ m (t = m without u). The drawn row t[k] is what the next
+    slot measures. That is O(N d) for the first slot with u and O(N) after
+    it, with no transform of the whole register, conjugate copy or
+    cumulative sum over it. Every register's norm is checked before the
+    first draw: ValueError when one is off by more than NORM_TOL. The
+    uniform numbers then go through ``_draw``'s nested inverse CDF.
     """
-    if len(state.layout.segments) != 1:
-        raise ValueError(f"measure_register needs one segment, got {state.layout.names()}")
-    dims = state.layout.all_dims
+    layout = states[0].layout
+    if len(layout.segments) != 1:
+        raise ValueError(f"measure_register needs one segment, got {layout.names()}")
+    if any(s.layout != layout for s in states[1:]):
+        raise ValueError("measure_register needs registers on one layout")
+    dims = layout.all_dims
     if u is not None and any(u.shape != (d, d) for d in dims):
         raise ValueError(f"a {u.shape} basis does not fit slots {dims}")
-    rest, r, value = np.ascontiguousarray(state.amps), None, []
+    # one register is read in place; a stack is one copy
+    rest = np.ascontiguousarray(states[0].amps)[None] if len(states) == 1 else \
+        np.stack([s.amps for s in states])
+    rows, r, values = np.arange(len(rest)), None, []
     for d in dims:
-        t = rest.reshape(d, -1) if u is None else u @ rest.reshape(d, -1)
+        t = rest.reshape(len(rest), d, -1)
+        if u is not None:
+            t = u @ t
         v = t.view(np.float64)
-        weights = np.einsum("ij,ij->i", v, v)
+        weights = np.einsum("bij,bij->bi", v, v)
         if r is None:
-            _check_norm(weights.sum())
-            r = rng.random()
+            _check_norm(weights.sum(axis=1))
+            r = rng.random(len(rest)).tolist()  # as many scalar draws, in order
         k, r = _draw(weights, r)
-        value.append(k)
-        rest = t[k]
-    return tuple(value)
+        values.append(k)
+        # a view where every register drew the same row (one register always does)
+        rest = t[:, k[0]] if len(set(k)) == 1 else t[rows, k]
+    return np.array(values, dtype=np.int64).T
 
 
 def draw_rows(p, rngs: Sequence[np.random.Generator]) -> np.ndarray:
@@ -289,26 +303,8 @@ def draw_rows(p, rngs: Sequence[np.random.Generator]) -> np.ndarray:
     own sqrt(eps)). Then each row's uniform number picks its index by
     ``_search``, choice's own rule.
     """
-    tol = _SUM_TOL
-    if isinstance(p, np.ndarray) and p.dtype.kind == "f" and p.dtype.itemsize < 8:
-        tol = max(tol, math.sqrt(np.finfo(p.dtype).eps))
-    p = np.asarray(p).astype(np.float64, casting="safe", copy=False)
-    if p.ndim != 2 or not p.shape[1] or len(p) != len(rngs):
-        raise ValueError(f"probabilities must be {len(rngs)} nonempty rows, got shape {p.shape}")
-    if not len(p):
-        return np.zeros(0, dtype=np.int64)
-    cdf = p.cumsum(axis=1)
-    total = cdf[:, -1]
-    low = p.min()
-    if not (low >= 0 and np.abs(total - 1.0).max() <= tol):  # NaN fails both
-        if np.isnan(total).any():
-            raise ValueError("probabilities contain NaN")
-        if low < 0:
-            raise ValueError("probabilities are not non-negative")
-        off = ~(np.abs(total - 1.0) <= tol)
-        raise ValueError(f"probabilities sum to {float(total[off][0])!r}, not 1")
-    r = rngs[0].random() if len(rngs) == 1 else np.array([rng.random() for rng in rngs])
-    return _search(cdf, r)
+    cdf = _checked_cdf(p, len(rngs))
+    return _search(cdf, np.array([rng.random() for rng in rngs]))
 
 
 def draw_index(p, rng: np.random.Generator) -> int:
@@ -317,18 +313,46 @@ def draw_index(p, rng: np.random.Generator) -> int:
     state. It is ``draw_rows``' one-row case; p must be 1-d."""
     if np.ndim(p) != 1:
         raise ValueError(f"probabilities must be a 1-d array, got shape {np.shape(p)}")
-    return int(draw_rows(p[None] if isinstance(p, np.ndarray) else [p], [rng])[0])
+    cdf = _checked_cdf(p[None] if isinstance(p, np.ndarray) else [p], 1)
+    return int(_search(cdf[0], rng.random()))
 
 
-def _check_norm(total: float) -> None:
-    if abs(total - 1.0) > NORM_TOL:
-        raise ValueError(f"cannot measure a state of squared norm {total!r}")
+def _checked_cdf(p, rows: int) -> np.ndarray:
+    """The cumulative sums of ``p``'s rows, after choice's checks on every
+    row (see draw_rows)."""
+    tol = _SUM_TOL
+    if isinstance(p, np.ndarray) and p.dtype.kind == "f" and p.dtype.itemsize < 8:
+        tol = max(tol, math.sqrt(np.finfo(p.dtype).eps))
+    p = np.asarray(p).astype(np.float64, casting="safe", copy=False)
+    if p.ndim != 2 or not p.shape[1] or len(p) != rows:
+        raise ValueError(f"probabilities must be {rows} nonempty rows, got shape {p.shape}")
+    cdf = np.add.accumulate(p, axis=1)  # cumsum, with less call overhead
+    total = cdf[:, -1]
+    low = p.min(initial=0.0)
+    off = abs(float(total[0]) - 1.0) if rows == 1 else np.abs(total - 1.0).max(initial=0.0)
+    if not (low >= 0 and off <= tol):  # NaN fails both
+        if np.isnan(total).any():
+            raise ValueError("probabilities contain NaN")
+        if low < 0:
+            raise ValueError("probabilities are not non-negative")
+        off = ~(np.abs(total - 1.0) <= tol)
+        raise ValueError(f"probabilities sum to {float(total[off][0])!r}, not 1")
+    return cdf
 
 
-def _draw(weights: np.ndarray, r: float) -> tuple[int, float]:
-    """The index that the uniform number r picks from ``weights`` by
-    ``_search``, and where r falls in that index's interval, rescaled to
-    [0, 1].
+def _check_norm(total) -> None:
+    """ValueError unless every squared norm in ``total`` (one or an array
+    of them, perhaps none) lies within NORM_TOL of 1; a NaN one fails."""
+    off = np.abs(total - 1.0)
+    if not off.max(initial=0.0) <= NORM_TOL:  # NaN fails too
+        bad = float(np.ravel(total)[~(np.ravel(off) <= NORM_TOL)][0])
+        raise ValueError(f"cannot measure a state of squared norm {bad!r}")
+
+
+def _draw(weights: np.ndarray, r: Sequence[float]) -> tuple[list[int], list[float]]:
+    """For each row of ``weights``, the index that its uniform number r
+    picks by ``_search``, and where r falls in that index's interval,
+    rescaled to [0, 1].
 
     Passing that second number to a draw over the chosen index's sub-weights
     picks, in exact arithmetic, the index that one flat inverse CDF over
@@ -336,12 +360,17 @@ def _draw(weights: np.ndarray, r: float) -> tuple[int, float]:
     always has nonzero weight: when rounding puts r past the last interval,
     it is the last entry of nonzero weight.
     """
-    cdf = np.maximum(weights, 0.0).cumsum()
-    k = int(_search(cdf, r))
-    if k == len(cdf):
-        k = int(cdf.searchsorted(1.0))
-    low = cdf[k - 1] if k else 0.0
-    return k, float((r - low) / (cdf[k] - low))
+    cdf = np.maximum(weights, 0.0).cumsum(axis=1)
+    k = _search(cdf, r).tolist()  # each row of cdf is now normalised
+    # the few rows' intervals in Python floats: the same IEEE arithmetic as
+    # numpy scalars, without numpy's per-call cost
+    rest = []
+    for i, (row, ki, ri) in enumerate(zip(cdf.tolist(), k, r)):
+        if ki == len(row):  # r at or past 1: the first entry at 1, the last of nonzero weight
+            k[i] = ki = bisect.bisect_left(row, 1.0)
+        low = row[ki - 1] if ki else 0.0
+        rest.append((ri - low) / (row[ki] - low))
+    return k, rest
 
 
 def _search(cdf: np.ndarray, r):
@@ -350,7 +379,10 @@ def _search(cdf: np.ndarray, r):
     index whose entry exceeds the uniform number r, that is the count of
     entries at most r, as they ascend. A 2-d cdf takes one r per row (or
     one r for all rows) and gives one index per row."""
-    cdf /= cdf[..., -1:]
+    if cdf.ndim == 1:
+        cdf /= cdf[-1]
+        return np.count_nonzero(cdf <= r)
+    cdf /= cdf[:, -1:]
     return (cdf <= np.asarray(r)[..., None]).sum(axis=-1)
 
 
@@ -365,9 +397,13 @@ def _collapse(state: QState, segment: str, k: int, prob: float) -> MeasureOutcom
     return MeasureOutcome(value, prob, QState(state.layout, out.reshape(-1)))
 
 
+@functools.lru_cache(maxsize=64)
 def _dft_matrix(q: int) -> np.ndarray:
+    """The unitary q x q DFT, built once per q and shared, so read-only."""
     idx = np.arange(q)
-    return np.exp(2j * np.pi * np.outer(idx, idx) / q) / math.sqrt(q)
+    dft = np.exp(2j * np.pi * np.outer(idx, idx) / q) / math.sqrt(q)
+    dft.flags.writeable = False
+    return dft
 
 
 def _apply_along_axes(state: QState, segment: str, u: np.ndarray) -> QState:

@@ -12,6 +12,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -154,9 +155,14 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     if top > room:
         return np.asarray((a.astype(object) @ b.astype(object)) % q, dtype=np.int64)
     chunk = room // top  # residue + chunk products stay within int64
-    acc = (a[..., :chunk] @ b[:chunk]) % q
+
+    def part(lo):  # the product over the chunk of the inner dimension from lo
+        rows = b[lo:lo + chunk] if b.ndim == 1 else b[..., lo:lo + chunk, :]
+        return a[..., lo:lo + chunk] @ rows
+
+    acc = part(0) % q
     for lo in range(chunk, inner, chunk):
-        acc = (acc + a[..., lo:lo + chunk] @ b[lo:lo + chunk]) % q
+        acc = (acc + part(lo)) % q
     return acc
 
 
@@ -188,26 +194,34 @@ def _check_box(q: int, w: int) -> None:
         raise EnumerationTooLarge(f"q^{w} = {q**w} exceeds {ENUM_GUARD}")
 
 
-def zq_image_codes(A: ZqMatrix) -> np.ndarray:
-    """Mixed-radix code of A x mod q for every x of Z_q^w, flat in zq_box order.
+def zq_image_codes(A: np.ndarray, q: int) -> np.ndarray:
+    """Mixed-radix code of A x mod q for every x of Z_q^w, flat in zq_box
+    order, for the n x w entries A, or for each matrix of a stack of them
+    (leading axes, which the codes keep).
 
     Each row's image is built slot by slot, gathering from a q x q table of
     (i + j) mod q rather than reducing a growing outer sum, so the box is
     never formed. The table is built only for w >= 2, where q^2 fits the box.
     """
-    q, w = A.q, A.cols
+    A = np.asarray(A, dtype=np.int64) % q
+    *lead, n, w = A.shape
+    A = A.reshape(-1, n, w)
     _check_box(q, w)
     small = np.min_scalar_type(q - 1)
     digits = np.arange(q, dtype=np.int64)
     residue = ((digits[:, None] + digits[None, :]) % q).astype(small) if w > 1 else None
+    key = q * np.arange(len(A))[:, None]  # each key's first row in the stacked tables
     # the first row broadcasts this to the box; with no rows every code is 0
-    codes = np.zeros(1 if A.rows else q**w, dtype=np.int64)
-    for row in A.entries:
-        img = (digits * row[0] % q).astype(small)
-        for a in row[1:]:
-            img = residue[:, digits * a % q].take(img, axis=0).reshape(-1)
+    codes = np.zeros((len(A), 1 if n else q**w), dtype=np.int64)
+    for i in range(n):
+        steps = digits * A[:, i, :, None] % q  # (keys, w, q): x_j a_j for each slot j
+        img = steps[:, 0].astype(small)
+        for j in range(1, w):
+            # row v of each key's table holds v + x_j a_j mod q for every x_j
+            tables = residue[:, steps[:, j]].swapaxes(0, 1).reshape(-1, q)
+            img = tables.take(img + key, axis=0).reshape(len(A), -1)
         codes = codes * q + img
-    return codes
+    return codes.reshape(*lead, -1)
 
 
 def gaussian_box_weights(q: int, w: int, sigma: float) -> np.ndarray:
@@ -247,19 +261,23 @@ def gaussian_pmf_1d(sigma: float, q: int) -> tuple[np.ndarray, np.ndarray]:
 # Structured Ajtai keys (Dual-Regev PKE, FHE and the SGC challenger)
 # ---------------------------------------------------------------------------
 
-def structured_ajtai_keygen(n: int, m: int, q: int, rng: np.random.Generator
-                            ) -> tuple[ZqMatrix, ZqVector]:
-    """A = [Abar | Abar xbar mod q] with binary xbar; trapdoor t = (-xbar, 1).
+def structured_ajtai_keygen(n: int, m: int, q: int, rngs: Sequence[np.random.Generator]
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """One key per generator: A = [Abar | Abar xbar mod q] with binary
+    xbar, and trapdoor t = (-xbar, 1). Returns the stacked keys' entries,
+    (keys, n, m) and (keys, m).
 
-    A t = 0 (mod q) by construction; A is n x m, so xbar has m-1 bits. Key
-    generation is classical, so it works at any parameter size.
+    A t = 0 (mod q) by construction; A is n x m, so xbar has m-1 bits. Each
+    generator draws Abar, then xbar; the products are one stacked product.
+    Key generation is classical, so it works at any parameter size.
     """
-    abar = rng.integers(0, q, size=(n, m - 1))
-    xbar = rng.integers(0, 2, size=m - 1)
-    last = matmul_mod(abar, xbar, q)
-    A = ZqMatrix(np.concatenate([abar, last[:, None]], axis=1), q)
-    t = ZqVector(np.concatenate([(-xbar) % q, [1]]), q)
-    return A, t
+    abar = np.empty((len(rngs), n, m - 1), dtype=np.int64)
+    xbar = np.empty((len(rngs), m - 1), dtype=np.int64)
+    for i, rng in enumerate(rngs):
+        abar[i] = rng.integers(0, q, size=(n, m - 1))
+        xbar[i] = rng.integers(0, 2, size=m - 1)
+    A = np.concatenate([abar, matmul_mod(abar, xbar[..., None], q)], axis=2)
+    return A, np.concatenate([(-xbar) % q, np.ones((len(rngs), 1), dtype=np.int64)], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,15 @@ import pytest
 from scipy import stats
 
 from deletia import configs, dualfhe as fhe, dualregev as dr, qsim
-from deletia.zqcore import ZqMatrix, ZqVector, gadget_inverse, gadget_matrix, gadget_width
+from deletia.zqcore import (
+    DimensionMismatch,
+    ZqMatrix,
+    ZqVector,
+    gadget_inverse,
+    gadget_matrix,
+    gadget_width,
+)
+import dualregev_ref
 from qsim_ref import value_index
 
 QP = configs.FHE_QUANTUM      # (n=1, m=1, q=7, sigma^2=14)
@@ -250,6 +258,43 @@ def test_verify_cases():
     bad[3] = ZqVector((bad[3].entries + 1) % QP.q, QP.q)
     assert not fhe.fhe_verify(ct.vk, bad, QP)
     assert not fhe.fhe_verify(ct.vk, [], QP)
+
+
+@pytest.mark.parametrize("params,seeds", [
+    (QP, range(200)), (TP, range(30)),
+    (fhe.fhe_params(2, 2, 6, sigma=2.0), range(30)),  # n = 2, composite q, 3 x 6 x 3 columns
+    (fhe.fhe_params(1, 2, 8, sigma=2.5), range(30)),  # even q
+], ids=["quantum", "tensor", "n2-q6", "q8"])
+def test_batched_columns_match_the_per_column_protocol(params, seeds):
+    """Encryption, computational-basis measurement and deletion of all
+    gadget columns at once give the per-column protocol's images, column
+    amplitudes (bit for bit), measured matrix and certificates, and leave
+    the generator in its state; the verdict is the per-column one, on
+    honest and on broken certificates."""
+    q = params.q
+    for seed in seeds:
+        keys = fhe.fhe_keygen(params, np.random.default_rng(seed))
+        A, sk = dualregev_ref.structured_ajtai_keygen(params.n, params.width, q,
+                                                      np.random.default_rng(seed))
+        assert keys.pk == A.transpose() and keys.sk == sk
+        rng, ref = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        ct = fhe.fhe_encrypt_q(keys, seed % 2, rng)
+        cols, Y = dualregev_ref.fhe_encrypt_q(keys, seed % 2, ref)
+        assert ct.vk[1] == Y and len(ct.columns) == len(cols) == params.ncols
+        assert all(np.array_equal(got.amps, want.amps) for got, want in zip(ct.columns, cols))
+        assert rng.random() == ref.random()
+        assert fhe.fhe_measure_q(ct, rng).matrix == dualregev_ref.fhe_measure_q(cols, q, ref)
+        assert rng.random() == ref.random()
+        pis = fhe.fhe_delete(ct, rng)
+        assert pis == dualregev_ref.fhe_delete(cols, q, ref)
+        assert rng.random() == ref.random()
+        broken = [pis, pis[:-1], [ZqVector(pi.entries + (i == seed % len(pis)), q)
+                                  for i, pi in enumerate(pis)]]
+        for certs in broken:
+            assert fhe.fhe_verify(ct.vk, certs, params) == \
+                dualregev_ref.fhe_verify(ct.vk, certs, params)
+    with pytest.raises(DimensionMismatch):
+        fhe.fhe_verify(ct.vk, [ZqVector([0], q)] * params.ncols, params)
 
 
 def test_nand_unitary_is_a_basis_permutation():

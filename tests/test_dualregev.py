@@ -23,6 +23,7 @@ from deletia.zqcore import (
     zq_box,
     zq_image_codes,
 )
+import dualregev_ref
 from qsim_ref import drop_segment, value_index
 
 PARAMS = configs.DR_EXACT  # (n=1, m=2, q=13, sigma=3)
@@ -54,7 +55,7 @@ def deletion_certificate_distribution(params, A: ZqMatrix, y: ZqVector) -> dict[
     b, the squared Gaussian mass on the coset {x : A x = y}."""
     q, w = params.q, params.width
     ycode = np.ravel_multi_index(tuple(y.entries), (q,) * A.rows)
-    coset = np.flatnonzero(zq_image_codes(A) == ycode)
+    coset = np.flatnonzero(zq_image_codes(A.entries, q) == ycode)
     weights = {}
     for xv in np.stack(np.unravel_index(coset, (q,) * w), axis=1):
         c = centered_array(xv, q)
@@ -86,6 +87,18 @@ def test_keygen_distinct_secrets_birthday():
     assert collisions / pairs <= 2 ** -(params.m - 1)
 
 
+def gen_gauss_one(A: ZqMatrix, sigma: float, rng) -> tuple[qsim.QState, ZqVector]:
+    """gen_gauss on one key: a batch of one."""
+    (state,), (y,) = dr.gen_gauss(A.entries[None], A.q, sigma, [rng])
+    return state, ZqVector(y, A.q)
+
+
+def coset_encrypt_one(A: ZqMatrix, sigma: float, g, rng) -> tuple[qsim.QState, ZqVector]:
+    """coset_encrypt of one register: a batch of one."""
+    (state,), (y,) = dr.coset_encrypt(A, sigma, np.asarray(g)[None], rng)
+    return state, ZqVector(y, A.q)
+
+
 def _gen_gauss_verbatim(A, sigma, rng):
     """GenGauss as literal register operations (prepare, U_A, measure)."""
     n, w = A.rows, A.cols
@@ -111,7 +124,7 @@ def test_gen_gauss_matches_verbatim_protocol():
     counts_direct, counts_verbatim = {}, {}
     states_direct, states_verbatim = {}, {}
     for seed in range(300):
-        st1, y1 = dr.gen_gauss(A, sigma, np.random.default_rng(seed))
+        st1, y1 = gen_gauss_one(A, sigma, np.random.default_rng(seed))
         st2, y2 = _gen_gauss_verbatim(A, sigma, np.random.default_rng(1000 + seed))
         k1, k2 = tuple(y1.entries.tolist()), tuple(y2.entries.tolist())
         counts_direct[k1] = counts_direct.get(k1, 0) + 1
@@ -201,7 +214,7 @@ def test_dual_ciphertext_sum_rejects_a_y_outside_the_image():
             assert dr.dual_ciphertext_sum(*args).norm() == pytest.approx(1.0)
     # an image whose rho_sigma^2 mass underflows to 0.0 is still an image
     A = ZqMatrix([[1]], 13)
-    assert dr.image_masses(A, 0.1)[2] == 0.0
+    assert dr.image_masses(A.entries, A.q, 0.1)[2] == 0.0
     state = dr.dual_ciphertext_sum(A, ZqVector([2], 13), np.zeros(1, dtype=np.int64), 0.1)
     assert state.norm() == pytest.approx(1.0)
 
@@ -361,7 +374,7 @@ def test_gen_gauss_image_distribution_matches_preimage_masses():
     counts = {}
     trials = 4000
     for seed in range(trials):
-        _, y = dr.gen_gauss(A, sigma, np.random.default_rng(seed))
+        _, y = gen_gauss_one(A, sigma, np.random.default_rng(seed))
         k = int(y.entries[0])
         counts[k] = counts.get(k, 0) + 1
     for y, mass in masses.items():
@@ -372,7 +385,7 @@ def test_gen_gauss_image_distribution_matches_preimage_masses():
 
 def assert_certificate_in_coset(A: ZqMatrix, sigma: float, g, seed: int):
     """Every basis value the deletion measurement can return satisfies A x = y."""
-    state, y = dr.coset_encrypt(A, sigma, g, np.random.default_rng(seed))
+    state, y = coset_encrypt_one(A, sigma, g, np.random.default_rng(seed))
     probs = qsim.marginal_probs(qsim.qft_inverse(state, "X"), "X")
     box = zq_box(A.q, A.cols)
     in_coset = np.all((box @ A.entries.T) % A.q == y.entries, axis=1)
@@ -416,8 +429,8 @@ def _gen_gauss_where_reference(A, sigma, rng):
     image_masses' (checked against the box's bincount on their own)."""
     n, w, q = A.rows, A.cols, A.q
     weights = gaussian_box_weights(q, w, sigma)
-    ycodes = zq_image_codes(A)
-    mass = dr.image_masses(A, sigma)
+    ycodes = zq_image_codes(A.entries, q)
+    mass = dr.image_masses(A.entries, q, sigma)
     code = int(rng.choice(len(mass), p=mass / mass.sum()))
     amps = np.where(ycodes == code, weights / math.sqrt(mass[code]), 0.0)
     coset = qsim.QState(qsim.RegisterLayout([("X", (q,) * w)]), amps)
@@ -430,7 +443,7 @@ def test_gen_gauss_matches_the_where_reference(nmqs, seed):
     n, m, q, sigma = nmqs
     A = ZqMatrix(np.random.default_rng(seed).integers(0, q, size=(n, m + 1)), q)
     rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-    state, y = dr.gen_gauss(A, sigma, rng)
+    state, y = gen_gauss_one(A, sigma, rng)
     want, want_y = _gen_gauss_where_reference(A, sigma, ref_rng)
     assert y == want_y
     assert np.array_equal(state.amps, want.amps)
@@ -456,14 +469,80 @@ def test_coset_encrypt_matches_the_literal_protocol(case):
     rng = np.random.default_rng(seed)
     A = ZqMatrix(rng.integers(0, q, size=(n, w)), q)
     g = rng.integers(0, q, size=w)
-    state, y = dr.coset_encrypt(A, sigma, g, np.random.default_rng(seed + 1))
-    coset, want_y = dr.gen_gauss(A, sigma, np.random.default_rng(seed + 1))
+    state, y = coset_encrypt_one(A, sigma, g, np.random.default_rng(seed + 1))
+    coset, want_y = gen_gauss_one(A, sigma, np.random.default_rng(seed + 1))
     want = qsim.qft(qsim.phase_oracle(coset, "X", tuple((-g) % q)), "X")
     assert y == want_y
     np.testing.assert_allclose(state.amps, want.amps, rtol=0, atol=1e-12)
     weights = gaussian_box_weights(q, w, sigma)
-    masses = np.bincount(zq_image_codes(A), weights=weights**2, minlength=q**n)
-    np.testing.assert_allclose(dr.image_masses(A, sigma), masses, rtol=1e-12, atol=0)
+    masses = np.bincount(zq_image_codes(A.entries, q), weights=weights**2, minlength=q**n)
+    np.testing.assert_allclose(dr.image_masses(A.entries, q, sigma), masses, rtol=1e-12, atol=0)
+
+
+@st.composite
+def register_batches(draw):
+    """n <= 2, q prime, even or composite with q^w <= 2048, sigma, a batch
+    size and a seed."""
+    n = draw(st.sampled_from([1, 2]))
+    q = draw(st.sampled_from([2, 3, 4, 6, 7, 8, 9, 12, 13]))
+    w = draw(st.integers(min_value=1, max_value=int(math.log(2048, q) + 1e-9)))
+    sigma = draw(st.floats(min_value=0.5, max_value=float(q)))
+    return n, w, q, sigma, draw(st.integers(1, 6)), draw(st.integers(0, 2**32 - 1))
+
+
+@given(register_batches(), st.sampled_from(["none", "inverse-dft", "random"]))
+@settings(max_examples=60, deadline=None)
+def test_batched_registers_match_per_register_calls(case, basis):
+    """coset_encrypt of a batch of offsets, then measure_register of the
+    stack (in the computational basis or in another slot basis), give bit
+    for bit the states, images and values of one per-register call each,
+    drawing in turn from one generator, which ends in the same state; and
+    image_masses and gen_gauss over a stack of keys give each key's own."""
+    n, w, q, sigma, regs, seed = case
+    rng = np.random.default_rng(seed)
+    A = ZqMatrix(rng.integers(0, q, size=(n, w)), q)
+    g = rng.integers(0, q, size=(regs, w))
+    z = rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))
+    u = {"none": None, "inverse-dft": qsim._dft_matrix(q).conj().T,
+         "random": np.linalg.qr(z)[0]}[basis]
+    got_rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    states, y = dr.coset_encrypt(A, sigma, g, got_rng)
+    want = [dualregev_ref.coset_encrypt(A, sigma, row, ref_rng) for row in g]
+    assert [ZqVector(v, q) for v in y] == [want_y for _, want_y in want]
+    assert all(np.array_equal(s.amps, ws.amps) for s, (ws, _) in zip(states, want))
+    assert qsim.measure_register(states, got_rng, u).tolist() == \
+        [list(dualregev_ref.measure_register(ws, ref_rng, u)) for ws, _ in want]
+    assert got_rng.random() == ref_rng.random()
+
+    keys = rng.integers(0, q, size=(regs, n, w))
+    rngs, refs = ([np.random.default_rng(seed + 2 + i) for i in range(regs)] for _ in range(2))
+    cosets, ys = dr.gen_gauss(keys, q, sigma, rngs)
+    for key, mass, coset, yk, got, ref in zip(keys, dr.image_masses(keys, q, sigma), cosets, ys,
+                                              rngs, refs):
+        A = ZqMatrix(key, q)
+        assert np.array_equal(mass, dualregev_ref.image_masses(A, sigma))
+        want_coset, want_y = dualregev_ref.gen_gauss(A, sigma, ref)
+        assert ZqVector(yk, q) == want_y and np.array_equal(coset.amps, want_coset.amps)
+        assert got.random() == ref.random()
+
+
+def test_pke_lifecycle_is_the_per_register_protocol():
+    """dr_encrypt, dr_delete and dr_decrypt play a batch of one register:
+    the state (bit for bit), image, certificate and decryption of the
+    per-register protocol, up to the benchmark's smaller size (19^4)."""
+    for params, seeds in ((PARAMS, range(20)), (dr.dr_params(2, 3, 7, 3), range(10)),
+                          (dr.dr_params(1, 3, 19, 5), range(2))):
+        q = params.q
+        for seed in seeds:
+            keys = dr.dr_keygen(params, np.random.default_rng(seed))
+            rng, ref = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+            ct = dr.dr_encrypt(keys, seed % 2, rng)
+            state, y = dualregev_ref.dr_encrypt(keys.pk, params, seed % 2, ref)
+            assert ct.vk[1] == y and np.array_equal(ct.state.amps, state.amps)
+            assert dr.dr_delete(ct, rng) == dualregev_ref.coset_delete(state, q, ref)
+            c = ZqVector(np.asarray(dualregev_ref.measure_register(state, ref)), q)
+            assert dr.dr_decrypt(keys, ct, rng) == dr.decide_decryption(c.dot(keys.sk), q)
+            assert rng.random() == ref.random()
 
 
 @pytest.mark.parametrize("shape", [(1, 23), (23, 1)])
@@ -474,7 +553,7 @@ def test_coset_encrypt_rejects_an_oversized_sum_before_allocating(shape):
     before = rng.bit_generator.state
     tracemalloc.start()
     with pytest.raises(EnumerationTooLarge, match=re.escape("q^23")):
-        dr.coset_encrypt(A, 1.0, np.zeros(shape[1], dtype=np.int64), rng)
+        dr.coset_encrypt(A, 1.0, np.zeros((1, shape[1]), dtype=np.int64), rng)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 1 << 16
@@ -512,7 +591,7 @@ def test_delete_and_decrypt_build_no_collapsed_state(monkeypatch):
     ct = dr.dr_encrypt(keys, 1, rng)
     A, y = ct.vk
     assert A @ dr.dr_delete(ct, rng) == y
-    assert A @ dr.coset_delete(ct.state, params.q, rng) == y
+    assert A @ dr.coset_delete([ct.state], params.q, rng)[0] == y
     assert dr.dr_decrypt(keys, ct, rng) in (0, 1)
 
 

@@ -43,6 +43,7 @@ from deletia.hashfam import (
 )
 from deletia.qsim import ensemble_trace_distance
 from deletia.zqcore import ZqVector, centered_array, check_bit, zq_box
+import dualregev_ref
 from qsim_ref import controlled_phase_fn, drop_segment
 
 
@@ -183,9 +184,8 @@ def test_sgc_honest_deleter_valid_and_advantage_zero():
     params = configs.SGC_DESK
     valid = 0
     trials = 100
-    for t in range(trials):
-        tr = strong_gauss_collapse_exp(params, HONEST_DELETER, t % 2,
-                                       np.random.default_rng(t))
+    for tr in strong_gauss_collapse_exp(params, HONEST_DELETER, [t % 2 for t in range(trials)],
+                                        [np.random.default_rng(t) for t in range(trials)]):
         valid += tr.outputs["valid"]
         if tr.outputs["valid"]:
             assert tr.outputs["trapdoor"] is not None
@@ -215,9 +215,8 @@ def test_sgc_noop_certifier_gets_random_bit():
     params = configs.SGC_DESK
     outs = {0: 0, 1: 0}
     invalid = 0
-    for t in range(600):
-        tr = strong_gauss_collapse_exp(params, NOOP_CERTIFIER, t % 2,
-                                       np.random.default_rng(t))
+    for tr in strong_gauss_collapse_exp(params, NOOP_CERTIFIER, [t % 2 for t in range(600)],
+                                        [np.random.default_rng(t) for t in range(600)]):
         nonzero_image = any(tr.outputs["y"])
         # w = 0 is a valid witness only when the image is zero
         assert tr.outputs["valid"] == (not nonzero_image)
@@ -233,7 +232,6 @@ def test_sgc_noop_certifier_gets_random_bit():
 def test_out_of_range_challenge_bit_raises(b):
     # the games' bit b is the challenger's, not one to reduce mod 2
     match = f"bit b must be 0 or 1, got {b}"
-    rng = np.random.default_rng(0)
     # in a batch, a bad bit raises before any run draws
     bs, rngs = [0, b, 1], [np.random.default_rng(s) for s in range(3)]
     with pytest.raises(ValueError, match=match):
@@ -243,17 +241,17 @@ def test_out_of_range_challenge_bit_raises(b):
     for exp in range(4):
         with pytest.raises(ValueError, match=match):
             hybrid_ladder_mc(FAM, OVERLAP_PROJECTOR, exp, bs, rngs)
-    assert [g.random() for g in rngs] == [np.random.default_rng(s).random() for s in range(3)]
     with pytest.raises(ValueError, match=match):
-        strong_gauss_collapse_exp(configs.SGC_DESK, HONEST_DELETER, b, rng)
+        strong_gauss_collapse_exp(configs.SGC_DESK, HONEST_DELETER, bs, rngs)
+    assert [g.random() for g in rngs] == [np.random.default_rng(s).random() for s in range(3)]
 
 
 def test_sgc_trapdoor_annihilates_matrix():
     params = configs.SGC_DESK
     released = 0
-    for t in range(30):
-        tr = strong_gauss_collapse_exp(params, HONEST_DELETER, t % 2,
-                                       np.random.default_rng(t))
+    runs = strong_gauss_collapse_exp(params, HONEST_DELETER, [t % 2 for t in range(30)],
+                                     [np.random.default_rng(t) for t in range(30)])
+    for t, tr in enumerate(runs):
         if tr.outputs["trapdoor"] is None:
             continue
         released += 1
@@ -270,12 +268,45 @@ def test_sgc_witness_norm_bound_enforced():
     # the desk instance: width 3, ||w||^2 <= sigma^2 (m + 1) / 2 = 6, exactly
     assert params == configs.SGC_DESK
     assert params.width == 3 and params.cert_bound_sq() == 6
-    tr = strong_gauss_collapse_exp(params, HONEST_DELETER, 0,
-                                   np.random.default_rng(0))
+    (tr,) = strong_gauss_collapse_exp(params, HONEST_DELETER, [0], [np.random.default_rng(0)])
     w = np.asarray(tr.outputs["w"])
     c = np.where(2 * w > params.q, w - params.q, w)
     if tr.outputs["valid"]:
         assert int(c @ c) <= 6
+
+
+def _sgc_batch(adv):
+    return lambda bs, rngs, seeds: [dataclasses.asdict(tr) for tr in strong_gauss_collapse_exp(
+        configs.SGC_DESK, adv, bs, rngs, seeds)]
+
+
+def _sgc_reference(adv):
+    return lambda b, rng, seed: dataclasses.asdict(dualregev_ref.strong_gauss_collapse_exp(
+        configs.SGC_DESK, adv, b, rng, seed))
+
+
+@pytest.mark.parametrize("adv", [HONEST_DELETER, NOOP_CERTIFIER], ids=lambda a: a.name)
+def test_batched_sgc_matches_the_per_run_protocol(adv):
+    """Batches of 1, 7, 64 and 178 runs (seeds 0-249, b = seed mod 2), and
+    batches of b = 0 or b = 1 alone, give the per-run protocol's transcripts
+    and leave every generator in its state."""
+    for lo, hi in ((0, 1), (1, 8), (8, 72), (72, 250)):
+        seeds = list(range(lo, hi))
+        got = _check_batch(_sgc_batch(adv), _sgc_reference(adv), [s % 2 for s in seeds], seeds,
+                           (adv.name, lo))
+    if adv is NOOP_CERTIFIER:  # w = 0 is valid only on a zero image: the batch mixes both
+        assert {tr["outputs"]["valid"] for tr in got} == {False, True}
+    for b in (0, 1):
+        _check_batch(_sgc_batch(adv), _sgc_reference(adv), [b] * 20, list(range(1000, 1020)),
+                     (adv.name, b))
+
+
+def test_sgc_checks_the_adversary_before_any_run_draws():
+    rngs = [np.random.default_rng(s) for s in range(3)]
+    with pytest.raises(ValueError, match="overlap-projector not scripted for this game"):
+        strong_gauss_collapse_exp(configs.SGC_DESK, OVERLAP_PROJECTOR, [0, 1, 0], rngs)
+    assert [g.random() for g in rngs] == [np.random.default_rng(s).random() for s in range(3)]
+    assert strong_gauss_collapse_exp(configs.SGC_DESK, HONEST_DELETER, [], []) == []
 
 
 # --- Fact 3.5 ----------------------------------------------------------------

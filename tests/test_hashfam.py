@@ -74,11 +74,16 @@ def big_endian(x: int, bits: int) -> tuple[int, ...]:
 # --- structured Ajtai keygen (zqcore) -----------------------------------
 
 def test_structured_ajtai_trapdoor():
-    for seed in range(100):
-        A, t = structured_ajtai_keygen(2, 4, 13, np.random.default_rng(seed))
-        assert (A @ t).entries.tolist() == [0, 0]
-        assert t.entries[-1] == 1
-        assert set(t.entries[:-1].tolist()) <= {0, 12}
+    # 100 keys at once, each the key its generator draws alone
+    rngs = [np.random.default_rng(seed) for seed in range(100)]
+    keys, trapdoors = structured_ajtai_keygen(2, 4, 13, rngs)
+    assert keys.shape == (100, 2, 4) and trapdoors.shape == (100, 4)
+    for seed, (A, t) in enumerate(zip(keys, trapdoors)):
+        assert ((A @ t) % 13).tolist() == [0, 0]
+        assert t[-1] == 1
+        assert set(t[:-1].tolist()) <= {0, 12}
+        (one,), (one_t,) = structured_ajtai_keygen(2, 4, 13, [np.random.default_rng(seed)])
+        assert np.array_equal(one, A) and np.array_equal(one_t, t)
 
 
 def test_structured_ajtai_last_column_nearly_uniform():
@@ -86,8 +91,8 @@ def test_structured_ajtai_last_column_nearly_uniform():
     q, m, n = 5, 6, 1
     counts = Counter()
     for seed in range(2000):
-        A, _ = structured_ajtai_keygen(n, m, q, np.random.default_rng(seed))
-        counts[int(A.entries[0, -1])] += 1
+        (A,), _ = structured_ajtai_keygen(n, m, q, [np.random.default_rng(seed)])
+        counts[int(A[0, -1])] += 1
     obs = [counts[v] for v in range(q)]
     assert stats.chisquare(obs).pvalue > 1e-3
 

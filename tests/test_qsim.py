@@ -397,14 +397,14 @@ def test_measure_register_draws_what_measure_draws_after_the_slot_unitary(data, 
         state = qsim._apply_along_axes(QState(lay, target), "X", back)
         measured = qsim._apply_along_axes(state, "X", np.eye(d) if u is None else u)
         a, b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        got = qsim.measure_register(state, a, u)
+        got = tuple(qsim.measure_register([state], a, u)[0].tolist())
         assert got == measure(measured, "X", b).value, name
         assert a.random() == b.random(), name
         assert target[value_index(lay, "X", got)] != 0, name
         for scale in (1 + 1e-9, 1 - 1e-9):
             a = np.random.default_rng(seed)
             with pytest.raises(ValueError, match="squared norm"):
-                qsim.measure_register(QState(lay, state.amps * scale), a, u)
+                qsim.measure_register([QState(lay, state.amps * scale)], a, u)
             assert a.random() == np.random.default_rng(seed).random(), name
 
 
@@ -412,12 +412,10 @@ def test_draw_never_picks_an_entry_of_zero_weight():
     """The one draw rule clamps a negative weight to 0, and a uniform number
     that rounding put at or past 1 picks the last entry of nonzero weight."""
     weights = np.array([-1e-18, 0.25, 0.0, 0.75, 0.0, -1e-17])
-    assert qsim._draw(weights, 0.0) == (1, 0.0)
-    assert qsim._draw(weights, 0.25) == (3, 0.0)
-    assert qsim._draw(weights, 0.625) == (3, 0.5)
-    for r in (1.0, 1.0 + 2**-52):
-        k, rest = qsim._draw(weights, r)
-        assert k == 3 and rest >= 1.0
+    # one row per uniform number, all drawn at once
+    k, rest = qsim._draw(np.tile(weights, (5, 1)), [0.0, 0.25, 0.625, 1.0, 1.0 + 2**-52])
+    assert k == [1, 3, 3, 3, 3]
+    assert rest[:3] == [0.0, 0.0, 0.5] and min(rest[3:]) >= 1.0
 
 
 def _choice_outcome(draw, rng):
@@ -508,14 +506,14 @@ def test_measure_register_weights_are_the_gram_formula(monkeypatch):
     the slots drawn so far."""
     seen = []
     draw = qsim._draw
-    monkeypatch.setattr(qsim, "_draw", lambda w, r: seen.append(w.copy()) or draw(w, r))
+    monkeypatch.setattr(qsim, "_draw", lambda w, r: seen.append(w[0].copy()) or draw(w, r))
     for d, k, seed in ((2, 6, 0), (3, 4, 1), (7, 3, 2), (13, 2, 3)):
         rng = np.random.default_rng(seed)
         state = rand_state(RegisterLayout([("X", (d,) * k)]), rng)
         z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         for u in (np.linalg.qr(z)[0], qsim._dft_matrix(d).conj().T):
             seen.clear()
-            value = qsim.measure_register(state, np.random.default_rng(seed), u)
+            value = qsim.measure_register([state], np.random.default_rng(seed), u)[0]
             rest = state.amps
             for slot, digit in enumerate(value):
                 m = rest.reshape(d, -1)
@@ -609,6 +607,46 @@ def test_measure_rejects_unnormalised_state():
     for scale in (1.001, 0.5):
         with pytest.raises(ValueError, match="squared norm"):
             measure(QState(lay, good.amps * scale), "X", np.random.default_rng(0))
+
+
+def test_measurements_reject_a_nan_amplitude():
+    """A NaN squared norm is not within NORM_TOL of 1: measure and
+    measure_register raise rather than return (0, 0), and draw nothing."""
+    lay = RegisterLayout([("X", (2, 2))])
+    state = QState(lay, np.array([np.nan, 0.5, 0.5, 0.5]))
+    for run in (lambda rng: measure(state, "X", rng),
+                lambda rng: qsim.measure_register([state], rng),
+                lambda rng: qsim.measure_register([state], rng, qsim._dft_matrix(2).conj().T)):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="squared norm nan"):
+            run(rng)
+        assert rng.random() == np.random.default_rng(0).random()
+
+
+def test_measure_register_checks_every_norm_before_the_first_draw():
+    """One unnormalised register in a stack raises before any register
+    draws; registers on two layouts raise too."""
+    lay = RegisterLayout([("X", (3, 3))])
+    good = [rand_state(lay, np.random.default_rng(s)) for s in range(4)]
+    bad = QState(lay, good[0].amps * (1 + 1e-9))
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="squared norm"):
+        qsim.measure_register([*good, bad], rng)
+    assert rng.random() == np.random.default_rng(0).random()
+    other = rand_state(RegisterLayout([("X", (9,))]), rng)
+    with pytest.raises(ValueError, match="one layout"):
+        qsim.measure_register([good[0], other], rng)
+
+
+def test_generator_random_array_is_as_many_scalar_draws():
+    """measure_register draws its registers' uniform numbers as
+    rng.random(k): the k numbers that k calls of rng.random() give, in
+    order, leaving the generator in the same state."""
+    for seed in range(20):
+        for k in (1, 2, 7, 64):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert a.random(k).tolist() == [b.random() for _ in range(k)]
+            assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_phase_oracle_zero_vector_is_identity():
@@ -801,8 +839,8 @@ def test_dump_golden_file():
     from deletia import configs, dualregev
 
     keys = dualregev.dr_keygen(configs.DR_EXACT, np.random.default_rng(0))
-    st_, _ = dualregev.gen_gauss(keys.pk, configs.DR_EXACT.sigma,
-                                 np.random.default_rng(1))
+    (st_,), _ = dualregev.gen_gauss(keys.pk.entries[None], keys.pk.q, configs.DR_EXACT.sigma,
+                                    [np.random.default_rng(1)])
     golden = Path(__file__).parent / "golden" / "gengauss_coset_seed01.dump"
     assert dump(st_) == golden.read_text()
 

@@ -134,8 +134,14 @@ def test_zq_image_codes_match_the_box_product(n, w, q, seed):
     A = ZqMatrix(np.random.default_rng(seed).integers(0, q, size=(n, w)), q)
     radix = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
     want = matmul_mod(zq_box(q, w), A.entries.T, q) @ radix
-    got = zq_image_codes(A)
+    got = zq_image_codes(A.entries, q)
     assert got.dtype == np.int64 and np.array_equal(got, want)
+    # a stack of keys keeps its leading axes, each key's codes its own
+    stack = np.stack([A.entries, (A.entries * 3 + 1) % q]).reshape(2, 1, n, w)
+    got = zq_image_codes(stack, q)
+    assert got.shape == (2, 1, q**w)
+    for key, codes in zip(stack[:, 0], got[:, 0]):
+        assert np.array_equal(codes, matmul_mod(zq_box(q, w), key.T, q) @ radix)
 
 
 def _box_weights_reference(q, w, sigma):
@@ -178,7 +184,7 @@ def test_zq_box_guard():
     with pytest.raises(zqcore.EnumerationTooLarge):
         gaussian_box_weights(13, 7, 3.0)
     with pytest.raises(zqcore.EnumerationTooLarge):
-        zq_image_codes(ZqMatrix(np.ones((1, 7), dtype=np.int64), 13))
+        zq_image_codes(np.ones((1, 7), dtype=np.int64), 13)
 
 
 def test_gaussian_pmf_1d():
@@ -311,6 +317,11 @@ def test_matmul_mod_equals_the_python_int_product(q, rows, inner, cols, entries,
     assert got.dtype == np.int64
     assert got.tolist() == _int_product(a, b, q).tolist()
     assert matmul_mod(a[0], b[:, 0], q) == _int_product(a[0], b[:, 0], q)
+    # a stack of products, each the product of its pair (the int64 path slices
+    # the inner axis of both stacks)
+    pairs = [(a, b), (a[::-1], b[::-1]), ((a + 1) % q, b)]
+    got = matmul_mod(np.stack([x for x, _ in pairs]), np.stack([y for _, y in pairs]), q)
+    assert got.tolist() == [_int_product(x, y, q).tolist() for x, y in pairs]
 
 
 def test_matmul_mod_at_the_float_and_int64_bounds():
