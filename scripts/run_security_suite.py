@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from deletia import configs, games, hashfam
+from deletia import cli, configs, games, hashfam
 from deletia.qsim import ensemble_trace_distance
 
 
@@ -35,10 +35,13 @@ def main() -> None:
 
     print("== strong Gaussian collapsing ==")
     params = configs.SGC_DESK
-    runs = games.strong_gauss_collapse_exp(
-        params, games.HONEST_DELETER, [t % 2 for t in range(args.trials)],
-        [np.random.default_rng(args.seed + t) for t in range(args.trials)])
-    valid = sum(tr.outputs["valid"] for tr in runs)
+    valid = 0
+    for lo in range(0, args.trials, cli._BATCH_RUNS):  # one block of runs live at a time
+        trials = range(lo, min(lo + cli._BATCH_RUNS, args.trials))
+        runs = games.strong_gauss_collapse_exp(
+            params, games.HONEST_DELETER, [t % 2 for t in trials],
+            [np.random.default_rng(args.seed + t) for t in trials])
+        valid += sum(tr.outputs["valid"] for tr in runs)
     print(f"  honest witness validity: {valid}/{args.trials}")
     s0, s1 = games.sgc_honest_ensembles(params, np.random.default_rng(args.seed))
     print(f"  view trace distance = {ensemble_trace_distance(s0, s1):.2e}")

@@ -24,7 +24,6 @@ from .dualregev import (
     decide_decryption,
 )
 from .zqcore import (
-    DimensionMismatch,
     ZqMatrix,
     ZqVector,
     centered,
@@ -33,7 +32,7 @@ from .zqcore import (
     gadget_matrix,
     gadget_width,
     gaussian_pmf_1d,
-    is_short,
+    isis_verify,
     matmul_mod,
     structured_ajtai_keygen,
 )
@@ -151,16 +150,13 @@ def fhe_delete(ct: FHECiphertextQ, rng: np.random.Generator) -> list[ZqVector]:
 def fhe_verify(vk: tuple[ZqMatrix, ZqMatrix], pis: list[ZqVector],
                params: FHEParams) -> bool:
     """Accept iff A^T pi_i = y_i and ||pi_i|| is short (is_short), for every
-    column, all checked at once. A certificate of another modulus or
-    length raises DimensionMismatch."""
+    column: one isis_verify over the stacked certificates. A certificate of
+    another modulus or length raises DimensionMismatch."""
     A, Y = vk
     if len(pis) != Y.cols:
         return False
-    if any(pi.q != A.q or len(pi) != A.rows for pi in pis) or Y.q != A.q:
-        raise DimensionMismatch("certificate shape/modulus mismatch")
-    P = np.stack([pi.entries for pi in pis])
-    return bool(np.array_equal(matmul_mod(P, A.entries, A.q), Y.entries.T)
-                and is_short(P, A.q, params.cert_bound_sq()).all())
+    return bool(np.all(isis_verify(A.transpose(), Y.entries.T, pis, q=Y.q,
+                                   norm_bound_sq=params.cert_bound_sq())))
 
 
 def nand_tree_eval(keys: FHEKeys, leaves: list[int], rng: np.random.Generator

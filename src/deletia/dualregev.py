@@ -112,18 +112,18 @@ def image_masses(A: np.ndarray, q: int, sigma: float) -> np.ndarray:
     """
     A = np.asarray(A, dtype=np.int64)
     *lead, n, w = A.shape
-    A = A.reshape(-1, n, w)
-    codes = zq_box(q, n)
+    A = A.reshape(-1, 1, 1, n, w)
+    x = np.arange(q, dtype=np.int64)[:, None, None, None]
     radix = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    # source[k, x_i, y, i]: the flat index, in key k's row of the masses, of
+    # the code of y - x_i a_i, for every y and every slot i
+    source = ((zq_box(q, n)[..., None] - x * A) % q).swapaxes(-1, -2) @ radix
+    source += np.arange(0, len(A) * q**n, q**n)[:, None, None, None]
     sq = gaussian_box_weights(q, 1, sigma) ** 2
-    x = np.arange(q, dtype=np.int64)
     mass = np.zeros((len(A), q**n))
     mass[:, 0] = 1.0
-    start = np.arange(0, mass.size, q**n)[:, None, None]  # each key's row in the flat masses
     for i in range(w):
-        # row x_i holds the code of y - x_i a_i for every y
-        source = ((codes - x[:, None, None] * A[:, None, None, :, i]) % q) @ radix
-        mass = sq @ mass.reshape(-1)[start + source]
+        mass = sq @ mass.reshape(-1)[source[..., i]]
     return mass.reshape(*lead, q**n)
 
 
@@ -220,7 +220,8 @@ def coset_encrypt(A: ZqMatrix, sigma: float, g: np.ndarray, rng: np.random.Gener
     _check_box(q, w)
     _check_box(q, n)
     mass = image_masses(A.entries, q, sigma)
-    codes = qsim.draw_rows((mass / mass.sum())[None].repeat(len(g), axis=0), [rng] * len(g))
+    p = mass / mass.sum()
+    codes = np.array([qsim.draw_index(p, rng) for _ in g], dtype=np.int64)
     y = _digits(codes, q, n)
     slot = (qsim._dft_matrix(q) @ gaussian_box_weights(q, 1, sigma)).real
     amps = _dual_sum(A, y, g, slot, scale=1 / (q**n * np.sqrt(mass[codes])))

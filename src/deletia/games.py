@@ -29,7 +29,7 @@ from .zqcore import (
     check_bit,
     gaussian_box_weights,
     is_short,
-    matmul_mod,
+    isis_verify,
     structured_ajtai_keygen,
     zq_box,
     zq_image_codes,
@@ -614,8 +614,7 @@ def strong_gauss_collapse_exp(params: DRParams, adversary: Adversary, bs: Sequen
         wit = np.stack(np.unravel_index(qsim.draw_rows(p, rngs), (q,) * w), axis=1)
     else:
         wit = np.zeros((len(rngs), w), dtype=np.int64)
-    valid = np.all(matmul_mod(A, wit[..., None], q)[..., 0] == y, axis=1) \
-        & is_short(wit, q, params.cert_bound_sq())
+    valid = isis_verify(A, y, wit, q=q, norm_bound_sq=params.cert_bound_sq())
     out = []
     for i, rng in enumerate(rngs):
         bprime = int(rng.integers(0, 2))  # the honest deleter guesses blindly

@@ -12,7 +12,6 @@ one-segment operation is an index or a product on axis 1 of that view.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -26,6 +25,7 @@ from .zqcore import ENUM_GUARD
 NORM_TOL = 1e-10
 PROJECT_EPS = 1e-14
 _SUM_TOL = math.sqrt(np.finfo(np.float64).eps)  # Generator.choice's tolerance on sum(p)
+_BELOW_ONE = math.nextafter(1.0, 0.0)  # the largest float below 1
 
 
 class ZeroProbabilityProjection(ValueError):
@@ -273,20 +273,20 @@ def measure_register(states: Sequence[QState], rng: np.random.Generator,
     # one register is read in place; a stack is one copy
     rest = np.ascontiguousarray(states[0].amps)[None] if len(states) == 1 else \
         np.stack([s.amps for s in states])
-    rows, r, values = np.arange(len(rest)), None, []
+    r, values = None, []
     for d in dims:
         t = rest.reshape(len(rest), d, -1)
         if u is not None:
             t = u @ t
-        v = t.view(np.float64)
-        weights = np.einsum("bij,bij->bi", v, v)
+        v = t.reshape(-1, t.shape[-1]).view(np.float64)  # a row per (register, value)
+        weights = np.einsum("ij,ij->i", v, v).reshape(len(t), d)
         if r is None:
             _check_norm(weights.sum(axis=1))
             r = rng.random(len(rest)).tolist()  # as many scalar draws, in order
         k, r = _draw(weights, r)
         values.append(k)
         # a view where every register drew the same row (one register always does)
-        rest = t[:, k[0]] if len(set(k)) == 1 else t[rows, k]
+        rest = t[:, k[0]] if len(set(k)) == 1 else t[np.arange(len(t)), k]
     return np.array(values, dtype=np.int64).T
 
 
@@ -314,7 +314,7 @@ def draw_index(p, rng: np.random.Generator) -> int:
     if np.ndim(p) != 1:
         raise ValueError(f"probabilities must be a 1-d array, got shape {np.shape(p)}")
     cdf = _checked_cdf(p[None] if isinstance(p, np.ndarray) else [p], 1)
-    return int(_search(cdf[0], rng.random()))
+    return int(_search(cdf, rng.random())[0])
 
 
 def _checked_cdf(p, rows: int) -> np.ndarray:
@@ -329,8 +329,7 @@ def _checked_cdf(p, rows: int) -> np.ndarray:
     cdf = np.add.accumulate(p, axis=1)  # cumsum, with less call overhead
     total = cdf[:, -1]
     low = p.min(initial=0.0)
-    off = abs(float(total[0]) - 1.0) if rows == 1 else np.abs(total - 1.0).max(initial=0.0)
-    if not (low >= 0 and off <= tol):  # NaN fails both
+    if not (low >= 0 and all(abs(t - 1.0) <= tol for t in total.tolist())):  # NaN fails both
         if np.isnan(total).any():
             raise ValueError("probabilities contain NaN")
         if low < 0:
@@ -343,10 +342,9 @@ def _checked_cdf(p, rows: int) -> np.ndarray:
 def _check_norm(total) -> None:
     """ValueError unless every squared norm in ``total`` (one or an array
     of them, perhaps none) lies within NORM_TOL of 1; a NaN one fails."""
-    off = np.abs(total - 1.0)
-    if not off.max(initial=0.0) <= NORM_TOL:  # NaN fails too
-        bad = float(np.ravel(total)[~(np.ravel(off) <= NORM_TOL)][0])
-        raise ValueError(f"cannot measure a state of squared norm {bad!r}")
+    for t in np.ravel(total).tolist():
+        if not abs(t - 1.0) <= NORM_TOL:  # NaN fails too
+            raise ValueError(f"cannot measure a state of squared norm {t!r}")
 
 
 def _draw(weights: np.ndarray, r: Sequence[float]) -> tuple[list[int], list[float]]:
@@ -360,14 +358,14 @@ def _draw(weights: np.ndarray, r: Sequence[float]) -> tuple[list[int], list[floa
     always has nonzero weight: when rounding puts r past the last interval,
     it is the last entry of nonzero weight.
     """
-    cdf = np.maximum(weights, 0.0).cumsum(axis=1)
-    k = _search(cdf, r).tolist()  # each row of cdf is now normalised
-    # the few rows' intervals in Python floats: the same IEEE arithmetic as
+    cdf = np.add.accumulate(np.maximum(weights, 0.0), axis=1)
+    # r at or past 1 picks what the largest float below 1 picks: the first
+    # entry at 1, the last of nonzero weight
+    k = _search(cdf, [min(x, _BELOW_ONE) for x in r]).tolist()  # each row of cdf is now normalised
+    # the rows' intervals in Python floats: the same IEEE arithmetic as
     # numpy scalars, without numpy's per-call cost
     rest = []
-    for i, (row, ki, ri) in enumerate(zip(cdf.tolist(), k, r)):
-        if ki == len(row):  # r at or past 1: the first entry at 1, the last of nonzero weight
-            k[i] = ki = bisect.bisect_left(row, 1.0)
+    for row, ki, ri in zip(cdf.tolist(), k, r):
         low = row[ki - 1] if ki else 0.0
         rest.append((ri - low) / (row[ki] - low))
     return k, rest
@@ -376,14 +374,12 @@ def _draw(weights: np.ndarray, r: Sequence[float]) -> tuple[list[int], list[floa
 def _search(cdf: np.ndarray, r):
     """The one draw rule, rng.choice's: divide the cumulative sums ``cdf``
     (in place, along the last axis) by their last entry and return the first
-    index whose entry exceeds the uniform number r, that is the count of
-    entries at most r, as they ascend. A 2-d cdf takes one r per row (or
-    one r for all rows) and gives one index per row."""
-    if cdf.ndim == 1:
-        cdf /= cdf[-1]
-        return np.count_nonzero(cdf <= r)
-    cdf /= cdf[:, -1:]
-    return (cdf <= np.asarray(r)[..., None]).sum(axis=-1)
+    index whose entry exceeds the uniform number r < 1 (the last entry, now
+    1, always does), which for ascending entries is choice's count of the
+    entries at most r. A 2-d cdf takes one r per row (or one r for all rows)
+    and gives one index per row."""
+    cdf /= cdf[..., -1:]
+    return (cdf <= np.asarray(r)[..., None]).argmin(axis=-1)
 
 
 def _collapse(state: QState, segment: str, k: int, prob: float) -> MeasureOutcome:

@@ -330,14 +330,42 @@ def is_short(x, q: int, norm_bound_sq) -> np.ndarray:
     return np.vecdot(c, c) <= math.floor(norm_bound_sq)
 
 
-def isis_verify(A: ZqMatrix, y: ZqVector, pi: ZqVector, *,
-                norm_bound_sq: Fraction) -> bool:
-    """Check A @ pi == y (mod q) and that pi is short (is_short)."""
-    if A.q != y.q or A.q != pi.q:
+def isis_verify(A, y, pi, *, norm_bound_sq: Fraction, q: int | None = None):
+    """Check A @ pi == y (mod q) and that pi is short (is_short): a bool for
+    one witness, one bool per row for a stack of them.
+
+    A is a ZqMatrix or the entries of n x m matrices (..., n, m), y a
+    ZqVector or n-vector entries (..., n), pi a ZqVector, a list of
+    ZqVectors or m-vector entries (..., m), all read mod q; the leading axes
+    broadcast, so one A or y can serve every witness. The moduli the
+    arguments carry, and q where given, must be one: DimensionMismatch
+    otherwise, and for shapes that do not fit.
+    """
+    moduli = set() if q is None else {q}
+    A, y, pi = (_stacked(v, moduli) for v in (A, y, pi))
+    if len(moduli) != 1:
         raise DimensionMismatch("modulus mismatch")
-    if A.cols != len(pi) or A.rows != len(y):
+    (q,) = moduli
+    if A.ndim < 2 or A.shape[-1] != pi.shape[-1] or A.shape[-2] != y.shape[-1]:
         raise DimensionMismatch("shape mismatch in isis_verify")
-    return (A @ pi) == y and bool(is_short(pi.entries, A.q, norm_bound_sq))
+    ok = np.all(matmul_mod(A, pi[..., None], q)[..., 0] == y % q, axis=-1) \
+        & is_short(pi, q, norm_bound_sq)
+    return bool(ok) if ok.ndim == 0 else ok
+
+
+def _stacked(x, moduli: set) -> np.ndarray:
+    """The entries of a ZqVector or ZqMatrix, of a list of ZqVectors (one
+    row each) or of an int array, adding each modulus carried to
+    ``moduli``."""
+    if isinstance(x, (ZqVector, ZqMatrix)):
+        moduli.add(x.q)
+        return x.entries
+    if isinstance(x, list) and x and isinstance(x[0], ZqVector):
+        moduli.update(v.q for v in x)
+        if len({len(v) for v in x}) != 1:
+            raise DimensionMismatch("shape mismatch in isis_verify")
+        return np.stack([v.entries for v in x])
+    return np.asarray(x, dtype=np.int64)
 
 
 def check_bit(b, name: str = "b") -> int:

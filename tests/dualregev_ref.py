@@ -94,9 +94,14 @@ def coset_encrypt(A: ZqMatrix, sigma: float, g, rng):
     return qsim.QState(qsim.RegisterLayout([("X", (q,) * w)]), amps), y
 
 
+def _search(cdf, r):
+    cdf /= cdf[..., -1:]
+    return (cdf <= np.asarray(r)[..., None]).sum(axis=-1)
+
+
 def _draw(weights, r):
     cdf = np.maximum(weights, 0.0).cumsum()
-    k = int(qsim._search(cdf, r))
+    k = int(_search(cdf, r))
     if k == len(cdf):
         k = int(cdf.searchsorted(1.0))
     low = cdf[k - 1] if k else 0.0

@@ -26,6 +26,7 @@ from deletia.qsim import (
     qft_inverse,
     trace_distance,
 )
+import dualregev_ref
 from qsim_ref import apply_phase_fn, controlled_phase_fn, drop_segment, value_index
 
 
@@ -413,9 +414,12 @@ def test_draw_never_picks_an_entry_of_zero_weight():
     that rounding put at or past 1 picks the last entry of nonzero weight."""
     weights = np.array([-1e-18, 0.25, 0.0, 0.75, 0.0, -1e-17])
     # one row per uniform number, all drawn at once
-    k, rest = qsim._draw(np.tile(weights, (5, 1)), [0.0, 0.25, 0.625, 1.0, 1.0 + 2**-52])
+    r = [0.0, 0.25, 0.625, 1.0, 1.0 + 2**-52]
+    k, rest = qsim._draw(np.tile(weights, (5, 1)), r)
     assert k == [1, 3, 3, 3, 3]
     assert rest[:3] == [0.0, 0.0, 0.5] and min(rest[3:]) >= 1.0
+    # the scalar rule, row by row, to the bit
+    assert list(zip(k, rest)) == [dualregev_ref._draw(weights.copy(), x) for x in r]
 
 
 def _choice_outcome(draw, rng):

@@ -260,6 +260,33 @@ def test_isis_verify_exact_tie():
     assert not isis_verify(A, ZqVector([0], q), pi, norm_bound_sq=Fraction(5) - Fraction(1, 10**12))
 
 
+def test_isis_verify_stacks_are_one_check_per_row():
+    rng = np.random.default_rng(3)
+    q, bound = 7, Fraction(5)
+    A = rng.integers(0, q, size=(40, 2, 3))
+    pi = rng.integers(0, q, size=(40, 3))
+    y = matmul_mod(A, pi[..., None], q)[..., 0]
+    y[::3, 0] = (y[::3, 0] + 1) % q  # every third witness is outside its coset
+    want = [isis_verify(ZqMatrix(a, q), ZqVector(t, q), ZqVector(p, q), norm_bound_sq=bound)
+            for a, t, p in zip(A, y, pi)]
+    assert 0 < sum(want) < len(want)
+    assert isis_verify(A, y, pi, q=q, norm_bound_sq=bound).tolist() == want
+    # one key for every witness: a ZqMatrix against a list of ZqVectors
+    pis = [ZqVector(p, q) for p in pi]
+    shared = [isis_verify(ZqMatrix(A[0], q), ZqVector(t, q), p, norm_bound_sq=bound)
+              for t, p in zip(y, pis)]
+    assert isis_verify(ZqMatrix(A[0], q), y, pis, norm_bound_sq=bound).tolist() == shared
+    with pytest.raises(zqcore.DimensionMismatch):
+        isis_verify(ZqMatrix(A[0], q), y, pis[:1] + [ZqVector(pi[1], 11)], norm_bound_sq=bound)
+    with pytest.raises(zqcore.DimensionMismatch):
+        isis_verify(A, y, pi, norm_bound_sq=bound)  # no modulus at all
+    with pytest.raises(zqcore.DimensionMismatch):
+        isis_verify(A, y[:, :1], pi, q=q, norm_bound_sq=bound)
+    with pytest.raises(zqcore.DimensionMismatch):
+        isis_verify(ZqMatrix(A[0], q), y, [ZqVector([1, 2], q), ZqVector([1, 2, 3], q)],
+                    norm_bound_sq=bound)
+
+
 @given(st.integers(min_value=2, max_value=23), st.data())
 @settings(max_examples=50)
 def test_matrix_algebra(q, data):
