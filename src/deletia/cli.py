@@ -167,9 +167,9 @@ def cmd_pvd_roundtrip(args) -> int:
 # game run
 # ---------------------------------------------------------------------------
 
-# A sampled game plays at most this many runs at once. Each run holds its
-# own generator (about 1 KB), so a batch of them bounds the memory of any
-# --trials.
+# A sampled game (tcr included) plays at most this many runs at once. Each
+# run holds its own generator (about 1 KB), so a batch of them bounds the
+# memory of any --trials.
 _BATCH_RUNS = 1024
 
 
@@ -277,11 +277,14 @@ def cmd_game_run(args) -> int:
                        "counts": {f"exp{e}": r["counts"] for e, r in enumerate(exps)}})
     elif exp == "tcr":
         wins = 0
-        for t in range(trials):
-            tr = hashfam.tcr_game(fam, hashfam.TCR_ADVERSARIES[args.adv], _rng(seed, t))
-            wins += tr.win
-            rows.append({"trial": t, "seed": seed + t, "b": "",
-                         "verdict": tr.win, "guess": repr(tr.answer)})
+        for lo in range(0, trials, _BATCH_RUNS):
+            runs = range(lo, min(lo + _BATCH_RUNS, trials))
+            played = hashfam.tcr_game(fam, hashfam.TCR_ADVERSARIES[args.adv],
+                                      [_rng(seed, t) for t in runs])
+            for t, tr in zip(runs, played):
+                wins += tr.win
+                rows.append({"trial": t, "seed": seed + t, "b": "",
+                             "verdict": tr.win, "guess": repr(tr.answer)})
         report.update({"win_rate": wins / trials, "ci": 0.0, "advantage": wins / trials,
                        "counts": {"wins": wins, "losses": trials - wins}})
     else:  # fact35

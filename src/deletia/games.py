@@ -171,20 +171,6 @@ def _ladder_branches(adv: Adversary, dom: DomainTable, rows: np.ndarray, mass: n
 # a run that ends early draws nothing more
 # ---------------------------------------------------------------------------
 
-def _pick(p: np.ndarray, rngs: list) -> np.ndarray:
-    """For each row of ``p``, the index of one of its nonzero entries, drawn
-    in proportion to them from the row's generator. A row is divided by the
-    sum of its nonzero entries, added as a 1-d sum over them adds (one pass
-    per count of nonzero entries); its zeros add nothing to the draw."""
-    nonzero = p != 0
-    count = nonzero.sum(axis=1)
-    total = np.zeros(len(p))
-    for n in set(count.tolist()):
-        rows = count == n
-        total[rows] = p[rows][nonzero[rows]].reshape(-1, n).sum(axis=1)
-    return qsim.draw_rows(p / total[:, None], rngs)
-
-
 def _groups(family: HashFamily, dist: Callable | None, bs: Sequence[int],
             rngs: Sequence[np.random.Generator]):
     """Check every run's bit, then sample the runs' keys in turn and yield
@@ -215,7 +201,7 @@ def _sample_challenge(dom: DomainTable, b: np.ndarray, rngs: list
     odd = np.flatnonzero(b)
     if odd.size:
         post, pv, _ = dom.m_groups
-        x[odd] = post[r[odd], _pick(pv[r[odd]], [rngs[i] for i in odd])]
+        x[odd] = post[r[odd], qsim.draw_weights(pv[r[odd]], [rngs[i] for i in odd])]
     return r, x
 
 
@@ -227,7 +213,7 @@ def _sample_certificate(adv: Adversary, dom: DomainTable, r: np.ndarray, mass: n
     other modes leave the state untouched) and whether pi is valid."""
     pc, pi, fpos, valid = (a.reshape(len(r), -1) for a in np.broadcast_arrays(
         *_ladder_branches(adv, dom, r, mass[:, None])))
-    at = np.arange(len(r)), _pick(pc, rngs)
+    at = np.arange(len(r)), qsim.draw_weights(pc, rngs)
     return pi[at], fpos[at], valid[at]
 
 
@@ -540,7 +526,7 @@ def _ladder_runs(adv: Adversary, exp: int, dom: DomainTable, b: np.ndarray, rngs
     x = psi
     if exp == 3:
         post, pv, _ = dom.m_groups
-        x = post[r, _pick(pv[r], rngs)]
+        x = post[r, qsim.draw_weights(pv[r], rngs)]
     c = np.stack([x, dom.sign(z[:, None], dom.fibers[1][r]) * x], axis=1) / s2
     mass = np.einsum("ncf,ncf->nf", c, c)
     pi, col, ok = _sample_certificate(adv, dom, r, mass, rngs)
@@ -553,7 +539,7 @@ def _ladder_runs(adv: Adversary, exp: int, dom: DomainTable, b: np.ndarray, rngs
         c = column
     if exp >= 2:
         phi = np.stack([np.ones(len(live)), dom.sign(z[live], pi[live])], axis=1) / s2
-        phi /= np.sqrt(np.einsum("nc,nc->n", phi, phi))[:, None]  # as qsim.project does
+        phi /= np.sqrt(np.einsum("nc,nc->n", phi, phi))[:, None]  # a projection's target
         ov = np.einsum("ncf,nc->nf", c, phi)
         p = np.einsum("nf,nf->n", ov, ov)
         kept = np.array([rngs[i].random() for i in live]) < p

@@ -1,6 +1,7 @@
 """Keyed hash families on bit strings: the f_Delta binary-measurement
 family over toy regular one-way functions, Chor-Goldreich universal hashing
-with superposition inversion, plus balance estimation and the TCR game.
+with superposition inversion, plus balance estimation and the TCR game
+(played in batches of runs over their stacked key tables).
 
 Bit strings are ints; qsim registers use big-endian bit order (bit 0 is the
 most significant slot), so each value is its own index in the register and
@@ -37,15 +38,6 @@ class BitDomain:
     @property
     def size(self) -> int:
         return 1 << self.bits
-
-    def register_dims(self) -> tuple[int, ...]:
-        return (2,) * self.bits
-
-    def from_register(self, reg: Sequence[int]) -> int:
-        v = 0
-        for b in reg:
-            v = (v << 1) | (b & 1)
-        return v
 
     def contains(self, x) -> bool:
         return isinstance(x, (int, np.integer)) and 0 <= x < self.size
@@ -276,32 +268,36 @@ class HashFamily:
         return np.flatnonzero(self.table(key).fiber_mask(y)).tolist()
 
 
-def superposition_invert(family: HashFamily, key, td, y) -> qsim.QState:
-    """Uniform superposition over the preimages of y, via the trapdoor."""
+def superposition_invert(family: HashFamily, key, td, ys) -> np.ndarray:
+    """Uniform superpositions over the preimages of each image of ``ys``,
+    via the trapdoor (one ``invert`` call per image): one row of amplitudes
+    on the domain's register per image."""
     if family.invert is None:
         raise ValueError(f"family {family.name} has no trapdoor inversion")
-    pre = family.invert(key, td, y)
-    if not pre:
-        raise ValueError(f"empty preimage set for {y!r}")
-    layout = qsim.RegisterLayout([("X", family.domain.register_dims())])
-    w = np.zeros(layout.dim)
-    w[pre] = 1.0
-    return qsim.prepare_weighted(layout, "X", w)
+    amps = np.zeros((len(ys), family.domain.size), dtype=np.complex128)
+    for row, y in zip(amps, ys):
+        pre = family.invert(key, td, y)
+        if not pre:
+            raise ValueError(f"empty preimage set for {y!r}")
+        row[pre] = 1.0
+    # each row over its norm, the square root of its count of preimages
+    return amps / np.sqrt(np.count_nonzero(amps, axis=1))[:, None]
 
 
-def fiber_state(family: HashFamily, key, y, signed_bit: int = 0) -> qsim.QState:
-    """Fiber superposition sum_x (+/-)^(b*M(x)) |x> by enumeration."""
+def fiber_state(family: HashFamily, key, ys, signed_bit: int = 0) -> np.ndarray:
+    """Fiber superpositions sum_{x : h(x) = y} (+/-)^(b*M(x)) |x>, normalised,
+    by enumeration: one row of amplitudes on the domain's register per image
+    y of ``ys``."""
     t = family.table(key)
-    pre = np.flatnonzero(t.fiber_mask(y))
-    if not pre.size:
-        raise ValueError(f"empty fiber for {y!r}")
-    layout = qsim.RegisterLayout([("X", family.domain.register_dims())])
-    w = np.ones(pre.size)
+    fiber = t.images == np.asarray(ys)[:, None]
+    count = np.count_nonzero(fiber, axis=1)
+    if not count.all():
+        raise ValueError(f"empty fiber for {ys[int(np.argmin(count))]!r}")
+    sign = 1.0
     if check_bit(signed_bit, "signed_bit") and family.measured:
-        w = np.where(t.mvals[pre] != 0, -w, w)
-    amps = np.zeros(layout.dim, dtype=np.complex128)
-    amps[pre] = w
-    return qsim.QState(layout, amps).normalized()
+        sign = np.where(t.mvals != 0, -1.0, 1.0)
+    amps = np.where(fiber, sign, 0.0).astype(np.complex128)
+    return amps / np.sqrt(count)[:, None]
 
 
 # --- toy regular OWFs ------------------------------------------------------
@@ -580,72 +576,105 @@ class TCRTranscript:
     key: object = None
 
 
-def tcr_game(family: HashFamily, adversary, rng: np.random.Generator,
-             aux: Callable | None = None) -> TCRTranscript:
-    """One run of the target-collision-resistance experiment.
+@dataclass
+class TCRChallenge:
+    """What a batch of TCR runs hands the adversary, one row per run: the
+    keys h, each key's table stacked (``images``, and ``mvals``: M[h] per
+    value, or the value itself for identity M), the measured images y and
+    the registers X after y and v were measured, as amplitude rows on the
+    domain's register."""
 
-    The challenger prepares the uniform superposition, coherently hashes
-    and measures the image y, measures the predicate value v (the whole
-    register for identity-M families), and hands (h, y, X) to the adversary,
-    who answers with x'. Win iff eval(h, x') = y and M[h](x') != v.
+    keys: list
+    images: np.ndarray  # (runs, D)
+    mvals: np.ndarray  # (runs, D)
+    ys: list
+    states: np.ndarray  # (runs, D) complex
 
-    ``aux``, when given, is called once with the trapdoor and its result is
-    passed to the adversary (the auxiliary-information variant).
+
+def tcr_game(family: HashFamily, adversary, rngs: Sequence[np.random.Generator],
+             aux: Callable | None = None) -> list[TCRTranscript]:
+    """Runs of the target-collision-resistance experiment, one per generator.
+
+    The challenger samples h, prepares the uniform superposition, coherently
+    hashes and measures the image y, measures the predicate value v (the
+    whole register for identity-M families), and hands (h, y, X) to the
+    adversary, who answers with x'. Win iff eval(h, x') = y and
+    M[h](x') != v.
+
+    The runs are played together: each step is one array step over the
+    runs' stacked key tables (no ``DomainTable`` is built for a fresh key),
+    and run i draws from rngs[i] what it would draw alone. ``adversary``
+    takes (family, a ``TCRChallenge``, the generators, the aux values) and
+    answers every run. ``aux``, when given, is called once per run with
+    that run's trapdoor, and its result is passed on for the run (the
+    auxiliary-information variant); without it each aux value is None.
     """
-    key, td = family.sample(rng)
-    t = family.table(key)
-    layout = qsim.RegisterLayout([("X", family.domain.register_dims())])
-    state = qsim.prepare_weighted(layout, "X", np.ones(layout.dim))
+    if not rngs:
+        return []
+    keys, tds = (list(a) for a in zip(*(family.sample(rng) for rng in rngs)))
+    images, mvals = (np.stack(a) for a in zip(*(family._tabulated(key) for key in keys)))
+    runs, dim = images.shape
+    uniform = np.full(dim, 1.0 + 0j) / np.sqrt(dim)  # ones over their norm
 
     # image measurement: branch by classical pushforward, identical to the
-    # coherent compute-then-measure since eval is a basis function; images
-    # are weighed in domain order and drawn by row, in repr order
-    probs = qsim.marginal_probs(state, "X")
-    py = np.bincount(t.image_ids, weights=probs, minlength=len(t.ys))
-    j = qsim.draw_index(py / py.sum(), rng)
-    y = t.ys[j]
+    # coherent compute-then-measure since eval is a basis function; each
+    # run's images are weighed in domain order and drawn in repr order, as
+    # columns of the batch's distinct images (absent ones weigh nothing)
+    uniq, inverse = dense_unique(images.reshape(-1))
+    order = repr_argsort(uniq)
+    col = _inverse(order)[inverse].reshape(runs, dim)
+    cells = (np.arange(runs)[:, None] * len(uniq) + col).reshape(-1)
+    py = np.bincount(cells, weights=np.tile(np.square(np.abs(uniform)), runs),
+                     minlength=runs * len(uniq)).reshape(runs, -1)
+    j = qsim.draw_weights(py, rngs)
+    ys = uniq[order][j].tolist()
 
-    idx = np.flatnonzero(t.image_ids == j)
-    fiber_amps = np.zeros(layout.dim, dtype=np.complex128)
-    fiber_amps[idx] = state.amps[idx]
-    state = qsim.QState(layout, fiber_amps).normalized()
-
+    fiber = col == j[:, None]
+    state = np.where(fiber, uniform, 0)
+    state /= qsim.row_norms(state)[:, None]
     if not family.measured:
-        out = qsim.measure(state, "X", rng)
-        v = family.domain.from_register(out.value)
-        state = out.post_state
+        v, state = qsim.measure_rows(state, rngs)
+        v = v.tolist()
     else:
-        mvals = t.mvals[idx]
-        sides = np.bincount(mvals, weights=np.abs(state.amps[idx]) ** 2, minlength=2)
-        v = int(rng.random() < sides[1] / (sides[0] + sides[1]))
-        kept = np.zeros(layout.dim, dtype=np.complex128)
-        keep = idx[mvals == v]
-        kept[keep] = state.amps[keep]
-        state = qsim.QState(layout, kept).normalized()
+        mass = np.square(np.abs(state))
+        run = np.broadcast_to(np.arange(runs)[:, None], fiber.shape)
+        sides = [np.bincount(run[at], weights=mass[at], minlength=runs)
+                 for at in (fiber & (mvals == 0), fiber & (mvals == 1))]
+        p1 = (sides[1] / (sides[0] + sides[1])).tolist()
+        v = [int(rng.random() < p) for rng, p in zip(rngs, p1)]
+        state = np.where(fiber & (mvals == np.array(v)[:, None]), state, 0)
+        state /= qsim.row_norms(state)[:, None]
 
-    aux_value = aux(td) if aux is not None else None
-    answer = adversary(family, key, y, state, rng, aux_value)
-    win = (answer is not None and family.eval(key, answer) == y
-           and family.measure(key, answer) != v)
-    return TCRTranscript(y=y, v=v, answer=answer, win=win, key=key)
-
-
-def brute_force_tcr_adversary(family, key, y, state, rng, aux=None):
-    """Outputs a uniformly random preimage of y (unbounded-search model)."""
-    pre = family.fiber(key, y)
-    return pre[int(rng.integers(0, len(pre)))] if pre else None
+    aux_values = [aux(td) for td in tds] if aux is not None else [None] * runs
+    answers = adversary(family, TCRChallenge(keys, images, mvals, ys, state), rngs, aux_values)
+    out = []
+    for i, x in enumerate(answers):
+        win = (x is not None and family.domain.contains(x)
+               and images[i, int(x)] == ys[i] and int(mvals[i, int(x)]) != v[i])
+        out.append(TCRTranscript(y=ys[i], v=v[i], answer=x, win=bool(win), key=keys[i]))
+    return out
 
 
-def honest_tcr_adversary(family, key, y, state, rng, aux=None):
-    """Measures the handed register and returns the outcome."""
-    out = qsim.measure(state, "X", rng)
-    return family.domain.from_register(out.value)
+def brute_force_tcr_adversary(family, ch: TCRChallenge, rngs, aux):
+    """Outputs a uniformly random preimage of each run's y (unbounded-search
+    model)."""
+    fiber = ch.images == np.array(ch.ys)[:, None]
+    k = [int(rng.integers(0, n)) for rng, n in zip(rngs, fiber.sum(axis=1).tolist())]
+    # the k-th value of the fiber: the first at which its count passes k
+    return (np.cumsum(fiber, axis=1) > np.array(k)[:, None]).argmax(axis=1).tolist()
 
 
-def garbage_tcr_adversary(family, key, y, state, rng, aux=None):
-    """Returns the first domain value outside y's fiber, when there is one."""
-    outside = np.flatnonzero(~family.table(key).fiber_mask(y))
-    return int(outside[0]) if outside.size else None
+def honest_tcr_adversary(family, ch: TCRChallenge, rngs, aux):
+    """Measures each handed register and returns the outcome."""
+    return qsim.measure_rows(ch.states, rngs)[0].tolist()
+
+
+def garbage_tcr_adversary(family, ch: TCRChallenge, rngs, aux):
+    """Returns, for each run, the first domain value outside y's fiber, when
+    there is one."""
+    outside = ch.images != np.array(ch.ys)[:, None]
+    return [x if any_ else None for x, any_ in
+            zip(outside.argmax(axis=1).tolist(), outside.any(axis=1).tolist())]
 
 
 # The TCR game's adversaries by name.

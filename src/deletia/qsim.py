@@ -168,26 +168,6 @@ def _rows(state: QState, segment: str) -> np.ndarray:
     return v.swapaxes(1, 2).reshape(-1, v.shape[1])
 
 
-def prepare_weighted(layout: RegisterLayout, segment: str, weights: np.ndarray) -> QState:
-    """State with amplitude(x) proportional to weights[x] on one segment.
-
-    ``weights`` is an array of nonnegative weights over the segment in
-    mixed-radix order. Other segments start at |0>.
-    """
-    seg_dim = layout.seg_dim(segment)
-    w = np.asarray(weights, dtype=np.complex128).reshape(-1)
-    if w.size != seg_dim:
-        raise ValueError(f"weight table size {w.size} != segment dim {seg_dim}")
-    if np.any(w.real < -1e-15) or np.any(np.abs(w.imag) > 1e-15):
-        raise ValueError("weights must be nonnegative reals")
-    n = np.linalg.norm(w)
-    if n == 0:
-        raise ValueError("all-zero weight table")
-    amps = np.zeros(layout.dim, dtype=np.complex128)
-    amps.reshape(layout.split(segment))[0, :, 0] = w / n
-    return QState(layout, amps)
-
-
 def apply_classical(state: QState, f: Callable, src: str, dst: str) -> QState:
     """|x>|t> -> |x>|t + f(x) mod dims>, a basis permutation.
 
@@ -231,14 +211,50 @@ def measure(state: QState, segment: str, rng: np.random.Generator) -> MeasureOut
     ``post_state``. Raises ValueError when the state's norm is off by more
     than NORM_TOL.
     """
-    probs = marginal_probs(state, segment)
-    total = probs.sum()
-    _check_norm(total)
-    probs /= total
-    k = int(_search(probs.cumsum(), rng.random()))
-    prob = float(probs[k])
+    probs = marginal_probs(state, segment)[None]
+    k = int(_born_draw(probs, [rng])[0])
+    prob = float(probs[0, k])
     value = tuple(int(v) for v in np.unravel_index(k, state.layout.seg_dims(segment)))
     return MeasureOutcome(value, prob, lambda: _collapse(state, segment, k, prob).post_state)
+
+
+def measure_rows(amps: np.ndarray, rngs: Sequence[np.random.Generator]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Measure every row of ``amps``, a (rows, dim) stack of registers, whole
+    in the computational basis, row i drawing one uniform number from
+    rngs[i] (a generator may serve several rows; it draws for them in row
+    order).
+
+    Returns the index that ``measure`` draws on each row and the collapsed
+    rows, as its post_state: the drawn amplitude over its modulus, at its
+    index. Every row's norm is checked before the first draw.
+    """
+    k = _born_draw(np.square(np.abs(amps)), rngs)
+    at = np.arange(len(k)), k
+    post = np.zeros_like(amps)
+    post[at] = amps[at]
+    post[at] /= row_norms(post)
+    return k, post
+
+
+def _born_draw(probs: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """``measure``'s draw on each row of the Born weights ``probs`` (rows,
+    outcomes), row i from rngs[i]: every row's total is checked against
+    NORM_TOL before the first draw, then each row is divided by it, in
+    place, and ``_search`` picks by its uniform number."""
+    total = probs.sum(axis=1)
+    _check_norm(total)
+    probs /= total[:, None]
+    return _search(probs.cumsum(axis=1), [rng.random() for rng in rngs])
+
+
+def row_norms(amps: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of a 2-d complex array, bit for bit:
+    the same BLAS dot of its real parts plus that of its imaginary parts,
+    one stacked product per part."""
+    re, im = amps.real, amps.imag
+    sq = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
+    return np.sqrt(sq[:, 0, 0])
 
 
 def measure_register(states: Sequence[QState], rng: np.random.Generator,
@@ -305,6 +321,21 @@ def draw_rows(p, rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """
     cdf = _checked_cdf(p, len(rngs))
     return _search(cdf, np.array([rng.random() for rng in rngs]))
+
+
+def draw_weights(p: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """For each row of the nonnegative weights ``p``, the index of one of
+    its nonzero entries, drawn in proportion to them from the row's
+    generator. A row is divided by the sum of its nonzero entries, added as
+    a 1-d sum over them adds (one pass per count of nonzero entries), so a
+    row padded with zeros draws what its nonzero entries draw alone."""
+    nonzero = p != 0
+    count = nonzero.sum(axis=1)
+    total = np.zeros(len(p))
+    for n in set(count.tolist()):
+        rows = count == n
+        total[rows] = p[rows][nonzero[rows]].reshape(-1, n).sum(axis=1)
+    return draw_rows(p / total[:, None], rngs)
 
 
 def draw_index(p, rng: np.random.Generator) -> int:
@@ -453,22 +484,9 @@ def phase_oracle(state: QState, segment: str, v: Sequence[int]) -> QState:
     return QState(state.layout, t.reshape(-1))
 
 
-def project(state: QState, segment: str, target: QState | np.ndarray) -> tuple[float, QState]:
-    """Project onto |target><target| on one segment.
-
-    Returns (success probability, renormalized post-state); raises
-    ZeroProbabilityProjection below 1e-14.
-    """
-    tv, ov, prob = _overlaps(state, segment, target)
-    if prob < PROJECT_EPS:
-        raise ZeroProbabilityProjection(f"projection probability {prob} < {PROJECT_EPS}")
-    before, _, after = state.layout.split(segment)
-    out = ov.reshape(before, after)[:, None, :] * tv[:, None] / math.sqrt(prob)
-    return prob, QState(state.layout, out.reshape(-1))
-
-
 def project_prob(state: QState, segment: str, target: QState | np.ndarray) -> float:
-    """Success probability of ``project`` without the post-state (may be 0)."""
+    """Success probability of projecting one segment onto |target><target|
+    (may be 0)."""
     return _overlaps(state, segment, target)[2]
 
 

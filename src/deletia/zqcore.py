@@ -168,8 +168,11 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 
 def _reduced(x, q: int) -> tuple[np.ndarray, int]:
     """x as int64 entries in [0, q), reduced only when some entry lies
-    outside, and its largest entry (0 when empty)."""
-    x = np.asarray(x, dtype=np.int64)
+    outside, and its largest entry (0 when empty). A bool array is kept as
+    it is: its entries already lie in [0, q), and every product below
+    converts it exactly (gadget bits go to the float64 GEMM in one step)."""
+    if not (isinstance(x, np.ndarray) and x.dtype == bool):
+        x = np.asarray(x, dtype=np.int64)
     if not x.size:
         return x, 0
     top = int(x.max())
@@ -304,7 +307,8 @@ def gadget_inverse(v, q: int, d: int) -> np.ndarray:
     """Binary decomposition u with G @ u = v (mod q).
 
     Accepts a length-d vector (returns shape (dK,)) or a d x N matrix
-    (returns shape (dK, N)); output entries are in {0, 1}.
+    (returns shape (dK, N)); entry j*d + i is bit j of row i, a bool, which
+    matmul_mod takes as it is.
     """
     k = gadget_width(q)
     a = _as_entries(v) % q
@@ -313,9 +317,8 @@ def gadget_inverse(v, q: int, d: int) -> np.ndarray:
         a = a[:, None]
     if a.shape[0] != d:
         raise DimensionMismatch(f"expected {d} rows, got {a.shape[0]}")
-    out = a >> np.arange(k)[:, None, None]
-    out &= 1
-    out = out.reshape(d * k, -1)
+    # bit j as a mask test: numpy's shifts check every count, masks do not
+    out = ((a & (1 << np.arange(k))[:, None, None]) != 0).reshape(d * k, -1)
     return out[:, 0] if vec else out
 
 

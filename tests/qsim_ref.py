@@ -1,9 +1,49 @@
 """qsim operations that the per-run reference protocols in the tests use and
-``src/`` no longer needs: phases on one segment, controlled on a qubit, the
-index of a segment value, and dropping a measured segment."""
+``src/`` no longer needs: weighted state preparation, a projection with its
+post-state, phases on one segment, controlled on a qubit, the index of a
+segment value, and dropping a measured segment."""
+import math
+
 import numpy as np
 
 from deletia import qsim
+
+
+def prepare_weighted(layout: qsim.RegisterLayout, segment: str, weights: np.ndarray
+                     ) -> qsim.QState:
+    """State with amplitude(x) proportional to weights[x] on one segment.
+
+    ``weights`` is an array of nonnegative weights over the segment in
+    mixed-radix order. Other segments start at |0>.
+    """
+    seg_dim = layout.seg_dim(segment)
+    w = np.asarray(weights, dtype=np.complex128).reshape(-1)
+    if w.size != seg_dim:
+        raise ValueError(f"weight table size {w.size} != segment dim {seg_dim}")
+    if np.any(w.real < -1e-15) or np.any(np.abs(w.imag) > 1e-15):
+        raise ValueError("weights must be nonnegative reals")
+    n = np.linalg.norm(w)
+    if n == 0:
+        raise ValueError("all-zero weight table")
+    amps = np.zeros(layout.dim, dtype=np.complex128)
+    amps.reshape(layout.split(segment))[0, :, 0] = w / n
+    return qsim.QState(layout, amps)
+
+
+def project(state: qsim.QState, segment: str, target: qsim.QState | np.ndarray
+            ) -> tuple[float, qsim.QState]:
+    """Project onto |target><target| on one segment.
+
+    Returns (success probability, renormalized post-state); raises
+    ZeroProbabilityProjection below 1e-14.
+    """
+    tv, ov, prob = qsim._overlaps(state, segment, target)
+    if prob < qsim.PROJECT_EPS:
+        raise qsim.ZeroProbabilityProjection(
+            f"projection probability {prob} < {qsim.PROJECT_EPS}")
+    before, _, after = state.layout.split(segment)
+    out = ov.reshape(before, after)[:, None, :] * tv[:, None] / math.sqrt(prob)
+    return prob, qsim.QState(state.layout, out.reshape(-1))
 
 
 def apply_phase_fn(state: qsim.QState, segment: str, phase: np.ndarray) -> qsim.QState:

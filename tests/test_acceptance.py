@@ -11,6 +11,7 @@ import pytest
 from deletia import cli, configs, dualfhe as fhe, dualregev as dr, games, hashfam, pvdcore, qsim
 from deletia.qsim import ensemble_trace_distance
 from deletia.zqcore import gadget_matrix
+from pvdcore_ref import block_overlap
 
 
 def report(name: str, ok: bool, detail: str, t0: float, budget: float):
@@ -188,7 +189,7 @@ def test_criterion_8_commitment_binding():
         cross = pvdcore.open_accept_prob(pair, 1)
         product = 1.0
         for y in pair.images:
-            product *= pvdcore.block_overlap(fam, pair.key, y) ** 2
+            product *= block_overlap(fam, pair.key, y) ** 2
         worst_eq = max(worst_eq, abs(cross - product))
         worst_honest = min(worst_honest, pvdcore.open_accept_prob(pair, 0))
         bound_ok &= cross <= (1 - bal.delta_hat) ** (2 * reps) + 1e-9

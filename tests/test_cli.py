@@ -210,7 +210,7 @@ def test_game_csv_columns(tmp_path, capsys):
     assert len(rows) == 1 + 10  # both bits per trial
 
 
-@pytest.mark.parametrize("exp", ["tc", "evtc", "ladder", "sgc"])
+@pytest.mark.parametrize("exp", ["tc", "evtc", "ladder", "sgc", "tcr"])
 def test_sampled_games_print_the_same_bytes_in_batches_of_any_size(tmp_path, capsys,
                                                                  monkeypatch, exp):
     """Runs are played in batches of at most cli._BATCH_RUNS; one run at a

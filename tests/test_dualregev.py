@@ -24,7 +24,7 @@ from deletia.zqcore import (
     zq_image_codes,
 )
 import dualregev_ref
-from qsim_ref import drop_segment, value_index
+from qsim_ref import drop_segment, prepare_weighted, value_index
 
 PARAMS = configs.DR_EXACT  # (n=1, m=2, q=13, sigma=3)
 
@@ -104,7 +104,7 @@ def _gen_gauss_verbatim(A, sigma, rng):
     n, w = A.rows, A.cols
     q = A.q
     layout = qsim.RegisterLayout([("X", (q,) * w), ("Y", (q,) * n)])
-    state = qsim.prepare_weighted(layout, "X", gaussian_box_weights(q, w, sigma))
+    state = prepare_weighted(layout, "X", gaussian_box_weights(q, w, sigma))
 
     def f(xval):
         x = ZqVector(np.asarray(xval, dtype=np.int64), q)

@@ -44,7 +44,7 @@ from deletia.hashfam import (
 from deletia.qsim import ensemble_trace_distance
 from deletia.zqcore import ZqVector, centered_array, check_bit, zq_box
 import dualregev_ref
-from qsim_ref import controlled_phase_fn, drop_segment
+from qsim_ref import controlled_phase_fn, drop_segment, project
 
 
 FAM = two_to_one_family(3)
@@ -376,10 +376,10 @@ def test_exact_and_mc_agree_for_honest_deleter_exp0():
 
 def test_tcr_exp_aux_plumbing():
     fam = fdelta_family(toy_regular_owf(6, 2))
-    tr_plain = hashfam.tcr_game(fam, hashfam.brute_force_tcr_adversary,
-                                np.random.default_rng(4))
-    tr_match = hashfam.tcr_game(fam, hashfam.brute_force_tcr_adversary,
-                                np.random.default_rng(4))
+    (tr_plain,) = hashfam.tcr_game(fam, hashfam.brute_force_tcr_adversary,
+                                   [np.random.default_rng(4)])
+    (tr_match,) = hashfam.tcr_game(fam, hashfam.brute_force_tcr_adversary,
+                                   [np.random.default_rng(4)])
     assert (tr_plain.y, tr_plain.v, tr_plain.answer) == \
         (tr_match.y, tr_match.v, tr_match.answer)
     seen = []
@@ -389,7 +389,7 @@ def test_tcr_exp_aux_plumbing():
         return td
 
     hashfam.tcr_game(fam, hashfam.brute_force_tcr_adversary,
-                     np.random.default_rng(5), aux=leak)
+                     [np.random.default_rng(5)], aux=leak)
     assert len(seen) == 1
 
 
@@ -844,7 +844,7 @@ def _evtc_reference(family, dist, adv):
     ens = {0: [], 1: []}
     keys = games._keys_for_exact(family)
     wk = 1.0 / len(keys)
-    layout = qsim.RegisterLayout([("X", family.domain.register_dims())])
+    layout = qsim.RegisterLayout([("X", (2,) * family.domain.bits)])
 
     def residual_state(vec, dom):  # a bit domain's values are their register indices
         return qsim.QState(layout, np.asarray(vec, dtype=np.complex128))
@@ -1094,7 +1094,7 @@ def _ref_ladder(family, adversary, exp, b, rng):
     fib = dom.fibers[1][r]
     reg = fib[fib >= 0]
     target = psi = psi[:len(reg)]
-    layout = qsim.RegisterLayout([("C", (2,)), ("X", family.domain.register_dims())])
+    layout = qsim.RegisterLayout([("C", (2,)), ("X", (2,) * family.domain.bits)])
 
     def c_state(rows):
         amps = np.zeros((2, layout.dim // 2), dtype=np.complex128)
@@ -1121,7 +1121,7 @@ def _ref_ladder(family, adversary, exp, b, rng):
         phi = np.array([1.0, dom.sign(z, pi)]) / math.sqrt(2)
         if rng.random() >= qsim.project_prob(state, "C", phi):
             return int(rng.integers(0, 2))
-        _, state = qsim.project(state, "C", phi)
+        _, state = project(state, "C", phi)
     out = qsim.measure(state, "C", rng)
     if out.value[0] != b:
         return int(rng.integers(0, 2))
@@ -1190,16 +1190,16 @@ def test_batched_tc_and_evtc_match_the_per_run_protocol(dist):
 
 
 def test_pick_divides_each_row_by_the_sum_of_its_nonzero_entries(monkeypatch):
-    """_pick draws from each row divided by p[k].sum() over its nonzero
-    entries k, bit for bit, as the per-run pick does; a sum over the whole
-    row, zeros included, adds in another order from 8 entries on."""
+    """qsim.draw_weights draws from each row divided by p[k].sum() over its
+    nonzero entries k, bit for bit, as the per-run pick does; a sum over the
+    whole row, zeros included, adds in another order from 8 entries on."""
     rng = np.random.default_rng(5)
     p = rng.random((300, 40)) * (rng.random((300, 40)) < rng.random((300, 1)))
     p[:, 0] += 1e-3
     seen = []
     draw_rows = qsim.draw_rows
     monkeypatch.setattr(qsim, "draw_rows", lambda w, rngs: seen.append(w) or draw_rows(w, rngs))
-    games._pick(p, [np.random.default_rng(s) for s in range(len(p))])
+    qsim.draw_weights(p, [np.random.default_rng(s) for s in range(len(p))])
     for row, got in zip(p, seen[0]):
         k = np.flatnonzero(row)
         want = np.zeros_like(row)

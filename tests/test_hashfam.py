@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 import tracemalloc
@@ -28,7 +29,9 @@ from deletia.hashfam import (
     two_to_one_family,
 )
 from deletia.zqcore import structured_ajtai_keygen
+import pvdcore_ref
 from qsim_ref import value_index
+from test_games import table_family
 
 
 def identity_bits_family(bits: int) -> HashFamily:
@@ -229,9 +232,9 @@ def test_cg_superposition_invert_support_exhaustive():
     y = next(iter(image_counts))
     pre = set(fam.invert(key, td, y))
     assert pre == {x for x in range(256) if fam.eval(key, x) == y}
-    state = superposition_invert(fam, key, td, y)
+    lay = qsim.RegisterLayout([("X", (2,) * fam.domain.bits)])
+    state = qsim.QState(lay, superposition_invert(fam, key, td, [y])[0])
     probs = qsim.marginal_probs(state, "X")
-    lay = state.layout
     for x in range(256):
         p = probs[value_index(lay, "X", big_endian(x, 8))]
         if x in pre:
@@ -245,7 +248,7 @@ def test_cg_empty_preimage_raises():
     key = (7,)  # p(x) = 7 always: output 7 >> 2 = 1
     assert fam.invert(key, None, 1) == list(range(16))
     with pytest.raises(ValueError):
-        superposition_invert(fam, key, None, 2)
+        superposition_invert(fam, key, None, [1, 2])
 
 
 # --- composition and balance -------------------------------------------
@@ -327,16 +330,14 @@ def test_balance_requires_a_trial(trials):
 
 def test_tcr_honest_adversary_never_wins():
     fam = fdelta_family(toy_regular_owf(6, 2))
-    for seed in range(40):
-        tr = tcr_game(fam, honest_tcr_adversary, np.random.default_rng(seed))
-        assert not tr.win
+    rngs = [np.random.default_rng(seed) for seed in range(40)]
+    assert not any(tr.win for tr in tcr_game(fam, honest_tcr_adversary, rngs))
 
 
 def test_tcr_garbage_adversary_never_wins():
     fam = fdelta_family(toy_regular_owf(6, 2))
-    for seed in range(20):
-        tr = tcr_game(fam, garbage_tcr_adversary, np.random.default_rng(seed))
-        assert not tr.win
+    rngs = [np.random.default_rng(seed) for seed in range(20)]
+    assert not any(tr.win for tr in tcr_game(fam, garbage_tcr_adversary, rngs))
 
 
 def test_tcr_brute_force_wins_half_on_balanced_family():
@@ -345,7 +346,7 @@ def test_tcr_brute_force_wins_half_on_balanced_family():
     trials = 2000
     rng = np.random.default_rng(0)
     for _ in range(trials):
-        wins += tcr_game(fam, brute_force_tcr_adversary, rng).win
+        wins += tcr_game(fam, brute_force_tcr_adversary, [rng])[0].win
     sd = math.sqrt(trials * 0.25)
     assert abs(wins - trials / 2) <= 3 * sd
 
@@ -353,7 +354,7 @@ def test_tcr_brute_force_wins_half_on_balanced_family():
 def test_tcr_identity_measurement_win_is_distinct_preimage():
     fam = two_to_one_family(3)
     rng = np.random.default_rng(0)
-    wins = sum(tcr_game(fam, brute_force_tcr_adversary, rng).win
+    wins = sum(tcr_game(fam, brute_force_tcr_adversary, [rng])[0].win
                for _ in range(400))
     # uniform preimage of a 2-to-1 image differs from the measured one w.p. 1/2
     assert abs(wins - 200) <= 3 * math.sqrt(400 * 0.25)
@@ -364,25 +365,22 @@ def test_tcr_aux_trapdoor_leak_enables_cross_fiber_preimages():
     calls = []
 
     def leak(td):
-        calls.append(1)
+        calls.append(td)
         return td
 
-    def aux_adversary(family, key, y, state, rng, aux):
+    def aux_adversary(family, ch, rngs, aux):
         # unbounded stage with the leaked trapdoor: walk the other side
-        out = qsim.measure(state, "X", rng)
-        v = family.measure(key, family.domain.from_register(out.value))
-        for x in family.invert(key, aux, y):
-            if family.measure(key, x) != v:
-                return x
-        return None
+        answers = []
+        for key, mvals, y, x, td in zip(ch.keys, ch.mvals, ch.ys,
+                                        qsim.measure_rows(ch.states, rngs)[0], aux):
+            answers.append(next((w for w in family.invert(key, td, y)
+                                 if mvals[w] != mvals[x]), None))
+        return answers
 
-    wins = 0
-    for seed in range(50):
-        calls.clear()
-        tr = tcr_game(fam, aux_adversary, np.random.default_rng(seed), aux=leak)
-        assert len(calls) == 1  # aux callback invoked exactly once
-        wins += tr.win
-    assert wins == 50  # balanced fibers always have the other side
+    rngs = [np.random.default_rng(seed) for seed in range(50)]
+    trs = tcr_game(fam, aux_adversary, rngs, aux=leak)
+    assert len(calls) == 50  # aux callback invoked exactly once per run
+    assert all(tr.win for tr in trs)  # balanced fibers always have the other side
 
 
 def count_calls(fam: HashFamily, *names: str) -> Counter:
@@ -397,27 +395,90 @@ def count_calls(fam: HashFamily, *names: str) -> Counter:
 
 
 def test_tcr_game_reads_the_domain_table():
-    # the challenger works on family.table(key); only the win check evaluates
-    # the adversary's one answer
+    # the challenger and the win check work on the runs' stacked key tables,
+    # so no per-value callable is evaluated, answers included
     fam = fdelta_family(toy_regular_owf(6, 2))
     calls = count_calls(fam, "eval", "measure")
-    for seed in range(20):
-        calls.clear()
-        tr = tcr_game(fam, brute_force_tcr_adversary, np.random.default_rng(seed))
-        assert tr.answer is not None
-        assert calls == {"eval": 1, "measure": 1}
+    trs = tcr_game(fam, brute_force_tcr_adversary,
+                   [np.random.default_rng(seed) for seed in range(20)])
+    assert all(tr.answer is not None for tr in trs)
+    assert calls == {}
 
 
 def test_tcr_answers_outside_the_domain_never_win():
     # x - 64 would index the toy table from its end, at x's own row
     fam = fdelta_family(toy_regular_owf(6, 2))
 
-    def negative_alias(family, key, y, state, rng, aux=None):
-        pre = family.fiber(key, y)
-        return pre[int(rng.integers(0, len(pre)))] - 64
+    def negative_alias(family, ch, rngs, aux):
+        return [x - 64 for x in brute_force_tcr_adversary(family, ch, rngs, aux)]
 
-    wins = [tcr_game(fam, negative_alias, np.random.default_rng(s)).win for s in range(20)]
-    assert not any(wins)
+    trs = tcr_game(fam, negative_alias, [np.random.default_rng(s) for s in range(20)])
+    assert not any(tr.win for tr in trs)
+
+
+def _check_tcr_batch(fam, adv_name: str, seeds, case) -> list:
+    """One batch of TCR runs against the per-run game from the same seeds:
+    equal (y, v, answer, win) and keys, the same handed registers bit for
+    bit, and every generator's next draw equal. Returns the batch's
+    transcripts."""
+    handed, rngs = [], [np.random.default_rng(s) for s in seeds]
+
+    def batched(family, ch, rngs, aux):
+        handed.extend(ch.states)
+        return hashfam.TCR_ADVERSARIES[adv_name](family, ch, rngs, aux)
+
+    def per_run(family, key, y, state, rng, aux):
+        handed.append(state.amps)
+        return pvdcore_ref.TCR_ADVERSARIES[adv_name](family, key, y, state, rng, aux)
+
+    got = tcr_game(fam, batched, rngs)
+    for s, rng, tr, state in zip(seeds, rngs, got, handed[:len(got)]):
+        ref_rng = np.random.default_rng(s)
+        want = pvdcore_ref.tcr_game(fam, per_run, ref_rng)
+        assert (tr.y, tr.v, tr.answer, tr.win) == (want.y, want.v, want.answer, want.win), \
+            (case, s)
+        assert np.array_equal(state, handed[-1]), (case, s)
+        assert type(tr.answer) is type(want.answer) and type(tr.win) is bool, (case, s)
+        assert pickle.dumps(tr.key) == pickle.dumps(want.key), (case, s)
+        assert rng.random() == ref_rng.random(), (case, s)
+    return got
+
+
+@pytest.mark.parametrize("adv", sorted(hashfam.TCR_ADVERSARIES))
+def test_batched_tcr_matches_the_per_run_game(adv):
+    """The CLI's f_Delta family (a fresh key per run), an unmeasured 2-to-1
+    family and an uneven composed f_Delta family, in batches of 1, 7 and 64
+    runs."""
+    families = {"fdelta-toy-6-2": fdelta_family(toy_regular_owf(6, 2)),
+                "two-to-one-3": two_to_one_family(3),
+                "compose": fdelta_family(compose_balanced(
+                    toy_regular_owf(6, 2), chor_goldreich_family(6, 4, 3)))}
+    for name, fam in families.items():
+        for size in (1, 7, 64):
+            trs = _check_tcr_batch(fam, adv, range(1000 * size, 1000 * size + size),
+                                   (name, adv, size))
+        if adv == "brute-force-inverter":  # the batch holds both verdicts
+            assert {tr.win for tr in trs} == {False, True}, name
+
+
+@given(st.data(), st.integers(1, 5), st.integers(1, 3), st.booleans(), st.integers(0, 2**32))
+@settings(max_examples=40, deadline=None)
+def test_batched_tcr_matches_the_per_run_game_on_any_table(data, bits, keys, measured, seed):
+    """Each run samples one of a few tables, with fibers of any sizes under
+    a measured or the identity M: image columns absent from some runs'
+    tables, and every summation order."""
+    n = 1 << bits
+    tables = []
+    for _ in range(keys):
+        top = data.draw(st.integers(0, n - 1))
+        images = np.array(data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n)))
+        mvals = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))) \
+            if measured else None
+        tables.append((images, mvals))
+    fam = dataclasses.replace(table_family(*tables[0]), keys=None, tabulate=tables.__getitem__,
+                              sample=lambda rng: (int(rng.integers(0, keys)), None))
+    for adv in sorted(hashfam.TCR_ADVERSARIES):
+        _check_tcr_batch(fam, adv, range(seed, seed + 9), adv)
 
 
 def test_eval_and_measure_are_none_outside_the_domain():
@@ -432,8 +493,8 @@ def test_eval_and_measure_are_none_outside_the_domain():
 
 def test_tcr_without_aux_matches_plain_game():
     fam = fdelta_family(toy_regular_owf(6, 2))
-    t1 = tcr_game(fam, brute_force_tcr_adversary, np.random.default_rng(9))
-    t2 = tcr_game(fam, brute_force_tcr_adversary, np.random.default_rng(9), aux=None)
+    (t1,) = tcr_game(fam, brute_force_tcr_adversary, [np.random.default_rng(9)])
+    (t2,) = tcr_game(fam, brute_force_tcr_adversary, [np.random.default_rng(9)], aux=None)
     assert (t1.y, t1.v, t1.answer, t1.win) == (t2.y, t2.v, t2.answer, t2.win)
 
 
@@ -698,10 +759,9 @@ def test_bit_domain_enumeration_matches_the_per_value_path():
     # index, through value_index on its big-endian digits one value at a time
     for bits in range(1, 13):
         dom = BitDomain(bits)
-        layout = qsim.RegisterLayout([("X", dom.register_dims())])
+        layout = qsim.RegisterLayout([("X", (2,) * bits)])
         digits = [big_endian(x, bits) for x in range(dom.size)]
         assert [value_index(layout, "X", d) for d in digits] == list(range(dom.size))
-        assert [dom.from_register(d) for d in digits] == list(range(dom.size))
 
 
 def test_table_beyond_the_old_fiber_guard_matches_eval():

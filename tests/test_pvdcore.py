@@ -1,11 +1,16 @@
+import dataclasses
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
-from deletia import hashfam, pvdcore, qsim
+from deletia import configs, hashfam, pvdcore, qsim
 from deletia.hashfam import (
     balance_estimate,
     chor_goldreich_family,
@@ -15,7 +20,6 @@ from deletia.hashfam import (
     toy_regular_owf,
 )
 from deletia.pvdcore import (
-    block_overlap,
     calibrate_recover,
     commit,
     commit_ver,
@@ -25,9 +29,11 @@ from deletia.pvdcore import (
     pvd_encrypt,
     pvd_keygen,
     pvd_verify,
-    recover,
 )
+import pvdcore_ref
+from pvdcore_ref import block_overlap, recover
 from qsim_ref import apply_phase_fn
+from test_games import table_family
 
 
 def balanced_family():
@@ -43,10 +49,10 @@ def test_commit_b0_blocks_are_positive_uniform():
     rng = np.random.default_rng(0)
     fam = balanced_family()
     pair = commit(fam, 0, 3, rng)
-    assert len(pair.blocks) == 3
+    assert pair.blocks.shape == (3, fam.domain.size)
     for y, block in zip(pair.images, pair.blocks):
         fiber = fam.fiber(pair.key, y)
-        nz = block.amps[np.abs(block.amps) > 1e-12]
+        nz = block[np.abs(block) > 1e-12]
         assert len(nz) == len(fiber)
         np.testing.assert_allclose(nz, 1 / math.sqrt(len(fiber)), atol=1e-12)
 
@@ -95,8 +101,9 @@ def test_tampered_block_changes_cross_behavior():
     pair = commit(fam, 0, 3, rng)
     t = fam.table(pair.key)
     phase = np.where(t.mvals != 0, -1.0, 1.0)
-    flipped = apply_phase_fn(pair.blocks[0], "X", phase)
-    pair.blocks[0] = flipped
+    layout = qsim.RegisterLayout([("X", (2,) * fam.domain.bits)])
+    flipped = apply_phase_fn(qsim.QState(layout, pair.blocks[0]), "X", phase)
+    pair.blocks[0] = flipped.amps
     # block 0 now opens as bit 1: the honest-open product drops to 0,
     # recomputed exactly
     assert open_accept_prob(pair, 0) == pytest.approx(0.0, abs=1e-12)
@@ -150,11 +157,11 @@ def test_post_deletion_view_identical_across_bits():
         for j, y in enumerate(ys):
             fiber = fam.fiber(key, y)
             py = len(fiber) / total
-            block = hashfam.fiber_state(fam, key, y, signed_bit=b)
-            probs = qsim.marginal_probs(block, "X")
+            (block,) = hashfam.fiber_state(fam, key, [y], signed_bit=b)
+            probs = np.abs(block) ** 2
             for x in fiber:  # a bit domain's value is its register index
                 p.append(py * probs[x])
-                label.append(j * block.layout.dim + x)  # the view (y, x)
+                label.append(j * len(block) + x)  # the view (y, x)
         views[b] = qsim.Ensemble.from_columns(p, label, -1, no_states)
     assert qsim.ensemble_trace_distance(views[0], views[1]) <= 1e-10
 
@@ -197,13 +204,22 @@ def test_calibrate_recover_sums_images_in_order_of_first_appearance():
             assert calibrate_recover(fam, key) == (1.0, p1, (1.0 + p1) / 2)
 
 
+def test_calibrate_recover_in_chunks_matches_the_per_image_fold():
+    # 512 images of 4 096 values: the blocks are stacked 16 rows at a time
+    fam = fdelta_family(toy_regular_owf(12, 2))
+    key, _ = fam.sample(np.random.default_rng(2))
+    assert len(fam.table(key).ys) * fam.domain.size > 16 * pvdcore._CALIBRATE_CELLS
+    assert calibrate_recover(fam, key) == pvdcore_ref.calibrate_recover(fam, key)
+
+
 def test_recover_is_projective_two_outcome():
     rng = np.random.default_rng(9)
     fam = trapdoor_family()
     keys = pvd_keygen(fam, rng, reps=4)
     ct = pvd_encrypt(keys, 1, rng)
-    y, block = ct.images[0], ct.blocks[0]
-    target = hashfam.superposition_invert(fam, keys.key, keys.trapdoor, y)
+    layout = qsim.RegisterLayout([("X", (2,) * fam.domain.bits)])
+    y, block = ct.images[0], qsim.QState(layout, ct.blocks[0])
+    (target,) = hashfam.superposition_invert(fam, keys.key, keys.trapdoor, [y])
     p_succ = qsim.project_prob(block, "X", target)
     bit0, post0 = recover(keys, y, block.copy(), np.random.default_rng(1))
     # outcome probabilities complement each other and post-states are the
@@ -281,7 +297,144 @@ def test_out_of_range_bits_raise_by_name(b):
     with pytest.raises(ValueError, match=f"bit claim_b must be 0 or 1, got {b}"):
         open_accept_prob(pair, b)
     with pytest.raises(ValueError, match=f"bit signed_bit must be 0 or 1, got {b}"):
-        hashfam.fiber_state(fam, pair.key, pair.images[0], signed_bit=b)
+        hashfam.fiber_state(fam, pair.key, pair.images[:1], signed_bit=b)
     keys = pvd_keygen(trapdoor_family(), np.random.default_rng(0), reps=2)
     with pytest.raises(ValueError, match=f"bit b must be 0 or 1, got {b}"):
         pvd_encrypt(keys, b, np.random.default_rng(0))
+
+
+# --- the batched blocks against the per-block protocol ---------------------
+
+def roundtrip_family():
+    """``pvd roundtrip``'s family: fibers of several sizes, split unevenly."""
+    comp = compose_balanced(toy_regular_owf(6, 2), chor_goldreich_family(6, 4, 3))
+    return fdelta_family(comp)
+
+
+def _amps(blocks) -> np.ndarray:
+    return np.array([b.amps for b in blocks])
+
+
+def _check_lifecycle(fam, seed: int, reps: int, case):
+    """Commit, open, delete and verify, then keygen, encrypt, decrypt,
+    delete and verify, batched and per block from the same seeds: equal
+    images, amplitudes, probabilities, bits, post-states and certificates,
+    and each generator left in the same state."""
+    got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+    b = seed % 2
+    pair, ref = commit(fam, b, reps, got), pvdcore_ref.commit(fam, b, reps, want)
+    assert pair.images == ref.images and np.array_equal(pair.blocks, _amps(ref.blocks)), case
+    for claim in (0, 1):
+        assert open_accept_prob(pair, claim) == pvdcore_ref.open_accept_prob(ref, claim), case
+    pis = pvd_delete(pair, fam, got)
+    assert pis == pvdcore_ref.pvd_delete(ref, fam, want), case
+    assert np.array_equal(pair.blocks, _amps(ref.blocks)), case
+    outside = next((x for x in range(fam.domain.size)
+                    if fam.eval(pair.key, x) != pair.images[-1]), -1)
+    for cert in (pis, pis[:-1] + [outside], pis[:-1] + [fam.domain.size], pis[:-1]):
+        assert commit_ver(fam, pair.key, pair.images, cert) == \
+            pvdcore_ref.commit_ver(fam, pair.key, pair.images, cert), case
+    keys, ref_keys = pvd_keygen(fam, got, reps=reps), pvdcore_ref.pvd_keygen(fam, want, reps=reps)
+    assert calibrate_recover(fam, keys.key) == pvdcore_ref.calibrate_recover(fam, keys.key), case
+    assert keys.recover_threshold == ref_keys.recover_threshold, case
+    for bit in (0, 1):
+        ct, ref_ct = pvd_encrypt(keys, bit, got), pvdcore_ref.pvd_encrypt(ref_keys, bit, want)
+        assert ct.images == ref_ct.images and np.array_equal(ct.blocks, _amps(ref_ct.blocks)), case
+        assert pvd_decrypt(keys, ct, got) == pvdcore_ref.pvd_decrypt(ref_keys, ref_ct, want), case
+        assert np.array_equal(ct.blocks, _amps(ref_ct.blocks)), case
+        pis = pvd_delete(ct, fam, got)
+        assert pis == pvdcore_ref.pvd_delete(ref_ct, fam, want), case
+        assert np.array_equal(ct.blocks, _amps(ref_ct.blocks)), case
+        assert pvd_verify(fam, keys.key, ct.images, pis), case
+    assert got.random() == want.random(), case
+
+
+@pytest.mark.parametrize("name", ["balanced", "trapdoor", "roundtrip"])
+def test_batched_blocks_match_the_per_block_protocol(name):
+    fam = {"balanced": balanced_family, "trapdoor": trapdoor_family,
+           "roundtrip": roundtrip_family}[name]()
+    for reps in range(1, pvdcore.MAX_REPS + 1):
+        for seed in range(6):
+            _check_lifecycle(fam, 100 * reps + seed, reps, (name, reps, seed))
+
+
+def _fiber_family(images: np.ndarray, mvals: np.ndarray) -> hashfam.HashFamily:
+    """A one-key measured family on the table ``images``, inverted by
+    reading each fiber off the table."""
+    fam = table_family(images, mvals)
+    return dataclasses.replace(fam, invert=lambda key, td, y: fam.fiber(key, y))
+
+
+@given(st.data(), st.integers(1, 5), st.integers(1, pvdcore.MAX_REPS), st.integers(0, 2**32))
+@settings(max_examples=40, deadline=None)
+def test_batched_blocks_match_the_per_block_protocol_on_any_table(data, bits, reps, seed):
+    """Fibers of any sizes, split by M in any way, and every lambda: every
+    summation order of the overlaps and norms."""
+    n = 1 << bits
+    images = np.array(data.draw(st.lists(st.integers(0, data.draw(st.integers(0, n - 1))),
+                                         min_size=n, max_size=n)))
+    mvals = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    _check_lifecycle(_fiber_family(images, mvals), seed, reps, (images, mvals))
+
+
+def test_block_stacks_refuse_an_image_without_a_fiber():
+    fam = balanced_family()
+    key, td = fam.sample(np.random.default_rng(0))
+    y = fam.table(key).ys[0]
+    with pytest.raises(ValueError, match="empty fiber for 99"):
+        hashfam.fiber_state(fam, key, [y, 99])
+    with pytest.raises(ValueError, match="empty preimage set"):
+        hashfam.superposition_invert(fam, key, td, [y, 99])
+
+
+# --- the exact decryption error ------------------------------------------
+
+def _wrong_given_b1(keys: pvdcore.PVDKeys) -> tuple[Fraction, Fraction]:
+    """(p1, Pr[Dec = 0 | b = 1]) from the key's table: p1 = sum_y
+    (A0 - A1)^2 / (D F), and the error is Pr[Bin(reps, p1) zeros decide 0],
+    the zero counts k with k / reps above the shipped threshold."""
+    t = keys.family.table(keys.key)
+    d = len(t.images)
+    p1 = sum(Fraction((a0 - a1) ** 2, d * (a0 + a1))
+             for a0, a1 in (fiber_split(t.images, t.mvals, y) for y in t.ys))
+    n = keys.reps
+    wrong = sum(math.comb(n, k) * p1 ** k * (1 - p1) ** (n - k)
+                for k in range(n + 1) if k / n > keys.recover_threshold)
+    return p1, wrong
+
+
+def _binomial_range(n: int, p: Fraction, alpha: float = 1e-6) -> tuple[float, float]:
+    """The central range of Bin(n, p) that a count leaves with probability
+    at most alpha."""
+    return stats.binom.interval(1 - alpha, n, float(p))
+
+
+def test_batched_decryption_matches_the_exact_error():
+    """On ``pvd roundtrip``'s family and seed-0 key, b = 1 blocks recover
+    to 0 at the rate p1 and b = 1 decrypts wrongly at Pr[Bin(8, p1) > 8c],
+    both exact Fractions from the key's table; seeded decryptions stay
+    inside the binomial laws' 1e-6 ranges."""
+    keys = pvd_keygen(roundtrip_family(), np.random.default_rng(0), reps=configs.PVD_REPS)
+    p1, wrong = _wrong_given_b1(keys)
+    assert (p1, wrong) == (Fraction(37, 210),
+                           Fraction(639755350777439, 108065312460000000))
+    assert abs(calibrate_recover(keys.family, keys.key)[1] - p1) <= 1e-15
+    rng, trials, zeros, errors = np.random.default_rng(1), 1500, 0, 0
+    for _ in range(trials):
+        ct = pvd_encrypt(keys, 1, rng)
+        target = hashfam.superposition_invert(keys.family, keys.key, keys.trapdoor, ct.images)
+        errors += pvd_decrypt(keys, ct, rng) == 0
+        # outcome 0 leaves a block on its target, outcome 1 orthogonal to it
+        overlaps = np.einsum("ij,ij->i", target.conj(), ct.blocks)
+        zeros += int(np.count_nonzero(np.abs(overlaps) > 0.5))
+    lo, hi = _binomial_range(trials * keys.reps, p1)
+    assert lo <= zeros <= hi, (zeros, lo, hi)
+    lo, hi = _binomial_range(trials, wrong)
+    assert lo <= errors <= hi, (errors, lo, hi)
+
+
+def test_criterion_10_family_decrypts_b1_without_error():
+    # every fiber of fdelta(toy_regular_owf(6, 2)) splits evenly: p1 = 0, so
+    # no b = 1 block ever recovers to 0
+    keys = pvd_keygen(balanced_family(), np.random.default_rng(0), reps=8)
+    assert _wrong_given_b1(keys) == (0, 0)

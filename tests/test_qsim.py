@@ -19,15 +19,20 @@ from deletia.qsim import (
     measure,
     pauli_twirl_channel,
     phase_oracle,
-    prepare_weighted,
-    project,
     project_prob,
     qft,
     qft_inverse,
     trace_distance,
 )
 import dualregev_ref
-from qsim_ref import apply_phase_fn, controlled_phase_fn, drop_segment, value_index
+from qsim_ref import (
+    apply_phase_fn,
+    controlled_phase_fn,
+    drop_segment,
+    prepare_weighted,
+    project,
+    value_index,
+)
 
 
 def rand_state(layout, rng):
