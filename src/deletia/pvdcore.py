@@ -62,8 +62,7 @@ def _sample_blocks(family: HashFamily, key, b: int, reps: int, rng: np.random.Ge
     t = family.table(key)
     probs = np.bincount(t.image_ids).astype(float)  # by row, images in repr order
     probs /= probs.sum()
-    rows = qsim.draw_rows(np.broadcast_to(probs, (reps, len(probs))), [rng] * reps)
-    images = [t.ys[j] for j in rows.tolist()]
+    images = [t.ys[qsim.draw_index(probs, rng)] for _ in range(reps)]
     return images, fiber_state(family, key, images, signed_bit=b)
 
 
