@@ -21,7 +21,8 @@ ROOT = Path(__file__).resolve().parents[1]
 # family_from_descriptor a CLI caller (per-key runs on the paper's families).
 # No src/ path calls HashFamily.eval or .measure since the PVD and TCR steps
 # read the key tables whole; bench/run.py still wraps both by name for its
-# hashfam.eval and hashfam.measure counters, so they go with ROADMAP item 1.
+# hashfam.eval and hashfam.measure counters, so they go with ROADMAP items
+# 1 and 11.
 EXEMPT = {"hashfam.family_from_descriptor", "hashfam.HashFamily.eval",
           "hashfam.HashFamily.measure"}
 FUNC = (ast.FunctionDef, ast.AsyncFunctionDef)
